@@ -27,13 +27,7 @@ from .closedform import (
     result_to_json,
     tornheim_closed,
 )
-from .errors import (
-    DivergenceError,
-    DomainError,
-    PrecisionError,
-    TornheimError,
-    VerificationError,
-)
+from .errors import DivergenceError, DomainError, PrecisionError, TornheimError
 from .exact import SignedIndex, expr_numeric, expression_from_json, expression_to_json
 from .numeric import (
     PrecisionConfig,
@@ -82,6 +76,13 @@ def _signs(text: str, count: int) -> tuple[int, ...]:
     return tuple(1 if c == "+" else -1 for c in text)
 
 
+def _tolerance(args, default):
+    """The parsed --tolerance as an mpf at the current precision, else default."""
+    if args.tolerance is None:
+        return default
+    return mpf(args.tolerance.numerator) / args.tolerance.denominator
+
+
 def _fmt(x, digits: int) -> str:
     return nstr(x, digits)
 
@@ -125,6 +126,7 @@ def cmd_eval(args) -> int:
     else:
         prec = PrecisionConfig(digits=args.digits)
     out: dict = {"command": "eval", "series": args.series, "digits": args.digits}
+    q = None if args.q is None else _rational(args.q)
 
     if args.series in ("T", "S", "R"):
         if len(args.indices) != 3:
@@ -135,12 +137,11 @@ def cmd_eval(args) -> int:
             r, s = s, r
         label = f"{variant}[{r},{s},{t}]"
         out.update(series=variant, indices=[str(r), str(s), str(t)])
-        if args.q is not None:
+        if q is not None:
             info = tornheim_q_info(
-                r, s, t, *VARIANT_SIGNS[variant], q=args.q, prec=prec,
-                window=args.window,
+                r, s, t, *VARIANT_SIGNS[variant], q=q, prec=prec, window=args.window,
             )
-            return _emit_numeric(args, out, label, info, q=args.q)
+            return _emit_numeric(args, out, label, info, q)
         _require_ints("classical evaluation", r, s, t)
         if (r + s + t) % 2 == 1:
             result = tornheim_closed(r, s, t, variant)
@@ -159,9 +160,9 @@ def cmd_eval(args) -> int:
         first, second = SignedIndex(s1, g1), SignedIndex(s2, g2)
         label = f"zeta[{first},{second}]"
         out.update(indices=[str(s1), str(s2)], signs=[g1, g2])
-        if args.q is not None:
-            info = q_zeta2_info(s1, g1, s2, g2, q=args.q, prec=prec)
-            return _emit_numeric(args, out, f"zq[{first},{second}]", info, q=args.q)
+        if q is not None:
+            info = q_zeta2_info(s1, g1, s2, g2, q=q, prec=prec)
+            return _emit_numeric(args, out, f"zq[{first},{second}]", info, q)
         _require_ints("classical evaluation", s1, s2)
         if (s1 + s2) % 2 == 1:
             expr = double_euler_closed(s1, s2, g1, g2)
@@ -174,13 +175,13 @@ def cmd_eval(args) -> int:
     # qzeta
     if len(args.indices) != 1:
         raise DomainError("series qzeta wants one index")
-    if args.q is None:
+    if q is None:
         raise DomainError("series qzeta requires --q")
     s = _rational(args.indices[0])
     (g,) = _signs(args.signs, 1) if args.signs else (1,)
     out.update(indices=[str(s)], signs=[g])
-    info = q_zeta1_info(s, g, q=args.q, prec=prec)
-    return _emit_numeric(args, out, f"zq[{SignedIndex(s, g)}]", info, q=args.q)
+    info = q_zeta1_info(s, g, q=q, prec=prec)
+    return _emit_numeric(args, out, f"zq[{SignedIndex(s, g)}]", info, q)
 
 
 def _emit_closed(args, out, label, expr, prec, provenance=None) -> int:
@@ -201,7 +202,7 @@ def _emit_closed(args, out, label, expr, prec, provenance=None) -> int:
 def _emit_numeric(args, out, label, info, q) -> int:
     rendered = _fmt(info.value, args.digits)
     if args.format == "json":
-        out.update(route="numeric", q=str(_rational(q)), expression=None,
+        out.update(route="numeric", q=str(q), expression=None,
                    value=rendered, tail_bound=_fmt_bound(info.tail_bound),
                    terms=info.terms)
         _print_json(out)
@@ -259,20 +260,21 @@ def cmd_reduce(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _report(lines, passed, failed, family) -> int:
-    for line in lines:
-        print(line)
-    total = passed + failed
-    print(f"{family}: {passed}/{total} cases passed")
-    return 0 if failed == 0 else 3
+def _sweep(family: str, rows) -> int:
+    """Print a PASS/FAIL line per (ok, detail) row and the summary; exit 3 on
+    any failure.  Rows are all computed before anything is printed."""
+    rows = list(rows)
+    for ok, detail in rows:
+        print(f"{'PASS' if ok else 'FAIL'} {family} {detail}")
+    passed = sum(ok for ok, _ in rows)
+    print(f"{family}: {passed}/{len(rows)} cases passed")
+    return 0 if passed == len(rows) else 3
 
 
-def _verify_lemma1(args) -> int:
+def _verify_lemma1(args):
     bound = args.max or 4
-    qs = args.q or ["3/2", "2", "7/2"]
     uv = bound + 1
-    lines, passed, failed = [], 0, 0
-    for q in qs:
+    for q in args.q or ["3/2", "2", "7/2"]:
         for r in range(1, bound + 1):
             for s in range(1, bound + 1):
                 ok = all(
@@ -280,54 +282,36 @@ def _verify_lemma1(args) -> int:
                     for u in range(1, uv + 1)
                     for v in range(1, uv + 1)
                 )
-                passed += ok
-                failed += not ok
-                tag = "PASS" if ok else "FAIL"
-                lines.append(
-                    f"{tag} lemma1 r={r} s={s} q={q} exact on {uv * uv} points"
-                )
-    return _report(lines, passed, failed, "lemma1")
+                yield ok, f"r={r} s={s} q={q} exact on {uv * uv} points"
 
 
-def _verify_theorem1(args) -> int:
+def _verify_theorem1(args):
     bound = args.max or 3
-    qs = args.q or ["3/2", "2", "3"]
     prec = PrecisionConfig(digits=args.digits)
-    tol = mpf(args.tolerance) if args.tolerance else mpf(10) ** -27
-    ts = (0, 1, 2, Fraction(1, 2))
-    lines, passed, failed = [], 0, 0
+    tol = _tolerance(args, mpf(10) ** -27)
     with mp.workdps(prec.working_dps):
-        for q in qs:
+        for q in args.q or ["3/2", "2", "3"]:
             for variant in ("T", "S", "R"):
                 sigma, tau = VARIANT_SIGNS[variant]
                 for r in range(1, bound + 1):
                     for s in range(1, bound + 1):
-                        for t in ts:
+                        for t in (0, 1, 2, Fraction(1, 2)):
                             lhs = tornheim_q_info(r, s, t, sigma, tau, q, prec).value
-                            red = theorem1_reduce(r, s, t, variant)
-                            rhs = evaluate_reduction(red, q, prec)
+                            rhs = evaluate_reduction(theorem1_reduce(r, s, t, variant), q, prec)
                             resid = abs(lhs - rhs)
-                            ok = resid <= tol
-                            passed += ok
-                            failed += not ok
-                            tag = "PASS" if ok else "FAIL"
-                            lines.append(
-                                f"{tag} theorem1 {variant}[{r},{s},{t}] q={q} "
-                                f"residual {_fmt_bound(resid)}"
-                            )
-    return _report(lines, passed, failed, "theorem1")
+                            yield (resid <= tol,
+                                   f"{variant}[{r},{s},{t}] q={q} residual {_fmt_bound(resid)}")
 
 
-def _verify_corollary1(args) -> int:
+def _verify_corollary1(args):
     """Depth-2 reduction against a direct float64 double sum.
 
     The direct sum truncates slowly, so this is a coarse cross-check; the
     sharp one is the closed-form route in verify table.
     """
     bound = args.max or 2
-    tol = float(args.tolerance) if args.tolerance else 2e-3
+    tol = float(_tolerance(args, 2e-3))
     prec = PrecisionConfig(digits=20)
-    lines, passed, failed = [], 0, 0
     for variant in ("T", "S", "R"):
         for r in range(1, bound + 1):
             for s in range(1, bound + 1):
@@ -336,50 +320,31 @@ def _verify_corollary1(args) -> int:
                     with mp.workdps(prec.working_dps):
                         reduced = float(tornheim_classical(r, s, t, variant, prec))
                     resid = abs(direct - reduced)
-                    ok = resid <= tol
-                    passed += ok
-                    failed += not ok
-                    tag = "PASS" if ok else "FAIL"
-                    lines.append(
-                        f"{tag} corollary1 {variant}[{r},{s},{t}] "
-                        f"|direct - reduced| {resid:.2e}"
-                    )
-    return _report(lines, passed, failed, "corollary1")
+                    yield resid <= tol, f"{variant}[{r},{s},{t}] |direct - reduced| {resid:.2e}"
 
 
-def _verify_corollary2(args) -> int:
+def _verify_corollary2(args):
     bound = args.max or 4
-    qs = args.q or ["3/2", "2"]
     prec = PrecisionConfig(digits=args.digits)
-    tol = mpf(args.tolerance) if args.tolerance else mpf(10) ** -27
-    lines, passed, failed = [], 0, 0
+    tol = _tolerance(args, mpf(10) ** -27)
     with mp.workdps(prec.working_dps):
-        for q in qs:
+        for q in args.q or ["3/2", "2"]:
             for variant in ("T", "S", "R"):
                 sigma, tau = VARIANT_SIGNS[variant]
                 for r in range(1, bound + 1):
                     for s in range(1, bound + 1):
                         lhs = q_zeta1(r, sigma, q, prec) * q_zeta1(s, tau, q, prec)
-                        red = theorem1_reduce(r, s, 0, variant)
-                        rhs = evaluate_reduction(red, q, prec)
+                        rhs = evaluate_reduction(theorem1_reduce(r, s, 0, variant), q, prec)
                         resid = abs(lhs - rhs)
-                        ok = resid <= tol
-                        passed += ok
-                        failed += not ok
-                        tag = "PASS" if ok else "FAIL"
-                        lines.append(
-                            f"{tag} corollary2 "
-                            f"zq[{SignedIndex(r, sigma)}]*zq[{SignedIndex(s, tau)}] "
-                            f"q={q} residual {_fmt_bound(resid)}"
-                        )
-    return _report(lines, passed, failed, "corollary2")
+                        yield (resid <= tol,
+                               f"zq[{SignedIndex(r, sigma)}]*zq[{SignedIndex(s, tau)}] "
+                               f"q={q} residual {_fmt_bound(resid)}")
 
 
-def _verify_corollary3(args) -> int:
+def _verify_corollary3(args):
     bound = args.max or 5
     prec = PrecisionConfig(digits=args.digits)
-    tol = mpf(args.tolerance) if args.tolerance else mpf(10) ** -24
-    lines, passed, failed = [], 0, 0
+    tol = _tolerance(args, mpf(10) ** -24)
     with mp.workdps(prec.working_dps):
         for variant in ("T", "S", "R"):
             sigma, tau = VARIANT_SIGNS[variant]
@@ -393,37 +358,22 @@ def _verify_corollary3(args) -> int:
                         c * classical_double_euler(o, i, prec) for c, o, i in terms
                     )
                     resid = abs(lhs - rhs)
-                    ok = resid <= tol
-                    passed += ok
-                    failed += not ok
-                    tag = "PASS" if ok else "FAIL"
-                    lines.append(
-                        f"{tag} corollary3 "
-                        f"zeta[{SignedIndex(r, sigma)}]*zeta[{SignedIndex(s, tau)}] "
-                        f"residual {_fmt_bound(resid)}"
-                    )
-    return _report(lines, passed, failed, "corollary3")
+                    yield (resid <= tol,
+                           f"zeta[{SignedIndex(r, sigma)}]*zeta[{SignedIndex(s, tau)}] "
+                           f"residual {_fmt_bound(resid)}")
 
 
-def _verify_table(args) -> int:
+def _verify_table(args):
     prec = PrecisionConfig(digits=args.digits)
-    tol = mpf(args.tolerance) if args.tolerance else mpf(10) ** -24
-    lines, passed, failed = [], 0, 0
+    tol = _tolerance(args, mpf(10) ** -24)
     for (variant, r, s, t), want in sorted(KNOWN_VALUES.items()):
         got = tornheim_closed(r, s, t, variant).expression
         exact_ok = got == want
         with mp.workdps(prec.working_dps):
             resid = abs(expr_numeric(got, prec) - tornheim_classical(r, s, t, variant, prec))
-        numeric_ok = resid <= tol
-        ok = exact_ok and numeric_ok
-        passed += ok
-        failed += not ok
-        tag = "PASS" if ok else "FAIL"
-        lines.append(
-            f"{tag} table {variant}[{r},{s},{t}] exact={'yes' if exact_ok else 'NO'} "
-            f"numeric residual {_fmt_bound(resid)}"
-        )
-    return _report(lines, passed, failed, "table")
+        yield (exact_ok and resid <= tol,
+               f"{variant}[{r},{s},{t}] exact={'yes' if exact_ok else 'NO'} "
+               f"numeric residual {_fmt_bound(resid)}")
 
 
 def _verify_expr(args) -> int:
@@ -444,7 +394,7 @@ def _verify_expr(args) -> int:
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DomainError(f"cannot parse expression JSON: {exc}")
     prec = PrecisionConfig(digits=args.digits)
-    tol = mpf(args.tolerance) if args.tolerance else mpf(10) ** (-(args.digits - 3))
+    tol = _tolerance(args, mpf(10) ** (-(args.digits - 3)))
     with mp.workdps(prec.working_dps):
         claimed = expr_numeric(expr, prec)
         reference = tornheim_classical(r, s, t, series, prec)
@@ -458,19 +408,25 @@ def _verify_expr(args) -> int:
     return 0 if ok else 3
 
 
-_FAMILIES = {
+_SWEEPS = {
     "lemma1": _verify_lemma1,
     "theorem1": _verify_theorem1,
     "corollary1": _verify_corollary1,
     "corollary2": _verify_corollary2,
     "corollary3": _verify_corollary3,
     "table": _verify_table,
-    "expr": _verify_expr,
 }
 
 
 def cmd_verify(args) -> int:
-    return _FAMILIES[args.family](args)
+    if args.max is not None and args.max < 1:
+        raise DomainError(f"--max must be >= 1, got {args.max}")
+    if args.q:
+        args.q = [_rational(q) for q in args.q]
+    args.tolerance = _rational(args.tolerance) if args.tolerance else None
+    if args.family == "expr":
+        return _verify_expr(args)
+    return _sweep(args.family, _SWEEPS[args.family](args))
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.set_defaults(func=cmd_reduce)
 
     p_ver = sub.add_parser("verify", help="run an identity sweep")
-    p_ver.add_argument("family", choices=sorted(_FAMILIES))
+    p_ver.add_argument("family", choices=sorted([*_SWEEPS, "expr"]))
     p_ver.add_argument("params", nargs="*",
                        help="for expr: SERIES R S T")
     p_ver.add_argument("--max", type=int, help="index sweep bound")
@@ -566,9 +522,6 @@ def main(argv=None) -> int:
     except (DomainError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

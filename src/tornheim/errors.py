@@ -1,7 +1,6 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: DomainError -> 2, VerificationError -> 3,
-PrecisionError -> 4.
+The CLI maps these onto exit codes: DomainError -> 2, PrecisionError -> 4.
 """
 from __future__ import annotations
 
@@ -20,7 +19,3 @@ class DivergenceError(DomainError):
 
 class PrecisionError(TornheimError, RuntimeError):
     """The tail goal cannot be met within the configured term budget."""
-
-
-class VerificationError(TornheimError):
-    """A cross-check between two independent evaluation routes failed."""

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Iterable, Iterator, Mapping
+from math import comb, factorial
+from typing import Mapping
 
 from .errors import DivergenceError, DomainError
 
@@ -52,11 +52,6 @@ def bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-@lru_cache(maxsize=None)
-def factorial_fraction(n: int) -> Fraction:
-    return Fraction(1) if n <= 1 else n * factorial_fraction(n - 1)
-
-
 def zeta_even_as_pi(k: int) -> "ZetaExpression":
     """zeta(k) for even k >= 2, as an exact rational multiple of pi^k.
 
@@ -65,7 +60,7 @@ def zeta_even_as_pi(k: int) -> "ZetaExpression":
     if k < 2 or k % 2 != 0:
         raise DomainError(f"zeta_even_as_pi: k must be even and >= 2, got {k}")
     m = k // 2
-    coeff = (-1) ** (m + 1) * bernoulli(k) * Fraction(2) ** (k - 1) / factorial_fraction(k)
+    coeff = (-1) ** (m + 1) * bernoulli(k) * Fraction(2) ** (k - 1) / factorial(k)
     return ZetaExpression({ZetaMonomial(pi_exponent=k): coeff})
 
 
@@ -196,9 +191,6 @@ class ZetaMonomial:
         return "*".join(parts) if parts else "1"
 
 
-_UNIT = None  # set after class definition
-
-
 class ZetaExpression:
     """Sparse Q-linear combination of ZetaMonomial, always canonical.
 
@@ -327,18 +319,6 @@ class ZetaExpression:
         return expr_numeric(self, prec)
 
 
-def expr_add(a: ZetaExpression, b: ZetaExpression) -> ZetaExpression:
-    return a + b
-
-
-def expr_mul(a: ZetaExpression, b: ZetaExpression) -> ZetaExpression:
-    return a * b
-
-
-def expr_scale(a: ZetaExpression, c: Fraction | int) -> ZetaExpression:
-    return a * Fraction(c)
-
-
 def canonicalize(a: ZetaExpression) -> ZetaExpression:
     """Re-normalize an expression.  Idempotent by construction."""
     return ZetaExpression(dict(a.terms()))
@@ -366,15 +346,25 @@ def expression_to_json(expr: ZetaExpression) -> list[dict]:
     return out
 
 
-def expression_from_json(items: Iterable[Mapping]) -> ZetaExpression:
+def expression_from_json(items: list[Mapping]) -> ZetaExpression:
+    """Inverse of expression_to_json.  Anything but a list of term objects
+    with a "coeff" and integer exponents raises DomainError."""
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise DomainError(f"expression JSON must be a list of term objects, got {items!r}")
     terms: dict[ZetaMonomial, Fraction] = {}
     for item in items:
-        mono = ZetaMonomial(
-            pi_exponent=int(item.get("pi", 0)),
-            log2_exponent=int(item.get("log2", 0)),
-            odd_zeta_factors=tuple(int(k) for k in item.get("zeta", ())),
-        )
-        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(item["coeff"])
+        if "coeff" not in item:
+            raise DomainError(f"expression term {item!r} has no \"coeff\"")
+        try:
+            mono = ZetaMonomial(
+                pi_exponent=int(item.get("pi", 0)),
+                log2_exponent=int(item.get("log2", 0)),
+                odd_zeta_factors=tuple(int(k) for k in item.get("zeta", ())),
+            )
+            coeff = Fraction(item["coeff"])
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"bad expression term {item!r}: {exc}") from exc
+        terms[mono] = terms.get(mono, Fraction(0)) + coeff
     return ZetaExpression(terms)
 
 

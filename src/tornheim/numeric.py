@@ -25,6 +25,13 @@ log-factor variants, give
                                    the asymptotic expansion of the inner
                                    prefix (harmonic, EM, or Boole form)
 
+The q-kernels share one recurrence: _qints yields [k] by a running power
+of q, and _qterms yields sign^k q^(e k) / [k]^x from it.  classical_zeta,
+classical_double_euler and the terms of evaluate_reduction are memoized by
+functools.lru_cache(MEMO_SIZE) on private functions (_zeta_memo,
+_double_memo, _qterm_memo) that the public ones call after validating their
+input; cache_info() reports the hits.
+
 All mpf results are computed at digits + 15 working precision.  A float64
 vectorized kernel backs tornheim_q when the requested tail goal is coarse
 (>= 1e-10), where the arbitrary-precision loop would be needlessly slow.
@@ -35,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import tee
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +50,7 @@ from mpmath import mp, mpf
 
 from .errors import DivergenceError, DomainError, PrecisionError
 from .exact import SignedIndex, bernoulli
+from .reduction import VARIANT_SIGNS, DoubleQZeta, PhiTerm, QSquaredZeta, corollary1_reduce
 
 __all__ = [
     "PrecisionConfig",
@@ -64,6 +73,7 @@ __all__ = [
 ]
 
 FLOAT64_GOAL_CUTOFF = 1e-10  # coarser goals than this use the vectorized kernel
+MEMO_SIZE = 4096  # entries per memo (_zeta_memo, _double_memo, _qterm_memo)
 
 
 @dataclass(frozen=True)
@@ -197,6 +207,29 @@ def _budget(n_terms: int, prec: PrecisionConfig, what: str) -> None:
         )
 
 
+def _qints(qm: mpf, n: int):
+    """[1], ..., [n] by a running power q^k."""
+    qpow = mpf(1)
+    for _ in range(n):
+        qpow *= qm
+        yield (qpow - 1) / (qm - 1)
+
+
+def _qterms(qm: mpf, e: mpf, x, sign: int, qints, weighted: bool = False):
+    """sign^k q^(e k) / [k]^x for k = 1, 2, ..., one per entry of qints.
+
+    weighted=True multiplies in phi's factor (k-1) ahead of the division,
+    so phi_q rounds exactly as its formula (k-1) sign^k q^(e k) / [k]^x does.
+    """
+    step = mp.power(qm, e)
+    num = mpf(1)
+    sgn = 1
+    for k, qint in enumerate(qints, 1):
+        num *= step
+        sgn *= sign
+        yield ((k - 1) * sgn if weighted else sgn) * num / _pow(qint, x)
+
+
 def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> SumInfo:
     """zeta_q[s; sign] = sum_{n>=1} sign^n q^((s-1)n) / [n]^s, with tail bound."""
     _sign_ok(sign)
@@ -208,18 +241,7 @@ def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) 
         k = _kbound(s, qm)
         n_terms = _geometric_n(k / (qm - 1), qm, goal)
         _budget(n_terms, prec, "q_zeta1")
-        sm1 = _xm(s) - 1
-        num_step = mp.power(qm, sm1)  # q^(s-1)
-        num = mpf(1)
-        qpow = mpf(1)  # q^n accumulator for [n]
-        total = mpf(0)
-        sgn = 1
-        for n in range(1, n_terms + 1):
-            num *= num_step
-            qpow *= qm
-            sgn *= sign
-            qint = (qpow - 1) / (qm - 1)
-            total += sgn * num / _pow(qint, s)
+        total = sum(_qterms(qm, _xm(s) - 1, s, sign, _qints(qm, n_terms)), mpf(0))
         return SumInfo(total, k / (qm - 1) * qm ** (-n_terms), n_terms)
 
 
@@ -244,25 +266,13 @@ def q_zeta2_info(
         k = _kbound(s1, qm) * _kbound(s2, qm)
         n_terms = _geometric_n(k / (qm - 1) ** 2, qm, goal)
         _budget(n_terms, prec, "q_zeta2")
-        step1 = mp.power(qm, _xm(s1) - 1)
-        step2 = mp.power(qm, _xm(s2) - 1)
-        num1 = mpf(1)
-        num2 = mpf(1)
-        qpow = mpf(1)
+        qints1, qints2 = tee(_qints(qm, n_terms))
         prefix = mpf(0)
         total = mpf(0)
-        sg1 = 1
-        sg2 = 1
-        for m in range(1, n_terms + 1):
-            num1 *= step1
-            num2 *= step2
-            qpow *= qm
-            sg1 *= sign1
-            sg2 *= sign2
-            qint = (qpow - 1) / (qm - 1)
-            if m >= 2:
-                total += sg1 * num1 / _pow(qint, s1) * prefix
-            prefix += sg2 * num2 / _pow(qint, s2)
+        for outer, inner in zip(_qterms(qm, _xm(s1) - 1, s1, sign1, qints1),
+                                _qterms(qm, _xm(s2) - 1, s2, sign2, qints2)):
+            total += outer * prefix  # prefix is 0 at m = 1
+            prefix += inner
         return SumInfo(total, k / (qm - 1) ** 2 * qm ** (-n_terms), n_terms)
 
 
@@ -290,19 +300,7 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
             n_terms += max(1, n_terms // 8)
             _budget(n_terms, prec, "phi_q")
         _budget(n_terms, prec, "phi_q")
-        step = mp.power(qm, _xm(s) - 1)
-        num = mpf(1)
-        qpow = mpf(1)
-        total = mpf(0)
-        sgn = 1
-        for n in range(1, n_terms + 1):
-            num *= step
-            qpow *= qm
-            sgn *= sign
-            if n == 1:
-                continue  # (n-1) factor vanishes
-            qint = (qpow - 1) / (qm - 1)
-            total += (n - 1) * sgn * num / _pow(qint, s)
+        total = sum(_qterms(qm, _xm(s) - 1, s, sign, _qints(qm, n_terms), weighted=True), mpf(0))
         return SumInfo(total, _linear_geometric_tail(k, x, n_terms), n_terms)
 
 
@@ -357,26 +355,9 @@ def tornheim_q_info(
             umax, wmax, count = n - 1, n, n * (n - 1) // 2
         # a_u = sigma^u q^((r+t-1)u) / [u]^r ; b_v likewise with (s, tau);
         # the diagonal sum over u+v = w is weighted by 1/[w]^t.
-        qints: list[mpf] = [mpf(0)] * (wmax + 1)
-        qpow = mpf(1)
-        for i in range(1, wmax + 1):
-            qpow *= qm
-            qints[i] = (qpow - 1) / (qm - 1)
-        a = [mpf(0)] * (umax + 1)
-        b = [mpf(0)] * (umax + 1)
-        step_a = mp.power(qm, _xm(r) + _xm(t) - 1)
-        step_b = mp.power(qm, _xm(s) + _xm(t) - 1)
-        na = mpf(1)
-        nb = mpf(1)
-        sga = 1
-        sgb = 1
-        for u in range(1, umax + 1):
-            na *= step_a
-            nb *= step_b
-            sga *= sigma
-            sgb *= tau
-            a[u] = sga * na / _pow(qints[u], r)
-            b[u] = sgb * nb / _pow(qints[u], s)
+        qints = [mpf(0), *_qints(qm, wmax)]
+        a = [mpf(0), *_qterms(qm, _xm(r) + _xm(t) - 1, r, sigma, qints[1:umax + 1])]
+        b = [mpf(0), *_qterms(qm, _xm(s) + _xm(t) - 1, s, tau, qints[1:umax + 1])]
         total = mpf(0)
         for w in range(2, wmax + 1):
             lo = max(1, w - umax)
@@ -386,6 +367,22 @@ def tornheim_q_info(
                 diag += a[u] * b[w - u]
             total += diag / _pow(qints[w], t)
         return SumInfo(total, bound, count)
+
+
+def _signed_diagonals(a: np.ndarray, b: np.ndarray, sigma: int, tau: int):
+    """Diagonal sums sum_{u+v=w} sigma^u tau^v a_u b_v by one fft convolution,
+    for w = 2 .. 2n with a[0], b[0] at u = v = 1.  Negates a and b in place.
+
+    Returns (w, sums) as float64 arrays.
+    """
+    if sigma == -1:
+        a[::2] = -a[::2]  # odd u get the minus sign
+    if tau == -1:
+        b[::2] = -b[::2]
+    n = len(a)
+    m = 2 * n
+    conv = np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[: 2 * n - 1]
+    return np.arange(2, 2 * n + 1, dtype=np.float64), conv
 
 
 def _tornheim_q_float64(r, s, t, sigma, tau, qp: QParam, prec: PrecisionConfig, window: str) -> SumInfo:
@@ -418,14 +415,7 @@ def _tornheim_q_float64(r, s, t, sigma, tau, qp: QParam, prec: PrecisionConfig, 
     log_qint_u = np.log(np.expm1(u * lnq)) - math.log(qf - 1)
     a = np.exp(rf * (u * lnq - log_qint_u))
     b = np.exp(sf * (u * lnq - log_qint_u))
-    if sigma == -1:
-        a[::2] = -a[::2]  # odd u get the minus sign (index 0 is u=1)
-    if tau == -1:
-        b[::2] = -b[::2]
-    m = 2 * umax
-    conv = np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[: 2 * umax - 1]
-    # conv[i] collects the diagonal u + v = i + 2
-    wvals = np.arange(2, 2 * umax + 1, dtype=np.float64)
+    wvals, conv = _signed_diagonals(a, b, sigma, tau)
     log_qint_w = np.log(np.expm1(wvals * lnq)) - math.log(qf - 1)
     cw = np.exp((tf - 1) * wvals * lnq - tf * log_qint_w)
     keep = wvals <= wmax
@@ -544,9 +534,6 @@ def _tail_alt(w, n: int, log_factor: bool = False, eps: mpf | None = None) -> mp
     return mpf(-1) ** (n + 1) / 2 * total
 
 
-_zeta_cache: dict = {}
-
-
 def classical_zeta(s, sign: int = 1, prec: PrecisionConfig | None = None) -> mpf:
     """zeta(s; sign) = sum_{n>=1} sign^n / n^s  (note: the sign=-1 case is the
     negated eta function).
@@ -555,16 +542,17 @@ def classical_zeta(s, sign: int = 1, prec: PrecisionConfig | None = None) -> mpf
     """
     _sign_ok(sign)
     prec = _as_prec(prec)
-    s_key = s if isinstance(s, (int, Fraction)) else float(s)
-    key = (s_key, sign, prec.digits, prec.tail_goal)
-    if key in _zeta_cache:
-        return _zeta_cache[key]
+    if sign == 1 and not s > 1:
+        raise DivergenceError(f"classical_zeta: zeta(s) needs s > 1, got {s}")
+    if sign == -1 and not s >= 1:
+        raise DomainError(f"classical_zeta: zeta(s; -1) needs s >= 1, got {s}")
+    return _zeta_memo(s, sign, prec)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _zeta_memo(s, sign: int, prec: PrecisionConfig) -> mpf:
     with mp.workdps(prec.working_dps):
         sm = _xm(s)
-        if sign == 1 and not sm > 1:
-            raise DivergenceError(f"classical_zeta: zeta(s) needs s > 1, got {s}")
-        if sign == -1 and not sm >= 1:
-            raise DomainError(f"classical_zeta: zeta(s; -1) needs s >= 1, got {s}")
         goal = prec.goal()
         n = max(16, int(0.6 * prec.working_dps) + 8)
         for _ in range(6):
@@ -575,9 +563,7 @@ def classical_zeta(s, sign: int = 1, prec: PrecisionConfig | None = None) -> mpf
                     term = mpf(m) ** (-s) if isinstance(s, int) else mp.power(mpf(m), -sm)
                     partial += term if (sign == 1 or m % 2 == 0) else -term
                 tail = (_tail_plain if sign == 1 else _tail_alt)(sm, n, eps=goal / 4)
-                value = partial + tail
-                _zeta_cache[key] = value
-                return value
+                return partial + tail
             except _TailDiverged:
                 n *= 2
     raise PrecisionError(f"classical_zeta: no convergence for s={s}, sign={sign}")
@@ -589,9 +575,6 @@ def _as_signed(x) -> SignedIndex:
     if isinstance(x, tuple):
         return SignedIndex(x[0], x[1])
     return SignedIndex(x, 1)
-
-
-_double_cache: dict = {}
 
 
 def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -> mpf:
@@ -621,25 +604,26 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
         raise DivergenceError(f"classical_double_euler: outer slot needs s1 >= 1, got {a1}")
     if a2 < 1:
         raise DivergenceError(f"classical_double_euler: inner slot needs s2 >= 1, got {a2}")
-    key = (a1, g1, a2, g2, prec.digits, prec.tail_goal)
-    if key in _double_cache:
-        return _double_cache[key]
+    return _double_memo(a1, g1, a2, g2, prec)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _double_memo(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> mpf:
     with mp.workdps(prec.working_dps):
-        goal = prec.goal()
         n = max(64, int(2.2 * prec.working_dps))
         for _ in range(4):
             _budget(n, prec, "classical_double_euler")
             try:
-                value = _double_euler_at(a1, g1, a2, g2, n, goal)
-                _double_cache[key] = value
-                return value
+                return _double_euler_at(a1, g1, a2, g2, n, prec)
             except _TailDiverged:
                 n *= 2
-    raise PrecisionError(f"classical_double_euler: no convergence for {s1}, {s2}")
+    raise PrecisionError(
+        f"classical_double_euler: no convergence for {SignedIndex(a1, g1)}, {SignedIndex(a2, g2)}"
+    )
 
 
-def _double_euler_at(a1: int, g1: int, a2: int, g2: int, n: int, goal: mpf) -> mpf:
-    eps = goal / 8
+def _double_euler_at(a1: int, g1: int, a2: int, g2: int, n: int, prec: PrecisionConfig) -> mpf:
+    eps = prec.goal() / 8
     ts = lambda w, logf=False: (_tail_plain if g1 == 1 else _tail_alt)(w, n, logf, eps=eps)
     prefix = mpf(0)
     main = mpf(0)
@@ -660,7 +644,7 @@ def _double_euler_at(a1: int, g1: int, a2: int, g2: int, n: int, goal: mpf) -> m
         else:
             raise _TailDiverged
     elif g2 == 1:
-        tail = classical_zeta_cached_inner(a2, 1, goal) * ts(a1)
+        tail = classical_zeta(a2, 1, prec) * ts(a1)
         tail -= ts(a1 + a2 - 1) / (a2 - 1)
         tail -= ts(a1 + a2) / 2
         for j in range(1, 200):
@@ -672,7 +656,7 @@ def _double_euler_at(a1: int, g1: int, a2: int, g2: int, n: int, goal: mpf) -> m
         else:
             raise _TailDiverged
     else:
-        tail = classical_zeta_cached_inner(a2, -1, goal) * ts(a1)
+        tail = classical_zeta(a2, -1, prec) * ts(a1)
         # the (-1)^m in the inner expansion flips the outer parity
         tx = lambda w: (_tail_plain if g1 == -1 else _tail_alt)(w, n, eps=eps)
         for k in range(0, 300):
@@ -689,25 +673,6 @@ def _double_euler_at(a1: int, g1: int, a2: int, g2: int, n: int, goal: mpf) -> m
     return main + tail
 
 
-def classical_zeta_cached_inner(k: int, sign: int, goal: mpf) -> mpf:
-    """zeta(k; sign) at the current working precision (helper for the tails)."""
-    if sign == -1 and k == 1:
-        return -mp.log(2)
-    partial = mpf(0)
-    n = max(16, int(0.6 * mp.dps) + 8)
-    for _ in range(5):
-        try:
-            partial = mpf(0)
-            for m in range(1, n + 1):
-                term = mpf(m) ** (-k)
-                partial += term if (sign == 1 or m % 2 == 0) else -term
-            tail = (_tail_plain if sign == 1 else _tail_alt)(k, n, eps=goal / 8)
-            return partial + tail
-        except _TailDiverged:
-            n *= 2
-    raise _TailDiverged
-
-
 # ----------------------------------------------------------------------
 # classical Tornheim values
 # ----------------------------------------------------------------------
@@ -716,8 +681,6 @@ def tornheim_classical(r: int, s: int, t: int, variant: str = "T",
                        prec: PrecisionConfig | None = None) -> mpf:
     """Numeric value of the classical series T/S/R(r,s,t) via its depth-2
     reduction (the production route; the raw double sum converges too slowly)."""
-    from .reduction import corollary1_reduce
-
     prec = _as_prec(prec)
     terms = corollary1_reduce(r, s, t, variant)
     with mp.workdps(prec.working_dps):
@@ -727,9 +690,6 @@ def tornheim_classical(r: int, s: int, t: int, variant: str = "T",
         return total
 
 
-_VARIANT_SIGNS = {"T": (1, 1), "S": (-1, -1), "R": (1, -1)}
-
-
 def tornheim_classical_naive(r: int, s: int, t: int, variant: str = "T",
                              window: int = 200_000) -> float:
     """Direct triangular-window double sum in float64 (fft convolution).
@@ -737,19 +697,10 @@ def tornheim_classical_naive(r: int, s: int, t: int, variant: str = "T",
     Low-precision sanity oracle only: truncation error decays slowly
     (roughly log(W)/W at weight 3), so expect ~1e-4 at the default window.
     """
-    if variant not in _VARIANT_SIGNS:
+    if variant not in VARIANT_SIGNS:
         raise DomainError(f"unknown variant {variant!r}")
-    sigma, tau = _VARIANT_SIGNS[variant]
     u = np.arange(1, window, dtype=np.float64)
-    a = u ** (-float(r))
-    b = u ** (-float(s))
-    if sigma == -1:
-        a[::2] = -a[::2]
-    if tau == -1:
-        b[::2] = -b[::2]
-    m = 2 * len(a)
-    conv = np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[: 2 * len(a) - 1]
-    w = np.arange(2, 2 * len(a) + 1, dtype=np.float64)
+    w, conv = _signed_diagonals(u ** (-float(r)), u ** (-float(s)), *VARIANT_SIGNS[variant])
     keep = w <= window
     return float(np.sum(conv[keep] * w[keep] ** (-float(t))))
 
@@ -758,37 +709,32 @@ def tornheim_classical_naive(r: int, s: int, t: int, variant: str = "T",
 # reduction evaluation
 # ----------------------------------------------------------------------
 
-_qterm_cache: dict = {}
-
-
 def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf:
     """Numeric value of a Reduction's right-hand side at a given q."""
-    from .reduction import DoubleQZeta, PhiTerm, QSquaredZeta
-
     qp = _as_q(q)
     prec = _as_prec(prec)
     with mp.workdps(prec.working_dps):
-        qm = qp.to_mpf()
         total = mpf(0)
         for coeff, kind in reduction.terms:
-            ckey = (kind, qp.value, prec.digits, prec.tail_goal)
-            if ckey in _qterm_cache:
-                val = _qterm_cache[ckey]
-            elif isinstance(kind, DoubleQZeta):
-                val = q_zeta2(kind.outer.value, kind.outer.sign,
-                              kind.inner.value, kind.inner.sign, qp, prec)
-                val *= (1 - qm) ** kind.one_minus_q_pow
-                _qterm_cache[ckey] = val
-            elif isinstance(kind, PhiTerm):
-                val = phi_q(kind.index.value, kind.index.sign, qp, prec)
-                val *= (1 - qm) ** kind.one_minus_q_pow
-                _qterm_cache[ckey] = val
-            elif isinstance(kind, QSquaredZeta):
-                val = q_zeta1(kind.index, 1, qp.squared(), prec)
-                val *= (1 - qm) ** kind.one_minus_q_pow
-                val *= _pow(1 + qm, kind.one_plus_q_pow)
-                _qterm_cache[ckey] = val
-            else:
+            if not isinstance(kind, (DoubleQZeta, PhiTerm, QSquaredZeta)):
                 raise DomainError(f"evaluate_reduction: unknown term kind {kind!r}")
-            total += _frac_mpf(coeff) * val
+            total += _frac_mpf(coeff) * _qterm_memo(kind, qp, prec)
         return total
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _qterm_memo(kind, qp: QParam, prec: PrecisionConfig) -> mpf:
+    """One reduction term, its (1-q) and (1+q) factors included."""
+    with mp.workdps(prec.working_dps):
+        qm = qp.to_mpf()
+        if isinstance(kind, DoubleQZeta):
+            val = q_zeta2(kind.outer.value, kind.outer.sign,
+                          kind.inner.value, kind.inner.sign, qp, prec)
+        elif isinstance(kind, PhiTerm):
+            val = phi_q(kind.index.value, kind.index.sign, qp, prec)
+        else:
+            val = q_zeta1(kind.index, 1, qp.squared(), prec)
+        val *= (1 - qm) ** kind.one_minus_q_pow
+        if isinstance(kind, QSquaredZeta):
+            val *= _pow(1 + qm, kind.one_plus_q_pow)
+        return val

@@ -9,6 +9,12 @@ into finite combinations of depth-2 q-zeta values plus correction terms, by
 expanding 1/([u]^r [v]^s) through the exact q-partial-fraction identity
 (lemma1_expand / verify_lemma1) and resumming each resulting family.
 
+Each identity has one source.  theorem1_reduce maps the terms of
+lemma1_expand one by one to term kinds, so the exactly verified lemma and
+the reduction cannot drift apart; corollary1_reduce is the q -> 1 slice of
+that map, its (1-q)^0 terms, since every other term carries a vanishing
+power of 1-q.
+
 Emitted term kinds:
 
     DoubleQZeta(outer, inner, one_minus_q_pow)   (1-q)^b zeta_q[outer, inner]
@@ -74,6 +80,7 @@ def _binom(z: int, k: int) -> Fraction:
     return Fraction(num, factorial(k))
 
 
+@lru_cache(maxsize=None)
 def trinomial(z: int, a: int, b: int) -> Fraction:
     """Trinomial coefficient C(z; a, b) = C(z, a) C(z-a, b).
 
@@ -279,67 +286,41 @@ def _check_variant(variant: str) -> str:
     return variant
 
 
-def theorem1_reduce(r: int, s: int, t, variant: str = "T") -> Reduction:
-    """Depth-2 decomposition of T[r,s,t] for any real t (int or Fraction).
+def _theorem1_term(term: PartialFractionTerm, t, variant: str) -> tuple[Fraction, QTermKind]:
+    """Resum one Lemma 1 term over m = u+v (t already normalized).
 
-    Families A and B come from the partial-fraction expansion resummed over
-    m = u+v; the diagonal family becomes phi terms (variant T and S) or
-    zeta-over-q^2 terms (variant R).  Slot signs follow the docstring of this
-    module: A carries (tau, sigma*tau), B carries (sigma, sigma*tau).
+    A [u]-family term carries slot signs (tau, sigma*tau), a [v]-family term
+    (sigma, sigma*tau); a diagonal term becomes phi, or for R a zeta over
+    base q^2 whose sign flip cancels the term's own minus sign.
     """
+    sigma, tau = VARIANT_SIGNS[variant]
+    outer = term.denom_uv_pow + t
+    if term.denom_u_pow:
+        inner = SignedIndex(term.denom_u_pow, sigma * tau)
+        return term.coefficient, DoubleQZeta(SignedIndex(outer, tau), inner, term.one_minus_q_pow)
+    if term.denom_v_pow:
+        inner = SignedIndex(term.denom_v_pow, sigma * tau)
+        return term.coefficient, DoubleQZeta(SignedIndex(outer, sigma), inner, term.one_minus_q_pow)
+    if variant == "R":
+        return -term.coefficient, QSquaredZeta(outer, term.one_minus_q_pow, -outer)
+    return term.coefficient, PhiTerm(SignedIndex(outer, sigma), term.one_minus_q_pow)
+
+
+def theorem1_reduce(r: int, s: int, t, variant: str = "T") -> Reduction:
+    """Depth-2 decomposition of T[r,s,t] for any real t (int or Fraction):
+    the term-by-term resummation of lemma1_expand(r, s)."""
     _check_variant(variant)
     if not (isinstance(r, int) and isinstance(s, int)) or r < 1 or s < 1:
         raise DomainError(f"theorem1_reduce: r, s must be integers >= 1, got {(r, s)}")
     t = _norm_t(t)
-    sigma, tau = VARIANT_SIGNS[variant]
-    st = sigma * tau
-    terms: list[tuple[Fraction, QTermKind]] = []
-    for a in range(r):
-        for b in range(r - a):
-            terms.append(
-                (
-                    trinomial(a + s - 1, a, b),
-                    DoubleQZeta(
-                        outer=SignedIndex(_norm_t(s + t + a), tau),
-                        inner=SignedIndex(r - a - b, st),
-                        one_minus_q_pow=b,
-                    ),
-                )
-            )
-    for a in range(s):
-        for b in range(s - a):
-            terms.append(
-                (
-                    trinomial(a + r - 1, a, b),
-                    DoubleQZeta(
-                        outer=SignedIndex(_norm_t(r + t + a), sigma),
-                        inner=SignedIndex(s - a - b, st),
-                        one_minus_q_pow=b,
-                    ),
-                )
-            )
-    for j in range(1, min(r, s) + 1):
-        tri = trinomial(r + s - j - 1, r - j, s - j)
-        idx = _norm_t(r + s + t - j)
-        if variant == "R":
-            terms.append(
-                (
-                    tri,
-                    QSquaredZeta(
-                        index=idx,
-                        one_minus_q_pow=j,
-                        one_plus_q_pow=_norm_t(j - r - s - t),
-                    ),
-                )
-            )
-        else:
-            terms.append((-tri, PhiTerm(index=SignedIndex(idx, sigma), one_minus_q_pow=j)))
-    return Reduction(variant=variant, r=r, s=s, t=t, terms=tuple(terms))
+    terms = tuple(_theorem1_term(term, t, variant) for term in lemma1_expand(r, s))
+    return Reduction(variant=variant, r=r, s=s, t=t, terms=terms)
 
 
 def corollary1_reduce(r: int, s: int, t: int, variant: str = "T") -> list[tuple[Fraction, SignedIndex, SignedIndex]]:
     """Classical (q -> 1) reduction: T/S/R(r,s,t) as a combination of depth-2
-    signed zeta values.  Only the correction-free terms survive the limit:
+    signed zeta values.  Only the (1-q)^0 terms of theorem1_reduce survive
+    the limit:
 
         sum_a C(a+s-1, s-1) zeta(s+t+a, r-a; tau, sigma*tau)
       + sum_a C(a+r-1, r-1) zeta(r+t+a, s-a; sigma, sigma*tau)
@@ -354,7 +335,6 @@ def corollary1_reduce(r: int, s: int, t: int, variant: str = "T") -> list[tuple[
     if r < 1 or s < 1:
         raise DomainError(f"corollary1_reduce: r, s must be >= 1, got {(r, s)}")
     sigma, tau = VARIANT_SIGNS[variant]
-    st = sigma * tau
     if tau == 1 and not s + t > 1:
         raise DomainError(f"corollary1_reduce: {variant}-variant requires s + t > 1, got s={s}, t={t}")
     if tau == -1 and not s + t > 0:
@@ -364,22 +344,10 @@ def corollary1_reduce(r: int, s: int, t: int, variant: str = "T") -> list[tuple[
     if sigma == -1 and not r + t > 0:
         raise DomainError(f"corollary1_reduce: {variant}-variant requires r + t > 0, got r={r}, t={t}")
     out: list[tuple[Fraction, SignedIndex, SignedIndex]] = []
-    for a in range(r):
-        out.append(
-            (
-                _binom(a + s - 1, s - 1),
-                SignedIndex(s + t + a, tau),
-                SignedIndex(r - a, st),
-            )
-        )
-    for a in range(s):
-        out.append(
-            (
-                _binom(a + r - 1, r - 1),
-                SignedIndex(r + t + a, sigma),
-                SignedIndex(s - a, st),
-            )
-        )
+    for term in lemma1_expand(r, s):
+        if term.one_minus_q_pow == 0:  # diagonal terms carry (1-q)^j, j >= 1
+            coeff, kind = _theorem1_term(term, t, variant)
+            out.append((coeff, kind.outer, kind.inner))
     return out
 
 

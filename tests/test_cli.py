@@ -1,10 +1,14 @@
 """CLI behavior: output shapes, JSON round-trips, exit codes."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tornheim.cli import main
 from tornheim.closedform import KNOWN_VALUES
@@ -122,6 +126,66 @@ def test_eval_argument_errors(capsys):
     assert run(capsys, "eval", "T", "1", "1")[0] == 2           # arity
     assert run(capsys, "eval", "T", "x", "1", "1")[0] == 2      # not rational
     assert run(capsys, "eval", "T", "1", "1", "1", "--q", "1")[0] == 2  # q > 1
+
+
+MALFORMED_NUMBER_ARGV = [
+    ("eval", "T", "1", "1", "1", "--q", "abc"),
+    ("eval", "T", "1", "1", "1", "--q", "1/0"),
+    ("eval", "qzeta", "2", "--q", "x"),
+    ("verify", "theorem1", "--q", "abc"),
+    ("verify", "theorem1", "--tolerance", "abc"),
+    ("verify", "lemma1", "--max", "0"),
+    ("verify", "lemma1", "--max", "-1"),
+]
+MALFORMED_EXPRESSIONS = [
+    '[1]', '{"a":1}', '"abc"', '[{"coeff":"x"}]', '[{"coeff":"1","pi":"x"}]',
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    MALFORMED_NUMBER_ARGV
+    + [("verify", "expr", "R", "1", "1", "1", "--expression", e)
+       for e in MALFORMED_EXPRESSIONS],
+)
+def test_malformed_numbers_and_json_exit_2(capsys, argv):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+_NUMBER_TOKENS = st.sampled_from(
+    ["abc", "x", "", "-", "1/0", "0/0", "nan", "inf", "1e400", "0", "1", "-2",
+     "1/2", "3/2", "2", "5", "0x10"]
+)
+_EXPRESSION_TOKENS = st.sampled_from(
+    MALFORMED_EXPRESSIONS
+    + ['[]', 'null', '{not json', '[{"coeff": null}]', '[{"coeff":"1","zeta":3}]',
+       '[{"coeff":"1","zeta":[2]}]', '[{"coeff":"-5/8","zeta":[3]}]']
+)
+_ARGV = st.one_of(
+    st.tuples(st.just(["eval", "qzeta", "2", "--digits", "10", "--q"]), _NUMBER_TOKENS),
+    st.tuples(st.just(["eval", "T", "1", "1", "1", "--digits", "10", "--q"]), _NUMBER_TOKENS),
+    st.tuples(st.just(["verify", "theorem1", "--max", "1", "--digits", "10", "--q"]),
+              _NUMBER_TOKENS, st.just("--tolerance"), _NUMBER_TOKENS),
+    st.tuples(st.just(["verify", "expr", "R", "1", "1", "1", "--expression"]),
+              _EXPRESSION_TOKENS),
+).map(lambda parts: [*parts[0], *parts[1:]])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ARGV)
+def test_fuzzed_argv_never_tracebacks(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects before any command runs
+            rc = exc.code
+    assert rc in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_eval_precision_budget_exit_code(capsys):

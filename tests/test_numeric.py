@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from tornheim import numeric
 from tornheim.errors import DivergenceError, DomainError, PrecisionError
 from tornheim.exact import SignedIndex
 from tornheim.numeric import (
@@ -236,6 +237,27 @@ def test_classical_zeta_domain_errors():
         classical_zeta(0.5, 1)
     with pytest.raises(DomainError):
         classical_zeta(0.5, -1)
+
+
+def test_memos_are_bounded_count_hits_and_skip_rejected_input():
+    memos = (numeric._zeta_memo, numeric._double_memo, numeric._qterm_memo)
+    assert all(memo.cache_info().maxsize == numeric.MEMO_SIZE for memo in memos)
+    prec = PrecisionConfig(digits=12)
+    red = theorem1_reduce(1, 2, 1, "S")
+    evaluate_reduction(red, "7/3", prec)
+    hits = numeric._qterm_memo.cache_info().hits
+    evaluate_reduction(red, "7/3", prec)
+    assert numeric._qterm_memo.cache_info().hits == hits + len(red.terms)
+    classical_double_euler(3, 1, prec)
+    hits = numeric._double_memo.cache_info().hits
+    classical_double_euler(3, 1, prec)
+    assert numeric._double_memo.cache_info().hits == hits + 1
+    before = [memo.cache_info() for memo in memos]
+    with pytest.raises(DivergenceError):
+        classical_zeta(1, 1, prec)
+    with pytest.raises(DivergenceError):
+        classical_double_euler(1, 1, prec)
+    assert [memo.cache_info() for memo in memos] == before
 
 
 def test_classical_zeta_digit_doubling_stable():

@@ -214,6 +214,25 @@ def test_corollary1_binomial_coefficients():
     assert [c for c, _, _ in terms[:3]] == [F(1), F(2), F(3)]
     # second family C(a+2, 2) = 1, 3 for a = 0, 1
     assert [c for c, _, _ in terms[3:]] == [F(1), F(3)]
+    # C(a+s-1, s-1) = trinomial(a+s-1; a, 0): corollary 1 is the (1-q)^0
+    # slice of theorem 1, term for term and in order, on its valid grid
+    checked = 0
+    for variant in ("T", "S", "R"):
+        for r in range(1, 6):
+            for s in range(1, 6):
+                for t in range(-1, 4):
+                    try:
+                        classical = corollary1_reduce(r, s, t, variant)
+                    except DomainError:
+                        continue
+                    slice_ = [
+                        (c, k.outer, k.inner)
+                        for c, k in theorem1_reduce(r, s, t, variant).terms
+                        if isinstance(k, DoubleQZeta) and k.one_minus_q_pow == 0
+                    ]
+                    assert classical == slice_, (variant, r, s, t)
+                    checked += 1
+    assert checked > 200
 
 
 @pytest.mark.parametrize(
