@@ -27,8 +27,8 @@ from .closedform import (
     result_to_json,
     tornheim_closed,
 )
-from .errors import DivergenceError, DomainError, PrecisionError, TornheimError
-from .exact import SignedIndex, expr_numeric, expression_from_json, expression_to_json
+from .errors import DomainError, PrecisionError, TornheimError
+from .exact import SignedIndex, as_rational, expr_numeric, expression_from_json, expression_to_json
 from .numeric import (
     PrecisionConfig,
     classical_double_euler,
@@ -56,15 +56,6 @@ __all__ = ["main", "build_parser"]
 # argument helpers
 # ----------------------------------------------------------------------
 
-def _rational(text: str):
-    """Parse '3', '1/2', '7/2' to int or Fraction."""
-    try:
-        frac = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"not a rational number: {text!r}")
-    return int(frac) if frac.denominator == 1 else frac
-
-
 def _signs(text: str, count: int) -> tuple[int, ...]:
     # p/m come from the escaping in main(); users may also type them directly
     text = str(text).replace("p", "+").replace("m", "-")
@@ -81,10 +72,6 @@ def _tolerance(args, default):
     if args.tolerance is None:
         return default
     return mpf(args.tolerance.numerator) / args.tolerance.denominator
-
-
-def _fmt(x, digits: int) -> str:
-    return nstr(x, digits)
 
 
 def _fmt_bound(x) -> str:
@@ -126,21 +113,19 @@ def cmd_eval(args) -> int:
     else:
         prec = PrecisionConfig(digits=args.digits)
     out: dict = {"command": "eval", "series": args.series, "digits": args.digits}
-    q = None if args.q is None else _rational(args.q)
+    q = None if args.q is None else as_rational(args.q)
 
     if args.series in ("T", "S", "R"):
         if len(args.indices) != 3:
             raise DomainError(f"series {args.series} wants three indices r s t")
-        r, s, t = (_rational(x) for x in args.indices)
+        r, s, t = (as_rational(x) for x in args.indices)
         variant, swap = _map_tornheim_signs(args.series, args.signs)
         if swap:
             r, s = s, r
         label = f"{variant}[{r},{s},{t}]"
         out.update(series=variant, indices=[str(r), str(s), str(t)])
         if q is not None:
-            info = tornheim_q_info(
-                r, s, t, *VARIANT_SIGNS[variant], q=q, prec=prec, window=args.window,
-            )
+            info = tornheim_q_info(r, s, t, *VARIANT_SIGNS[variant], q=q, prec=prec)
             return _emit_numeric(args, out, label, info, q)
         _require_ints("classical evaluation", r, s, t)
         if (r + s + t) % 2 == 1:
@@ -155,7 +140,7 @@ def cmd_eval(args) -> int:
     if args.series == "zeta2":
         if len(args.indices) != 2:
             raise DomainError("series zeta2 wants two indices")
-        s1, s2 = (_rational(x) for x in args.indices)
+        s1, s2 = (as_rational(x) for x in args.indices)
         g1, g2 = _signs(args.signs, 2) if args.signs else (1, 1)
         first, second = SignedIndex(s1, g1), SignedIndex(s2, g2)
         label = f"zeta[{first},{second}]"
@@ -177,7 +162,7 @@ def cmd_eval(args) -> int:
         raise DomainError("series qzeta wants one index")
     if q is None:
         raise DomainError("series qzeta requires --q")
-    s = _rational(args.indices[0])
+    s = as_rational(args.indices[0])
     (g,) = _signs(args.signs, 1) if args.signs else (1,)
     out.update(indices=[str(s)], signs=[g])
     info = q_zeta1_info(s, g, q=q, prec=prec)
@@ -187,7 +172,7 @@ def cmd_eval(args) -> int:
 def _emit_closed(args, out, label, expr, prec, provenance=None) -> int:
     with mp.workdps(prec.working_dps):
         value = expr_numeric(expr, prec)
-        rendered_value = _fmt(value, args.digits)
+        rendered_value = nstr(value, args.digits)
     if args.format == "json":
         out.update(route="closed-form", expression=expression_to_json(expr),
                    value=rendered_value, tail_bound=None)
@@ -200,7 +185,7 @@ def _emit_closed(args, out, label, expr, prec, provenance=None) -> int:
 
 
 def _emit_numeric(args, out, label, info, q) -> int:
-    rendered = _fmt(info.value, args.digits)
+    rendered = nstr(info.value, args.digits)
     if args.format == "json":
         out.update(route="numeric", q=str(q), expression=None,
                    value=rendered, tail_bound=_fmt_bound(info.tail_bound),
@@ -213,7 +198,7 @@ def _emit_numeric(args, out, label, info, q) -> int:
 
 
 def _emit_plain_numeric(args, out, label, value, note) -> int:
-    rendered = _fmt(value, args.digits)
+    rendered = nstr(value, args.digits)
     if args.format == "json":
         out.update(route="numeric", q=None, expression=None, value=rendered,
                    tail_bound=None, note=note)
@@ -229,7 +214,7 @@ def _emit_plain_numeric(args, out, label, value, note) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_reduce(args) -> int:
-    r, s, t = _rational(args.r), _rational(args.s), _rational(args.t)
+    r, s, t = as_rational(args.r), as_rational(args.s), as_rational(args.t)
     _require_ints("reduction", r, s)
     if args.classical:
         _require_ints("classical reduction", t)
@@ -380,7 +365,7 @@ def _verify_expr(args) -> int:
     if len(args.params) != 4:
         raise DomainError("verify expr wants: expr SERIES R S T --expression ...")
     series = args.params[0]
-    r, s, t = (_rational(x) for x in args.params[1:])
+    r, s, t = (as_rational(x) for x in args.params[1:])
     _require_ints("verify expr", r, s, t)
     if args.expression is not None:
         blob = args.expression
@@ -402,8 +387,8 @@ def _verify_expr(args) -> int:
     ok = resid <= tol
     tag = "PASS" if ok else "FAIL"
     print(f"{tag} expr {series}[{r},{s},{t}]")
-    print(f"  claimed   {_fmt(claimed, args.digits)}")
-    print(f"  reference {_fmt(reference, args.digits)}")
+    print(f"  claimed   {nstr(claimed, args.digits)}")
+    print(f"  reference {nstr(reference, args.digits)}")
     print(f"  |difference| {_fmt_bound(resid)} (tolerance {_fmt_bound(tol)})")
     return 0 if ok else 3
 
@@ -422,8 +407,8 @@ def cmd_verify(args) -> int:
     if args.max is not None and args.max < 1:
         raise DomainError(f"--max must be >= 1, got {args.max}")
     if args.q:
-        args.q = [_rational(q) for q in args.q]
-    args.tolerance = _rational(args.tolerance) if args.tolerance else None
+        args.q = [as_rational(q) for q in args.q]
+    args.tolerance = as_rational(args.tolerance) if args.tolerance else None
     if args.family == "expr":
         return _verify_expr(args)
     return _sweep(args.family, _SWEEPS[args.family](args))
@@ -467,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="summation budget before a precision failure")
     p_eval.add_argument("--signs", help="one of +-/-+/++/-- per index slot; "
                                         "use --signs=-+ when leading with minus")
-    p_eval.add_argument("--window", choices=["square", "triangle"], default="square")
     p_eval.add_argument("--format", choices=["human", "json"], default="human")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -519,9 +503,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(_protect_sign_values(argv))
     try:
         return args.func(args)
-    except (DomainError, DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

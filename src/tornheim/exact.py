@@ -92,6 +92,15 @@ def zeta_const(k: int, sign: int = 1) -> "ZetaExpression":
 # signed indices
 # ----------------------------------------------------------------------
 
+def as_rational(value) -> int | Fraction:
+    """'3', '1/2', 7, Fraction(4, 2), ... as an int when integral, else a Fraction."""
+    try:
+        frac = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"not a rational number: {value!r}") from exc
+    return int(frac) if frac.denominator == 1 else frac
+
+
 @dataclass(frozen=True, order=True)
 class SignedIndex:
     """An exponent with an attached sign character.
@@ -122,21 +131,14 @@ class SignedIndex:
         if text.endswith("-"):
             sign = -1
             text = text[:-1]
-        try:
-            frac = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"SignedIndex: cannot parse {text!r}") from exc
-        value = int(frac) if frac.denominator == 1 else frac
-        return cls(value, sign)
+        return cls(as_rational(text), sign)
 
     def to_json(self) -> dict:
         return {"value": str(Fraction(self.value)), "sign": self.sign}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SignedIndex":
-        frac = Fraction(obj["value"])
-        value = int(frac) if frac.denominator == 1 else frac
-        return cls(value, int(obj["sign"]))
+        return cls(as_rational(obj["value"]), int(obj["sign"]))
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ truncation point with a proven geometric tail bound is computed up front:
                                        / ([m]^s1 [n]^s2), O(N) prefix scheme
     phi_q(s, sign, q)              sum_n (n-1) sign^n q^((s-1)n) / [n]^s
     tornheim_q(r, s, t, sg, tg, q) sum_{u,v} sg^u tg^v q^((r+t-1)u+(s+t-1)v)
-                                       / ([u]^r [v]^s [u+v]^t)
+                                       / ([u]^r [v]^s [u+v]^t), summed over
+                                       the triangle u + v <= W
 
 classical side.  Euler-Maclaurin summation for plain tails and Boole
 summation (Euler polynomial values E_k(0)) for alternating tails, both with
@@ -33,8 +34,9 @@ _double_memo, _qterm_memo) that the public ones call after validating their
 input; cache_info() reports the hits.
 
 All mpf results are computed at digits + 15 working precision.  A float64
-vectorized kernel backs tornheim_q when the requested tail goal is coarse
-(>= 1e-10), where the arbitrary-precision loop would be needlessly slow.
+vectorized kernel sums tornheim_q's triangle, with the cutoff W and bound
+planned in mpf, when the requested tail goal is coarse (>= 1e-10), where the
+arbitrary-precision loop would be needlessly slow.
 """
 from __future__ import annotations
 
@@ -285,6 +287,13 @@ def _linear_geometric_tail(k: mpf, x: mpf, n: int) -> mpf:
     return k * x ** (n + 1) * ((n + 1) - n * x) / (1 - x) ** 2
 
 
+def _linear_cutoff(k: mpf, x: mpf, n: int, goal: mpf) -> int:
+    """Grow n by an eighth at a time until _linear_geometric_tail(k, x, n) <= goal."""
+    while _linear_geometric_tail(k, x, n) > goal:
+        n += max(1, n // 8)
+    return n
+
+
 def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> SumInfo:
     """phi[s; sign] = sum_{n>=1} (n-1) sign^n q^((s-1)n) / [n]^s, with bound."""
     _sign_ok(sign)
@@ -295,10 +304,7 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
         goal = prec.goal()
         k = _kbound(s, qm)
         x = 1 / qm
-        n_terms = _geometric_n(k / (qm - 1), qm, goal)  # ignores the linear factor
-        while _linear_geometric_tail(k, x, n_terms) > goal:
-            n_terms += max(1, n_terms // 8)
-            _budget(n_terms, prec, "phi_q")
+        n_terms = _linear_cutoff(k, x, _geometric_n(k / (qm - 1), qm, goal), goal)
         _budget(n_terms, prec, "phi_q")
         total = sum(_qterms(qm, _xm(s) - 1, s, sign, _qints(qm, n_terms), weighted=True), mpf(0))
         return SumInfo(total, _linear_geometric_tail(k, x, n_terms), n_terms)
@@ -319,53 +325,44 @@ def _orient(r, s, sigma, tau):
 
 
 def tornheim_q_info(
-    r, s, t, sigma: int = 1, tau: int = 1, q=None,
-    prec: PrecisionConfig | None = None, window: str = "square",
+    r, s, t, sigma: int = 1, tau: int = 1, q=None, prec: PrecisionConfig | None = None,
 ) -> SumInfo:
     """T[r,s,t; sigma,tau] = sum_{u,v>=1} sigma^u tau^v q^((r+t-1)u + (s+t-1)v)
-    / ([u]^r [v]^s [u+v]^t), with a proven geometric tail bound.
+    / ([u]^r [v]^s [u+v]^t), summed over the triangle u + v <= W, with a
+    proven geometric tail bound.
 
-    window='square' truncates to u, v <= N; 'triangle' to u + v <= W.
+    Each of the m - 1 terms with u + v = m is at most k q^(-m), so the tail
+    past W is at most k sum_{m>W} m q^(-m); W is the first cutoff, grown from
+    the geometric estimate, where that meets the goal.  Coarse goals
+    (>= FLOAT64_GOAL_CUTOFF) sum the same triangle in float64.
     """
     _sign_ok(sigma), _sign_ok(tau)
-    if window not in ("square", "triangle"):
-        raise DomainError(f"tornheim_q: unknown window {window!r}")
     qp = _as_q(q)
     prec = _as_prec(prec)
     r, s, sigma, tau = _orient(r, s, sigma, tau)
-    if prec.goal_float() >= FLOAT64_GOAL_CUTOFF:
-        return _tornheim_q_float64(r, s, t, sigma, tau, qp, prec, window)
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         goal = prec.goal()
         k = _kbound(r, qm) * _kbound(s, qm) * _kbound(t, qm)
-        if window == "square":
-            n = _geometric_n(2 * k / (qm - 1) ** 2, qm, goal)
-            _budget(n * n, prec, "tornheim_q")
-            bound = 2 * k / (qm - 1) ** 2 * qm ** (-n)
-            umax, wmax, count = n, 2 * n, n * n
-        else:
-            x = 1 / qm
-            n = _geometric_n(2 * k / (qm - 1) ** 2, qm, goal)
-            while _linear_geometric_tail(k, x, n) > goal:
-                n += max(1, n // 8)
-                _budget(n * (n - 1) // 2, prec, "tornheim_q")
-            _budget(n * (n - 1) // 2, prec, "tornheim_q")
-            bound = _linear_geometric_tail(k, x, n)
-            umax, wmax, count = n - 1, n, n * (n - 1) // 2
+        x = 1 / qm
+        w = _linear_cutoff(k, x, max(2, _geometric_n(2 * k / (qm - 1) ** 2, qm, goal)), goal)
+        count = w * (w - 1) // 2
+        _budget(count, prec, "tornheim_q")
+        bound = _linear_geometric_tail(k, x, w)
+        if prec.goal_float() >= FLOAT64_GOAL_CUTOFF:
+            return SumInfo(mpf(_tornheim_q_float64(r, s, t, sigma, tau, qp.to_float(), w)),
+                           bound, count)
         # a_u = sigma^u q^((r+t-1)u) / [u]^r ; b_v likewise with (s, tau);
-        # the diagonal sum over u+v = w is weighted by 1/[w]^t.
-        qints = [mpf(0), *_qints(qm, wmax)]
-        a = [mpf(0), *_qterms(qm, _xm(r) + _xm(t) - 1, r, sigma, qints[1:umax + 1])]
-        b = [mpf(0), *_qterms(qm, _xm(s) + _xm(t) - 1, s, tau, qints[1:umax + 1])]
+        # the diagonal sum over u+v = m is weighted by 1/[m]^t.
+        qints = [mpf(0), *_qints(qm, w)]
+        a = [mpf(0), *_qterms(qm, _xm(r) + _xm(t) - 1, r, sigma, qints[1:w])]
+        b = [mpf(0), *_qterms(qm, _xm(s) + _xm(t) - 1, s, tau, qints[1:w])]
         total = mpf(0)
-        for w in range(2, wmax + 1):
-            lo = max(1, w - umax)
-            hi = min(umax, w - 1)
+        for m in range(2, w + 1):
             diag = mpf(0)
-            for u in range(lo, hi + 1):
-                diag += a[u] * b[w - u]
-            total += diag / _pow(qints[w], t)
+            for u in range(1, m):
+                diag += a[u] * b[m - u]
+            total += diag / _pow(qints[m], t)
         return SumInfo(total, bound, count)
 
 
@@ -385,50 +382,29 @@ def _signed_diagonals(a: np.ndarray, b: np.ndarray, sigma: int, tau: int):
     return np.arange(2, 2 * n + 1, dtype=np.float64), conv
 
 
-def _tornheim_q_float64(r, s, t, sigma, tau, qp: QParam, prec: PrecisionConfig, window: str) -> SumInfo:
-    """Vectorized float64 kernel: same windows, coarse tail goals only."""
-    qf = qp.to_float()
+def _tornheim_q_float64(r, s, t, sigma: int, tau: int, qf: float, w: int) -> float:
+    """The triangle u + v <= w of tornheim_q_info, vectorized in float64."""
     lnq = math.log(qf)
-    goal = prec.goal_float()
     rf, sf, tf = float(_xm(r)), float(_xm(s)), float(_xm(t))
-    kb = lambda x: qf ** x if x >= 0 else (qf - 1) ** x
-    k = kb(rf) * kb(sf) * kb(tf)
-    x = 1.0 / qf
-    if window == "square":
-        n = max(1, math.ceil(math.log(2 * k / (qf - 1) ** 2 / goal) / lnq))
-        _budget(n * n, prec, "tornheim_q")
-        bound = 2 * k / (qf - 1) ** 2 * qf ** (-n)
-        umax, wmax, count = n, 2 * n, n * n
-    else:
-        n = max(2, math.ceil(math.log(2 * k / (qf - 1) ** 2 / goal) / lnq))
-        while k * x ** (n + 1) * ((n + 1) - n * x) / (1 - x) ** 2 > goal:
-            n += max(1, n // 8)
-            _budget(n * (n - 1) // 2, prec, "tornheim_q")
-        _budget(n * (n - 1) // 2, prec, "tornheim_q")
-        bound = k * x ** (n + 1) * ((n + 1) - n * x) / (1 - x) ** 2
-        umax, wmax, count = n - 1, n, n * (n - 1) // 2
     # Rescaled split: a_u = q^(ru)/[u]^r and b_v = q^(sv)/[v]^s stay O(1),
     # while the shifted factor q^((t-1)(u+v)) joins the diagonal weight,
     # keeping the fft inputs balanced (raw arrays can grow like q^((t-1)u),
     # which would sink small convolution bins in rounding noise).
-    u = np.arange(1, umax + 1, dtype=np.float64)
+    u = np.arange(1, w, dtype=np.float64)
     log_qint_u = np.log(np.expm1(u * lnq)) - math.log(qf - 1)
     a = np.exp(rf * (u * lnq - log_qint_u))
     b = np.exp(sf * (u * lnq - log_qint_u))
     wvals, conv = _signed_diagonals(a, b, sigma, tau)
     log_qint_w = np.log(np.expm1(wvals * lnq)) - math.log(qf - 1)
     cw = np.exp((tf - 1) * wvals * lnq - tf * log_qint_w)
-    keep = wvals <= wmax
-    value = float(np.sum(conv[keep] * cw[keep]))
-    with mp.workdps(prec.working_dps):
-        return SumInfo(mpf(value), mpf(bound), count)
+    keep = wvals <= w
+    return float(np.sum(conv[keep] * cw[keep]))
 
 
 def tornheim_q(
-    r, s, t, sigma: int = 1, tau: int = 1, q=None,
-    prec: PrecisionConfig | None = None, window: str = "square",
+    r, s, t, sigma: int = 1, tau: int = 1, q=None, prec: PrecisionConfig | None = None,
 ) -> mpf:
-    return tornheim_q_info(r, s, t, sigma, tau, q, prec, window).value
+    return tornheim_q_info(r, s, t, sigma, tau, q, prec).value
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import DomainError
-from .exact import SignedIndex
+from .exact import SignedIndex, as_rational
 
 __all__ = [
     "DoubleQZeta",
@@ -188,7 +188,8 @@ class PartialFractionTerm:
     one_minus_q_pow: int
 
 
-def lemma1_expand(r: int, s: int) -> list[PartialFractionTerm]:
+@lru_cache(maxsize=256)
+def lemma1_expand(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
     """Exact expansion of 1/([u]^r [v]^s) into [u]/[u+v] and [v]/[u+v] pieces.
 
     Three families (the third enters negatively):
@@ -197,6 +198,9 @@ def lemma1_expand(r: int, s: int) -> list[PartialFractionTerm]:
       B: mirror image (r <-> s, u <-> v)
       C: j in [1, min(r,s)]:
          -trinomial(r+s-j-1; r-j, s-j) (1-q)^j q^((s-j)u + (r-j)v) / [u+v]^(r+s-j)
+
+    Memoized (256 entries hold every (r, s) with r, s <= 16): a repeated call
+    returns the same tuple of frozen terms.
     """
     if r < 1 or s < 1:
         raise DomainError(f"lemma1_expand: r, s must be >= 1, got {(r, s)}")
@@ -239,7 +243,7 @@ def lemma1_expand(r: int, s: int) -> list[PartialFractionTerm]:
                 one_minus_q_pow=j,
             )
         )
-    return terms
+    return tuple(terms)
 
 
 @lru_cache(maxsize=None)
@@ -275,11 +279,6 @@ def verify_lemma1(r: int, s: int, u: int, v: int, q: Fraction | int | str) -> bo
 # depth-2 reductions
 # ----------------------------------------------------------------------
 
-def _norm_t(t) -> int | Fraction:
-    frac = Fraction(t)
-    return int(frac) if frac.denominator == 1 else frac
-
-
 def _check_variant(variant: str) -> str:
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -312,7 +311,7 @@ def theorem1_reduce(r: int, s: int, t, variant: str = "T") -> Reduction:
     _check_variant(variant)
     if not (isinstance(r, int) and isinstance(s, int)) or r < 1 or s < 1:
         raise DomainError(f"theorem1_reduce: r, s must be integers >= 1, got {(r, s)}")
-    t = _norm_t(t)
+    t = as_rational(t)
     terms = tuple(_theorem1_term(term, t, variant) for term in lemma1_expand(r, s))
     return Reduction(variant=variant, r=r, s=s, t=t, terms=terms)
 
@@ -408,9 +407,9 @@ def _kind_from_json(obj: dict) -> QTermKind:
         )
     if k == "q_squared_zeta":
         return QSquaredZeta(
-            index=_norm_t(Fraction(obj["index"])),
+            index=as_rational(obj["index"]),
             one_minus_q_pow=int(obj["one_minus_q_pow"]),
-            one_plus_q_pow=_norm_t(Fraction(obj["one_plus_q_pow"])),
+            one_plus_q_pow=as_rational(obj["one_plus_q_pow"]),
         )
     raise DomainError(f"unknown term kind {k!r} in JSON")
 
@@ -432,7 +431,7 @@ def reduction_from_json(obj: dict) -> Reduction:
         variant=obj["variant"],
         r=int(obj["r"]),
         s=int(obj["s"]),
-        t=_norm_t(Fraction(obj["t"])),
+        t=as_rational(obj["t"]),
         terms=tuple(
             (Fraction(item["coeff"]), _kind_from_json(item)) for item in obj["terms"]
         ),

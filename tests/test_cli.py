@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -344,6 +345,28 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_removed_window_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "T", "1", "1", "1", "--q", "2", "--window", "square"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_readme_cli_examples_print_the_readme_lines(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    for command in ("eval R 1 1 1", "eval T 2 1 2 --q 2 --digits 30"):
+        start = lines.index(f"tornheim {command}") + 1
+        expected = []
+        for line in lines[start:]:
+            if not line.startswith("  "):
+                break
+            expected.append(line[2:])
+        rc, out, _ = run(capsys, *command.split())
+        assert rc == 0
+        assert out.splitlines() == expected, command
 
 
 def test_console_script_entry_point():

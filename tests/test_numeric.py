@@ -194,25 +194,19 @@ def test_tornheim_q_symmetry_is_bit_exact():
     assert a == b
 
 
-def test_tornheim_q_window_agreement():
+def test_tornheim_q_tail_bound_is_honest():
     args = (2, 1, F(1, 2), -1, 1)
-    sq = tornheim_q_info(*args, q=2, prec=P30, window="square")
-    tr = tornheim_q_info(*args, q=2, prec=P30, window="triangle")
-    assert abs(sq.value - tr.value) <= sq.tail_bound + tr.tail_bound
+    info = tornheim_q_info(*args, q=2, prec=P30)
+    more = tornheim_q(*args, q=2, prec=PrecisionConfig(digits=60))
+    assert abs(info.value - more) <= info.tail_bound
 
 
 def test_tornheim_q_float64_kernel_matches_mpf():
     coarse = PrecisionConfig(digits=10, tail_goal=1e-8)
     fine = PrecisionConfig(digits=20)
-    for window in ("square", "triangle"):
-        a = tornheim_q(2, 1, 2, 1, 1, F(3, 2), coarse, window)
-        b = tornheim_q(2, 1, 2, 1, 1, F(3, 2), fine, window)
-        assert abs(a - b) < 1e-7
-
-
-def test_tornheim_q_rejects_bad_window():
-    with pytest.raises(DomainError):
-        tornheim_q(1, 1, 1, 1, 1, 2, P30, window="diamond")
+    a = tornheim_q(2, 1, 2, 1, 1, F(3, 2), coarse)
+    b = tornheim_q(2, 1, 2, 1, 1, F(3, 2), fine)
+    assert abs(a - b) < 1e-7
 
 
 # ---------------------------------------------------------------- classical zeta

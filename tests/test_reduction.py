@@ -56,6 +56,8 @@ def test_lemma1_term_counts():
             terms = lemma1_expand(r, s)
             expected = r * (r + 1) // 2 + s * (s + 1) // 2 + min(r, s)
             assert len(terms) == expected
+            assert isinstance(terms, tuple)
+            assert lemma1_expand(r, s) is terms
 
 
 def test_lemma1_structure_golden_1_1():
