@@ -13,7 +13,8 @@ truncation point with a proven geometric tail bound is computed up front:
     phi_q(s, sign, q)              sum_n (n-1) sign^n q^((s-1)n) / [n]^s
     tornheim_q(r, s, t, sg, tg, q) sum_{u,v} sg^u tg^v q^((r+t-1)u+(s+t-1)v)
                                        / ([u]^r [v]^s [u+v]^t), summed over
-                                       the triangle u + v <= W
+                                       the triangle u + v <= W by one
+                                       big-integer product
 
 classical side.  Euler-Maclaurin summation for plain tails and Boole
 summation (Euler polynomial values E_k(0)) for alternating tails, both with
@@ -33,10 +34,16 @@ functools.lru_cache(MEMO_SIZE) on private functions (_zeta_memo,
 _double_memo, _qterm_memo) that the public ones call after validating their
 input; cache_info() reports the hits.
 
-All mpf results are computed at digits + 15 working precision.  A float64
-vectorized kernel sums tornheim_q's triangle, with the cutoff W and bound
-planned in mpf, when the requested tail goal is coarse (>= 1e-10), where the
-arbitrary-precision loop would be needlessly slow.
+All mpf results are computed at digits + 15 working precision.
+tornheim_q sums its triangle by Kronecker substitution: the rescaled
+factors sigma^u q^(ru)/[u]^r and tau^v q^(sv)/[v]^s are rounded to p-bit
+fixed-point integers, packed one per slot into two Python ints and
+multiplied once, so every diagonal sum over u + v = m comes out of one
+big-integer product; mp.fdot weights the diagonals by q^((t-1)m)/[m]^t and
+rounds once.  Its reported bound is truncation plus a proven rounding
+allowance.  When the requested tail goal is coarse (>= 1e-10), a float64
+fft kernel sums the same triangle instead if truncation plus its a-priori
+rounding bound still meets the goal.
 """
 from __future__ import annotations
 
@@ -49,6 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import DivergenceError, DomainError, PrecisionError
 from .exact import SignedIndex, bernoulli
@@ -329,12 +337,17 @@ def tornheim_q_info(
 ) -> SumInfo:
     """T[r,s,t; sigma,tau] = sum_{u,v>=1} sigma^u tau^v q^((r+t-1)u + (s+t-1)v)
     / ([u]^r [v]^s [u+v]^t), summed over the triangle u + v <= W, with a
-    proven geometric tail bound.
+    bound that covers truncation and rounding.
 
     Each of the m - 1 terms with u + v = m is at most k q^(-m), so the tail
     past W is at most k sum_{m>W} m q^(-m); W is the first cutoff, grown from
-    the geometric estimate, where that meets the goal.  Coarse goals
-    (>= FLOAT64_GOAL_CUTOFF) sum the same triangle in float64.
+    the geometric estimate, where that meets the goal.  The triangle is one
+    big-integer product of p-bit fixed-point factors (_tornheim_q_kronecker),
+    whose rounding allowance is at most 2^-prec plus 2^(1-prec) |value| at
+    working precision prec.  Coarse goals (>= FLOAT64_GOAL_CUTOFF) take the
+    float64 kernel when truncation plus its rounding bound meets the goal.
+    tail_bound is truncation plus rounding; if that exceeds the goal,
+    PrecisionError is raised.
     """
     _sign_ok(sigma), _sign_ok(tau)
     qp = _as_q(q)
@@ -348,22 +361,93 @@ def tornheim_q_info(
         w = _linear_cutoff(k, x, max(2, _geometric_n(2 * k / (qm - 1) ** 2, qm, goal)), goal)
         count = w * (w - 1) // 2
         _budget(count, prec, "tornheim_q")
-        bound = _linear_geometric_tail(k, x, w)
+        truncation = _linear_geometric_tail(k, x, w)
         if prec.goal_float() >= FLOAT64_GOAL_CUTOFF:
-            return SumInfo(mpf(_tornheim_q_float64(r, s, t, sigma, tau, qp.to_float(), w)),
-                           bound, count)
-        # a_u = sigma^u q^((r+t-1)u) / [u]^r ; b_v likewise with (s, tau);
-        # the diagonal sum over u+v = m is weighted by 1/[m]^t.
-        qints = [mpf(0), *_qints(qm, w)]
-        a = [mpf(0), *_qterms(qm, _xm(r) + _xm(t) - 1, r, sigma, qints[1:w])]
-        b = [mpf(0), *_qterms(qm, _xm(s) + _xm(t) - 1, s, tau, qints[1:w])]
-        total = mpf(0)
-        for m in range(2, w + 1):
-            diag = mpf(0)
-            for u in range(1, m):
-                diag += a[u] * b[m - u]
-            total += diag / _pow(qints[m], t)
-        return SumInfo(total, bound, count)
+            value, rounding = _tornheim_q_float64(r, s, t, sigma, tau, qp.to_float(), w)
+            if truncation + rounding <= goal:
+                return SumInfo(mpf(value), truncation + rounding, count)
+        value, rounding = _tornheim_q_kronecker(r, s, t, sigma, tau, qp, w)
+        if truncation + rounding > goal:
+            raise PrecisionError(
+                f"tornheim_q: truncation {mp.nstr(truncation, 3)} plus rounding "
+                f"{mp.nstr(rounding, 3)} exceeds the goal {mp.nstr(goal, 3)} at "
+                f"{prec.working_dps} working digits"
+            )
+        return SumInfo(value, truncation + rounding, count)
+
+
+def _ceil_bits(x: mpf) -> int:
+    """Bit length of ceil(x) for x > 0."""
+    return int(mp.ceil(x)).bit_length()
+
+
+def _tornheim_q_kronecker(r, s, t, sigma: int, tau: int, qp: QParam, w: int):
+    """The triangle u + v <= w of tornheim_q_info by one big-integer product.
+
+    Returns (value, rounding) at the caller's working precision prec, where
+    rounding bounds |value - sum over the triangle|.
+
+    With a_u = sigma^u q^(ru)/[u]^r, b_v = tau^v q^(sv)/[v]^s and
+    c_m = q^((t-1)m)/[m]^t the triangle is sum_{m=2}^{w} c_m D_m, where
+    D_m = sum_{u+v=m} a_u b_v, |a_u| <= K(r), |b_v| <= K(s) and
+    0 < c_m <= K(t) q^(-m) (_kbound).  With E = 2^-p:
+
+    * a, b and c are computed by the _qints/_qterms recurrence with guard
+      bits over p that cover its O(w) relative rounding growth, so a and b
+      round to integers A, B with |A E - a| <= 3E/4, |B E - b| <= 3E/4,
+      and c has relative error at most E / (4 (K(r) K(s) + 1)).
+    * A and B are packed into one Python int each, one slot per index, and
+      multiplied once.  A slot holds 2p + bitlen(w ceil(K(r) K(s))) + 2
+      bits, more than twice any |sum_{u+v=m} A_u B_v|, so adding 2^(width-1)
+      to every slot unpacks the signed diagonals without borrows.  Each
+      D'_m = E^2 sum A_u B_v is exact and |D'_m - D_m| <=
+      (m-1) E (3/4 (K(r) + K(s)) + E).
+    * mp.fdot sums the exact products D'_m c_m and rounds once to prec; the
+      error of c adds at most (m-1) E c_m / 4 per diagonal.
+
+    Hence |value - T_w| <= E (K(r) + K(s) + 1) sum_{m>=2} (m-1) c_m
+    + 2^(1-prec) |value|, and the sum is at most
+    K(t) sum_{m>=2} m q^(-m) = _linear_geometric_tail(K(t), 1/q, 1).
+    p = prec + bitlen(ceil((K(r) + K(s) + 1) * that)) puts the first term
+    below 2^-prec.
+    """
+    prec = mp.prec
+    qm = qp.to_mpf()
+    kr, ks = _kbound(r, qm), _kbound(s, qm)
+    c_mass = _linear_geometric_tail(_kbound(t, qm), 1 / qm, 1)
+    p = prec + _ceil_bits((kr + ks + 1) * c_mass)
+    exponents = abs(_xm(r)) + abs(_xm(s)) + abs(_xm(t)) + 3
+    guard = _ceil_bits((kr + 1) * (ks + 1) * w * exponents * qm / (qm - 1)) + 8
+    with mp.workprec(p + guard):
+        qm = qp.to_mpf()
+        qints = list(_qints(qm, w))
+        a = _qterms(qm, _xm(r), r, sigma, qints[:-1])
+        b = _qterms(qm, _xm(s), s, tau, qints[:-1])
+        c = list(_qterms(qm, _xm(t) - 1, t, 1, qints))[1:]
+        fixed = lambda xs: [(to_fixed(x._mpf_, p + 1) + 1) >> 1 for x in xs]
+        width = 2 * p + (w * int(mp.ceil(kr * ks))).bit_length() + 2
+        diags = _kronecker_diagonals(fixed(a), fixed(b), width)
+    value = mp.fdot((mp.make_mpf(from_man_exp(d, -2 * p)) for d in diags), c)
+    return value, mp.ldexp((kr + ks + 1) * c_mass, -p) + mp.ldexp(abs(value), 1 - prec)
+
+
+def _kronecker_diagonals(a: list[int], b: list[int], width: int) -> list[int]:
+    """Diagonal sums sum_{i+j=k} a_i b_j for k < len(a) by one big-integer
+    product (Kronecker substitution).  Every |sum| must stay below
+    2^(width-1), counting the diagonals past len(a) too."""
+    nbytes = -(-width // 8)
+    half = 1 << (8 * nbytes - 1)
+
+    def pack(xs):
+        pos = b"".join(max(x, 0).to_bytes(nbytes, "little") for x in xs)
+        neg = b"".join(max(-x, 0).to_bytes(nbytes, "little") for x in xs)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    n = len(a)
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
+    low = (pack(a) * pack(b) + bias) & ((1 << (8 * nbytes * n)) - 1)
+    raw = low.to_bytes(nbytes * n, "little")
+    return [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little") - half for k in range(n)]
 
 
 def _signed_diagonals(a: np.ndarray, b: np.ndarray, sigma: int, tau: int):
@@ -382,8 +466,19 @@ def _signed_diagonals(a: np.ndarray, b: np.ndarray, sigma: int, tau: int):
     return np.arange(2, 2 * n + 1, dtype=np.float64), conv
 
 
-def _tornheim_q_float64(r, s, t, sigma: int, tau: int, qf: float, w: int) -> float:
-    """The triangle u + v <= w of tornheim_q_info, vectorized in float64."""
+def _tornheim_q_float64(r, s, t, sigma: int, tau: int, qf: float, w: int):
+    """The triangle u + v <= w of tornheim_q_info, vectorized in float64.
+
+    Returns (value, rounding), where rounding is an a-priori bound on the
+    float64 error.  Each diagonal of the fft convolution is off by at most
+    16 eps (log2(n) + 1) |a|_2 |b|_2 for an fft of length n (the form of
+    Percival's bound, its constant rounded up), and the exp/log inputs
+    carry a relative error of at most eps (|r| + |s| + 2|t| + 1)
+    (4 w (1 + ln q) + 2 |ln(q - 1)| + 8), which also covers float(q) and
+    the final sum; every diagonal sum of |a_u b_v| is at most |a|_2 |b|_2.
+    Both terms are weighted by sum_m c_m and doubled for the second-order
+    terms.
+    """
     lnq = math.log(qf)
     rf, sf, tf = float(_xm(r)), float(_xm(s)), float(_xm(t))
     # Rescaled split: a_u = q^(ru)/[u]^r and b_v = q^(sv)/[v]^s stay O(1),
@@ -394,11 +489,17 @@ def _tornheim_q_float64(r, s, t, sigma: int, tau: int, qf: float, w: int) -> flo
     log_qint_u = np.log(np.expm1(u * lnq)) - math.log(qf - 1)
     a = np.exp(rf * (u * lnq - log_qint_u))
     b = np.exp(sf * (u * lnq - log_qint_u))
+    norms = float(np.linalg.norm(a) * np.linalg.norm(b))
     wvals, conv = _signed_diagonals(a, b, sigma, tau)
     log_qint_w = np.log(np.expm1(wvals * lnq)) - math.log(qf - 1)
     cw = np.exp((tf - 1) * wvals * lnq - tf * log_qint_w)
     keep = wvals <= w
-    return float(np.sum(conv[keep] * cw[keep]))
+    eps = float(np.finfo(np.float64).eps)
+    fft = 16 * eps * (math.log2(2 * len(a)) + 1)
+    inputs = eps * (abs(rf) + abs(sf) + 2 * abs(tf) + 1) * (
+        4 * w * (1 + lnq) + 2 * abs(math.log(qf - 1)) + 8)
+    rounding = 2 * (fft + inputs) * norms * float(np.sum(cw[keep]))
+    return float(np.sum(conv[keep] * cw[keep])), rounding
 
 
 def tornheim_q(

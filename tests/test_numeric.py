@@ -29,7 +29,7 @@ from tornheim.numeric import (
     tornheim_q,
     tornheim_q_info,
 )
-from tornheim.reduction import theorem1_reduce
+from tornheim.reduction import VARIANT_SIGNS, theorem1_reduce
 
 F = Fraction
 P30 = PrecisionConfig(digits=30)
@@ -169,23 +169,27 @@ def test_tornheim_q_against_brute_oracle():
     assert abs(tornheim_q(r, s, t, 1, 1, 2, P30) - oracle) < mpf(10) ** -30
 
 
+def _brute_tornheim_q(r, s, t, sigma, tau, qm, n):
+    """The defining double sum over u, v < n, one term at a time."""
+    tm = mpf(t.numerator) / t.denominator if isinstance(t, F) else mpf(t)
+    qint = [None] + [(qm ** k - 1) / (qm - 1) for k in range(1, 2 * n)]
+    a = [None] + [mpf(sigma) ** u * qm ** ((r + tm - 1) * u) / qint[u] ** r for u in range(1, n)]
+    b = [None] + [mpf(tau) ** v * qm ** ((s + tm - 1) * v) / qint[v] ** s for v in range(1, n)]
+    c = [None, None] + [1 / qint[m] ** tm for m in range(2, 2 * n)]
+    return sum((a[u] * b[v] * c[u + v] for u in range(1, n) for v in range(1, n)), mpf(0))
+
+
 def test_tornheim_q_signed_against_brute_oracle():
-    mp.dps = 50
-    qm = mpf(3) / 2
-    r, s, t = 1, 2, 1
-    sigma, tau = -1, 1
-    oracle = mpf(0)
-    for u in range(1, 220):
-        for v in range(1, 220):
-            qu = (qm ** u - 1) / (qm - 1)
-            qv = (qm ** v - 1) / (qm - 1)
-            quv = (qm ** (u + v) - 1) / (qm - 1)
-            oracle += (
-                mpf(sigma) ** u * mpf(tau) ** v
-                * qm ** ((r + t - 1) * u + (s + t - 1) * v)
-                / (qu ** r * qv ** s * quv ** t)
-            )
-    assert abs(tornheim_q(r, s, t, sigma, tau, F(3, 2), P30) - oracle) < mpf(10) ** -28
+    # q = 3 covers every sign pair, whose negative diagonals borrow from
+    # the next slot of the big-integer product
+    cases = [(1, 2, 1, -1, 1, F(3, 2), 220)]
+    cases += [(2, 1, t, sigma, tau, 3, 100)
+              for t in (-1, F(7, 3)) for sigma in (1, -1) for tau in (1, -1)]
+    for r, s, t, sigma, tau, q, n in cases:
+        mp.dps = 50
+        oracle = _brute_tornheim_q(r, s, t, sigma, tau, mpf(F(q).numerator) / F(q).denominator, n)
+        got = tornheim_q(r, s, t, sigma, tau, q, P30)
+        assert abs(got - oracle) < mpf(10) ** -28, (r, s, t, sigma, tau, q)
 
 
 def test_tornheim_q_symmetry_is_bit_exact():
@@ -194,11 +198,29 @@ def test_tornheim_q_symmetry_is_bit_exact():
     assert a == b
 
 
+def _theorem1_value(r, s, t, sigma, tau, q, prec):
+    """T[r,s,t; sigma,tau] from its Theorem 1 reduction: an oracle that never
+    calls tornheim_q.  (-1, +1) is R with the two slots swapped."""
+    if (sigma, tau) == (-1, 1):
+        r, s, sigma, tau = s, r, tau, sigma
+    variant = next(v for v, signs in VARIANT_SIGNS.items() if signs == (sigma, tau))
+    return evaluate_reduction(theorem1_reduce(r, s, t, variant), q, prec)
+
+
 def test_tornheim_q_tail_bound_is_honest():
-    args = (2, 1, F(1, 2), -1, 1)
-    info = tornheim_q_info(*args, q=2, prec=P30)
-    more = tornheim_q(*args, q=2, prec=PrecisionConfig(digits=60))
-    assert abs(info.value - more) <= info.tail_bound
+    # rounding counts: at 90 digits T[3,2,2] at q = 2 is off by 9e-105,
+    # more than its truncation bound of 1.3e-105
+    cases = [((2, 1, F(1, 2), -1, 1), 2), ((3, 2, 2, 1, 1), 2),
+             ((1, 2, -1, -1, -1), F(3, 2)), ((2, 3, F(7, 3), 1, -1), 3)]
+    precs = [PrecisionConfig(digits=d) for d in (12, 30, 60, 120)]
+    # the float64 kernel: a 5.7e6 value, 2.8e-9 off in float64
+    checks = [(args, q, prec) for args, q in cases for prec in precs]
+    checks.append(((4, 4, 4, 1, 1), 5, PrecisionConfig(digits=10, tail_goal=1e-10)))
+    for args, q, prec in checks:
+        info = tornheim_q_info(*args, q=q, prec=prec)
+        oracle = _theorem1_value(*args, q, PrecisionConfig(digits=prec.digits + 30))
+        with mp.workdps(prec.digits + 45):
+            assert abs(info.value - oracle) <= info.tail_bound <= prec.goal(), (args, q, prec)
 
 
 def test_tornheim_q_float64_kernel_matches_mpf():
