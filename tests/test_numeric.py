@@ -208,19 +208,22 @@ def _theorem1_value(r, s, t, sigma, tau, q, prec):
 
 
 def test_tornheim_q_tail_bound_is_honest():
-    # rounding counts: at 90 digits T[3,2,2] at q = 2 is off by 9e-105,
-    # more than its truncation bound of 1.3e-105
+    # at 120 digits rounding outweighs truncation (1e3 to 1e6 times here), so the
+    # bound must cover both
     cases = [((2, 1, F(1, 2), -1, 1), 2), ((3, 2, 2, 1, 1), 2),
              ((1, 2, -1, -1, -1), F(3, 2)), ((2, 3, F(7, 3), 1, -1), 3)]
     precs = [PrecisionConfig(digits=d) for d in (12, 30, 60, 120)]
-    # the float64 kernel: a 5.7e6 value, 2.8e-9 off in float64
     checks = [(args, q, prec) for args, q in cases for prec in precs]
+    # a coarse goal that float64 rounding (about 3e-9 on this 5.7e6 value) misses
     checks.append(((4, 4, 4, 1, 1), 5, PrecisionConfig(digits=10, tail_goal=1e-10)))
     for args, q, prec in checks:
         info = tornheim_q_info(*args, q=q, prec=prec)
         oracle = _theorem1_value(*args, q, PrecisionConfig(digits=prec.digits + 30))
         with mp.workdps(prec.digits + 45):
             assert abs(info.value - oracle) <= info.tail_bound <= prec.goal(), (args, q, prec)
+    # a goal below the working precision cannot be met: raise, not under-report
+    with pytest.raises(PrecisionError, match="rounding"):
+        tornheim_q_info(2, 1, 1, q=2, prec=PrecisionConfig(digits=10, tail_goal=1e-40))
 
 
 def test_tornheim_q_float64_kernel_matches_mpf():
