@@ -9,7 +9,7 @@ truncation point with a proven geometric tail bound is computed up front:
 
     q_zeta1(s, sign, q)            sum_n sign^n q^((s-1)n) / [n]^s
     q_zeta2(s1, g1, s2, g2, q)     sum_{m>n} g1^m g2^n q^((s1-1)m+(s2-1)n)
-                                       / ([m]^s1 [n]^s2), O(N) prefix scheme
+                                       / ([m]^s1 [n]^s2)
     phi_q(s, sign, q)              sum_n (n-1) sign^n q^((s-1)n) / [n]^s
     tornheim_q(r, s, t, sg, tg, q) sum_{u,v} sg^u tg^v q^((r+t-1)u+(s+t-1)v)
                                        / ([u]^r [v]^s [u+v]^t), summed over
@@ -27,23 +27,30 @@ log-factor variants, give
                                    the asymptotic expansion of the inner
                                    prefix (harmonic, EM, or Boole form)
 
-The q-kernels share one recurrence: _qints yields [k] by a running power
-of q, and _qterms yields sign^k q^(e k) / [k]^x from it.  classical_zeta,
+The q-kernels share one recurrence: _qterms yields q^(e k) / [k]^x with
+[k] from a running power of q.  It fills one memoized q-term table
+(_stream_terms): per (q, bits B, e, x) a list of fixed-point Python ints
+F_k within 3/4 of 2^B q^(e k)/[k]^x, extended when a call needs more
+terms.  q_zeta1, phi_q and q_zeta2 are exact integer sums over its entries
+(sum sign^k F_k, sum (k-1) sign^k F_k, sum_m sign^m F_m times a running
+prefix), converted to mpf once, so their rounding is a count of 3/4-units
+at B = working precision + STREAM_GUARD bits.  classical_zeta,
 classical_double_euler and the terms of evaluate_reduction are memoized by
 functools.lru_cache(MEMO_SIZE) on private functions (_zeta_memo,
 _double_memo, _qterm_memo) that the public ones call after validating their
-input; cache_info() reports the hits.
+input; cache_info() reports the hits, as it does for the table's _stream.
 
-All mpf results are computed at digits + 15 working precision.
+All mpf results are computed at digits + 15 working precision, and every
+q-kernel reports truncation plus a proven rounding allowance, raising
+PrecisionError when that exceeds the goal.
 tornheim_q sums its triangle by Kronecker substitution: the rescaled
-factors sigma^u q^(ru)/[u]^r and tau^v q^(sv)/[v]^s are rounded to p-bit
-fixed-point integers, packed one per slot into two Python ints and
-multiplied once, so every diagonal sum over u + v = m comes out of one
-big-integer product; mp.fdot weights the diagonals by q^((t-1)m)/[m]^t and
-rounds once.  Its reported bound is truncation plus a proven rounding
-allowance.  When the requested tail goal is coarse (>= 1e-10), a float64
-fft kernel sums the same triangle instead if truncation plus its a-priori
-rounding bound still meets the goal.
+factors sigma^u q^(ru)/[u]^r and tau^v q^(sv)/[v]^s are read from the
+q-term table as p-bit fixed-point integers, packed one per slot into two
+Python ints and multiplied once, so every diagonal sum over u + v = m comes
+out of one big-integer product; mp.fdot weights the diagonals by
+q^((t-1)m)/[m]^t and rounds once.  When the requested tail goal is coarse
+(>= 1e-10), a float64 fft kernel sums the same triangle instead if
+truncation plus its a-priori rounding bound still meets the goal.
 """
 from __future__ import annotations
 
@@ -51,12 +58,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import tee
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DivergenceError, DomainError, PrecisionError
 from .exact import SignedIndex, bernoulli
@@ -84,6 +92,8 @@ __all__ = [
 
 FLOAT64_GOAL_CUTOFF = 1e-10  # coarser goals than this use the vectorized kernel
 MEMO_SIZE = 4096  # entries per memo (_zeta_memo, _double_memo, _qterm_memo)
+STREAM_MEMO_SIZE = 256  # q-term streams kept by _stream
+STREAM_GUARD = 32  # bits the q-term table keeps past working precision
 
 
 @dataclass(frozen=True)
@@ -217,31 +227,95 @@ def _budget(n_terms: int, prec: PrecisionConfig, what: str) -> None:
         )
 
 
-def _qints(qm: mpf, n: int):
-    """[1], ..., [n] by a running power q^k."""
-    qpow = mpf(1)
-    for _ in range(n):
-        qpow *= qm
-        yield (qpow - 1) / (qm - 1)
-
-
-def _qterms(qm: mpf, e: mpf, x, sign: int, qints, weighted: bool = False):
-    """sign^k q^(e k) / [k]^x for k = 1, 2, ..., one per entry of qints.
-
-    weighted=True multiplies in phi's factor (k-1) ahead of the division,
-    so phi_q rounds exactly as its formula (k-1) sign^k q^(e k) / [k]^x does.
-    """
+def _qterms(qm: mpf, e: mpf, x, n: int, start: int = 0):
+    """q^(e k) / [k]^x for k = start+1, ..., n, with [k] = (q^k - 1)/(q - 1)
+    taken from a running power q^k."""
     step = mp.power(qm, e)
-    num = mpf(1)
-    sgn = 1
-    for k, qint in enumerate(qints, 1):
+    num = step ** start
+    qpow = qm ** start
+    for _ in range(start, n):
+        qpow *= qm
         num *= step
-        sgn *= sign
-        yield ((k - 1) * sgn if weighted else sgn) * num / _pow(qint, x)
+        yield num / _pow((qpow - 1) / (qm - 1), x)
+
+
+def _guard_bits(scale: mpf, n: int, exponents: mpf, qm: mpf) -> int:
+    """Guard bits over p for n steps of the _qterms recurrence.
+
+    At working precision wp its k-th term has a relative error of a small
+    multiple (far below 64) of k (|e| + |x| + 3) (q/(q-1) + ln q) 2^-wp:
+    the running powers add one rounding per step, [k] = (q^k - 1)/(q - 1)
+    cancels by up to q/(q-1), and the rounded exponents e and x err by
+    |e| ln q^k and |x| ln [k].  With n >= k and exponents >= |e| + |x| + 3,
+    wp = p + these bits puts that error times scale below 2^-p / 4.
+    """
+    return _ceil_bits(scale * n * exponents * (qm / (qm - 1) + mp.log(qm))) + 8
+
+
+@lru_cache(maxsize=STREAM_MEMO_SIZE)
+def _stream(qp: QParam, bits: int, e, x) -> list[int]:
+    """The stored entries of one q-term stream; _stream_terms fills it."""
+    return []
+
+
+def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
+    """sign^k F_k for k = 1..n, where F_k is q^(e k)/[k]^x in bits-bit fixed
+    point: |F_k - 2^bits q^(e k)/[k]^x| <= 3/4.  Requires e <= x.
+
+    The unsigned F_k are memoized per (q, bits, e, x) in _stream, which
+    extends its list when a call needs more terms and never recomputes it.
+    New entries come from the _qterms recurrence, restarted at the
+    first missing k, at bits + _guard_bits: every term is at most K(x)
+    (_kbound, as e <= x), so its absolute error is at most 2^-bits / 4
+    before rounding to the nearest integer adds 1/2.  The sign negates odd
+    k, which is exact.  Returns a fresh list.
+
+    Memory: _stream keeps STREAM_MEMO_SIZE streams, each as long as the
+    longest request made of it, at most max_terms entries of about
+    bits/8 + 36 bytes each (a Python int and its list slot).  The worst case
+    is STREAM_MEMO_SIZE * max_terms of them.  The 576-case q_sweep grid at
+    30 digits stores about 12,500 entries in 108 streams (0.6 MB), the
+    144-case q_limit grid about 36,000 in 48 (1.6 MB).
+    """
+    terms = _stream(qp, bits, e, x)
+    start = len(terms)
+    if start < n:
+        qm = qp.to_mpf()
+        guard = _guard_bits(_kbound(x, qm) + 1, n, abs(_xm(e)) + abs(_xm(x)) + 3, qm)
+        with mp.workprec(bits + guard):
+            qm = qp.to_mpf()
+            new = _qterms(qm, _xm(e), x, n, start)
+            terms.extend((to_fixed(v._mpf_, bits + 1) + 1) >> 1 for v in new)
+    terms = terms[:n]
+    if sign == -1:
+        terms[::2] = [-f for f in terms[::2]]  # odd k
+    return terms
+
+
+def _fixed_mpf(man: int, bits: int) -> mpf:
+    """man * 2^-bits rounded once to the working precision."""
+    return mp.make_mpf(from_man_exp(man, -bits, mp.prec, round_nearest))
+
+
+def _bound(what: str, value: mpf, truncation: mpf, rounding: mpf, goal: mpf) -> mpf:
+    """truncation + rounding + 2^(1-prec) |value|, the last term for the
+    final rounding to working precision prec; PrecisionError above goal."""
+    rounding += mp.ldexp(abs(value), 1 - mp.prec)
+    if truncation + rounding > goal:
+        raise PrecisionError(
+            f"{what}: truncation {mp.nstr(truncation, 3)} plus rounding "
+            f"{mp.nstr(rounding, 3)} exceeds the goal {mp.nstr(goal, 3)} at "
+            f"{mp.dps} working digits"
+        )
+    return truncation + rounding
 
 
 def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> SumInfo:
-    """zeta_q[s; sign] = sum_{n>=1} sign^n q^((s-1)n) / [n]^s, with tail bound."""
+    """zeta_q[s; sign] = sum_{n>=1} sign^n q^((s-1)n) / [n]^s, with tail bound.
+
+    The N table entries are summed exactly, so rounding is at most
+    3/4 N 2^-B at B = prec + STREAM_GUARD bits.
+    """
     _sign_ok(sign)
     qp = _as_q(q)
     prec = _as_prec(prec)
@@ -251,8 +325,11 @@ def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) 
         k = _kbound(s, qm)
         n_terms = _geometric_n(k / (qm - 1), qm, goal)
         _budget(n_terms, prec, "q_zeta1")
-        total = sum(_qterms(qm, _xm(s) - 1, s, sign, _qints(qm, n_terms)), mpf(0))
-        return SumInfo(total, k / (qm - 1) * qm ** (-n_terms), n_terms)
+        bits = mp.prec + STREAM_GUARD
+        value = _fixed_mpf(sum(_stream_terms(qp, bits, s - 1, s, sign, n_terms)), bits)
+        truncation = k / (qm - 1) * qm ** (-n_terms)
+        rounding = mp.ldexp(mpf(3 * n_terms) / 4, -bits)
+        return SumInfo(value, _bound("q_zeta1", value, truncation, rounding, goal), n_terms)
 
 
 def q_zeta1(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> mpf:
@@ -264,8 +341,13 @@ def q_zeta2_info(
 ) -> SumInfo:
     """zeta_q[s1, s2; sign1, sign2] = sum_{m>n>=1} of the depth-2 q-series.
 
-    Evaluated as an O(N) prefix scheme: the inner sum over n < m is a running
-    prefix updated once per m.
+    With f_m, g_n the outer and inner terms and F_m, G_n their table entries
+    at B = prec + STREAM_GUARD bits, the integer sum_{m=2}^{N} F_m P_{m-1},
+    P_j = G_1 + ... + G_j, is exact.  |f_m| <= K1 q^-m and |g_n| <= K2 q^-n
+    (_kbound), so |p_j| <= K2/(q-1) and |P_j - 2^B p_j| <= 3/4 j; each
+    product then errs by at most 3/4 2^B (K2/(q-1) + 1) + 3/4 (m-1) 2^B |f_m|
+    (for N <= 2^B), and summing over m with sum (m-1) q^-m = 1/(q-1)^2 gives
+    rounding <= 3/4 2^-B ((N-1)(K2/(q-1) + 1) + K1/(q-1)^2).
     """
     _sign_ok(sign1), _sign_ok(sign2)
     qp = _as_q(q)
@@ -273,17 +355,17 @@ def q_zeta2_info(
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         goal = prec.goal()
-        k = _kbound(s1, qm) * _kbound(s2, qm)
-        n_terms = _geometric_n(k / (qm - 1) ** 2, qm, goal)
+        k1, k2 = _kbound(s1, qm), _kbound(s2, qm)
+        n_terms = _geometric_n(k1 * k2 / (qm - 1) ** 2, qm, goal)
         _budget(n_terms, prec, "q_zeta2")
-        qints1, qints2 = tee(_qints(qm, n_terms))
-        prefix = mpf(0)
-        total = mpf(0)
-        for outer, inner in zip(_qterms(qm, _xm(s1) - 1, s1, sign1, qints1),
-                                _qterms(qm, _xm(s2) - 1, s2, sign2, qints2)):
-            total += outer * prefix  # prefix is 0 at m = 1
-            prefix += inner
-        return SumInfo(total, k / (qm - 1) ** 2 * qm ** (-n_terms), n_terms)
+        bits = mp.prec + STREAM_GUARD
+        outer = _stream_terms(qp, bits, s1 - 1, s1, sign1, n_terms)
+        prefixes = accumulate(_stream_terms(qp, bits, s2 - 1, s2, sign2, n_terms))
+        value = _fixed_mpf(sum(map(mul, outer[1:], prefixes)), 2 * bits)
+        truncation = k1 * k2 / (qm - 1) ** 2 * qm ** (-n_terms)
+        rounding = mp.ldexp(3 * ((n_terms - 1) * (k2 / (qm - 1) + 1) + k1 / (qm - 1) ** 2) / 4,
+                            -bits)
+        return SumInfo(value, _bound("q_zeta2", value, truncation, rounding, goal), n_terms)
 
 
 def q_zeta2(s1, sign1: int, s2, sign2: int, q=None, prec: PrecisionConfig | None = None) -> mpf:
@@ -303,7 +385,11 @@ def _linear_cutoff(k: mpf, x: mpf, n: int, goal: mpf) -> int:
 
 
 def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> SumInfo:
-    """phi[s; sign] = sum_{n>=1} (n-1) sign^n q^((s-1)n) / [n]^s, with bound."""
+    """phi[s; sign] = sum_{n>=1} (n-1) sign^n q^((s-1)n) / [n]^s, with bound.
+
+    The integer sum of (k-1) F_k over the N table entries is exact, so
+    rounding is at most 3/4 2^-B sum (k-1) = 3/4 2^-B N(N-1)/2.
+    """
     _sign_ok(sign)
     qp = _as_q(q)
     prec = _as_prec(prec)
@@ -314,8 +400,12 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
         x = 1 / qm
         n_terms = _linear_cutoff(k, x, _geometric_n(k / (qm - 1), qm, goal), goal)
         _budget(n_terms, prec, "phi_q")
-        total = sum(_qterms(qm, _xm(s) - 1, s, sign, _qints(qm, n_terms), weighted=True), mpf(0))
-        return SumInfo(total, _linear_geometric_tail(k, x, n_terms), n_terms)
+        bits = mp.prec + STREAM_GUARD
+        terms = _stream_terms(qp, bits, s - 1, s, sign, n_terms)
+        value = _fixed_mpf(sum(map(mul, range(n_terms), terms)), bits)
+        truncation = _linear_geometric_tail(k, x, n_terms)
+        rounding = mp.ldexp(mpf(3 * n_terms * (n_terms - 1)) / 8, -bits)
+        return SumInfo(value, _bound("phi_q", value, truncation, rounding, goal), n_terms)
 
 
 def phi_q(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> mpf:
@@ -367,13 +457,7 @@ def tornheim_q_info(
             if truncation + rounding <= goal:
                 return SumInfo(mpf(value), truncation + rounding, count)
         value, rounding = _tornheim_q_kronecker(r, s, t, sigma, tau, qp, w)
-        if truncation + rounding > goal:
-            raise PrecisionError(
-                f"tornheim_q: truncation {mp.nstr(truncation, 3)} plus rounding "
-                f"{mp.nstr(rounding, 3)} exceeds the goal {mp.nstr(goal, 3)} at "
-                f"{prec.working_dps} working digits"
-            )
-        return SumInfo(value, truncation + rounding, count)
+        return SumInfo(value, _bound("tornheim_q", value, truncation, rounding, goal), count)
 
 
 def _ceil_bits(x: mpf) -> int:
@@ -385,17 +469,17 @@ def _tornheim_q_kronecker(r, s, t, sigma: int, tau: int, qp: QParam, w: int):
     """The triangle u + v <= w of tornheim_q_info by one big-integer product.
 
     Returns (value, rounding) at the caller's working precision prec, where
-    rounding bounds |value - sum over the triangle|.
+    rounding + 2^(1-prec) |value| bounds |value - sum over the triangle|.
 
     With a_u = sigma^u q^(ru)/[u]^r, b_v = tau^v q^(sv)/[v]^s and
     c_m = q^((t-1)m)/[m]^t the triangle is sum_{m=2}^{w} c_m D_m, where
     D_m = sum_{u+v=m} a_u b_v, |a_u| <= K(r), |b_v| <= K(s) and
     0 < c_m <= K(t) q^(-m) (_kbound).  With E = 2^-p:
 
-    * a, b and c are computed by the _qints/_qterms recurrence with guard
-      bits over p that cover its O(w) relative rounding growth, so a and b
-      round to integers A, B with |A E - a| <= 3E/4, |B E - b| <= 3E/4,
-      and c has relative error at most E / (4 (K(r) K(s) + 1)).
+    * a and b are read as p-bit fixed-point integers A, B from the q-term
+      table (_stream_terms), so |A E - a| <= 3E/4 and |B E - b| <= 3E/4;
+      c is computed by the _qterms recurrence with _guard_bits over
+      p, so it has relative error at most E / (4 (K(r) K(s) + 1)).
     * A and B are packed into one Python int each, one slot per index, and
       multiplied once.  A slot holds 2p + bitlen(w ceil(K(r) K(s))) + 2
       bits, more than twice any |sum_{u+v=m} A_u B_v|, so adding 2^(width-1)
@@ -408,27 +492,26 @@ def _tornheim_q_kronecker(r, s, t, sigma: int, tau: int, qp: QParam, w: int):
     Hence |value - T_w| <= E (K(r) + K(s) + 1) sum_{m>=2} (m-1) c_m
     + 2^(1-prec) |value|, and the sum is at most
     K(t) sum_{m>=2} m q^(-m) = _linear_geometric_tail(K(t), 1/q, 1).
-    p = prec + bitlen(ceil((K(r) + K(s) + 1) * that)) puts the first term
-    below 2^-prec.
+    Any p >= prec + bitlen(ceil((K(r) + K(s) + 1) * that)) puts the first
+    term below 2^-prec; p is that rounded up to whole STREAM_GUARD steps
+    past prec, so calls with other (r, s, t) share table entries.
     """
     prec = mp.prec
     qm = qp.to_mpf()
     kr, ks = _kbound(r, qm), _kbound(s, qm)
     c_mass = _linear_geometric_tail(_kbound(t, qm), 1 / qm, 1)
-    p = prec + _ceil_bits((kr + ks + 1) * c_mass)
+    steps = -(-_ceil_bits((kr + ks + 1) * c_mass) // STREAM_GUARD)
+    p = prec + steps * STREAM_GUARD
+    a = _stream_terms(qp, p, r, r, sigma, w - 1)
+    b = _stream_terms(qp, p, s, s, tau, w - 1)
     exponents = abs(_xm(r)) + abs(_xm(s)) + abs(_xm(t)) + 3
-    guard = _ceil_bits((kr + 1) * (ks + 1) * w * exponents * qm / (qm - 1)) + 8
-    with mp.workprec(p + guard):
+    with mp.workprec(p + _guard_bits((kr + 1) * (ks + 1), w, exponents, qm)):
         qm = qp.to_mpf()
-        qints = list(_qints(qm, w))
-        a = _qterms(qm, _xm(r), r, sigma, qints[:-1])
-        b = _qterms(qm, _xm(s), s, tau, qints[:-1])
-        c = list(_qterms(qm, _xm(t) - 1, t, 1, qints))[1:]
-        fixed = lambda xs: [(to_fixed(x._mpf_, p + 1) + 1) >> 1 for x in xs]
-        width = 2 * p + (w * int(mp.ceil(kr * ks))).bit_length() + 2
-        diags = _kronecker_diagonals(fixed(a), fixed(b), width)
+        c = list(_qterms(qm, _xm(t) - 1, t, w))[1:]
+    width = 2 * p + (w * int(mp.ceil(kr * ks))).bit_length() + 2
+    diags = _kronecker_diagonals(a, b, width)
     value = mp.fdot((mp.make_mpf(from_man_exp(d, -2 * p)) for d in diags), c)
-    return value, mp.ldexp((kr + ks + 1) * c_mass, -p) + mp.ldexp(abs(value), 1 - prec)
+    return value, mp.ldexp((kr + ks + 1) * c_mass, -p)
 
 
 def _kronecker_diagonals(a: list[int], b: list[int], width: int) -> list[int]:

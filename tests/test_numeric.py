@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -153,6 +154,86 @@ def test_phi_q_tail_bound_is_honest():
     assert abs(info.value - more) <= info.tail_bound
 
 
+# ---------------------------------------------------------------- q-kernel bounds
+
+def test_q_kernels_tail_bound_is_honest():
+    # at 120 digits rounding outweighs truncation, so the bound must cover both
+    cases = [(q_zeta1_info, (3, 1), 2), (q_zeta1_info, (F(5, 2), -1), F(3, 2)),
+             (q_zeta2_info, (2, 1, 1, -1), 2), (q_zeta2_info, (F(7, 3), -1, 3, 1), 3),
+             (phi_q_info, (3, -1), 2), (phi_q_info, (2, 1), F(6, 5))]
+    precs = [PrecisionConfig(digits=d) for d in (12, 30, 60, 120)]
+    for kernel, args, q in cases:
+        for prec in precs:
+            info = kernel(*args, q=q, prec=prec)
+            ref = kernel(*args, q=q, prec=PrecisionConfig(digits=prec.digits + 30)).value
+            with mp.workdps(prec.digits + 45):
+                assert abs(info.value - ref) <= info.tail_bound <= prec.goal(), (kernel, args, q, prec)
+    # a goal below the working precision cannot be met: raise, not under-report
+    fine = PrecisionConfig(digits=10, tail_goal=1e-40)
+    for kernel, args in [(q_zeta1_info, (3, 1)), (q_zeta2_info, (2, 1, 1, 1)), (phi_q_info, (2, 1))]:
+        with pytest.raises(PrecisionError, match="rounding"):
+            kernel(*args, q=2, prec=fine)
+
+
+def test_q_term_table_meets_its_contract_when_extended():
+    bits = 97  # no kernel asks for this width, so every stream starts empty
+    for q in (F(101, 100), F(3)):
+        qp = QParam(q)
+        for e, x in [(F(3, 2), F(5, 2)), (2, 2), (-2, -1)]:
+            short = numeric._stream_terms(qp, bits, e, x, -1, 40)
+            terms = numeric._stream_terms(qp, bits, e, x, 1, 200)
+            assert len(numeric._stream(qp, bits, e, x)) == 200
+            assert short == [-f if k % 2 else f for k, f in enumerate(terms[:40], 1)]
+            with mp.workprec(bits + 200):
+                qm, em, xm = (mpf(v.numerator) / v.denominator for v in (q, F(e), F(x)))
+                for k, f in enumerate(terms, 1):
+                    exact = qm ** (em * k) / ((qm ** k - 1) / (qm - 1)) ** xm
+                    assert abs(f - mp.ldexp(exact, bits)) <= 0.75, (q, e, x, k)
+
+
+def _stream_oracle(q, x, n, dps):
+    """q^((x-1)k) / [k]^x for k = 1..n, each [k] taken from q^k directly."""
+    with mp.workdps(dps):
+        qm, xm = mpf(q.numerator) / q.denominator, mpf(x.numerator) / x.denominator
+        return [qm ** ((xm - 1) * k) / ((qm ** k - 1) / (qm - 1)) ** xm for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("q, prec, extra", [
+    (F(101, 100), PrecisionConfig(digits=12, tail_goal=1e-9), ()),
+    (F(6, 5), P30, ()),
+    (F(3), P30, (F(9), F(17, 2))),
+])
+def test_q_kernels_against_prefix_sum_oracle(q, prec, extra):
+    exponents = [F(5, 2), F(7, 3), F(0), F(-1), *extra]
+    dps = prec.digits + 30
+    with mp.workdps(dps):
+        qm, eps = mpf(q.numerator) / q.denominator, prec.goal() * mpf(10) ** -6
+        # past n the terms of every series below sum to at most eps, so each
+        # oracle is within eps of its series
+        k = max(numeric._kbound(x, qm) for x in exponents) ** 2 / (qm - 1) ** 3
+        n = 16
+        while k * n * n * qm ** -n > eps:
+            n += n // 16
+    streams = {x: _stream_oracle(q, x, n, dps) for x in exponents}
+    signed = lambda x, g: [f if g == 1 or k % 2 else -f for k, f in enumerate(streams[x])]
+    checks = []
+    for i, x in enumerate(exponents):
+        g = (1, -1)[i % 2]
+        with mp.workdps(dps):
+            checks.append((q_zeta1_info(x, g, q, prec), mp.fsum(signed(x, g))))
+            checks.append((phi_q_info(x, -g, q, prec),
+                           mp.fsum(k * f for k, f in enumerate(signed(x, -g)))))
+        for j, y in enumerate(exponents):
+            g1, g2 = (1, -1)[i % 2], (1, -1)[(i + j) % 2]
+            with mp.workdps(dps):
+                prefixes = accumulate(signed(y, g2))
+                oracle = mp.fsum(f * p for f, p in zip(signed(x, g1)[1:], prefixes))
+            checks.append((q_zeta2_info(x, g1, y, g2, q, prec), oracle))
+    with mp.workdps(dps):
+        for info, oracle in checks:
+            assert abs(info.value - oracle) <= info.tail_bound + eps, (info, oracle)
+
+
 # ---------------------------------------------------------------- tornheim_q
 
 def test_tornheim_q_against_brute_oracle():
@@ -271,11 +352,28 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
     hits = numeric._double_memo.cache_info().hits
     classical_double_euler(3, 1, prec)
     assert numeric._double_memo.cache_info().hits == hits + 1
+    # the q-term table: one stream per (q, bits, e, x), signs applied after it
+    stream = numeric._stream
+    assert stream.cache_info().maxsize == numeric.STREAM_MEMO_SIZE
+    before = stream.cache_info()
+    q_zeta1_info(F(5, 2), 1, "13/7", prec)
+    q_zeta1_info(F(5, 2), -1, "13/7", prec)
+    # tornheim_q's a and b lists are one stream when (r, sigma) == (s, tau) up to sign
+    tornheim_q_info(3, 3, 1, 1, -1, "13/7", prec)
+    after = stream.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 2)
+    memos += (stream,)
     before = [memo.cache_info() for memo in memos]
     with pytest.raises(DivergenceError):
         classical_zeta(1, 1, prec)
     with pytest.raises(DivergenceError):
         classical_double_euler(1, 1, prec)
+    with pytest.raises(DomainError):
+        q_zeta1_info(2, 0, 2, prec)
+    with pytest.raises(DomainError):
+        q_zeta2_info(2, 1, 1, 1, 1, prec)
+    with pytest.raises(PrecisionError):
+        phi_q_info(2, 1, F(101, 100), PrecisionConfig(digits=30, max_terms=100))
     assert [memo.cache_info() for memo in memos] == before
 
 
