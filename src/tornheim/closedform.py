@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import DivergenceError, DomainError
@@ -62,6 +63,7 @@ __all__ = [
 ALT_ZETA_AT_ZERO = Fraction(-1, 2)
 
 MAX_TABLE_WEIGHT = 15
+CLOSED_MEMO_SIZE = 1024  # double_euler_closed entries; table --weight 15 needs 196
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,20 @@ def double_euler_closed(
 
     alt_zero overrides the zeta(0; -1) constant; it exists so the
     adjudication between -1/2 and +1/2 stays testable.
+
+    Results are memoized by _double_closed_memo (CLOSED_MEMO_SIZE entries,
+    keyed by the validated arguments with defaults filled in, so rejected
+    input is never cached); repeat calls return the same ZetaExpression,
+    which is safe because expressions are immutable.
     """
     _validate_double(s, t, sigma, tau)
+    return _double_closed_memo(s, t, sigma, tau, Fraction(alt_zero))
+
+
+@lru_cache(maxsize=CLOSED_MEMO_SIZE)
+def _double_closed_memo(
+    s: int, t: int, sigma: int, tau: int, alt_zero: Fraction
+) -> ZetaExpression:
     if t == 1 and tau == 1:
         if sigma == 1:
             # (s/2) zeta(s+1) - 1/2 sum_{k=2}^{s-1} zeta(k) zeta(s+1-k)

@@ -197,7 +197,12 @@ class ZetaExpression:
     """Sparse Q-linear combination of ZetaMonomial, always canonical.
 
     Construction merges duplicate monomials and drops zero coefficients, so
-    two expressions are equal iff their term maps are equal.
+    two expressions are equal iff their term maps are equal.  The ring
+    operations build their results through _trusted, which skips that
+    work: its callers pass an already merged dict whose coefficients are
+    all nonzero Fractions, and hand that dict over to the new expression.
+    Expressions are immutable, so results may be shared (see
+    closedform.double_euler_closed's memo).
     """
 
     __slots__ = ("_terms",)
@@ -216,6 +221,13 @@ class ZetaExpression:
         object.__setattr__(self, "_terms", merged)
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, terms: dict[ZetaMonomial, Fraction]) -> "ZetaExpression":
+        """An expression over an already canonical dict, taken as is."""
+        expr = object.__new__(cls)
+        object.__setattr__(expr, "_terms", terms)
+        return expr
 
     @classmethod
     def zero(cls) -> "ZetaExpression":
@@ -252,8 +264,10 @@ class ZetaExpression:
             return NotImplemented
         merged = dict(self._terms)
         for mono, coeff in other._terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
-        return ZetaExpression(merged)
+            acc = merged.pop(mono, 0) + coeff
+            if acc:
+                merged[mono] = acc
+        return ZetaExpression._trusted(merged)
 
     def __sub__(self, other: "ZetaExpression") -> "ZetaExpression":
         if not isinstance(other, ZetaExpression):
@@ -261,19 +275,21 @@ class ZetaExpression:
         return self + (-other)
 
     def __neg__(self) -> "ZetaExpression":
-        return ZetaExpression({m: -c for m, c in self._terms.items()})
+        return ZetaExpression._trusted({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: "ZetaExpression | Fraction | int") -> "ZetaExpression":
         if isinstance(other, (Fraction, int)):
             c = Fraction(other)
-            return ZetaExpression({m: c * v for m, v in self._terms.items()})
+            if not c:
+                return ZetaExpression._trusted({})
+            return ZetaExpression._trusted({m: c * v for m, v in self._terms.items()})
         if isinstance(other, ZetaExpression):
             out: dict[ZetaMonomial, Fraction] = {}
             for m1, c1 in self._terms.items():
                 for m2, c2 in other._terms.items():
                     mono = m1 * m2
-                    out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-            return ZetaExpression(out)
+                    out[mono] = out.get(mono, 0) + c1 * c2
+            return ZetaExpression._trusted({m: c for m, c in out.items() if c})
         return NotImplemented
 
     __rmul__ = __mul__

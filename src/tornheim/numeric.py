@@ -749,7 +749,9 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
       g2=+1, s2>1:  P(m-1) = zeta(s2) - EM-expansion of sum_{n>=m} n^(-s2)
       g2=-1:        P(m-1) = zeta(s2;-1) - (-1)^m * Boole expansion W(m)
     Each expansion term lands on a plain/alternating (log-)power tail handled
-    by Euler-Maclaurin or Boole summation.
+    by Euler-Maclaurin or Boole summation.  The expansion coefficients grow
+    factorially, so each tail is summed to goal / (8 max(1, |coefficient|)):
+    its error stays below goal / 8 after the multiplication.
     """
     s1 = _as_signed(first)
     s2 = _as_signed(second)
@@ -783,8 +785,11 @@ def _double_memo(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> m
 
 
 def _double_euler_at(a1: int, g1: int, a2: int, g2: int, n: int, prec: PrecisionConfig) -> mpf:
+    # Each tail is multiplied by an expansion coefficient c that grows
+    # factorially, so it is asked for eps/max(1, |c|), not eps.
     eps = prec.goal() / 8
-    ts = lambda w, logf=False: (_tail_plain if g1 == 1 else _tail_alt)(w, n, logf, eps=eps)
+    tail_fn = _tail_plain if g1 == 1 else _tail_alt
+    ts = lambda w, c=1, logf=False: tail_fn(w, n, logf, eps=eps / max(1, abs(c)))
     prefix = mpf(0)
     main = mpf(0)
     for m in range(1, n + 1):
@@ -794,37 +799,40 @@ def _double_euler_at(a1: int, g1: int, a2: int, g2: int, n: int, prec: Precision
             main += sg1 * mpf(m) ** (-a1) * prefix
         prefix += sg2 * mpf(m) ** (-a2)
     if g2 == 1 and a2 == 1:
-        tail = ts(a1, True) + mp.euler * ts(a1) - ts(a1 + 1) / 2
+        tail = ts(a1, logf=True) + mp.euler * ts(a1) - ts(a1 + 1) / 2
         for j in range(1, 200):
-            c = bernoulli(2 * j) / (2 * j)
-            term = _frac_mpf(c) * ts(a1 + 2 * j)
+            c = _frac_mpf(bernoulli(2 * j) / (2 * j))
+            term = c * ts(a1 + 2 * j, c)
             tail -= term
             if abs(term) <= eps:
                 break
         else:
             raise _TailDiverged
     elif g2 == 1:
-        tail = classical_zeta(a2, 1, prec) * ts(a1)
+        z = classical_zeta(a2, 1, prec)
+        tail = z * ts(a1, z)
         tail -= ts(a1 + a2 - 1) / (a2 - 1)
         tail -= ts(a1 + a2) / 2
         for j in range(1, 200):
             c = _frac_mpf(bernoulli(2 * j)) / mp.factorial(2 * j) * mp.rf(a2, 2 * j - 1)
-            term = c * ts(a1 + a2 + 2 * j - 1)
+            term = c * ts(a1 + a2 + 2 * j - 1, c)
             tail -= term
             if abs(term) <= eps:
                 break
         else:
             raise _TailDiverged
     else:
-        tail = classical_zeta(a2, -1, prec) * ts(a1)
+        z = classical_zeta(a2, -1, prec)
+        tail = z * ts(a1, z)
         # the (-1)^m in the inner expansion flips the outer parity
-        tx = lambda w: (_tail_plain if g1 == -1 else _tail_alt)(w, n, eps=eps)
+        tx_fn = _tail_plain if g1 == -1 else _tail_alt
+        tx = lambda w, c: tx_fn(w, n, eps=eps / max(1, abs(c)))
         for k in range(0, 300):
             e = _euler_at_zero(k)
             if e == 0:
                 continue
             c = _frac_mpf(e) / mp.factorial(k) * mpf(-1) ** k * mp.rf(a2, k) / 2
-            term = c * tx(a1 + a2 + k)
+            term = c * tx(a1 + a2 + k, c)
             tail -= term
             if abs(term) <= eps and k >= 3:
                 break

@@ -1,5 +1,6 @@
 """CLI behavior: output shapes, JSON round-trips, exit codes."""
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -329,6 +330,17 @@ def test_table_json(capsys):
         for row in rows
     }
     assert lookup[("R", 2, 1, 2)] == KNOWN_VALUES[("R", 2, 1, 2)]
+
+
+# SHA-256 of `table --weight 15` stdout; pins every row's render() string.
+TABLE_15_SHA256 = "a19d56736e4c12f5c0cb0346114179c127bd51d4c87dd577ebff36e212997eb2"
+
+
+def test_table_weight_15_golden(capsys):
+    rc, out, _ = run(capsys, "table", "--weight", "15")
+    assert rc == 0
+    assert len(out.splitlines()) == 756  # one row per (variant, r, s, t)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE_15_SHA256
 
 
 def test_table_weight_guard(capsys):

@@ -3,8 +3,9 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
+from tornheim import closedform
 from tornheim.closedform import (
     ALT_ZETA_AT_ZERO,
     KNOWN_VALUES,
@@ -126,6 +127,26 @@ def test_double_closed_vs_numeric_sweep():
     assert checked == 42
 
 
+def test_double_closed_vs_numeric_at_high_precision():
+    """All four sign pairs at 60 and 120 digits: the classical route meets
+    its own goal, not only at the 30 digits above."""
+    for digits in (60, 120):
+        prec = PrecisionConfig(digits=digits)
+        ref_prec = PrecisionConfig(digits=digits + 20)
+        for s, t in [(2, 1), (1, 2), (3, 2), (2, 3), (4, 3), (3, 4), (6, 1)]:
+            for sigma in (1, -1):
+                for tau in (1, -1):
+                    if sigma == 1 and s < 2:
+                        continue
+                    ref = expr_numeric(double_euler_closed(s, t, sigma, tau), ref_prec)
+                    direct = classical_double_euler(
+                        SignedIndex(s, sigma), SignedIndex(t, tau), prec
+                    )
+                    with mp.workdps(ref_prec.working_dps):
+                        err = abs(direct - ref)
+                    assert err <= prec.goal(), (digits, s, t, sigma, tau, err)
+
+
 @pytest.mark.parametrize("r,s,t", [(1, 1, 1), (2, 1, 2), (1, 3, 3), (2, 2, 3)])
 @pytest.mark.parametrize("variant", ["T", "S", "R"])
 def test_tornheim_closed_vs_numeric(r, s, t, variant):
@@ -157,6 +178,25 @@ def test_bad_arguments_rejected():
         double_euler_closed(2, 1, 2, 1)
     with pytest.raises(DomainError, match="variant"):
         tornheim_closed(1, 1, 1, "X")
+
+
+def test_double_closed_memo_is_bounded_counts_hits_and_skips_rejected_input():
+    memo = closedform._double_closed_memo
+    assert memo.cache_info().maxsize == closedform.CLOSED_MEMO_SIZE
+    first = double_euler_closed(4, 3, -1, 1)
+    hits = memo.cache_info().hits
+    # defaults and explicit arguments share one entry, and the entry is shared
+    assert double_euler_closed(4, 3, sigma=-1) is first
+    assert memo.cache_info().hits == hits + 1
+    assert double_euler_closed(2, 1) is double_euler_closed(2, 1, 1, 1)
+    before = memo.cache_info()
+    with pytest.raises(DomainError):
+        double_euler_closed(2, 2)
+    with pytest.raises(DivergenceError):
+        double_euler_closed(1, 2)
+    with pytest.raises(DomainError):
+        double_euler_closed(2, 1, 2, 1)
+    assert memo.cache_info() == before
 
 
 # ----------------------------------------------------------------------

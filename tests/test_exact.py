@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from tornheim.errors import DivergenceError, DomainError
@@ -190,6 +192,26 @@ def test_canonicalize_idempotent():
         e = _random_expr(rng)
         assert canonicalize(e) == e
         assert canonicalize(canonicalize(e)) == canonicalize(e)
+
+
+_MONOMIALS = st.builds(
+    ZetaMonomial,
+    pi_exponent=st.integers(0, 3),
+    log2_exponent=st.integers(0, 2),
+    odd_zeta_factors=st.lists(st.sampled_from([3, 5, 7]), max_size=2).map(tuple),
+)
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_EXPRESSIONS = st.dictionaries(_MONOMIALS, _COEFFS, max_size=5).map(ZetaExpression)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_EXPRESSIONS, _EXPRESSIONS, _COEFFS | st.integers(-3, 3))
+def test_ring_operations_return_canonical_expressions(a, b, c):
+    """Ring results skip re-canonicalization; each must already be canonical."""
+    for result in (a + b, a - b, -a, a * b, a * c, c * a):
+        assert result == canonicalize(result)
+        assert all(type(coeff) is Fraction and coeff != 0 for _, coeff in result.terms())
+    assert (a * 0).is_zero() and (a - a).is_zero()
 
 
 # ---------------------------------------------------------------- rendering

@@ -433,6 +433,16 @@ def test_double_euler_known_constants():
         assert abs(got - expected) < mpf(10) ** -33
 
 
+def test_double_euler_meets_goal_at_high_precision():
+    """zeta(2, 1) = zeta(3) within the goal at 60, 120 and 250 digits."""
+    for digits in (60, 120, 250):
+        prec = PrecisionConfig(digits=digits)
+        got = classical_double_euler(2, 1, prec)
+        with mp.workdps(digits + 40):
+            err = abs(got - mpmath.zeta(3))
+        assert err <= prec.goal(), (digits, err)
+
+
 def test_double_euler_stuffle_product():
     # zeta(a;x) zeta(b;y) = zeta(a,b;x,y) + zeta(b,a;y,x) + zeta(a+b;xy)
     p = PrecisionConfig(digits=30)
