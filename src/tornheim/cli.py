@@ -31,6 +31,7 @@ from .errors import DomainError, PrecisionError, TornheimError
 from .exact import SignedIndex, as_rational, expr_numeric, expression_from_json, expression_to_json
 from .numeric import (
     PrecisionConfig,
+    _xm,
     classical_double_euler,
     classical_zeta,
     evaluate_reduction,
@@ -71,7 +72,7 @@ def _tolerance(args, default):
     """The parsed --tolerance as an mpf at the current precision, else default."""
     if args.tolerance is None:
         return default
-    return mpf(args.tolerance.numerator) / args.tolerance.denominator
+    return _xm(args.tolerance)
 
 
 def _fmt_bound(x) -> str:

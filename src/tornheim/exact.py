@@ -394,18 +394,18 @@ def expr_numeric(expr: ZetaExpression, prec=None):
     """Evaluate an expression to an mpf at the configured precision.
 
     pi and log 2 come from mpmath constants; odd zeta values from the
-    package's own Euler-Maclaurin evaluator (not mpmath.zeta, which is
-    reserved as an independent oracle in the tests).
+    package's own classical_zeta (Borwein's alternating series, not
+    mpmath.zeta, which is reserved as an independent oracle in the tests).
     """
     from mpmath import mp, mpf
 
-    from .numeric import PrecisionConfig, classical_zeta
+    from .numeric import PrecisionConfig, _xm, classical_zeta
 
     prec = prec or PrecisionConfig()
     with mp.workdps(prec.working_dps):
         total = mpf(0)
         for mono, coeff in expr.terms():
-            val = mpf(coeff.numerator) / coeff.denominator
+            val = _xm(coeff)
             if mono.pi_exponent:
                 val *= mp.pi ** mono.pi_exponent
             if mono.log2_exponent:

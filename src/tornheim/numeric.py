@@ -16,16 +16,17 @@ truncation point with a proven geometric tail bound is computed up front:
                                        the triangle u + v <= W by one
                                        big-integer product
 
-classical side.  Euler-Maclaurin summation for plain tails and Boole
-summation (Euler polynomial values E_k(0)) for alternating tails, both with
-log-factor variants, give
+classical side.  Geometric-rate series with tails bounded in closed form:
 
-    classical_zeta(s, sign)        zeta(s; sign), EM / Boole with remainder
-                                   bounded by the first omitted term
-    classical_double_euler(a, b)   zeta(s1, s2; g1, g2) = sum_{m>n>=1} ...,
-                                   prefix sum to N plus tail corrections from
-                                   the asymptotic expansion of the inner
-                                   prefix (harmonic, EM, or Boole form)
+    classical_zeta(s, sign)        zeta(s; sign), s > 0, by P. Borwein's
+                                   acceleration of eta(s): error at most
+                                   2 (3+sqrt 8)^-n after n terms, divided by
+                                   |1 - 2^(1-s)| for sign +1
+    classical_double_euler(a, b)   zeta(s1, s2; g1, g2) = sum_{m>n>=1} ..., its
+                                   iterated integral split at 1/2 (Borwein,
+                                   Bradley, Broadhurst, Lisonek): L + 1
+                                   products of series at 1/2, error at most
+                                   3 (L+1) 2^-N after N terms, L = s1 + s2
 
 The q-kernels share one recurrence: _qterms yields q^(e k) / [k]^x with
 [k] from a running power of q.  It fills one memoized q-term table
@@ -40,8 +41,9 @@ functools.lru_cache(MEMO_SIZE) on private functions (_zeta_memo,
 _double_memo, _qterm_memo) that the public ones call after validating their
 input; cache_info() reports the hits, as it does for the table's _stream.
 
-All mpf results are computed at digits + 15 working precision, and every
-q-kernel reports truncation plus a proven rounding allowance, raising
+All mpf results are computed at digits + 15 working precision.  Every
+q-kernel and both classical kernels plan their cutoff from the goal up
+front, bound truncation plus a proven rounding allowance, and raise
 PrecisionError when that exceeds the goal.
 tornheim_q sums its triangle by Kronecker substitution: the rescaled
 factors sigma^u q^(ru)/[u]^r and tau^v q^(sv)/[v]^s are read from the
@@ -67,7 +69,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DivergenceError, DomainError, PrecisionError
-from .exact import SignedIndex, bernoulli
+from .exact import SignedIndex
 from .reduction import VARIANT_SIGNS, DoubleQZeta, PhiTerm, QSquaredZeta, corollary1_reduce
 
 __all__ = [
@@ -138,9 +140,7 @@ class QParam:
             raise DomainError(f"QParam: q must be > 1, got {self.value}")
 
     def to_mpf(self) -> mpf:
-        if isinstance(self.value, Fraction):
-            return mpf(self.value.numerator) / self.value.denominator
-        return mpf(self.value)
+        return _xm(self.value)
 
     def to_float(self) -> float:
         return float(self.value)
@@ -592,106 +592,12 @@ def tornheim_q(
 
 
 # ----------------------------------------------------------------------
-# classical side: Euler-Maclaurin / Boole tail machinery
+# classical side: Borwein's alternating series and the split at 1/2
 # ----------------------------------------------------------------------
 
-class _TailDiverged(Exception):
-    """Asymptotic tail series failed to reach the target at this N."""
-
-
-@lru_cache(maxsize=None)
-def _euler_at_zero(k: int) -> Fraction:
-    """Euler polynomial value E_k(0): 1 for k=0, else -2(2^(k+1)-1)B_(k+1)/(k+1)."""
-    if k == 0:
-        return Fraction(1)
-    return -Fraction(2) * (2 ** (k + 1) - 1) * bernoulli(k + 1) / (k + 1)
-
-
-def _frac_mpf(f: Fraction) -> mpf:
-    return mpf(f.numerator) / f.denominator
-
-
-class _LogDeriv:
-    """Derivatives of f(x) = x^(-w) (A log x + B) by the exact recurrence
-    (A, B) -> (-(w+j) A, A - (w+j) B); f^(j)(x) = x^(-w-j)(A_j log x + B_j)."""
-
-    def __init__(self, w: mpf, log_factor: bool) -> None:
-        self.w = w
-        self.order = 0
-        self.a = mpf(1) if log_factor else mpf(0)
-        self.b = mpf(0) if log_factor else mpf(1)
-
-    def advance_to(self, order: int) -> None:
-        while self.order < order:
-            wj = self.w + self.order
-            self.a, self.b = -wj * self.a, self.a - wj * self.b
-            self.order += 1
-
-    def eval_at(self, xa: mpf, log_xa: mpf) -> mpf:
-        return xa ** (-self.w - self.order) * (self.a * log_xa + self.b)
-
-
-def _tail_plain(w, n: int, log_factor: bool = False, eps: mpf | None = None) -> mpf:
-    """sum_{m>n} m^(-w) (log m)^[0 or 1] by Euler-Maclaurin at a = n+1.
-
-    Requires w > 1.  For the pure power case the remainder is bounded by the
-    first omitted term (derivatives of x^(-w) alternate in a fixed pattern);
-    the log variant is validated against direct summation in the tests.
-    """
-    wm = _xm(w)
-    if not wm > 1:
-        raise DomainError(f"_tail_plain: requires w > 1, got {w}")
-    eps = eps if eps is not None else mpf(10) ** (-(mp.dps - 2))
-    a = mpf(n + 1)
-    log_a = mp.log(a)
-    if log_factor:
-        integral = a ** (1 - wm) * (log_a / (wm - 1) + 1 / (wm - 1) ** 2)
-    else:
-        integral = a ** (1 - wm) / (wm - 1)
-    d = _LogDeriv(wm, log_factor)
-    total = integral + d.eval_at(a, log_a) / 2
-    prev = None
-    for k in range(1, 300):
-        d.advance_to(2 * k - 1)
-        term = -_frac_mpf(bernoulli(2 * k)) / mp.factorial(2 * k) * d.eval_at(a, log_a)
-        total += term
-        mag = abs(term)
-        if mag <= eps:
-            return total
-        if prev is not None and mag > 4 * prev:
-            raise _TailDiverged
-        prev = mag
-    raise _TailDiverged
-
-
-def _tail_alt(w, n: int, log_factor: bool = False, eps: mpf | None = None) -> mpf:
-    """sum_{m>n} (-1)^m m^(-w) (log m)^[0 or 1] by Boole summation at a = n+1:
-    (-1)^a / 2 * sum_k E_k(0)/k! f^(k)(a).  Requires w > 0."""
-    wm = _xm(w)
-    if not wm > 0:
-        raise DomainError(f"_tail_alt: requires w > 0, got {w}")
-    eps = eps if eps is not None else mpf(10) ** (-(mp.dps - 2))
-    a = mpf(n + 1)
-    log_a = mp.log(a)
-    d = _LogDeriv(wm, log_factor)
-    total = mpf(0)
-    prev = None
-    for k in range(0, 400):
-        e = _euler_at_zero(k)
-        if e == 0:
-            continue
-        d.advance_to(k)
-        term = _frac_mpf(e) / mp.factorial(k) * d.eval_at(a, log_a)
-        total += term
-        mag = abs(term)
-        if mag <= eps and k >= 3:
-            break
-        if prev is not None and mag > 4 * prev and k > 8:
-            raise _TailDiverged
-        prev = mag
-    else:
-        raise _TailDiverged
-    return mpf(-1) ** (n + 1) / 2 * total
+def _rdiv(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer (b > 0), off by at most 1/2."""
+    return (2 * a + b) // (2 * b)
 
 
 def classical_zeta(s, sign: int = 1, prec: PrecisionConfig | None = None) -> mpf:
@@ -699,6 +605,8 @@ def classical_zeta(s, sign: int = 1, prec: PrecisionConfig | None = None) -> mpf
     negated eta function).
 
     sign=+1 needs s > 1; sign=-1 needs s >= 1, with zeta(1; -1) = -log 2.
+    Raises PrecisionError when the a-priori cutoff exceeds max_terms or the
+    proven bound misses the goal (see _zeta_memo).
     """
     _sign_ok(sign)
     prec = _as_prec(prec)
@@ -711,22 +619,44 @@ def classical_zeta(s, sign: int = 1, prec: PrecisionConfig | None = None) -> mpf
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _zeta_memo(s, sign: int, prec: PrecisionConfig) -> mpf:
+    """Borwein's acceleration of eta(s) = sum_{k>=0} (-1)^k a_k, a_k = (k+1)^-s.
+
+    For real s > 0, a_k = int_0^1 x^k dmu with dmu = (-log x)^(s-1) dx /
+    Gamma(s) >= 0.  With d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), the
+    partial sums of |coefficients| of T_n(1-2x) (so d_n = T_n(3)),
+    sum_{k<n} (-1)^k (1 - d_k/d_n) a_k differs from eta(s) by
+    int T_n(1-2x) / (d_n (1+x)) dmu, at most eta(s)/d_n < 2 (3+sqrt 8)^-n
+    (P. Borwein 2000; Cohen, Rodriguez Villegas and Zagier 2000).
+    zeta(s; -1) = -eta(s), and zeta(s) = eta(s) / (1 - 2^(1-s)) divides that
+    bound by |1 - 2^(1-s)|.
+
+    The a_k are B-bit fixed-point ints within 3/4 (as in _stream_terms), taken
+    at B + 8 + bitlen(|s| ln n) bits, where rounding s moves k^-s by at most
+    2^-(B+8).  The weighted sum is exact and its division by d_n floors: the
+    rounding is at most (3n/4 + 1) 2^-B.  The divisor c = -1 or 1 - 2^(1-s),
+    at working precision prec, errs by at most 2^(2-prec)/|c| relative and
+    adds 2^(3-prec) |value|; both allowances are divided by |c|.
+    """
     with mp.workdps(prec.working_dps):
-        sm = _xm(s)
         goal = prec.goal()
-        n = max(16, int(0.6 * prec.working_dps) + 8)
-        for _ in range(6):
-            _budget(n, prec, "classical_zeta")
-            try:
-                partial = mpf(0)
-                for m in range(1, n + 1):
-                    term = mpf(m) ** (-s) if isinstance(s, int) else mp.power(mpf(m), -sm)
-                    partial += term if (sign == 1 or m % 2 == 0) else -term
-                tail = (_tail_plain if sign == 1 else _tail_alt)(sm, n, eps=goal / 4)
-                return partial + tail
-            except _TailDiverged:
-                n *= 2
-    raise PrecisionError(f"classical_zeta: no convergence for s={s}, sign={sign}")
+        divisor = mpf(-1) if sign == -1 else 1 - mp.power(2, 1 - _xm(s))
+        n = max(1, int(mp.ceil(mp.log(4 / (goal * abs(divisor))) / mp.log(3 + mp.sqrt(8)))))
+        _budget(n, prec, "classical_zeta")
+        bits = mp.prec + STREAM_GUARD
+        with mp.workprec(bits + 8 + _ceil_bits(abs(_xm(s)) * mp.log(n + 1))):
+            fixed = [(to_fixed(_pow(mpf(k), -s)._mpf_, bits + 1) + 1) >> 1
+                     for k in range(1, n + 1)]
+        coeff, d = 1, [1]  # d[k] = d_k, summed coefficient by coefficient
+        for i in range(n):
+            coeff = coeff * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
+            d.append(d[-1] + coeff)
+        total = sum((d[n] - d[k]) * (a if k % 2 == 0 else -a) for k, a in enumerate(fixed))
+        value = _fixed_mpf(total // d[n], bits) / divisor
+        truncation = 1 / (d[n] * abs(divisor))
+        rounding = (mp.ldexp(mpf(3 * n + 4) / 4, -bits)
+                    + mp.ldexp(abs(value), 3 - mp.prec)) / abs(divisor)
+        _bound("classical_zeta", value, truncation, rounding, goal)
+        return value
 
 
 def _as_signed(x) -> SignedIndex:
@@ -742,16 +672,8 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
 
     Arguments are SignedIndex (or plain ints, meaning sign +1).  Convergence
     preconditions: s1 >= 2 when g1 = +1, s1 >= 1 when g1 = -1, s2 >= 1.
-
-    Algorithm: exact prefix sum for m <= N, then sum_{m>N} g1^m m^(-s1) P(m-1)
-    with the inner prefix P replaced by its asymptotic expansion:
-      g2=+1, s2=1:  P(m-1) = log m + euler_gamma - 1/(2m) - sum B_2j/(2j) m^(-2j)
-      g2=+1, s2>1:  P(m-1) = zeta(s2) - EM-expansion of sum_{n>=m} n^(-s2)
-      g2=-1:        P(m-1) = zeta(s2;-1) - (-1)^m * Boole expansion W(m)
-    Each expansion term lands on a plain/alternating (log-)power tail handled
-    by Euler-Maclaurin or Boole summation.  The expansion coefficients grow
-    factorially, so each tail is summed to goal / (8 max(1, |coefficient|)):
-    its error stays below goal / 8 after the multiplication.
+    Summed by the split of its iterated integral at 1/2 (_double_memo); raises
+    PrecisionError when the cutoff exceeds max_terms or the bound the goal.
     """
     s1 = _as_signed(first)
     s2 = _as_signed(second)
@@ -769,76 +691,64 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
     return _double_memo(a1, g1, a2, g2, prec)
 
 
+def _half_values(letters, n: int, bits: int) -> list[int]:
+    """I(0 -> 1/2; word) for the words built by applying letters one at a
+    time to the constant 1, the empty word first, each as an int V with
+    value V 2^-(bits+n).
+
+    A word's power series sum_k f_k x^k (f_0 = 0 unless the word is empty)
+    is kept to k <= n as bits-bit fixed-point ints.  Letter c != 0 is
+    dt/(c - t): h_k = (f_k + h_(k-1))/c, then f'_(k+1) = h_k/(k+1); letter 0
+    is dt/t: f'_k = f_k/k.  With every |c| >= 1, each |f_k| <= 1, so the
+    series at 1/2 is within 2^-n of its part k <= n.  Each letter adds at
+    most 3/2 units to the error of every coefficient (c = +-1 divides
+    exactly, c = 2 rounds h_k), so a word of j letters evaluates within
+    2^-n + 3j/2 2^-bits.
+    """
+    f = [1 << bits] + [0] * n
+    values = [f[0] << n]
+    for c in letters:
+        if c == 0:
+            f = [0] + [_rdiv(fk, k) for k, fk in enumerate(f[1:], 1)]
+        else:
+            h, g = 0, [0]
+            for k, fk in enumerate(f[:-1]):
+                h = (fk + h) * c if c in (1, -1) else _rdiv(fk + h, c)
+                g.append(_rdiv(h, k + 1))
+            f = g
+        values.append(sum(fk << (n - k) for k, fk in enumerate(f)))
+    return values
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _double_memo(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> mpf:
+    """zeta(a1, a2; g1, g2) = I(0 -> 1; w), w = w_1..w_L = 0^(a1-1) g1 0^(a2-1)
+    g1g2 in the letters of _half_values, split at 1/2 (Borwein, Bradley,
+    Broadhurst and Lisonek 2001): zeta = sum_{j<=L} A_j B_j with
+    B_j = I(0 -> 1/2; w_(j+1)..w_L) and A_j = I(1/2 -> 1; w_1..w_j).  Reversing
+    the path and putting t = 1 - u gives A_j = (-1)^(j + #{i <= j: w_i in
+    {0, 1}}) I(0 -> 1/2; w_j'..w_1'), where 0' = 1 and c' = 1 - c.  Every
+    letter c != 0 has |c| >= 1, so |A_j|, |B_j| <= 1, each is within
+    delta = 2^-N + 3L/2 2^-B of its computed value, and the exact sum of the
+    products is within 3 (L+1) delta: truncation 3 (L+1) 2^-N and rounding
+    9/2 L (L+1) 2^-B at B = prec + STREAM_GUARD bits, then rounded once.
+    """
+    word = [0] * (a1 - 1) + [g1] + [0] * (a2 - 1) + [g1 * g2]
+    size = len(word)
     with mp.workdps(prec.working_dps):
-        n = max(64, int(2.2 * prec.working_dps))
-        for _ in range(4):
-            _budget(n, prec, "classical_double_euler")
-            try:
-                return _double_euler_at(a1, g1, a2, g2, n, prec)
-            except _TailDiverged:
-                n *= 2
-    raise PrecisionError(
-        f"classical_double_euler: no convergence for {SignedIndex(a1, g1)}, {SignedIndex(a2, g2)}"
-    )
-
-
-def _double_euler_at(a1: int, g1: int, a2: int, g2: int, n: int, prec: PrecisionConfig) -> mpf:
-    # Each tail is multiplied by an expansion coefficient c that grows
-    # factorially, so it is asked for eps/max(1, |c|), not eps.
-    eps = prec.goal() / 8
-    tail_fn = _tail_plain if g1 == 1 else _tail_alt
-    ts = lambda w, c=1, logf=False: tail_fn(w, n, logf, eps=eps / max(1, abs(c)))
-    prefix = mpf(0)
-    main = mpf(0)
-    for m in range(1, n + 1):
-        sg1 = 1 if (g1 == 1 or m % 2 == 0) else -1
-        sg2 = 1 if (g2 == 1 or m % 2 == 0) else -1
-        if m >= 2:
-            main += sg1 * mpf(m) ** (-a1) * prefix
-        prefix += sg2 * mpf(m) ** (-a2)
-    if g2 == 1 and a2 == 1:
-        tail = ts(a1, logf=True) + mp.euler * ts(a1) - ts(a1 + 1) / 2
-        for j in range(1, 200):
-            c = _frac_mpf(bernoulli(2 * j) / (2 * j))
-            term = c * ts(a1 + 2 * j, c)
-            tail -= term
-            if abs(term) <= eps:
-                break
-        else:
-            raise _TailDiverged
-    elif g2 == 1:
-        z = classical_zeta(a2, 1, prec)
-        tail = z * ts(a1, z)
-        tail -= ts(a1 + a2 - 1) / (a2 - 1)
-        tail -= ts(a1 + a2) / 2
-        for j in range(1, 200):
-            c = _frac_mpf(bernoulli(2 * j)) / mp.factorial(2 * j) * mp.rf(a2, 2 * j - 1)
-            term = c * ts(a1 + a2 + 2 * j - 1, c)
-            tail -= term
-            if abs(term) <= eps:
-                break
-        else:
-            raise _TailDiverged
-    else:
-        z = classical_zeta(a2, -1, prec)
-        tail = z * ts(a1, z)
-        # the (-1)^m in the inner expansion flips the outer parity
-        tx_fn = _tail_plain if g1 == -1 else _tail_alt
-        tx = lambda w, c: tx_fn(w, n, eps=eps / max(1, abs(c)))
-        for k in range(0, 300):
-            e = _euler_at_zero(k)
-            if e == 0:
-                continue
-            c = _frac_mpf(e) / mp.factorial(k) * mpf(-1) ** k * mp.rf(a2, k) / 2
-            term = c * tx(a1 + a2 + k, c)
-            tail -= term
-            if abs(term) <= eps and k >= 3:
-                break
-        else:
-            raise _TailDiverged
-    return main + tail
+        goal = prec.goal()
+        n = _ceil_bits(6 * (size + 1) / goal)
+        _budget(n, prec, "classical_double_euler")
+        bits = mp.prec + STREAM_GUARD
+        tails = _half_values(reversed(word), n, bits)
+        heads = _half_values([1 if c == 0 else 1 - c for c in word], n, bits)
+        signs = accumulate((1 if c in (0, 1) else -1 for c in word), mul, initial=1)
+        total = sum(g * a * b for g, a, b in zip(signs, heads, reversed(tails)))
+        value = _fixed_mpf(total, 2 * (bits + n))
+        truncation = mp.ldexp(mpf(3 * (size + 1)), -n)
+        rounding = mp.ldexp(mpf(9 * size * (size + 1)) / 2, -bits)
+        _bound("classical_double_euler", value, truncation, rounding, goal)
+        return value
 
 
 # ----------------------------------------------------------------------
@@ -854,7 +764,7 @@ def tornheim_classical(r: int, s: int, t: int, variant: str = "T",
     with mp.workdps(prec.working_dps):
         total = mpf(0)
         for coeff, outer, inner in terms:
-            total += _frac_mpf(coeff) * classical_double_euler(outer, inner, prec)
+            total += _xm(coeff) * classical_double_euler(outer, inner, prec)
         return total
 
 
@@ -886,7 +796,7 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
         for coeff, kind in reduction.terms:
             if not isinstance(kind, (DoubleQZeta, PhiTerm, QSquaredZeta)):
                 raise DomainError(f"evaluate_reduction: unknown term kind {kind!r}")
-            total += _frac_mpf(coeff) * _qterm_memo(kind, qp, prec)
+            total += _xm(coeff) * _qterm_memo(kind, qp, prec)
         return total
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb
 
 from .errors import DomainError
 from .exact import SignedIndex, as_rational
@@ -70,24 +70,21 @@ VARIANT_SIGNS = {"T": (1, 1), "S": (-1, -1), "R": (1, -1)}
 # combinatorics
 # ----------------------------------------------------------------------
 
-def _binom(z: int, k: int) -> Fraction:
-    """Generalized binomial C(z, k) = z(z-1)...(z-k+1)/k! for k >= 0."""
+def _binom(z: int, k: int) -> int:
+    """Generalized binomial C(z, k) = z(z-1)...(z-k+1)/k! for k >= 0; for
+    z < 0 it is (-1)^k C(k-z-1, k)."""
     if k < 0:
         raise DomainError(f"binomial: k must be >= 0, got {k}")
-    num = 1
-    for i in range(k):
-        num *= z - i
-    return Fraction(num, factorial(k))
+    return comb(z, k) if z >= 0 else (-1) ** k * comb(k - z - 1, k)
 
 
-@lru_cache(maxsize=None)
 def trinomial(z: int, a: int, b: int) -> Fraction:
     """Trinomial coefficient C(z; a, b) = C(z, a) C(z-a, b).
 
     Can be zero when b exceeds z - a; zero-coefficient terms are kept by the
     expansions so that term counts depend only on the index ranges.
     """
-    return _binom(z, a) * _binom(z - a, b)
+    return Fraction(_binom(z, a) * _binom(z - a, b))
 
 
 # ----------------------------------------------------------------------
@@ -246,11 +243,6 @@ def lemma1_expand(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
     return tuple(terms)
 
 
-@lru_cache(maxsize=None)
-def _qint_exact(n: int, q: Fraction) -> Fraction:
-    return (q ** n - 1) / (q - 1)
-
-
 def verify_lemma1(r: int, s: int, u: int, v: int, q: Fraction | int | str) -> bool:
     """Exact rational check of the partial-fraction identity at one point."""
     if u < 1 or v < 1:
@@ -258,19 +250,15 @@ def verify_lemma1(r: int, s: int, u: int, v: int, q: Fraction | int | str) -> bo
     q = Fraction(q)
     if q == 1:
         raise DomainError("verify_lemma1: q must differ from 1")
-    lhs = 1 / (_qint_exact(u, q) ** r * _qint_exact(v, q) ** s)
+    qu, qv, quv = ((q ** n - 1) / (q - 1) for n in (u, v, u + v))
+    lhs = 1 / (qu ** r * qv ** s)
     rhs = Fraction(0)
     for term in lemma1_expand(r, s):
         if term.coefficient == 0:
             continue
         val = term.coefficient * (1 - q) ** term.one_minus_q_pow
         val *= q ** (term.q_power_u * u + term.q_power_v * v)
-        if term.denom_u_pow:
-            val /= _qint_exact(u, q) ** term.denom_u_pow
-        if term.denom_v_pow:
-            val /= _qint_exact(v, q) ** term.denom_v_pow
-        if term.denom_uv_pow:
-            val /= _qint_exact(u + v, q) ** term.denom_uv_pow
+        val /= qu ** term.denom_u_pow * qv ** term.denom_v_pow * quv ** term.denom_uv_pow
         rhs += val
     return lhs == rhs
 

@@ -197,6 +197,15 @@ def test_eval_precision_budget_exit_code(capsys):
     assert "max_terms" in err
 
 
+def test_eval_classical_precision_budget_exit_code(capsys):
+    rc, out, err = run(capsys, "eval", "zeta2", "4", "2", "--digits", "250",
+                       "--max-terms", "100")
+    assert rc == 4
+    assert out == ""
+    assert err.startswith("error: classical_double_euler:") and "max_terms=100" in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # reduce
 # ----------------------------------------------------------------------

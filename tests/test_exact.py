@@ -69,12 +69,12 @@ def test_zeta_even_as_pi_small(k, coeff):
 
 
 def test_zeta_even_as_pi_matches_mpmath_oracle():
-    mp.dps = 40
-    for k in range(2, 22, 2):
-        expr = zeta_even_as_pi(k)
-        ((mono, coeff),) = expr.terms()
-        approx = mpf(coeff.numerator) / coeff.denominator * mp.pi ** mono.pi_exponent
-        assert abs(approx - mpmath.zeta(k)) < mpf(10) ** -35
+    with mp.workdps(40):
+        for k in range(2, 22, 2):
+            expr = zeta_even_as_pi(k)
+            ((mono, coeff),) = expr.terms()
+            approx = mpf(coeff.numerator) / coeff.denominator * mp.pi ** mono.pi_exponent
+            assert abs(approx - mpmath.zeta(k)) < mpf(10) ** -35
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -100,11 +100,11 @@ def test_zeta_const_signed_values():
 
 
 def test_zeta_const_signed_matches_mpmath_oracle():
-    mp.dps = 40
-    for k in range(2, 12):
-        val = expr_numeric(zeta_const(k, -1))
-        oracle = (2 ** (1 - mpf(k)) - 1) * mpmath.zeta(k)
-        assert abs(val - oracle) < mpf(10) ** -30
+    with mp.workdps(40):
+        for k in range(2, 12):
+            val = expr_numeric(zeta_const(k, -1))
+            oracle = (2 ** (1 - mpf(k)) - 1) * mpmath.zeta(k)
+            assert abs(val - oracle) < mpf(10) ** -30
 
 
 # ---------------------------------------------------------------- SignedIndex
@@ -257,26 +257,27 @@ def test_json_golden_shape():
 # ---------------------------------------------------------------- numerics
 
 def test_expr_numeric_against_mpmath_oracle():
-    mp.dps = 40
-    # -(5/8) zeta(3)
-    e = ZetaExpression({ZetaMonomial(odd_zeta_factors=(3,)): F(-5, 8)})
-    assert abs(expr_numeric(e) - (-F(5, 8).numerator / mpf(8) * mpmath.zeta(3))) < mpf(10) ** -28
-    # pi^2/6 == zeta(2)
-    e2 = zeta_even_as_pi(2)
-    assert abs(expr_numeric(e2) - mpmath.zeta(2)) < mpf(10) ** -28
-    # mixed monomial pi^2 * log2 * zeta(3)^2
-    e3 = ZetaExpression({ZetaMonomial(2, 1, (3, 3)): F(1)})
-    oracle = mp.pi ** 2 * mp.log(2) * mpmath.zeta(3) ** 2
-    assert abs(expr_numeric(e3) - oracle) < mpf(10) ** -28
+    with mp.workdps(40):
+        # -(5/8) zeta(3)
+        e = ZetaExpression({ZetaMonomial(odd_zeta_factors=(3,)): F(-5, 8)})
+        assert abs(expr_numeric(e) - (-F(5, 8).numerator / mpf(8) * mpmath.zeta(3))) < mpf(10) ** -28
+        # pi^2/6 == zeta(2)
+        e2 = zeta_even_as_pi(2)
+        assert abs(expr_numeric(e2) - mpmath.zeta(2)) < mpf(10) ** -28
+        # mixed monomial pi^2 * log2 * zeta(3)^2
+        e3 = ZetaExpression({ZetaMonomial(2, 1, (3, 3)): F(1)})
+        oracle = mp.pi ** 2 * mp.log(2) * mpmath.zeta(3) ** 2
+        assert abs(expr_numeric(e3) - oracle) < mpf(10) ** -28
 
 
 def test_expr_numeric_is_linear():
     rng = random.Random(5)
     for _ in range(10):
         a, b = _random_expr(rng), _random_expr(rng)
-        lhs = expr_numeric(a + b)
-        rhs = expr_numeric(a) + expr_numeric(b)
-        assert abs(lhs - rhs) < mpf(10) ** -25
+        with mp.workdps(40):
+            lhs = expr_numeric(a + b)
+            rhs = expr_numeric(a) + expr_numeric(b)
+            assert abs(lhs - rhs) < mpf(10) ** -25
 
 
 def test_expr_numeric_zero():

@@ -1,4 +1,4 @@
-"""Tests for the numeric engines: q-series, EM/Boole tails, double eulers."""
+"""Tests for the numeric engines: q-series, classical zeta, double eulers."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -67,33 +67,34 @@ def test_q_int_values():
 
 def test_q_int_even_index_factorization():
     # [2m]_q = (q+1) [m]_{q^2}
-    mp.dps = 50
-    for q in (F(3, 2), F(2), F(3)):
-        for m in range(1, 51):
-            lhs = q_int(2 * m, q)
-            rhs = (QParam(q).to_mpf() + 1) * q_int(m, q * q)
-            assert abs(lhs - rhs) < mpf(10) ** -38 * lhs
+    with mp.workdps(50):
+        for q in (F(3, 2), F(2), F(3)):
+            for m in range(1, 51):
+                lhs = q_int(2 * m, q)
+                rhs = (QParam(q).to_mpf() + 1) * q_int(m, q * q)
+                assert abs(lhs - rhs) < mpf(10) ** -38 * lhs
 
 
 # ---------------------------------------------------------------- q_zeta1
 
 def test_q_zeta1_geometric_cases():
     # s = 0 collapses to a geometric series: sum sign^n q^(-n)
-    assert abs(q_zeta1(0, 1, 2, P30) - 1) < mpf(10) ** -33
-    assert abs(q_zeta1(0, -1, 2, P30) - (-mpf(1) / 3)) < mpf(10) ** -33
+    with mp.workdps(50):
+        assert abs(q_zeta1(0, 1, 2, P30) - 1) < mpf(10) ** -33
+        assert abs(q_zeta1(0, -1, 2, P30) - (-mpf(1) / 3)) < mpf(10) ** -33
 
 
 def test_q_zeta1_against_direct_oracle():
-    mp.dps = 50
-    for s, sign, q in [(2, 1, F(2)), (1, 1, F(2)), (3, -1, F(3, 2)), (F(5, 2), -1, F(3))]:
-        qm = mpf(F(q).numerator) / F(q).denominator
-        sm = mpf(F(s).numerator) / F(s).denominator
-        oracle = mpf(0)
-        for n in range(1, 400):
-            qint = (qm ** n - 1) / (qm - 1)
-            oracle += mpf(sign) ** n * qm ** ((sm - 1) * n) / qint ** sm
-        got = q_zeta1(s, sign, q, P30)
-        assert abs(got - oracle) < mpf(10) ** -30
+    with mp.workdps(50):
+        for s, sign, q in [(2, 1, F(2)), (1, 1, F(2)), (3, -1, F(3, 2)), (F(5, 2), -1, F(3))]:
+            qm = mpf(F(q).numerator) / F(q).denominator
+            sm = mpf(F(s).numerator) / F(s).denominator
+            oracle = mpf(0)
+            for n in range(1, 400):
+                qint = (qm ** n - 1) / (qm - 1)
+                oracle += mpf(sign) ** n * qm ** ((sm - 1) * n) / qint ** sm
+            got = q_zeta1(s, sign, q, P30)
+            assert abs(got - oracle) < mpf(10) ** -30
 
 
 def test_q_zeta1_tail_bound_is_honest():
@@ -110,22 +111,22 @@ def test_q_zeta1_budget_enforced():
 # ---------------------------------------------------------------- q_zeta2
 
 def test_q_zeta2_against_exchange_order_oracle():
-    mp.dps = 50
-    cases = [(2, 1, 1, -1), (1, -1, 1, -1), (3, 1, 2, 1), (F(5, 2), 1, 1, -1)]
-    qm = mpf(2)
-    for s1, g1, s2, g2 in cases:
-        s1m, s2m = mpf(F(s1).numerator) / F(s1).denominator, mpf(F(s2).numerator) / F(s2).denominator
-        oracle = mpf(0)
-        for m in range(2, 220):
-            qim = (qm ** m - 1) / (qm - 1)
-            outer = mpf(g1) ** m * qm ** ((s1m - 1) * m) / qim ** s1m
-            inner = mpf(0)
-            for n in range(1, m):
-                qin = (qm ** n - 1) / (qm - 1)
-                inner += mpf(g2) ** n * qm ** ((s2m - 1) * n) / qin ** s2m
-            oracle += outer * inner
-        got = q_zeta2(s1, g1, s2, g2, 2, P30)
-        assert abs(got - oracle) < mpf(10) ** -30
+    with mp.workdps(50):
+        cases = [(2, 1, 1, -1), (1, -1, 1, -1), (3, 1, 2, 1), (F(5, 2), 1, 1, -1)]
+        qm = mpf(2)
+        for s1, g1, s2, g2 in cases:
+            s1m, s2m = mpf(F(s1).numerator) / F(s1).denominator, mpf(F(s2).numerator) / F(s2).denominator
+            oracle = mpf(0)
+            for m in range(2, 220):
+                qim = (qm ** m - 1) / (qm - 1)
+                outer = mpf(g1) ** m * qm ** ((s1m - 1) * m) / qim ** s1m
+                inner = mpf(0)
+                for n in range(1, m):
+                    qin = (qm ** n - 1) / (qm - 1)
+                    inner += mpf(g2) ** n * qm ** ((s2m - 1) * n) / qin ** s2m
+                oracle += outer * inner
+            got = q_zeta2(s1, g1, s2, g2, 2, P30)
+            assert abs(got - oracle) < mpf(10) ** -30
 
 
 def test_q_zeta2_empty_truncation_is_zero():
@@ -137,15 +138,15 @@ def test_q_zeta2_empty_truncation_is_zero():
 # ---------------------------------------------------------------- phi_q
 
 def test_phi_q_first_term_vanishes():
-    mp.dps = 50
-    # direct oracle starting at n = 2
-    qm = mpf(2)
-    for s, sign in [(2, 1), (3, -1)]:
-        oracle = mpf(0)
-        for n in range(2, 400):
-            qint = (qm ** n - 1) / (qm - 1)
-            oracle += (n - 1) * mpf(sign) ** n * qm ** ((s - 1) * n) / qint ** s
-        assert abs(phi_q(s, sign, 2, P30) - oracle) < mpf(10) ** -30
+    with mp.workdps(50):
+        # direct oracle starting at n = 2
+        qm = mpf(2)
+        for s, sign in [(2, 1), (3, -1)]:
+            oracle = mpf(0)
+            for n in range(2, 400):
+                qint = (qm ** n - 1) / (qm - 1)
+                oracle += (n - 1) * mpf(sign) ** n * qm ** ((s - 1) * n) / qint ** s
+            assert abs(phi_q(s, sign, 2, P30) - oracle) < mpf(10) ** -30
 
 
 def test_phi_q_tail_bound_is_honest():
@@ -237,17 +238,17 @@ def test_q_kernels_against_prefix_sum_oracle(q, prec, extra):
 # ---------------------------------------------------------------- tornheim_q
 
 def test_tornheim_q_against_brute_oracle():
-    mp.dps = 50
-    qm = mpf(2)
-    r, s, t = 2, 1, 2
-    oracle = mpf(0)
-    for u in range(1, 130):
-        for v in range(1, 130):
-            qu = (qm ** u - 1) / (qm - 1)
-            qv = (qm ** v - 1) / (qm - 1)
-            quv = (qm ** (u + v) - 1) / (qm - 1)
-            oracle += qm ** ((r + t - 1) * u + (s + t - 1) * v) / (qu ** r * qv ** s * quv ** t)
-    assert abs(tornheim_q(r, s, t, 1, 1, 2, P30) - oracle) < mpf(10) ** -30
+    with mp.workdps(50):
+        qm = mpf(2)
+        r, s, t = 2, 1, 2
+        oracle = mpf(0)
+        for u in range(1, 130):
+            for v in range(1, 130):
+                qu = (qm ** u - 1) / (qm - 1)
+                qv = (qm ** v - 1) / (qm - 1)
+                quv = (qm ** (u + v) - 1) / (qm - 1)
+                oracle += qm ** ((r + t - 1) * u + (s + t - 1) * v) / (qu ** r * qv ** s * quv ** t)
+        assert abs(tornheim_q(r, s, t, 1, 1, 2, P30) - oracle) < mpf(10) ** -30
 
 
 def _brute_tornheim_q(r, s, t, sigma, tau, qm, n):
@@ -267,10 +268,10 @@ def test_tornheim_q_signed_against_brute_oracle():
     cases += [(2, 1, t, sigma, tau, 3, 100)
               for t in (-1, F(7, 3)) for sigma in (1, -1) for tau in (1, -1)]
     for r, s, t, sigma, tau, q, n in cases:
-        mp.dps = 50
-        oracle = _brute_tornheim_q(r, s, t, sigma, tau, mpf(F(q).numerator) / F(q).denominator, n)
-        got = tornheim_q(r, s, t, sigma, tau, q, P30)
-        assert abs(got - oracle) < mpf(10) ** -28, (r, s, t, sigma, tau, q)
+        with mp.workdps(50):
+            oracle = _brute_tornheim_q(r, s, t, sigma, tau, mpf(F(q).numerator) / F(q).denominator, n)
+            got = tornheim_q(r, s, t, sigma, tau, q, P30)
+            assert abs(got - oracle) < mpf(10) ** -28, (r, s, t, sigma, tau, q)
 
 
 def test_tornheim_q_symmetry_is_bit_exact():
@@ -319,15 +320,15 @@ def test_tornheim_q_float64_kernel_matches_mpf():
 
 def test_classical_zeta_against_oracles():
     p40 = PrecisionConfig(digits=40)
-    mp.dps = 60
-    assert abs(classical_zeta(2, 1, p40) - mp.pi ** 2 / 6) < mpf(10) ** -40
-    for s in (3, 5, 11, 2.5):
-        assert abs(classical_zeta(s, 1, p40) - mpmath.zeta(s)) < mpf(10) ** -40
-    # alternating: zeta(s;-1) = (2^(1-s)-1) zeta(s)
-    for s in (1.5, 2, 7):
-        oracle = (2 ** (1 - mpf(s)) - 1) * mpmath.zeta(s)
-        assert abs(classical_zeta(s, -1, p40) - oracle) < mpf(10) ** -40
-    assert abs(classical_zeta(1, -1, p40) + mp.log(2)) < mpf(10) ** -40
+    with mp.workdps(60):
+        assert abs(classical_zeta(2, 1, p40) - mp.pi ** 2 / 6) < mpf(10) ** -40
+        for s in (3, 5, 11, 2.5):
+            assert abs(classical_zeta(s, 1, p40) - mpmath.zeta(s)) < mpf(10) ** -40
+        # alternating: zeta(s;-1) = (2^(1-s)-1) zeta(s)
+        for s in (1.5, 2, 7):
+            oracle = (2 ** (1 - mpf(s)) - 1) * mpmath.zeta(s)
+            assert abs(classical_zeta(s, -1, p40) - oracle) < mpf(10) ** -40
+        assert abs(classical_zeta(1, -1, p40) + mp.log(2)) < mpf(10) ** -40
 
 
 def test_classical_zeta_domain_errors():
@@ -377,6 +378,28 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
     assert [memo.cache_info() for memo in memos] == before
 
 
+@pytest.mark.parametrize("digits", [12, 30, 60, 120, 250])
+def test_classical_zeta_meets_goal_against_mpmath(digits):
+    prec = PrecisionConfig(digits=digits)
+    for s in (F(3, 2), F(5, 2), 3):
+        with mp.workdps(digits + 40):
+            sm = mpf(F(s).numerator) / F(s).denominator
+            plain = mpmath.zeta(sm)
+            oracles = {1: plain, -1: (2 ** (1 - sm) - 1) * plain}
+        for sign, oracle in oracles.items():
+            got = classical_zeta(s, sign, prec)
+            with mp.workdps(digits + 40):
+                assert abs(got - oracle) <= prec.goal(), (s, sign)
+
+
+def test_classical_routes_raise_when_the_cutoff_exceeds_max_terms():
+    prec = PrecisionConfig(digits=250, max_terms=100)
+    with pytest.raises(PrecisionError, match="classical_zeta.*max_terms=100"):
+        classical_zeta(3, 1, prec)
+    with pytest.raises(PrecisionError, match="classical_double_euler.*max_terms=100"):
+        classical_double_euler(4, 2, prec)
+
+
 def test_classical_zeta_digit_doubling_stable():
     a = classical_zeta(3, 1, PrecisionConfig(digits=30))
     b = classical_zeta(3, 1, PrecisionConfig(digits=60))
@@ -419,41 +442,73 @@ def test_double_euler_against_brute_oracle(s1, g1, s2, g2, tol):
 
 
 def test_double_euler_known_constants():
-    mp.dps = 50
-    z3 = mpmath.zeta(3)
-    cases = {
-        (2, 1, 1, 1): z3,
-        (2, -1, 1, -1): mp.pi ** 2 / 4 * mp.log(2) - mpf(13) / 8 * z3,
-        (2, 1, 1, -1): z3 - mp.pi ** 2 / 4 * mp.log(2),
-        (2, -1, 1, 1): z3 / 8,
-        (1, -1, 1, 1): mp.log(2) ** 2 / 2,
-    }
-    for (s1, g1, s2, g2), expected in cases.items():
-        got = classical_double_euler(SignedIndex(s1, g1), SignedIndex(s2, g2), P30)
-        assert abs(got - expected) < mpf(10) ** -33
+    with mp.workdps(50):
+        z3 = mpmath.zeta(3)
+        cases = {
+            (2, 1, 1, 1): z3,
+            (2, -1, 1, -1): mp.pi ** 2 / 4 * mp.log(2) - mpf(13) / 8 * z3,
+            (2, 1, 1, -1): z3 - mp.pi ** 2 / 4 * mp.log(2),
+            (2, -1, 1, 1): z3 / 8,
+            (1, -1, 1, 1): mp.log(2) ** 2 / 2,
+        }
+        for (s1, g1, s2, g2), expected in cases.items():
+            got = classical_double_euler(SignedIndex(s1, g1), SignedIndex(s2, g2), P30)
+            assert abs(got - expected) < mpf(10) ** -33
 
 
 def test_double_euler_meets_goal_at_high_precision():
-    """zeta(2, 1) = zeta(3) within the goal at 60, 120 and 250 digits."""
-    for digits in (60, 120, 250):
+    """The known constants of all four sign pairs within the goal at 12, 30,
+    60, 120 and 250 digits."""
+    for digits in (12, 30, 60, 120, 250):
         prec = PrecisionConfig(digits=digits)
-        got = classical_double_euler(2, 1, prec)
         with mp.workdps(digits + 40):
-            err = abs(got - mpmath.zeta(3))
-        assert err <= prec.goal(), (digits, err)
+            z3, pi2, log2 = mpmath.zeta(3), mp.pi ** 2, mp.log(2)
+            cases = {
+                (2, 1, 1, 1): z3,
+                (2, -1, 1, -1): pi2 / 4 * log2 - mpf(13) / 8 * z3,
+                (2, 1, 1, -1): z3 - pi2 / 4 * log2,
+                (2, -1, 1, 1): z3 / 8,
+                (1, -1, 1, 1): log2 ** 2 / 2,
+            }
+        for (s1, g1, s2, g2), expected in cases.items():
+            got = classical_double_euler(SignedIndex(s1, g1), SignedIndex(s2, g2), prec)
+            with mp.workdps(digits + 40):
+                err = abs(got - expected)
+            assert err <= prec.goal(), (digits, s1, g1, s2, g2, err)
 
 
 def test_double_euler_stuffle_product():
     # zeta(a;x) zeta(b;y) = zeta(a,b;x,y) + zeta(b,a;y,x) + zeta(a+b;xy)
     p = PrecisionConfig(digits=30)
     for (a, x), (b, y) in [((2, 1), (3, 1)), ((2, -1), (3, -1)), ((3, -1), (2, 1))]:
-        lhs = classical_zeta(a, x, p) * classical_zeta(b, y, p)
-        rhs = (
-            classical_double_euler(SignedIndex(a, x), SignedIndex(b, y), p)
-            + classical_double_euler(SignedIndex(b, y), SignedIndex(a, x), p)
-            + classical_zeta(a + b, x * y, p)
-        )
-        assert abs(lhs - rhs) < mpf(10) ** -30
+        with mp.workdps(50):
+            lhs = classical_zeta(a, x, p) * classical_zeta(b, y, p)
+            rhs = (
+                classical_double_euler(SignedIndex(a, x), SignedIndex(b, y), p)
+                + classical_double_euler(SignedIndex(b, y), SignedIndex(a, x), p)
+                + classical_zeta(a + b, x * y, p)
+            )
+            assert abs(lhs - rhs) < mpf(10) ** -30
+
+
+STUFFLE_ARGS = [((a, x), (w - a, y)) for w in range(2, 9) for a in range(1, w)
+                for x in (1, -1) for y in (1, -1)
+                if not (a == 1 and x == 1) and not (w - a == 1 and y == 1)]
+
+
+@pytest.mark.parametrize("digits", [12, 30, 60, 120, 250])
+def test_double_euler_stuffle_product_meets_goal(digits):
+    """zeta(a;x) zeta(b;y) = zeta(a,b;x,y) + zeta(b,a;y,x) + zeta(a+b;xy) for
+    all four sign pairs and weights a + b <= 8, even ones included.  Depth 1
+    and depth 2 are summed by different algorithms."""
+    p = PrecisionConfig(digits=digits)
+    for (a, x), (b, y) in STUFFLE_ARGS:
+        with mp.workdps(p.working_dps):
+            lhs = classical_zeta(a, x, p) * classical_zeta(b, y, p)
+            rhs = (classical_double_euler(SignedIndex(a, x), SignedIndex(b, y), p)
+                   + classical_double_euler(SignedIndex(b, y), SignedIndex(a, x), p)
+                   + classical_zeta(a + b, x * y, p))
+            assert abs(lhs - rhs) <= p.goal(), ((a, x), (b, y))
 
 
 def test_double_euler_preconditions():
@@ -484,9 +539,9 @@ def test_tornheim_classical_against_naive_oracle():
 
 def test_tornheim_classical_known_value():
     # the fully alternating weight-3 case equals zeta(3)/4
-    mp.dps = 50
-    got = tornheim_classical(1, 1, 1, "S", P30)
-    assert abs(got - mpmath.zeta(3) / 4) < mpf(10) ** -30
+    with mp.workdps(50):
+        got = tornheim_classical(1, 1, 1, "S", P30)
+        assert abs(got - mpmath.zeta(3) / 4) < mpf(10) ** -30
 
 
 def test_q_to_1_continuity_at_212():
