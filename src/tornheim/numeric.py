@@ -29,17 +29,26 @@ classical side.  Geometric-rate series with tails bounded in closed form:
                                    3 (L+1) 2^-N after N terms, L = s1 + s2
 
 The q-kernels share one recurrence: _qterms yields q^(e k) / [k]^x with
-[k] from a running power of q.  It fills one memoized q-term table
-(_stream_terms): per (q, bits B, e, x) a list of fixed-point Python ints
-F_k within 3/4 of 2^B q^(e k)/[k]^x, extended when a call needs more
-terms.  q_zeta1, phi_q and q_zeta2 are exact integer sums over its entries
-(sum sign^k F_k, sum (k-1) sign^k F_k, sum_m sign^m F_m times a running
-prefix), converted to mpf once, so their rounding is a count of 3/4-units
-at B = working precision + STREAM_GUARD bits.  classical_zeta,
-classical_double_euler and the terms of evaluate_reduction are memoized by
-functools.lru_cache(MEMO_SIZE) on private functions (_zeta_memo,
-_double_memo, _qterm_memo) that the public ones call after validating their
-input; cache_info() reports the hits, as it does for the table's _stream.
+[k] from a running power of q.  It fills two kinds of growable table, kept
+together in _tables, one memo that stores at most TABLE_BUDGET terms and
+drops the least recently used tables first:
+
+    q-term table (_stream_terms)        per (q, bits B, e, x), fixed-point
+                                        Python ints F_k within 3/4 of
+                                        2^B q^(e k)/[k]^x
+    diagonal weights (_diagonal_weights) per (q, t, rel), the mpf
+                                        q^((t-1)m)/[m]^t of tornheim_q, each
+                                        with relative error at most 2^-rel/4
+
+A table is extended when a call needs more terms.  q_zeta1, phi_q and
+q_zeta2 are exact integer sums over q-term entries (sum sign^k F_k,
+sum (k-1) sign^k F_k, sum_m sign^m F_m times a running prefix), converted
+to mpf once, so their rounding is a count of 3/4-units at B = working
+precision + STREAM_GUARD bits.  classical_zeta, classical_double_euler and
+the terms of evaluate_reduction are memoized by functools.lru_cache(MEMO_SIZE)
+on private functions (_zeta_memo, _double_memo, _qterm_memo) that the public
+ones call after validating their input.  memo_stats() reports the hits,
+misses and sizes of all four memos, and clear_memos() empties them.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
@@ -50,13 +59,15 @@ factors sigma^u q^(ru)/[u]^r and tau^v q^(sv)/[v]^s are read from the
 q-term table as p-bit fixed-point integers, packed one per slot into two
 Python ints and multiplied once, so every diagonal sum over u + v = m comes
 out of one big-integer product; mp.fdot weights the diagonals by
-q^((t-1)m)/[m]^t and rounds once.  When the requested tail goal is coarse
-(>= 1e-10), a float64 fft kernel sums the same triangle instead if
-truncation plus its a-priori rounding bound still meets the goal.
+q^((t-1)m)/[m]^t from the diagonal-weight table and rounds once.  When the
+requested tail goal is coarse (>= 1e-10), a float64 fft kernel sums the same
+triangle instead if truncation plus its a-priori rounding bound still meets
+the goal.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -90,11 +101,13 @@ __all__ = [
     "tornheim_classical",
     "tornheim_classical_naive",
     "evaluate_reduction",
+    "memo_stats",
+    "clear_memos",
 ]
 
 FLOAT64_GOAL_CUTOFF = 1e-10  # coarser goals than this use the vectorized kernel
 MEMO_SIZE = 4096  # entries per memo (_zeta_memo, _double_memo, _qterm_memo)
-STREAM_MEMO_SIZE = 256  # q-term streams kept by _stream
+TABLE_BUDGET = 1 << 17  # terms kept by all growable tables together (_tables)
 STREAM_GUARD = 32  # bits the q-term table keeps past working precision
 
 
@@ -252,44 +265,103 @@ def _guard_bits(scale: mpf, n: int, exponents: mpf, qm: mpf) -> int:
     return _ceil_bits(scale * n * exponents * (qm / (qm - 1) + mp.log(qm))) + 8
 
 
-@lru_cache(maxsize=STREAM_MEMO_SIZE)
-def _stream(qp: QParam, bits: int, e, x) -> list[int]:
-    """The stored entries of one q-term stream; _stream_terms fills it."""
-    return []
+class _TableMemo:
+    """Growable tables of terms, bounded by one budget of stored terms.
+
+    table(kind, key, n, grow) returns entries 1..n of the table of that kind
+    for key, appending the list grow(start, n) of entries start+1..n to what
+    is stored; nothing stored is recomputed.  Tables are kept in order of
+    last use, and once a call has grown one the least recently used are
+    dropped until at most budget terms are stored.  A table longer than the
+    whole budget is returned but not kept, and the others stay.  Hits (key
+    stored) and misses are counted per kind.  lists maps (kind, key) to the
+    stored entries, least recently used first.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.clear()
+
+    def clear(self) -> None:
+        self.lists: OrderedDict = OrderedDict()
+        self.stored = 0
+        self.hits: Counter = Counter()
+        self.misses: Counter = Counter()
+
+    def table(self, kind: str, key: tuple, n: int, grow) -> list:
+        entries = self.lists.pop((kind, key), None)
+        if entries is None:
+            self.misses[kind] += 1
+            entries = []
+        else:
+            self.hits[kind] += 1
+            self.stored -= len(entries)
+        if len(entries) < n:
+            entries.extend(grow(len(entries), n))
+        if len(entries) <= self.budget:
+            self.lists[kind, key] = entries
+            self.stored += len(entries)
+            while self.stored > self.budget:
+                self.stored -= len(self.lists.popitem(last=False)[1])
+        return entries[:n]
+
+    def stats(self) -> dict:
+        kinds = {kind: {"hits": self.hits[kind], "misses": self.misses[kind]}
+                 for kind in ("q_terms", "weights")}
+        return {"tables": len(self.lists), "terms": self.stored, "budget": self.budget, **kinds}
+
+
+_tables = _TableMemo(TABLE_BUDGET)
 
 
 def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
     """sign^k F_k for k = 1..n, where F_k is q^(e k)/[k]^x in bits-bit fixed
     point: |F_k - 2^bits q^(e k)/[k]^x| <= 3/4.  Requires e <= x.
 
-    The unsigned F_k are memoized per (q, bits, e, x) in _stream, which
-    extends its list when a call needs more terms and never recomputes it.
-    New entries come from the _qterms recurrence, restarted at the
-    first missing k, at bits + _guard_bits: every term is at most K(x)
-    (_kbound, as e <= x), so its absolute error is at most 2^-bits / 4
-    before rounding to the nearest integer adds 1/2.  The sign negates odd
-    k, which is exact.  Returns a fresh list.
+    The unsigned F_k are the q-term table of (q, bits, e, x) in _tables,
+    which extends it when a call needs more terms.  New entries come from
+    the _qterms recurrence, restarted at the first missing k, at
+    bits + _guard_bits: every term is at most K(x) (_kbound, as e <= x), so
+    its absolute error is at most 2^-bits / 4 before rounding to the nearest
+    integer adds 1/2.  The sign negates odd k, which is exact.  Returns a
+    fresh list.
 
-    Memory: _stream keeps STREAM_MEMO_SIZE streams, each as long as the
-    longest request made of it, at most max_terms entries of about
-    bits/8 + 36 bytes each (a Python int and its list slot).  The worst case
-    is STREAM_MEMO_SIZE * max_terms of them.  The 576-case q_sweep grid at
-    30 digits stores about 12,500 entries in 108 streams (0.6 MB), the
+    Memory: an entry is a Python int and its list slot, about bits/8 + 36
+    bytes, and _tables keeps at most TABLE_BUDGET entries of all its tables
+    together once a call returns.  At 30 digits the 576-case q_sweep grid
+    stores about 12,500 q-term entries in 108 tables (0.6 MB) and the
     144-case q_limit grid about 36,000 in 48 (1.6 MB).
     """
-    terms = _stream(qp, bits, e, x)
-    start = len(terms)
-    if start < n:
+    def grow(start: int, n: int) -> list[int]:
         qm = qp.to_mpf()
         guard = _guard_bits(_kbound(x, qm) + 1, n, abs(_xm(e)) + abs(_xm(x)) + 3, qm)
         with mp.workprec(bits + guard):
             qm = qp.to_mpf()
             new = _qterms(qm, _xm(e), x, n, start)
-            terms.extend((to_fixed(v._mpf_, bits + 1) + 1) >> 1 for v in new)
-    terms = terms[:n]
+            return [(to_fixed(v._mpf_, bits + 1) + 1) >> 1 for v in new]
+
+    terms = _tables.table("q_terms", (qp, bits, e, x), n, grow)
     if sign == -1:
         terms[::2] = [-f for f in terms[::2]]  # odd k
     return terms
+
+
+def _diagonal_weights(qp: QParam, t, rel: int, n: int) -> list[mpf]:
+    """c_m = q^((t-1)m)/[m]^t for m = 1..n, each with relative error at most
+    2^-rel / 4.
+
+    The table of (q, t, rel) in _tables, extended like the q-term table:
+    new entries come from the _qterms recurrence, restarted at the first
+    missing m, at rel + _guard_bits(1, n, |t-1| + |t| + 3, q) bits.  An
+    entry keeps the precision it was computed at; mp.fdot uses each exactly,
+    so an entry computed for a longer request is as good as a fresh one.
+    """
+    def grow(start: int, n: int) -> list[mpf]:
+        tm = _xm(t)
+        with mp.workprec(rel + _guard_bits(1, n, abs(tm - 1) + abs(tm) + 3, qp.to_mpf())):
+            return list(_qterms(qp.to_mpf(), _xm(t) - 1, t, n, start))
+
+    return _tables.table("weights", (qp, t, rel), n, grow)
 
 
 def _fixed_mpf(man: int, bits: int) -> mpf:
@@ -465,6 +537,11 @@ def _ceil_bits(x: mpf) -> int:
     return int(mp.ceil(x)).bit_length()
 
 
+def _step_bits(x: mpf) -> int:
+    """_ceil_bits(x) rounded up to whole STREAM_GUARD steps."""
+    return -(-_ceil_bits(x) // STREAM_GUARD) * STREAM_GUARD
+
+
 def _tornheim_q_kronecker(r, s, t, sigma: int, tau: int, qp: QParam, w: int):
     """The triangle u + v <= w of tornheim_q_info by one big-integer product.
 
@@ -477,17 +554,21 @@ def _tornheim_q_kronecker(r, s, t, sigma: int, tau: int, qp: QParam, w: int):
     0 < c_m <= K(t) q^(-m) (_kbound).  With E = 2^-p:
 
     * a and b are read as p-bit fixed-point integers A, B from the q-term
-      table (_stream_terms), so |A E - a| <= 3E/4 and |B E - b| <= 3E/4;
-      c is computed by the _qterms recurrence with _guard_bits over
-      p, so it has relative error at most E / (4 (K(r) K(s) + 1)).
+      table (_stream_terms), so |A E - a| <= 3E/4 and |B E - b| <= 3E/4.
+    * c is read from the diagonal-weight table (_diagonal_weights) at
+      rel = p + bitlen(ceil((K(r) + 1)(K(s) + 1))) rounded up to whole
+      STREAM_GUARD steps, so its relative error is at most 2^-rel / 4 <=
+      E / (4 (K(r) + 1)(K(s) + 1)), and calls with other (r, s) share the
+      table when their rel agrees.
     * A and B are packed into one Python int each, one slot per index, and
       multiplied once.  A slot holds 2p + bitlen(w ceil(K(r) K(s))) + 2
       bits, more than twice any |sum_{u+v=m} A_u B_v|, so adding 2^(width-1)
       to every slot unpacks the signed diagonals without borrows.  Each
       D'_m = E^2 sum A_u B_v is exact and |D'_m - D_m| <=
       (m-1) E (3/4 (K(r) + K(s)) + E).
-    * mp.fdot sums the exact products D'_m c_m and rounds once to prec; the
-      error of c adds at most (m-1) E c_m / 4 per diagonal.
+    * mp.fdot sums the exact products D'_m c_m and rounds once to prec.
+      As |D'_m| <= (m-1)(K(r) + 1)(K(s) + 1), the error of c adds at most
+      (m-1) E c_m / 4 per diagonal.
 
     Hence |value - T_w| <= E (K(r) + K(s) + 1) sum_{m>=2} (m-1) c_m
     + 2^(1-prec) |value|, and the sum is at most
@@ -500,14 +581,10 @@ def _tornheim_q_kronecker(r, s, t, sigma: int, tau: int, qp: QParam, w: int):
     qm = qp.to_mpf()
     kr, ks = _kbound(r, qm), _kbound(s, qm)
     c_mass = _linear_geometric_tail(_kbound(t, qm), 1 / qm, 1)
-    steps = -(-_ceil_bits((kr + ks + 1) * c_mass) // STREAM_GUARD)
-    p = prec + steps * STREAM_GUARD
+    p = prec + _step_bits((kr + ks + 1) * c_mass)
     a = _stream_terms(qp, p, r, r, sigma, w - 1)
     b = _stream_terms(qp, p, s, s, tau, w - 1)
-    exponents = abs(_xm(r)) + abs(_xm(s)) + abs(_xm(t)) + 3
-    with mp.workprec(p + _guard_bits((kr + 1) * (ks + 1), w, exponents, qm)):
-        qm = qp.to_mpf()
-        c = list(_qterms(qm, _xm(t) - 1, t, w))[1:]
+    c = _diagonal_weights(qp, t, p + _step_bits((kr + 1) * (ks + 1)), w)[1:]
     width = 2 * p + (w * int(mp.ceil(kr * ks))).bit_length() + 2
     diags = _kronecker_diagonals(a, b, width)
     value = mp.fdot((mp.make_mpf(from_man_exp(d, -2 * p)) for d in diags), c)
@@ -816,3 +893,23 @@ def _qterm_memo(kind, qp: QParam, prec: PrecisionConfig) -> mpf:
         if isinstance(kind, QSquaredZeta):
             val *= _pow(1 + qm, kind.one_plus_q_pow)
         return val
+
+
+def memo_stats() -> dict:
+    """Hits, misses and size of each value memo (_zeta_memo, _double_memo,
+    _qterm_memo), and for the growable tables (_tables) their number, the
+    terms stored, the budget and the hits and misses of each kind."""
+    stats = {}
+    for memo in (_zeta_memo, _double_memo, _qterm_memo):
+        info = memo.cache_info()
+        stats[memo.__name__.strip("_")] = {
+            "hits": info.hits, "misses": info.misses, "size": info.currsize}
+    stats["tables"] = _tables.stats()
+    return stats
+
+
+def clear_memos() -> None:
+    """Empty every memo and table and reset their counts."""
+    for memo in (_zeta_memo, _double_memo, _qterm_memo):
+        memo.cache_clear()
+    _tables.clear()

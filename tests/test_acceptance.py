@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from tornheim import numeric
 from tornheim.cli import main
 from tornheim.closedform import KNOWN_VALUES, tornheim_closed
 from tornheim.exact import (
@@ -90,6 +91,7 @@ def test_criterion_3_partial_fraction_exact_sweep():
 
 
 def test_criterion_4_q_reduction_numeric_sweep():
+    numeric.clear_memos()
     tol = mpf(10) ** -27
     t0 = time.perf_counter()
     worst = mpf(0)
@@ -112,6 +114,9 @@ def test_criterion_4_q_reduction_numeric_sweep():
     dt = time.perf_counter() - t0
     assert cases == 576
     assert dt < 120.0
+    tables = numeric.memo_stats()["tables"]
+    assert tables["weights"]["misses"] == 12  # one diagonal-weight table per (q, t)
+    assert tables["terms"] <= tables["budget"]
     print(f"criterion 4: PASS - 576 cases, worst residual {mp.nstr(worst, 3)} ({dt:.1f}s)")
 
 

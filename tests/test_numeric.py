@@ -183,13 +183,58 @@ def test_q_term_table_meets_its_contract_when_extended():
         for e, x in [(F(3, 2), F(5, 2)), (2, 2), (-2, -1)]:
             short = numeric._stream_terms(qp, bits, e, x, -1, 40)
             terms = numeric._stream_terms(qp, bits, e, x, 1, 200)
-            assert len(numeric._stream(qp, bits, e, x)) == 200
+            assert len(numeric._tables.lists["q_terms", (qp, bits, e, x)]) == 200
             assert short == [-f if k % 2 else f for k, f in enumerate(terms[:40], 1)]
             with mp.workprec(bits + 200):
                 qm, em, xm = (mpf(v.numerator) / v.denominator for v in (q, F(e), F(x)))
                 for k, f in enumerate(terms, 1):
                     exact = qm ** (em * k) / ((qm ** k - 1) / (qm - 1)) ** xm
                     assert abs(f - mp.ldexp(exact, bits)) <= 0.75, (q, e, x, k)
+
+
+def test_tables_evict_least_recently_used_within_budget(monkeypatch):
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(300))
+    qp, bits = QParam(F(7, 5)), 97
+    keys = [("q_terms", (qp, bits, e, e + 1)) for e in (1, 2, 3)]
+    first = numeric._stream_terms(qp, bits, 1, 2, 1, 120)
+    numeric._stream_terms(qp, bits, 2, 3, 1, 120)
+    numeric._stream_terms(qp, bits, 1, 2, 1, 10)  # the first is now the most recently used
+    numeric._stream_terms(qp, bits, 3, 4, 1, 120)
+    assert list(numeric._tables.lists) == [keys[0], keys[2]]
+    assert numeric.memo_stats()["tables"] == {
+        "tables": 2, "terms": 240, "budget": 300,
+        "q_terms": {"hits": 1, "misses": 3}, "weights": {"hits": 0, "misses": 0}}
+    # longer than the whole budget: returned in full, not kept, the others stay
+    long = numeric._stream_terms(qp, bits, 1, 2, 1, 400)
+    assert list(numeric._tables.lists) == [keys[2]]
+    assert numeric.memo_stats()["tables"]["terms"] == 120
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
+    assert long == numeric._stream_terms(qp, bits, 1, 2, 1, 400)
+    assert long[:120] == first
+
+
+def test_tables_stay_within_budget_near_q_one(monkeypatch):
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
+    q = F(1001, 1000)
+    first = q_zeta1_info(F(5, 2), 1, q, P30)
+    second = q_zeta1_info(F(5, 2), 1, q, PrecisionConfig(digits=12))
+    tables = numeric.memo_stats()["tables"]
+    assert tables["terms"] <= tables["budget"] < first.terms + second.terms
+
+
+@pytest.mark.parametrize("q", [F(101, 100), F(3, 2), F(3)])
+def test_diagonal_weights_meet_their_contract_when_extended(q):
+    rel = 99  # no kernel asks for this precision, so every table starts empty
+    qp = QParam(q)
+    for t in (0, F(1, 2), 2, F(7, 3)):
+        short = numeric._diagonal_weights(qp, t, rel, 40)
+        c = numeric._diagonal_weights(qp, t, rel, 200)
+        assert c[:40] == short
+        with mp.workprec(rel + 200):
+            qm, tm = (mpf(v.numerator) / v.denominator for v in (q, F(t)))
+            for m, cm in enumerate(c, 1):
+                exact = qm ** ((tm - 1) * m) / ((qm ** m - 1) / (qm - 1)) ** tm
+                assert abs(cm / exact - 1) <= mp.ldexp(1, -rel) / 4, (q, t, m)
 
 
 def _stream_oracle(q, x, n, dps):
@@ -308,6 +353,24 @@ def test_tornheim_q_tail_bound_is_honest():
         tornheim_q_info(2, 1, 1, q=2, prec=PrecisionConfig(digits=10, tail_goal=1e-40))
 
 
+@pytest.mark.parametrize("digits", [30, 120])
+def test_tornheim_q_with_empty_outer_exponents(digits):
+    # at r = s = 0 the guard bits of the diagonal weights rest on t alone
+    prec = PrecisionConfig(digits=digits)
+    info = tornheim_q_info(0, 0, 0, q=3, prec=prec)
+    with mp.workdps(digits + 45):
+        assert abs(info.value - mpf(1) / 4) <= info.tail_bound  # 1/(q-1)^2
+    for t in (1, F(1, 2)):
+        info = tornheim_q_info(0, 0, t, q=3, prec=prec)
+        with mp.workdps(digits + 60):
+            # the triangle u + v < 3 (digits + 60): its m - 1 terms on the
+            # diagonal u + v = m are equal, and the rest is below 10^-(digits+60)
+            tm = mpf(t.numerator) / t.denominator if isinstance(t, F) else mpf(t)
+            oracle = mp.fsum((m - 1) * mpf(3) ** ((tm - 1) * m) / ((mpf(3) ** m - 1) / 2) ** tm
+                             for m in range(2, 3 * (digits + 60)))
+            assert abs(info.value - oracle) <= info.tail_bound, (t, digits)
+
+
 def test_tornheim_q_float64_kernel_matches_mpf():
     coarse = PrecisionConfig(digits=10, tail_goal=1e-8)
     fine = PrecisionConfig(digits=20)
@@ -353,18 +416,16 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
     hits = numeric._double_memo.cache_info().hits
     classical_double_euler(3, 1, prec)
     assert numeric._double_memo.cache_info().hits == hits + 1
-    # the q-term table: one stream per (q, bits, e, x), signs applied after it
-    stream = numeric._stream
-    assert stream.cache_info().maxsize == numeric.STREAM_MEMO_SIZE
-    before = stream.cache_info()
+    # the q-term table: one table per (q, bits, e, x), signs applied after it
+    assert numeric.memo_stats()["tables"]["budget"] == numeric.TABLE_BUDGET
+    before = numeric.memo_stats()["tables"]["q_terms"]
     q_zeta1_info(F(5, 2), 1, "13/7", prec)
     q_zeta1_info(F(5, 2), -1, "13/7", prec)
-    # tornheim_q's a and b lists are one stream when (r, sigma) == (s, tau) up to sign
+    # tornheim_q's a and b lists are one table when (r, sigma) == (s, tau) up to sign
     tornheim_q_info(3, 3, 1, 1, -1, "13/7", prec)
-    after = stream.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (2, 2)
-    memos += (stream,)
-    before = [memo.cache_info() for memo in memos]
+    after = numeric.memo_stats()["tables"]["q_terms"]
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (2, 2)
+    before = numeric.memo_stats()
     with pytest.raises(DivergenceError):
         classical_zeta(1, 1, prec)
     with pytest.raises(DivergenceError):
@@ -375,7 +436,7 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
         q_zeta2_info(2, 1, 1, 1, 1, prec)
     with pytest.raises(PrecisionError):
         phi_q_info(2, 1, F(101, 100), PrecisionConfig(digits=30, max_terms=100))
-    assert [memo.cache_info() for memo in memos] == before
+    assert numeric.memo_stats() == before
 
 
 @pytest.mark.parametrize("digits", [12, 30, 60, 120, 250])
