@@ -371,8 +371,11 @@ def _verify_expr(args) -> int:
     if args.expression is not None:
         blob = args.expression
     elif args.expression_file is not None:
-        with open(args.expression_file, "r", encoding="utf-8") as fh:
-            blob = fh.read()
+        try:
+            with open(args.expression_file, "r", encoding="utf-8") as fh:
+                blob = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read expression file {args.expression_file!r}: {exc}")
     else:
         raise DomainError("verify expr needs --expression or --expression-file")
     try:

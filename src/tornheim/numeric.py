@@ -29,18 +29,11 @@ classical side.  Geometric-rate series with tails bounded in closed form:
                                    3 (L+1) 2^-N after N terms, L = s1 + s2
 
 The q-kernels share one recurrence: _qterms yields q^(e k) / [k]^x with
-[k] from a running power of q.  It fills two kinds of growable table, kept
-together in _tables, one memo that stores at most TABLE_BUDGET terms and
-drops the least recently used tables first:
-
-    q-term table (_stream_terms)        per (q, bits B, e, x), fixed-point
-                                        Python ints F_k within 3/4 of
-                                        2^B q^(e k)/[k]^x
-    diagonal weights (_diagonal_weights) per (q, t, rel), the mpf
-                                        q^((t-1)m)/[m]^t of tornheim_q, each
-                                        with relative error at most 2^-rel/4
-
-A table is extended when a call needs more terms.  q_zeta1, phi_q and
+[k] from a running power of q.  It fills the q-term table (_stream_terms)
+of each (q, bits B, e, x): fixed-point Python ints F_k within 3/4 of
+2^B q^(e k)/[k]^x, extended when a call needs more terms.  All tables are
+kept together in _tables, one memo that stores at most TABLE_BUDGET terms
+and drops the least recently used tables first.  q_zeta1, phi_q and
 q_zeta2 are exact integer sums over q-term entries (sum sign^k F_k,
 sum (k-1) sign^k F_k, sum_m sign^m F_m times a running prefix), converted
 to mpf once, so their rounding is a count of 3/4-units at B = working
@@ -58,16 +51,16 @@ tornheim_q sums its triangle by Kronecker substitution: the rescaled
 factors sigma^u q^(ru)/[u]^r and tau^v q^(sv)/[v]^s are read from the
 q-term table as p-bit fixed-point integers, packed one per slot into two
 Python ints and multiplied once, so every diagonal sum over u + v = m comes
-out of one big-integer product; mp.fdot weights the diagonals by
-q^((t-1)m)/[m]^t from the diagonal-weight table and rounds once.  When the
-requested tail goal is coarse (>= 1e-10), a float64 fft kernel sums the same
-triangle instead if truncation plus its a-priori rounding bound still meets
-the goal.
+out of one big-integer product.  The diagonal weights q^((t-1)m)/[m]^t are
+q-terms too; an exact integer dot product applies them, rounded once.  When
+the requested tail goal is coarse (>= 1e-10), a float64 fft kernel sums the
+same triangle instead if truncation plus its a-priori rounding bound still
+meets the goal.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -268,14 +261,14 @@ def _guard_bits(scale: mpf, n: int, exponents: mpf, qm: mpf) -> int:
 class _TableMemo:
     """Growable tables of terms, bounded by one budget of stored terms.
 
-    table(kind, key, n, grow) returns entries 1..n of the table of that kind
-    for key, appending the list grow(start, n) of entries start+1..n to what
-    is stored; nothing stored is recomputed.  Tables are kept in order of
-    last use, and once a call has grown one the least recently used are
-    dropped until at most budget terms are stored.  A table longer than the
-    whole budget is returned but not kept, and the others stay.  Hits (key
-    stored) and misses are counted per kind.  lists maps (kind, key) to the
-    stored entries, least recently used first.
+    table(key, n, grow) returns entries 1..n of the table for key, appending
+    the list grow(start, n) of entries start+1..n to what is stored; nothing
+    stored is recomputed.  Tables are kept in order of last use, and once a
+    call has grown one the least recently used are dropped until at most
+    budget terms are stored.  A table longer than the whole budget is
+    returned but not kept, and the others stay.  Hits (key stored) and misses
+    are counted.  lists maps each key to the stored entries, least recently
+    used first.
     """
 
     def __init__(self, budget: int) -> None:
@@ -284,31 +277,28 @@ class _TableMemo:
 
     def clear(self) -> None:
         self.lists: OrderedDict = OrderedDict()
-        self.stored = 0
-        self.hits: Counter = Counter()
-        self.misses: Counter = Counter()
+        self.stored = self.hits = self.misses = 0
 
-    def table(self, kind: str, key: tuple, n: int, grow) -> list:
-        entries = self.lists.pop((kind, key), None)
+    def table(self, key: tuple, n: int, grow) -> list:
+        entries = self.lists.pop(key, None)
         if entries is None:
-            self.misses[kind] += 1
+            self.misses += 1
             entries = []
         else:
-            self.hits[kind] += 1
+            self.hits += 1
             self.stored -= len(entries)
         if len(entries) < n:
             entries.extend(grow(len(entries), n))
         if len(entries) <= self.budget:
-            self.lists[kind, key] = entries
+            self.lists[key] = entries
             self.stored += len(entries)
             while self.stored > self.budget:
                 self.stored -= len(self.lists.popitem(last=False)[1])
         return entries[:n]
 
     def stats(self) -> dict:
-        kinds = {kind: {"hits": self.hits[kind], "misses": self.misses[kind]}
-                 for kind in ("q_terms", "weights")}
-        return {"tables": len(self.lists), "terms": self.stored, "budget": self.budget, **kinds}
+        return {"tables": len(self.lists), "terms": self.stored, "budget": self.budget,
+                "hits": self.hits, "misses": self.misses}
 
 
 _tables = _TableMemo(TABLE_BUDGET)
@@ -329,8 +319,9 @@ def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
     Memory: an entry is a Python int and its list slot, about bits/8 + 36
     bytes, and _tables keeps at most TABLE_BUDGET entries of all its tables
     together once a call returns.  At 30 digits the 576-case q_sweep grid
-    stores about 12,500 q-term entries in 108 tables (0.6 MB) and the
-    144-case q_limit grid about 36,000 in 48 (1.6 MB).
+    stores about 14,400 entries in 120 tables (0.7 MB), 12 of them the
+    diagonal weights of tornheim_q, and the 144-case q_limit grid about
+    36,000 in 48 (1.6 MB).
     """
     def grow(start: int, n: int) -> list[int]:
         qm = qp.to_mpf()
@@ -340,28 +331,10 @@ def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
             new = _qterms(qm, _xm(e), x, n, start)
             return [(to_fixed(v._mpf_, bits + 1) + 1) >> 1 for v in new]
 
-    terms = _tables.table("q_terms", (qp, bits, e, x), n, grow)
+    terms = _tables.table((qp, bits, e, x), n, grow)
     if sign == -1:
         terms[::2] = [-f for f in terms[::2]]  # odd k
     return terms
-
-
-def _diagonal_weights(qp: QParam, t, rel: int, n: int) -> list[mpf]:
-    """c_m = q^((t-1)m)/[m]^t for m = 1..n, each with relative error at most
-    2^-rel / 4.
-
-    The table of (q, t, rel) in _tables, extended like the q-term table:
-    new entries come from the _qterms recurrence, restarted at the first
-    missing m, at rel + _guard_bits(1, n, |t-1| + |t| + 3, q) bits.  An
-    entry keeps the precision it was computed at; mp.fdot uses each exactly,
-    so an entry computed for a longer request is as good as a fresh one.
-    """
-    def grow(start: int, n: int) -> list[mpf]:
-        tm = _xm(t)
-        with mp.workprec(rel + _guard_bits(1, n, abs(tm - 1) + abs(tm) + 3, qp.to_mpf())):
-            return list(_qterms(qp.to_mpf(), _xm(t) - 1, t, n, start))
-
-    return _tables.table("weights", (qp, t, rel), n, grow)
 
 
 def _fixed_mpf(man: int, bits: int) -> mpf:
@@ -505,8 +478,9 @@ def tornheim_q_info(
     past W is at most k sum_{m>W} m q^(-m); W is the first cutoff, grown from
     the geometric estimate, where that meets the goal.  The triangle is one
     big-integer product of p-bit fixed-point factors (_tornheim_q_kronecker),
-    whose rounding allowance is at most 2^-prec plus 2^(1-prec) |value| at
-    working precision prec.  Coarse goals (>= FLOAT64_GOAL_CUTOFF) take the
+    p >= prec + 32, whose diagonals are weighted by an exact integer dot
+    product; its rounding allowance is at most 2^-prec + 3/8 2^-p plus
+    2^(1-prec) |value| at working precision prec.  Coarse goals (>= FLOAT64_GOAL_CUTOFF) take the
     float64 kernel when truncation plus its rounding bound meets the goal.
     tail_bound is truncation plus rounding; if that exceeds the goal,
     PrecisionError is raised.
@@ -555,24 +529,24 @@ def _tornheim_q_kronecker(r, s, t, sigma: int, tau: int, qp: QParam, w: int):
 
     * a and b are read as p-bit fixed-point integers A, B from the q-term
       table (_stream_terms), so |A E - a| <= 3E/4 and |B E - b| <= 3E/4.
-    * c is read from the diagonal-weight table (_diagonal_weights) at
-      rel = p + bitlen(ceil((K(r) + 1)(K(s) + 1))) rounded up to whole
-      STREAM_GUARD steps, so its relative error is at most 2^-rel / 4 <=
-      E / (4 (K(r) + 1)(K(s) + 1)), and calls with other (r, s) share the
-      table when their rel agrees.
+    * c is read from the q-term table too (as e = t - 1 <= x = t), as
+      pc-bit fixed-point integers C with |C 2^-pc - c| <= 3/4 2^-pc, where
+      pc = p + bitlen(ceil(w^2 (K(r) + 1)(K(s) + 1))) rounded up to whole
+      STREAM_GUARD steps.
     * A and B are packed into one Python int each, one slot per index, and
       multiplied once.  A slot holds 2p + bitlen(w ceil(K(r) K(s))) + 2
       bits, more than twice any |sum_{u+v=m} A_u B_v|, so adding 2^(width-1)
       to every slot unpacks the signed diagonals without borrows.  Each
       D'_m = E^2 sum A_u B_v is exact and |D'_m - D_m| <=
       (m-1) E (3/4 (K(r) + K(s)) + E).
-    * mp.fdot sums the exact products D'_m c_m and rounds once to prec.
-      As |D'_m| <= (m-1)(K(r) + 1)(K(s) + 1), the error of c adds at most
-      (m-1) E c_m / 4 per diagonal.
+    * The integer dot product of the diagonals with C is exact at 2p + pc
+      bits and is rounded once to prec.  As |D'_m| <= (m-1)(K(r) + 1)(K(s) + 1),
+      the error of c adds at most 3/4 (m-1)(K(r) + 1)(K(s) + 1) 2^-pc per
+      diagonal, 3/8 w(w-1)(K(r) + 1)(K(s) + 1) 2^-pc <= 3/8 E in all.
 
     Hence |value - T_w| <= E (K(r) + K(s) + 1) sum_{m>=2} (m-1) c_m
-    + 2^(1-prec) |value|, and the sum is at most
-    K(t) sum_{m>=2} m q^(-m) = _linear_geometric_tail(K(t), 1/q, 1).
+    + 3/8 w(w-1)(K(r) + 1)(K(s) + 1) 2^-pc + 2^(1-prec) |value|, and the sum
+    is at most K(t) sum_{m>=2} m q^(-m) = _linear_geometric_tail(K(t), 1/q, 1).
     Any p >= prec + bitlen(ceil((K(r) + K(s) + 1) * that)) puts the first
     term below 2^-prec; p is that rounded up to whole STREAM_GUARD steps
     past prec, so calls with other (r, s, t) share table entries.
@@ -582,13 +556,16 @@ def _tornheim_q_kronecker(r, s, t, sigma: int, tau: int, qp: QParam, w: int):
     kr, ks = _kbound(r, qm), _kbound(s, qm)
     c_mass = _linear_geometric_tail(_kbound(t, qm), 1 / qm, 1)
     p = prec + _step_bits((kr + ks + 1) * c_mass)
+    pc = p + _step_bits(w * w * (kr + 1) * (ks + 1))
     a = _stream_terms(qp, p, r, r, sigma, w - 1)
     b = _stream_terms(qp, p, s, s, tau, w - 1)
-    c = _diagonal_weights(qp, t, p + _step_bits((kr + 1) * (ks + 1)), w)[1:]
+    c = _stream_terms(qp, pc, t - 1, t, 1, w)[1:]
     width = 2 * p + (w * int(mp.ceil(kr * ks))).bit_length() + 2
     diags = _kronecker_diagonals(a, b, width)
-    value = mp.fdot((mp.make_mpf(from_man_exp(d, -2 * p)) for d in diags), c)
-    return value, mp.ldexp((kr + ks + 1) * c_mass, -p)
+    value = _fixed_mpf(sum(map(mul, diags, c)), 2 * p + pc)
+    rounding = (mp.ldexp((kr + ks + 1) * c_mass, -p)
+                + mp.ldexp(3 * w * (w - 1) * (kr + 1) * (ks + 1) / 8, -pc))
+    return value, rounding
 
 
 def _kronecker_diagonals(a: list[int], b: list[int], width: int) -> list[int]:
@@ -897,8 +874,8 @@ def _qterm_memo(kind, qp: QParam, prec: PrecisionConfig) -> mpf:
 
 def memo_stats() -> dict:
     """Hits, misses and size of each value memo (_zeta_memo, _double_memo,
-    _qterm_memo), and for the growable tables (_tables) their number, the
-    terms stored, the budget and the hits and misses of each kind."""
+    _qterm_memo), and for the q-term tables (_tables) their number, the terms
+    stored, the budget, and their hits and misses."""
     stats = {}
     for memo in (_zeta_memo, _double_memo, _qterm_memo):
         info = memo.cache_info()

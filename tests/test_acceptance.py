@@ -115,7 +115,8 @@ def test_criterion_4_q_reduction_numeric_sweep():
     assert cases == 576
     assert dt < 120.0
     tables = numeric.memo_stats()["tables"]
-    assert tables["weights"]["misses"] == 12  # one diagonal-weight table per (q, t)
+    # 108 tables of a and b factors, and one diagonal-weight table per (q, t)
+    assert tables["misses"] == 120
     assert tables["terms"] <= tables["budget"]
     print(f"criterion 4: PASS - 576 cases, worst residual {mp.nstr(worst, 3)} ({dt:.1f}s)")
 

@@ -309,12 +309,20 @@ def test_verify_expr_from_file(tmp_path, capsys):
     assert "PASS" in out
 
 
-def test_verify_expr_argument_errors(capsys):
+def test_verify_expr_argument_errors(capsys, tmp_path):
     assert run(capsys, "verify", "expr", "R", "5", "5", "5")[0] == 2  # no expression
     assert run(capsys, "verify", "expr", "R", "5", "5",
                "--expression", "[]")[0] == 2                          # arity
     assert run(capsys, "verify", "expr", "R", "5", "5", "5",
                "--expression", "{not json")[0] == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"\xff": 1}')
+    # a missing path, a directory, a file that is not UTF-8
+    for path in (tmp_path / "missing.json", tmp_path, latin1):
+        rc, _, err = run(capsys, "verify", "expr", "R", "5", "5", "5",
+                         "--expression-file", str(path))
+        assert rc == 2 and err.startswith("error: ") and "Traceback" not in err, (path, err)
+        assert str(path) in err
 
 
 # ----------------------------------------------------------------------
