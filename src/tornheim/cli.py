@@ -8,13 +8,14 @@ Subcommands
   verify  run an identity sweep with one pass/fail line per case
   table   enumerate all odd-weight closed forms up to a weight bound
 
-Exit codes: 0 success, 2 argument or domain error, 3 verification failure,
-4 precision failure.
+Exit codes: 0 success, 1 stdout closed early (e.g. piped into head),
+2 argument or domain error, 3 verification failure, 4 precision failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -506,7 +507,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_protect_sign_values(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; send what is still buffered to devnull so
+        # the flush at exit cannot fail again (Python's signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -1,31 +1,27 @@
 """Closed forms in Q[pi, log 2, zeta(3), zeta(5), ...] for odd total weight.
 
 Every convergent signed double zeta value zeta(s, t; sigma, tau) of odd
-weight s + t reduces to the ring.  Three identities cover the domain,
-dispatched on (t, tau):
+weight s + t reduces to the ring by one identity (Borwein, Borwein and
+Girgensohn 1995; Flajolet and Salvy 1998), for s > (1+sigma)/2, t >= 1:
 
-  t = 1, tau = +1, sigma = +1  (any integer s > 1):
-      zeta(s, 1) = (s/2) zeta(s+1) - (1/2) sum_{k=2}^{s-1} zeta(k) zeta(s+1-k)
-
-  t = 1, tau = +1, sigma = -1  (even s, forced at odd weight):
-      zeta(s, 1; -1, 1) = (s-1)/2 zeta(s+1; -1) + (1/2) zeta(s+1)
-                          - sum_{k=1}^{s/2-1} zeta(2k; -1) zeta(s+1-2k)
-
-  otherwise (s > (1+sigma)/2, t > (1+tau)/2, s + t odd):
       zeta(s, t; sigma, tau) =
           (1/2)(1 + (-1)^s) zeta(s; sigma) zeta(t; tau)
         - (1/2) zeta(s+t; sigma tau)
         + (-1)^t [ sum_{0<=k<=t/2} C(s+t-2k-1, s-1) zeta(2k; st) zeta(s+t-2k; sigma)
                  + sum_{0<=k<=s/2} C(s+t-2k-1, t-1) zeta(2k; st) zeta(s+t-2k; tau) ]
 
-with two formula-local constants: zeta(0; +-1) = -1/2 (the continuation of
-sum sigma^n n^(-s) at 0 for both signs; the alternating case is fixed by
-cross-checking the published reference table, see ALT_ZETA_AT_ZERO), and
-zeta(1; 1) read as 0 wherever the general formula produces it.
+with st = sigma tau and two formula-local constants: zeta(0; +-1) = -1/2
+(the continuation of sum sigma^n n^(-s) at 0 for both signs; the
+alternating case is fixed by cross-checking the published reference table,
+see ALT_ZETA_AT_ZERO), and zeta(1; +1) read as 0 wherever the formula
+produces it.  With that reading the identity also covers t = 1, tau = +1:
+it is ring-equal to Euler's zeta(s, 1) = (s/2) zeta(s+1) - (1/2)
+sum_{k=2}^{s-1} zeta(k) zeta(s+1-k) and to its alternating analogue for
+every even s <= 60 and both sigma (the tests check s <= 40).
 
 Tornheim values follow by the depth-2 reduction: tornheim_closed combines
-the classical reduction's terms through these identities and reports the
-rules used as provenance.
+the classical reduction's terms through this identity and reports the
+pairs it used as provenance.
 """
 from __future__ import annotations
 
@@ -34,16 +30,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import DivergenceError, DomainError
+from .errors import DomainError
 from .exact import (
-    SignedIndex,
     ZetaExpression,
     ZetaMonomial,
+    check_convergent,
     expression_from_json,
     expression_to_json,
     zeta_const,
 )
-from .reduction import corollary1_reduce
+from .reduction import VARIANTS, corollary1_reduce
 
 __all__ = [
     "ALT_ZETA_AT_ZERO",
@@ -99,29 +95,19 @@ def _validate_double(s: int, t: int, sigma: int, tau: int) -> None:
         raise DomainError(f"double_euler_closed: indices must be integers, got {(s, t)}")
     if sigma not in (1, -1) or tau not in (1, -1):
         raise DomainError("double_euler_closed: signs must be +1 or -1")
-    if t < 1:
-        raise DivergenceError(f"double_euler_closed: inner slot needs t >= 1, got {t}")
-    if sigma == 1 and s < 2:
-        raise DivergenceError(f"double_euler_closed: plain outer slot needs s >= 2, got {s}")
-    if sigma == -1 and s < 1:
-        raise DivergenceError(f"double_euler_closed: outer slot needs s >= 1, got {s}")
+    check_convergent("double_euler_closed:", s, sigma, t, ("s", "t"))
     if (s + t) % 2 == 0:
         raise DomainError(
             f"double_euler_closed: no closed form at even weight s + t = {s + t}"
         )
 
 
-def _rule_name(s: int, t: int, sigma: int, tau: int) -> str:
-    if t == 1 and tau == 1:
-        return "inner-one-plain" if sigma == 1 else "inner-one-alternating"
-    return "odd-weight-general"
-
-
 def double_euler_closed(
     s: int, t: int, sigma: int = 1, tau: int = 1,
     alt_zero: Fraction = ALT_ZETA_AT_ZERO,
 ) -> ZetaExpression:
-    """Closed form of zeta(s, t; sigma, tau) at odd weight.
+    """Closed form of zeta(s, t; sigma, tau) at odd weight, by the one
+    identity of the module docstring (t = 1, tau = +1 included).
 
     alt_zero overrides the zeta(0; -1) constant; it exists so the
     adjudication between -1/2 and +1/2 stays testable.
@@ -139,19 +125,6 @@ def double_euler_closed(
 def _double_closed_memo(
     s: int, t: int, sigma: int, tau: int, alt_zero: Fraction
 ) -> ZetaExpression:
-    if t == 1 and tau == 1:
-        if sigma == 1:
-            # (s/2) zeta(s+1) - 1/2 sum_{k=2}^{s-1} zeta(k) zeta(s+1-k)
-            acc = zeta_const(s + 1) * Fraction(s, 2)
-            for k in range(2, s):
-                acc = acc - zeta_const(k) * zeta_const(s + 1 - k) * Fraction(1, 2)
-            return acc
-        # s even here (odd weight): (s-1)/2 zeta(s+1;-1) + 1/2 zeta(s+1) - sum ...
-        acc = zeta_const(s + 1, -1) * Fraction(s - 1, 2)
-        acc = acc + zeta_const(s + 1) * Fraction(1, 2)
-        for k in range(1, s // 2):
-            acc = acc - zeta_const(2 * k, -1) * zeta_const(s + 1 - 2 * k)
-        return acc
     st = sigma * tau
     if s % 2 == 0:
         acc = _zeta_or_local(s, sigma, alt_zero) * _zeta_or_local(t, tau, alt_zero)
@@ -194,39 +167,24 @@ def tornheim_closed(
             "depth-2-reduction", variant=variant, r=r, s=s, t=t, terms=len(terms)
         )
     ]
-    seen: set[tuple] = set()
-    used_alt_zero = False
     for coeff, outer, inner in terms:
-        key = (outer.value, inner.value, outer.sign, inner.sign)
-        if key not in seen:
-            seen.add(key)
-            steps.append(
-                ProvenanceStep.make(
-                    "double-euler-closed",
-                    s=outer.value,
-                    t=inner.value,
-                    sigma=outer.sign,
-                    tau=inner.sign,
-                    identity=_rule_name(outer.value, inner.value, outer.sign, inner.sign),
-                )
-            )
-        if (
-            outer.sign * inner.sign == -1
-            and _rule_name(outer.value, inner.value, outer.sign, inner.sign)
-            == "odd-weight-general"
-        ):
-            used_alt_zero = True
         total = total + double_euler_closed(
             outer.value, inner.value, outer.sign, inner.sign, alt_zero
         ) * coeff
-    if used_alt_zero:
+    pairs = dict.fromkeys((outer, inner) for _, outer, inner in terms)
+    for outer, inner in pairs:
+        steps.append(
+            ProvenanceStep.make(
+                "double-euler-closed",
+                s=outer.value, t=inner.value, sigma=outer.sign, tau=inner.sign,
+            )
+        )
+    if any(outer.sign * inner.sign == -1 for outer, inner in pairs):
         steps.append(ProvenanceStep.make("alternating-zeta-at-zero", value=alt_zero))
     return EvaluationResult(expression=total, provenance=tuple(steps))
 
 
-def closed_form_table(
-    max_weight: int, variants: tuple[str, ...] = ("T", "S", "R")
-) -> list[tuple[str, int, int, int, ZetaExpression]]:
+def closed_form_table(max_weight: int) -> list[tuple[str, int, int, int, ZetaExpression]]:
     """All closed forms for positive indices with odd weight <= max_weight.
 
     max_weight is capped at 15 as a cost guard.
@@ -240,9 +198,7 @@ def closed_form_table(
         for r in range(1, w - 1):
             for s in range(1, w - r):
                 t = w - r - s
-                if t < 1:
-                    continue
-                for variant in variants:
+                for variant in VARIANTS:
                     rows.append(
                         (variant, r, s, t, tornheim_closed(r, s, t, variant).expression)
                     )

@@ -25,8 +25,6 @@ from typing import Mapping
 
 from .errors import DivergenceError, DomainError
 
-Rational = Fraction
-
 
 # ----------------------------------------------------------------------
 # classical constants
@@ -141,6 +139,17 @@ class SignedIndex:
         return cls(as_rational(obj["value"]), int(obj["sign"]))
 
 
+def check_convergent(where: str, a, g1: int, b, names: tuple[str, str]) -> None:
+    """Raise DivergenceError unless sum_{m>n>=1} g1^m g2^n / (m^a n^b)
+    converges (for either g2): a > 1 when g1 = +1, a > 0 when g1 = -1, and
+    b >= 1.  names label a and b in the message."""
+    floor = 1 if g1 == 1 else 0
+    if not a > floor:
+        raise DivergenceError(f"{where} requires {names[0]} > {floor}, got {names[0]} = {a}")
+    if not b >= 1:
+        raise DivergenceError(f"{where} requires {names[1]} >= 1, got {names[1]} = {b}")
+
+
 # ----------------------------------------------------------------------
 # the ring
 # ----------------------------------------------------------------------
@@ -250,13 +259,6 @@ class ZetaExpression:
         """Terms sorted by the canonical monomial order."""
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key)
 
-    def coefficient(self, mono: ZetaMonomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
-
-    @property
-    def weight_set(self) -> set[int]:
-        return {mono.weight for mono in self._terms}
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "ZetaExpression") -> "ZetaExpression":
@@ -329,12 +331,6 @@ class ZetaExpression:
             else:
                 chunks.append(f" - {body}" if neg else f" + {body}")
         return "".join(chunks)
-
-    # -- numeric evaluation ------------------------------------------------
-
-    def numeric(self, prec=None):
-        """Evaluate to an mpf; see expr_numeric."""
-        return expr_numeric(self, prec)
 
 
 def canonicalize(a: ZetaExpression) -> ZetaExpression:

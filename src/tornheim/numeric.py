@@ -73,7 +73,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DivergenceError, DomainError, PrecisionError
-from .exact import SignedIndex
+from .exact import SignedIndex, check_convergent
 from .reduction import VARIANT_SIGNS, DoubleQZeta, PhiTerm, QSquaredZeta, corollary1_reduce
 
 __all__ = [
@@ -131,9 +131,6 @@ class PrecisionConfig:
         if self.tail_goal is not None:
             return mpf(self.tail_goal)
         return mpf(10) ** (-(self.digits + 5))
-
-    def goal_float(self) -> float:
-        return self.tail_goal if self.tail_goal is not None else 10.0 ** (-(self.digits + 5))
 
 
 @dataclass(frozen=True)
@@ -498,7 +495,7 @@ def tornheim_q_info(
         count = w * (w - 1) // 2
         _budget(count, prec, "tornheim_q")
         truncation = _linear_geometric_tail(k, x, w)
-        if prec.goal_float() >= FLOAT64_GOAL_CUTOFF:
+        if goal >= FLOAT64_GOAL_CUTOFF:
             value, rounding = _tornheim_q_float64(r, s, t, sigma, tau, qp.to_float(), w)
             if truncation + rounding <= goal:
                 return SumInfo(mpf(value), truncation + rounding, count)
@@ -569,19 +566,18 @@ def _tornheim_q_kronecker(r, s, t, sigma: int, tau: int, qp: QParam, w: int):
 
 
 def _kronecker_diagonals(a: list[int], b: list[int], width: int) -> list[int]:
-    """Diagonal sums sum_{i+j=k} a_i b_j for k < len(a) by one big-integer
-    product (Kronecker substitution).  Every |sum| must stay below
-    2^(width-1), counting the diagonals past len(a) too."""
+    """Diagonal sums sum_{i+j=k} a_i b_j for k < len(a) = len(b) by one
+    big-integer product (Kronecker substitution).  Every |sum| must stay
+    below 2^(width-1), counting the diagonals past len(a) too."""
     nbytes = -(-width // 8)
     half = 1 << (8 * nbytes - 1)
-
-    def pack(xs):
-        pos = b"".join(max(x, 0).to_bytes(nbytes, "little") for x in xs)
-        neg = b"".join(max(-x, 0).to_bytes(nbytes, "little") for x in xs)
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
     n = len(a)
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
+
+    def pack(xs):  # slot k holds x_k + half, which lies in [0, 2 half) as |x_k| < half
+        raw = b"".join((x + half).to_bytes(nbytes, "little") for x in xs)
+        return int.from_bytes(raw, "little") - bias
+
     low = (pack(a) * pack(b) + bias) & ((1 << (8 * nbytes * n)) - 1)
     raw = low.to_bytes(nbytes * n, "little")
     return [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little") - half for k in range(n)]
@@ -734,15 +730,8 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
     prec = _as_prec(prec)
     if not isinstance(s1.value, int) or not isinstance(s2.value, int):
         raise DomainError("classical_double_euler: indices must be integers")
-    g1, g2 = s1.sign, s2.sign
-    a1, a2 = s1.value, s2.value
-    if g1 == 1 and a1 < 2:
-        raise DivergenceError(f"classical_double_euler: outer plain slot needs s1 >= 2, got {a1}")
-    if g1 == -1 and a1 < 1:
-        raise DivergenceError(f"classical_double_euler: outer slot needs s1 >= 1, got {a1}")
-    if a2 < 1:
-        raise DivergenceError(f"classical_double_euler: inner slot needs s2 >= 1, got {a2}")
-    return _double_memo(a1, g1, a2, g2, prec)
+    check_convergent("classical_double_euler:", s1.value, s1.sign, s2.value, ("s1", "s2"))
+    return _double_memo(s1.value, s1.sign, s2.value, s2.sign, prec)
 
 
 def _half_values(letters, n: int, bits: int) -> list[int]:

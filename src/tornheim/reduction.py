@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import DomainError
-from .exact import SignedIndex, as_rational
+from .exact import SignedIndex, as_rational, check_convergent
 
 __all__ = [
     "DoubleQZeta",
@@ -312,7 +312,8 @@ def corollary1_reduce(r: int, s: int, t: int, variant: str = "T") -> list[tuple[
         sum_a C(a+s-1, s-1) zeta(s+t+a, r-a; tau, sigma*tau)
       + sum_a C(a+r-1, r-1) zeta(r+t+a, s-a; sigma, sigma*tau)
 
-    Variant preconditions (convergence of every emitted double sum):
+    Variant preconditions (convergence of the a = 0 double sums, hence of
+    every emitted one; DivergenceError otherwise):
       T: s + t > 1 and r + t > 1;  S: s + t > 0 and r + t > 0;
       R: s + t > 0 and r + t > 1.
     """
@@ -322,14 +323,9 @@ def corollary1_reduce(r: int, s: int, t: int, variant: str = "T") -> list[tuple[
     if r < 1 or s < 1:
         raise DomainError(f"corollary1_reduce: r, s must be >= 1, got {(r, s)}")
     sigma, tau = VARIANT_SIGNS[variant]
-    if tau == 1 and not s + t > 1:
-        raise DomainError(f"corollary1_reduce: {variant}-variant requires s + t > 1, got s={s}, t={t}")
-    if tau == -1 and not s + t > 0:
-        raise DomainError(f"corollary1_reduce: {variant}-variant requires s + t > 0, got s={s}, t={t}")
-    if sigma == 1 and not r + t > 1:
-        raise DomainError(f"corollary1_reduce: {variant}-variant requires r + t > 1, got r={r}, t={t}")
-    if sigma == -1 and not r + t > 0:
-        raise DomainError(f"corollary1_reduce: {variant}-variant requires r + t > 0, got r={r}, t={t}")
+    where = f"corollary1_reduce: {variant}-variant"
+    check_convergent(where, s + t, tau, r, ("s + t", "r"))
+    check_convergent(where, r + t, sigma, s, ("r + t", "s"))
     out: list[tuple[Fraction, SignedIndex, SignedIndex]] = []
     for term in lemma1_expand(r, s):
         if term.one_minus_q_pow == 0:  # diagonal terms carry (1-q)^j, j >= 1

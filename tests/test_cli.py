@@ -398,6 +398,21 @@ def test_readme_cli_examples_print_the_readme_lines(capsys):
         assert out.splitlines() == expected, command
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    # table --weight 15 prints about 85 KB, more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tornheim.cli", "table", "--weight", "15"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first.startswith(b"T[1,1,1] = ")
+    assert b"Traceback" not in err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tornheim.cli", "eval", "S", "1", "1", "1"],

@@ -84,6 +84,23 @@ def test_inner_one_alternating_golden():
     assert double_euler_closed(2, 1, -1, 1) == expr([(F(1, 8), 0, (3,))])
 
 
+def test_general_rule_reproduces_euler_inner_one_formulas():
+    """zeta(s, 1; sigma, +1) has no rule of its own: the general identity,
+    with zeta(1) read as 0, matches Euler's formula and its alternating
+    analogue exactly."""
+    for s in range(2, 41, 2):
+        # (s/2) zeta(s+1) - 1/2 sum_{k=2}^{s-1} zeta(k) zeta(s+1-k)
+        plain = zeta_const(s + 1) * F(s, 2)
+        for k in range(2, s):
+            plain = plain - zeta_const(k) * zeta_const(s + 1 - k) * F(1, 2)
+        # (s-1)/2 zeta(s+1; -1) + 1/2 zeta(s+1) - sum_{k=1}^{s/2-1} zeta(2k; -1) zeta(s+1-2k)
+        alt = zeta_const(s + 1, -1) * F(s - 1, 2) + zeta_const(s + 1) * F(1, 2)
+        for k in range(1, s // 2):
+            alt = alt - zeta_const(2 * k, -1) * zeta_const(s + 1 - 2 * k)
+        assert double_euler_closed(s, 1, 1, 1) == plain, s
+        assert double_euler_closed(s, 1, -1, 1) == alt, s
+
+
 def test_general_rule_golden():
     # zeta(2, 1; 1, -1) = zeta(3) - (1/4) pi^2 log2
     got = double_euler_closed(2, 1, 1, -1)
@@ -171,6 +188,8 @@ def test_divergent_rejected():
         double_euler_closed(1, 2)  # plain outer slot needs s >= 2
     with pytest.raises(DivergenceError):
         double_euler_closed(2, 0, 1, -1)
+    with pytest.raises(DivergenceError, match=r"s \+ t > 1"):
+        tornheim_closed(2, 1, 0, "T")
 
 
 def test_bad_arguments_rejected():
@@ -230,6 +249,14 @@ def test_provenance_records_rules():
 
     plain = tornheim_closed(2, 1, 2, "T")
     assert all(step.rule != "alternating-zeta-at-zero" for step in plain.provenance)
+
+    # S[1,1,1] reduces to zeta(2, 1; -1, +1), whose closed form reads zeta(0; -1)
+    alt = tornheim_closed(1, 1, 1, "S")
+    pairs = [dict(step.details) for step in alt.provenance if step.rule == "double-euler-closed"]
+    assert {"s": "2", "t": "1", "sigma": "-1", "tau": "1"} in pairs
+    assert alt.provenance[-1].rule == "alternating-zeta-at-zero"
+    for result in (res, plain, alt):
+        assert all("identity" not in dict(step.details) for step in result.provenance)
 
 
 def test_result_json_roundtrip():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tornheim.errors import DomainError
+from tornheim.errors import DivergenceError, DomainError
 from tornheim.exact import SignedIndex
 from tornheim.reduction import (
     DoubleQZeta,
@@ -247,7 +247,7 @@ def test_corollary1_binomial_coefficients():
     ],
 )
 def test_corollary1_precondition_messages(r, s, t, variant, fragment):
-    with pytest.raises(DomainError, match=fragment.replace("+", r"\+")):
+    with pytest.raises(DivergenceError, match=fragment.replace("+", r"\+")):
         corollary1_reduce(r, s, t, variant)
 
 
