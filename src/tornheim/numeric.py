@@ -28,9 +28,13 @@ classical side.  Geometric-rate series with tails bounded in closed form:
                                    products of series at 1/2, error at most
                                    3 (L+1) 2^-N after N terms, L = s1 + s2
 
-The q-kernels share one recurrence: _qterms yields q^(e k) / [k]^x with
-[k] from a running power of q.  It fills the q-term table (_stream_terms)
-of each (q, bits B, e, x): fixed-point Python ints F_k within 3/4 of
+The q-kernels share one recurrence, in fixed-point Python ints only: with
+q = a/b exact, P_k = floor(P_(k-1) b / a) tracks q^-k, R_k = q^k/[k] =
+(q-1)/(1 - q^-k) is one integer division, and q^(e k)/[k]^x = R_k^x
+q^(-(x-e) k) takes integer powers, an integer d-th root for x = m/d, and
+one product with P_k when x - e = 1.  A guard counted from q and x alone
+covers every floor.  It fills the q-term table (_stream_terms) of each
+(q, bits B, e, x): fixed-point Python ints F_k within 3/4 of
 2^B q^(e k)/[k]^x, extended when a call needs more terms.  All tables are
 kept together in _tables, one memo that stores at most TABLE_BUDGET terms
 and drops the least recently used tables first.  q_zeta1, phi_q and
@@ -149,7 +153,8 @@ class QParam:
         return float(self.value)
 
     def squared(self) -> "QParam":
-        return QParam(self.value * self.value)
+        """q^2, exact for a float q too (a float square would round it)."""
+        return QParam(Fraction(self.value) ** 2)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -230,29 +235,19 @@ def _budget(n_terms: int, prec: PrecisionConfig, what: str) -> None:
         )
 
 
-def _qterms(qm: mpf, e: mpf, x, n: int, start: int = 0):
-    """q^(e k) / [k]^x for k = start+1, ..., n, with [k] = (q^k - 1)/(q - 1)
-    taken from a running power q^k."""
-    step = mp.power(qm, e)
-    num = step ** start
-    qpow = qm ** start
-    for _ in range(start, n):
-        qpow *= qm
-        num *= step
-        yield num / _pow((qpow - 1) / (qm - 1), x)
-
-
-def _guard_bits(scale: mpf, n: int, exponents: mpf, qm: mpf) -> int:
-    """Guard bits over p for n steps of the _qterms recurrence.
-
-    At working precision wp its k-th term has a relative error of a small
-    multiple (far below 64) of k (|e| + |x| + 3) (q/(q-1) + ln q) 2^-wp:
-    the running powers add one rounding per step, [k] = (q^k - 1)/(q - 1)
-    cancels by up to q/(q-1), and the rounded exponents e and x err by
-    |e| ln q^k and |x| ln [k].  With n >= k and exponents >= |e| + |x| + 3,
-    wp = p + these bits puts that error times scale below 2^-p / 4.
-    """
-    return _ceil_bits(scale * n * exponents * (qm / (qm - 1) + mp.log(qm))) + 8
+def _iroot(n: int, d: int) -> int:
+    """floor(n^(1/d)) for n >= 1: math.isqrt for d = 2, else integer Newton
+    steps down from a power of two above the root."""
+    if d == 1:
+        return n
+    if d == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // d)
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
 
 
 class _TableMemo:
@@ -303,15 +298,32 @@ _tables = _TableMemo(TABLE_BUDGET)
 
 def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
     """sign^k F_k for k = 1..n, where F_k is q^(e k)/[k]^x in bits-bit fixed
-    point: |F_k - 2^bits q^(e k)/[k]^x| <= 3/4.  Requires e <= x.
+    point: |F_k - 2^bits q^(e k)/[k]^x| <= 3/4.  Requires x - e in {0, 1}.
 
     The unsigned F_k are the q-term table of (q, bits, e, x) in _tables,
     which extends it when a call needs more terms.  New entries come from
-    the _qterms recurrence, restarted at the first missing k, at
-    bits + _guard_bits: every term is at most K(x) (_kbound, as e <= x), so
-    its absolute error is at most 2^-bits / 4 before rounding to the nearest
-    integer adds 1/2.  The sign negates odd k, which is exact.  Returns a
-    fresh list.
+    one integer recurrence in G-bit fixed point, G = bits + guard, counted
+    in units of 2^-G.  With q = a/b exactly (Fraction(q), a float too) and
+    c = q/(q-1), each term is R_k^x q^(-(x-e) k), where
+    R_k = q^k/[k] = (q-1)/(1 - q^-k) lies in (q-1, q]:
+
+    * P_k = floor(P_(k-1) b / a) from P_0 = 2^G stands for 2^G q^-k and errs
+      low by e_k = e_(k-1)/q + [0, 1) < c units.  A restart at k replays it
+      from P_0, so a table grown in pieces equals one filled at once.
+    * R_k is floor((a-b) 2^(2G) / (b (2^G - P_k))).  As 1 - q^-k >= 1/c and
+      R_k > q - 1 >= 1/c, its relative error is at most (c^2 + 2c) 2^-G.
+    * For x = m/d, S_k = floor of the d-th root of R_k 2^(G(d-1)) (_iroot)
+      adds at most 2c 2^-G relative, so S_k^|m| errs by at most 5 |m| c^2
+      2^-G relative.  V_k = floor(S_k^m 2^(G(1-m))) for x >= 0, or
+      floor(2^(G(|m|+1)) / S_k^|m|) for x < 0, is within 10 |m| c^2 K + 1
+      units of 2^G R_k^x, where K >= R_k^x is q^ceil(x) for x >= 0 and
+      c^ceil(-x) for x < 0.
+    * When x - e = 1 the term is V_k P_k 2^-G, which adds e_k R_k^x <= c K.
+
+    In all, E = K (10 |m| c^2 + c) + 2 units, and guard is the bit length of
+    ceil(4E), so the error is at most 2^-bits / 4 before rounding to the
+    nearest integer adds 1/2.  The guard depends on q and x, not on n.  The
+    sign negates odd k, which is exact.  Returns a fresh list.
 
     Memory: an entry is a Python int and its list slot, about bits/8 + 36
     bytes, and _tables keeps at most TABLE_BUDGET entries of all its tables
@@ -320,13 +332,31 @@ def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
     diagonal weights of tornheim_q, and the 144-case q_limit grid about
     36,000 in 48 (1.6 MB).
     """
+    shift = Fraction(x) - Fraction(e)
+    if shift not in (0, 1):
+        raise ValueError(f"_stream_terms: x - e must be 0 or 1, got {shift}")
+    down = shift == 1  # the term carries q^-k
+
     def grow(start: int, n: int) -> list[int]:
-        qm = qp.to_mpf()
-        guard = _guard_bits(_kbound(x, qm) + 1, n, abs(_xm(e)) + abs(_xm(x)) + 3, qm)
-        with mp.workprec(bits + guard):
-            qm = qp.to_mpf()
-            new = _qterms(qm, _xm(e), x, n, start)
-            return [(to_fixed(v._mpf_, bits + 1) + 1) >> 1 for v in new]
+        q, y = Fraction(qp.value), Fraction(x)
+        a, b, m, d = q.numerator, q.denominator, abs(y.numerator), y.denominator
+        c, negative = Fraction(a, a - b), y < 0
+        units = (c if negative else q) ** math.ceil(abs(y)) * (10 * m * c * c + c) + 2
+        guard = math.ceil(4 * units).bit_length()
+        g = bits + guard
+        one, num = 1 << g, (a - b) << 2 * g
+        drop = guard + g * down
+        half = 1 << (drop - 1)
+        p = one
+        for _ in range(start):
+            p = p * b // a
+        new = []
+        for _ in range(start, n):
+            p = p * b // a
+            root = _iroot(num // (b * (one - p)) << g * (d - 1), d)
+            v = (1 << g * (m + 1)) // root ** m if negative else root ** m << g >> g * m
+            new.append(((v * p if down else v) + half) >> drop)
+        return new
 
     terms = _tables.table((qp, bits, e, x), n, grow)
     if sign == -1:
@@ -526,7 +556,7 @@ def _tornheim_q_kronecker(r, s, t, sigma: int, tau: int, qp: QParam, w: int):
 
     * a and b are read as p-bit fixed-point integers A, B from the q-term
       table (_stream_terms), so |A E - a| <= 3E/4 and |B E - b| <= 3E/4.
-    * c is read from the q-term table too (as e = t - 1 <= x = t), as
+    * c is read from the q-term table too (e = t - 1, x = t), as
       pc-bit fixed-point integers C with |C 2^-pc - c| <= 3/4 2^-pc, where
       pc = p + bitlen(ceil(w^2 (K(r) + 1)(K(s) + 1))) rounded up to whole
       STREAM_GUARD steps.

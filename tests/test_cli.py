@@ -111,6 +111,18 @@ def test_eval_zeta2_even_weight(capsys):
     assert "no closed form, numeric only" in out
 
 
+def test_eval_zeta2_near_q_one_golden(capsys):
+    # 94458 terms of two q-term tables with half-integer exponents
+    rc, out, _ = run(capsys, "eval", "zeta2", "5/2", "3/2", "--q", "1001/1000")
+    assert rc == 0
+    expected = ["zq[5/2,3/2], q = 1001/1000 ≈ 0.443699830697632366841274522818",
+                "tail bound <= 9.99e-36 after 94458 terms"]
+    assert out.splitlines() == expected
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = "\n  ".join(["tornheim eval zeta2 5/2 3/2 --q 1001/1000", *expected])
+    assert example in readme
+
+
 def test_eval_qzeta(capsys):
     rc, out, _ = run(capsys, "eval", "qzeta", "2", "--q", "3/2", "--signs=-")
     assert rc == 0

@@ -178,10 +178,12 @@ def test_q_kernels_tail_bound_is_honest():
 
 def test_q_term_table_meets_its_contract_when_extended():
     bits = 97  # no kernel asks for this width, so every stream starts empty
-    # (t - 1, t) for t = 0, 1/2, 2, 7/3 are the diagonal weights of tornheim_q
+    # (t - 1, t) for t = 0, 1/2, 2, 7/3 are the diagonal weights of tornheim_q;
+    # x = 7/3 and 2/5 take the integer Newton root
     pairs = [(F(3, 2), F(5, 2)), (2, 2), (-2, -1),
-             (-1, 0), (F(-1, 2), F(1, 2)), (1, 2), (F(4, 3), F(7, 3))]
-    for q in (F(101, 100), F(3, 2), F(3)):
+             (-1, 0), (F(-1, 2), F(1, 2)), (1, 2), (F(4, 3), F(7, 3)), (F(-3, 5), F(2, 5))]
+    # 1 - q^-k cancels most at q = 1001/1000; the float 1.1 is a ratio of 52-bit ints
+    for q in (F(101, 100), F(3, 2), F(3), F(1001, 1000), 1.1):
         qp = QParam(q)
         for e, x in pairs:
             short = numeric._stream_terms(qp, bits, e, x, -1, 40)
@@ -189,10 +191,31 @@ def test_q_term_table_meets_its_contract_when_extended():
             assert len(numeric._tables.lists[qp, bits, e, x]) == 200
             assert short == [-f if k % 2 else f for k, f in enumerate(terms[:40], 1)]
             with mp.workprec(bits + 200):
-                qm, em, xm = (mpf(v.numerator) / v.denominator for v in (q, F(e), F(x)))
+                qm, em, xm = (mpf(v.numerator) / v.denominator for v in (F(q), F(e), F(x)))
                 for k, f in enumerate(terms, 1):
                     exact = qm ** (em * k) / ((qm ** k - 1) / (qm - 1)) ** xm
                     assert abs(f - mp.ldexp(exact, bits)) <= 0.75, (q, e, x, k)
+    with pytest.raises(ValueError, match="x - e"):
+        numeric._stream_terms(QParam(2), bits, 0, 2, 1, 10)
+
+
+def test_integer_root_is_the_floor_root():
+    for d in (1, 2, 3, 5, 7):
+        for n in [1, 2, 7, 8, 9, 2 ** 64 - 1, 3 ** 200, 3 ** 200 - 1, 10 ** 150 + 12345]:
+            r = numeric._iroot(n, d)
+            assert r ** d <= n < (r + 1) ** d, (n, d)
+
+
+def test_q_term_table_grown_in_pieces_equals_one_fill(monkeypatch):
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
+    qp, bits = QParam(F(1001, 1000)), 97
+    # at x = 0 the entry is q^-k itself, where a restart from 2^G b^k // a^k
+    # instead of the replayed floors would move some entries by one unit
+    for e, x in [(F(3, 2), F(5, 2)), (F(-3, 5), F(2, 5)), (-1, 0)]:
+        for n in (1000, 5200, 6000):  # the last piece restarts past k = 5000
+            pieces = numeric._stream_terms(qp, bits, e, x, 1, n)
+        numeric._tables.clear()
+        assert pieces == numeric._stream_terms(qp, bits, e, x, 1, 6000), (e, x)
 
 
 def test_tables_evict_least_recently_used_within_budget(monkeypatch):
@@ -630,3 +653,11 @@ def test_evaluate_reduction_fractional_t():
     lhs = tornheim_q(1, 2, F(1, 2), -1, -1, F(3, 2), P30)
     rhs = evaluate_reduction(red, F(3, 2), P30)
     assert abs(lhs - rhs) < mpf(10) ** -30
+
+
+def test_evaluate_reduction_at_a_float_q_uses_its_exact_square():
+    # the q^2 term of R[1,2,2] must see the square of the float 1.1, not 1.1 * 1.1
+    assert QParam(1.1).squared() == QParam(F(1.1) ** 2) != QParam(1.1 * 1.1)
+    lhs = tornheim_q_info(1, 2, 2, 1, -1, 1.1, P30)
+    rhs = evaluate_reduction(theorem1_reduce(1, 2, 2, "R"), 1.1, P30)
+    assert abs(lhs.value - rhs) < 1e-27
