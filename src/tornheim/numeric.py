@@ -28,12 +28,10 @@ classical side.  Geometric-rate series with tails bounded in closed form:
                                    products of series at 1/2, error at most
                                    3 (L+1) 2^-N after N terms, L = s1 + s2
 
-The q-kernels share one recurrence, in fixed-point Python ints only: with
-q = a/b exact, P_k = floor(P_(k-1) b / a) tracks q^-k, R_k = q^k/[k] =
-(q-1)/(1 - q^-k) is one integer division, and q^(e k)/[k]^x = R_k^x
-q^(-(x-e) k) takes integer powers, an integer d-th root for x = m/d, and
-one product with P_k when x - e = 1.  A guard counted from q and x alone
-covers every floor.  It fills the q-term table (_stream_terms) of each
+The q-kernels share one recurrence in fixed-point Python ints: with q = a/b
+exact, q^(e k)/[k]^x = R_k^x q^(-(x-e) k), R_k = q^k/[k], comes from floors,
+an integer d-th root for x = m/d and integer powers, under a guard counted
+from q and x.  It fills the q-term table (_stream_terms) of each
 (q, bits B, e, x): fixed-point Python ints F_k within 3/4 of
 2^B q^(e k)/[k]^x, extended when a call needs more terms.  All tables are
 kept together in _tables, one memo that stores at most TABLE_BUDGET terms
@@ -77,7 +75,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DivergenceError, DomainError, PrecisionError
-from .exact import SignedIndex, check_convergent
+from .exact import SignedIndex, as_rational, check_convergent
 from .reduction import VARIANT_SIGNS, DoubleQZeta, PhiTerm, QSquaredZeta, corollary1_reduce
 
 __all__ = [
@@ -106,6 +104,7 @@ FLOAT64_GOAL_CUTOFF = 1e-10  # coarser goals than this use the vectorized kernel
 MEMO_SIZE = 4096  # entries per memo (_zeta_memo, _double_memo, _qterm_memo)
 TABLE_BUDGET = 1 << 17  # terms kept by all growable tables together (_tables)
 STREAM_GUARD = 32  # bits the q-term table keeps past working precision
+MAX_EXPONENT_DENOMINATOR = 8  # q-side exponents are rationals m/d, d <= this
 
 
 @dataclass(frozen=True)
@@ -186,6 +185,17 @@ def _xm(x) -> mpf:
     return mpf(x)
 
 
+def _exponent(x, what: str) -> int | Fraction:
+    """A q-side exponent exactly (a float by its binary value); DomainError
+    unless its denominator is at most MAX_EXPONENT_DENOMINATOR, which keeps
+    the d-th roots of the q-term table (_stream_terms) cheap."""
+    y = as_rational(x)
+    if (d := Fraction(y).denominator) > MAX_EXPONENT_DENOMINATOR:
+        raise DomainError(f"{what}: exponent {y} has denominator {d}, above the "
+                          f"{MAX_EXPONENT_DENOMINATOR} the q-side takes")
+    return y
+
+
 def _pow(base: mpf, expo) -> mpf:
     if isinstance(expo, int) or (isinstance(expo, Fraction) and expo.denominator == 1):
         return base ** int(expo)
@@ -235,19 +245,35 @@ def _budget(n_terms: int, prec: PrecisionConfig, what: str) -> None:
         )
 
 
-def _iroot(n: int, d: int) -> int:
+def _iroot(n: int, d: int, x: int = 0) -> int:
     """floor(n^(1/d)) for n >= 1: math.isqrt for d = 2, else integer Newton
-    steps down from a power of two above the root."""
+    steps down from x, which must be at least the root (0: a power of two
+    above it)."""
     if d == 1:
         return n
     if d == 2:
         return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // d)
+    x = x or 1 << -(-n.bit_length() // d)
     while True:
         y = ((d - 1) * x + n // x ** (d - 1)) // d
         if y >= x:
             return x
         x = y
+
+
+def _fixed_pow(w: int, m: int, g: int) -> int:
+    """2^g (w 2^-g)^m for m >= 0 by binary powering in g-bit fixed point,
+    each product floored: within 3m max(1, (w 2^-g)^m) units when
+    9 m^2 <= 2^g (by induction, as every power of w 2^-g is on the same
+    side of 1)."""
+    if not m:
+        return 1 << g
+    v = w
+    for bit in bin(m)[3:]:
+        v = v * v >> g
+        if bit == "1":
+            v = v * w >> g
+    return v
 
 
 class _TableMemo:
@@ -310,20 +336,24 @@ def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
     * P_k = floor(P_(k-1) b / a) from P_0 = 2^G stands for 2^G q^-k and errs
       low by e_k = e_(k-1)/q + [0, 1) < c units.  A restart at k replays it
       from P_0, so a table grown in pieces equals one filled at once.
-    * R_k is floor((a-b) 2^(2G) / (b (2^G - P_k))).  As 1 - q^-k >= 1/c and
-      R_k > q - 1 >= 1/c, its relative error is at most (c^2 + 2c) 2^-G.
-    * For x = m/d, S_k = floor of the d-th root of R_k 2^(G(d-1)) (_iroot)
-      adds at most 2c 2^-G relative, so S_k^|m| errs by at most 5 |m| c^2
-      2^-G relative.  V_k = floor(S_k^m 2^(G(1-m))) for x >= 0, or
-      floor(2^(G(|m|+1)) / S_k^|m|) for x < 0, is within 10 |m| c^2 K + 1
-      units of 2^G R_k^x, where K >= R_k^x is q^ceil(x) for x >= 0 and
-      c^ceil(-x) for x < 0.
-    * When x - e = 1 the term is V_k P_k 2^-G, which adds e_k R_k^x <= c K.
+    * floor((a-b) 2^(2G) / (b (2^G - P_k))) is 2^G R_k low by at most
+      (c^2 + c) 2^-G relative, as 1 - q^-k >= 1/c and 1/R_k < c.  It never
+      grows with k, so neither does S_k, its floored d-th root times
+      2^(G(1-1/d)) for x = m/d (_iroot, started from S_(k-1)), which is
+      2^G R_k^(1/d) low by at most (c^2 + 2c) 2^-G relative.
+    * W_k = S_k for x >= 0, or floor(2^(2G) / S_k) for x < 0, is 2^G w_k,
+      w_k = R_k^(+-1/d), within a relative eps = (2c^2 + 4c + q) 2^-G.
+    * V_k = _fixed_pow(W_k, |m|) is within 3 |m| max(1, w^|m|) units of
+      2^G w^|m|, w = W_k 2^-G, and w^|m| is within 1.01 |m| eps relative of
+      R_k^x.  With K >= max(1, R_k^x), q^ceil(x) for x >= 0 and c^ceil(-x)
+      for x < 0, V_k is within |m| K (10 c^2 + 2q) units of 2^G R_k^x.
+    * When x - e = 1 the term is V_k P_k 2^-G, which adds c K + 1 units.
 
-    In all, E = K (10 |m| c^2 + c) + 2 units, and guard is the bit length of
-    ceil(4E), so the error is at most 2^-bits / 4 before rounding to the
-    nearest integer adds 1/2.  The guard depends on q and x, not on n.  The
-    sign negates odd k, which is exact.  Returns a fresh list.
+    In all, E = K (|m| (10 c^2 + 2q) + c) + 2 units, and guard is the bit
+    length of max(ceil(4E), 9 m^2), so the error is at most 2^-bits / 4
+    before rounding to the nearest integer adds 1/2, and _fixed_pow's count
+    holds.  The guard depends on q and x, not on n.  The sign negates odd
+    k, which is exact.  Returns a fresh list.
 
     Memory: an entry is a Python int and its list slot, about bits/8 + 36
     bytes, and _tables keeps at most TABLE_BUDGET entries of all its tables
@@ -341,8 +371,9 @@ def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
         q, y = Fraction(qp.value), Fraction(x)
         a, b, m, d = q.numerator, q.denominator, abs(y.numerator), y.denominator
         c, negative = Fraction(a, a - b), y < 0
-        units = (c if negative else q) ** math.ceil(abs(y)) * (10 * m * c * c + c) + 2
-        guard = math.ceil(4 * units).bit_length()
+        k = (c if negative else q) ** math.ceil(abs(y))
+        units = k * (m * (10 * c * c + 2 * q) + c) + 2
+        guard = max(math.ceil(4 * units), 9 * m * m).bit_length()
         g = bits + guard
         one, num = 1 << g, (a - b) << 2 * g
         drop = guard + g * down
@@ -350,11 +381,11 @@ def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
         p = one
         for _ in range(start):
             p = p * b // a
-        new = []
+        new, root = [], 0
         for _ in range(start, n):
             p = p * b // a
-            root = _iroot(num // (b * (one - p)) << g * (d - 1), d)
-            v = (1 << g * (m + 1)) // root ** m if negative else root ** m << g >> g * m
+            root = _iroot(num // (b * (one - p)) << g * (d - 1), d, root)
+            v = _fixed_pow((1 << 2 * g) // root if negative else root, m, g)
             new.append(((v * p if down else v) + half) >> drop)
         return new
 
@@ -389,6 +420,7 @@ def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) 
     3/4 N 2^-B at B = prec + STREAM_GUARD bits.
     """
     _sign_ok(sign)
+    s = _exponent(s, "q_zeta1")
     qp = _as_q(q)
     prec = _as_prec(prec)
     with mp.workdps(prec.working_dps):
@@ -422,6 +454,7 @@ def q_zeta2_info(
     rounding <= 3/4 2^-B ((N-1)(K2/(q-1) + 1) + K1/(q-1)^2).
     """
     _sign_ok(sign1), _sign_ok(sign2)
+    s1, s2 = _exponent(s1, "q_zeta2"), _exponent(s2, "q_zeta2")
     qp = _as_q(q)
     prec = _as_prec(prec)
     with mp.workdps(prec.working_dps):
@@ -463,6 +496,7 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
     rounding is at most 3/4 2^-B sum (k-1) = 3/4 2^-B N(N-1)/2.
     """
     _sign_ok(sign)
+    s = _exponent(s, "phi_q")
     qp = _as_q(q)
     prec = _as_prec(prec)
     with mp.workdps(prec.working_dps):
@@ -513,6 +547,7 @@ def tornheim_q_info(
     PrecisionError is raised.
     """
     _sign_ok(sigma), _sign_ok(tau)
+    r, s, t = (_exponent(x, "tornheim_q") for x in (r, s, t))
     qp = _as_q(q)
     prec = _as_prec(prec)
     r, s, sigma, tau = _orient(r, s, sigma, tau)

@@ -316,9 +316,6 @@ def corollary1_reduce(r: int, s: int, t: int, variant: str = "T") -> list[tuple[
     every emitted one; DivergenceError otherwise):
       T: s + t > 1 and r + t > 1;  S: s + t > 0 and r + t > 0;
       R: s + t > 0 and r + t > 1.
-
-    The terms are built once per input (_corollary1_terms) after these
-    checks pass; every call returns a fresh list of them.
     """
     _check_variant(variant)
     if not all(isinstance(x, int) for x in (r, s, t)):
@@ -329,20 +326,12 @@ def corollary1_reduce(r: int, s: int, t: int, variant: str = "T") -> list[tuple[
     where = f"corollary1_reduce: {variant}-variant"
     check_convergent(where, s + t, tau, r, ("s + t", "r"))
     check_convergent(where, r + t, sigma, s, ("r + t", "s"))
-    return list(_corollary1_terms(r, s, t, variant))
-
-
-@lru_cache(maxsize=256)
-def _corollary1_terms(r: int, s: int, t: int, variant: str) -> tuple[tuple[Fraction, SignedIndex, SignedIndex], ...]:
-    """The (1-q)^0 terms of theorem1_reduce(r, s, t, variant) as (coeff,
-    outer, inner), memoized like lemma1_expand (256 entries hold the 189
-    odd-weight inputs with r, s, t in 1..5)."""
-    out = []
+    out: list[tuple[Fraction, SignedIndex, SignedIndex]] = []
     for term in lemma1_expand(r, s):
         if term.one_minus_q_pow == 0:  # diagonal terms carry (1-q)^j, j >= 1
             coeff, kind = _theorem1_term(term, t, variant)
             out.append((coeff, kind.outer, kind.inner))
-    return tuple(out)
+    return out
 
 
 def product_decompose(r: int, s: int, variant: str = "TT") -> Reduction:

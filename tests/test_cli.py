@@ -123,6 +123,13 @@ def test_eval_zeta2_near_q_one_golden(capsys):
     assert example in readme
 
 
+def test_eval_rejects_exponent_denominator_above_the_bound(capsys):
+    # 2.001 reads as 2001/1000; its 1000th roots are outside the q-side's domain
+    rc, _, err = run(capsys, "eval", "qzeta", "2.001", "--q", "2")
+    assert rc == 2
+    assert "exponent 2001/1000 has denominator 1000, above the 8" in err
+
+
 def test_eval_qzeta(capsys):
     rc, out, _ = run(capsys, "eval", "qzeta", "2", "--q", "3/2", "--signs=-")
     assert rc == 0

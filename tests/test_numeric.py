@@ -97,6 +97,18 @@ def test_q_zeta1_against_direct_oracle():
             assert abs(got - oracle) < mpf(10) ** -30
 
 
+def test_q_side_exponents_are_exact_rationals_of_bounded_denominator():
+    # a float exponent counts as its binary value: 2.5 is 5/2, 2.3 is not 23/10
+    assert q_zeta1(2.5, 1, 2, P30) == q_zeta1(F(5, 2), 1, 2, P30)
+    assert tornheim_q(1.5, 1, 0.5, 1, 1, 2, P30) == tornheim_q(F(3, 2), 1, F(1, 2), 1, 1, 2, P30)
+    q_zeta1(F(17, 8), 1, 2, P30)  # the largest denominator taken
+    for call in (lambda: q_zeta1(2.3, 1, 2, P30), lambda: q_zeta1(F(19, 9), 1, 2, P30),
+                 lambda: phi_q(F(2001, 1000), 1, 2, P30), lambda: q_zeta2(2, 1, 0.1, 1, 2, P30),
+                 lambda: tornheim_q(1, 2, 0.1, 1, 1, 2, P30)):
+        with pytest.raises(DomainError, match="denominator"):
+            call()
+
+
 def test_q_zeta1_tail_bound_is_honest():
     info = q_zeta1_info(2, 1, 2, P30)
     more = q_zeta1(2, 1, 2, PrecisionConfig(digits=40))
@@ -199,11 +211,37 @@ def test_q_term_table_meets_its_contract_when_extended():
         numeric._stream_terms(QParam(2), bits, 0, 2, 1, 10)
 
 
+def test_q_term_table_meets_its_contract_at_large_exponents():
+    # |m| = 2000 squarings and products in fixed point, not a 2000-fold int
+    bits = 97
+    for q in (F(11, 10), F(3, 2)):
+        qp = QParam(q)
+        for e, x in [(999, 1000), (F(-2003, 2), F(-2001, 2))]:
+            terms = numeric._stream_terms(qp, bits, e, x, 1, 30)
+            with mp.workprec(bits + 5000):  # entries reach 2^3600 at q = 11/10
+                qm, em, xm = (mpf(v.numerator) / v.denominator for v in (F(q), F(e), F(x)))
+                for k, f in enumerate(terms, 1):
+                    exact = qm ** (em * k) / ((qm ** k - 1) / (qm - 1)) ** xm
+                    assert abs(f - mp.ldexp(exact, bits)) <= 0.75, (q, e, x, k)
+
+
+def test_fixed_point_power_meets_its_count():
+    g = 64
+    for w in (1, 3 << 60, (1 << 64) - 1, 1 << 64, (1 << 64) + 12345, 5 << 63):
+        for m in (0, 1, 2, 3, 7, 8, 100, 1001):
+            v = numeric._fixed_pow(w, m, g)
+            with mp.workprec(g * m + 200):
+                exact = mp.ldexp(mpf(w) ** m, g - g * m)
+                assert abs(v - exact) <= 3 * m * max(1, mp.ldexp(exact, -g)), (w, m)
+
+
 def test_integer_root_is_the_floor_root():
     for d in (1, 2, 3, 5, 7):
         for n in [1, 2, 7, 8, 9, 2 ** 64 - 1, 3 ** 200, 3 ** 200 - 1, 10 ** 150 + 12345]:
             r = numeric._iroot(n, d)
             assert r ** d <= n < (r + 1) ** d, (n, d)
+            # Newton from any start at or above the root lands on it too
+            assert numeric._iroot(n, d, r) == numeric._iroot(n, d, 2 * r + 7) == r
 
 
 def test_q_term_table_grown_in_pieces_equals_one_fill(monkeypatch):

@@ -12,7 +12,6 @@ from tornheim.reduction import (
     PhiTerm,
     QSquaredZeta,
     Reduction,
-    _corollary1_terms,
     corollary1_reduce,
     lemma1_expand,
     product_decompose,
@@ -250,21 +249,6 @@ def test_corollary1_binomial_coefficients():
 def test_corollary1_precondition_messages(r, s, t, variant, fragment):
     with pytest.raises(DivergenceError, match=fragment.replace("+", r"\+")):
         corollary1_reduce(r, s, t, variant)
-
-
-def test_corollary1_terms_are_built_once_and_returned_fresh():
-    first = corollary1_reduce(3, 2, 1, "S")
-    hits = _corollary1_terms.cache_info().hits
-    first.clear()
-    again = corollary1_reduce(3, 2, 1, "S")
-    assert _corollary1_terms.cache_info().hits == hits + 1
-    assert again == list(_corollary1_terms(3, 2, 1, "S")) and len(again) == 5
-    # a rejected input raises before the memo is consulted
-    before = _corollary1_terms.cache_info()
-    for args in [(2, 1, 0, "T"), (1.0, 1, 1, "T"), (1, 1, 1, "X")]:
-        with pytest.raises(DomainError):
-            corollary1_reduce(*args)
-    assert _corollary1_terms.cache_info() == before
 
 
 def test_corollary1_allows_t_zero_when_inequalities_hold():
