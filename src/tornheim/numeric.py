@@ -25,8 +25,9 @@ classical side.  Geometric-rate series with tails bounded in closed form:
     classical_double_euler(a, b)   zeta(s1, s2; g1, g2) = sum_{m>n>=1} ..., its
                                    iterated integral split at 1/2 (Borwein,
                                    Bradley, Broadhurst, Lisonek): L + 1
-                                   products of series at 1/2, error at most
-                                   3 (L+1) 2^-N after N terms, L = s1 + s2
+                                   products of series summed as N + 1 B-bit
+                                   terms at 1/2, error at most 3 (L+1)
+                                   (2^-N + 2L (N+1) 2^-B), L = s1 + s2
 
 The q-kernels share one recurrence in fixed-point Python ints: with q = a/b
 exact, q^(e k)/[k]^x = R_k^x q^(-(x-e) k), R_k = q^k/[k], comes from floors,
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import floordiv, lshift, mul, neg, rshift
 from typing import NamedTuple
 
 import numpy as np
@@ -710,11 +711,6 @@ def tornheim_q(
 # classical side: Borwein's alternating series and the split at 1/2
 # ----------------------------------------------------------------------
 
-def _rdiv(a: int, b: int) -> int:
-    """a / b rounded to the nearest integer (b > 0), off by at most 1/2."""
-    return (2 * a + b) // (2 * b)
-
-
 def classical_zeta(s, sign: int = 1, prec: PrecisionConfig | None = None) -> mpf:
     """zeta(s; sign) = sum_{n>=1} sign^n / n^s  (note: the sign=-1 case is the
     negated eta function).
@@ -800,31 +796,34 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
 
 
 def _half_values(letters, n: int, bits: int) -> list[int]:
-    """I(0 -> 1/2; word) for the words built by applying letters one at a
-    time to the constant 1, the empty word first, each as an int V with
-    value V 2^-(bits+n).
+    """I(0 -> 1/2; word), as an int V with value V 2^-bits, for each word built
+    by applying letters one at a time to the constant 1, the empty word first.
 
-    A word's power series sum_k f_k x^k (f_0 = 0 unless the word is empty)
-    is kept to k <= n as bits-bit fixed-point ints.  Letter c != 0 is
-    dt/(c - t): h_k = (f_k + h_(k-1))/c, then f'_(k+1) = h_k/(k+1); letter 0
-    is dt/t: f'_k = f_k/k.  With every |c| >= 1, each |f_k| <= 1, so the
-    series at 1/2 is within 2^-n of its part k <= n.  Each letter adds at
-    most 3/2 units to the error of every coefficient (c = +-1 divides
-    exactly, c = 2 rounds h_k), so a word of j letters evaluates within
-    2^-n + 3j/2 2^-bits.
+    A word's series sum_k f_k x^k (f_0 = 0 unless the word is empty) is kept
+    as its terms at 1/2, t_k = f_k 2^-k (k <= n), in bits-bit fixed point.
+    Letter 0 is dt/t: t'_k = t_k/k.  Letter c != 0 is dt/(c - t): t'_(k+1) =
+    eta_k/(k+1), eta_k = (t_k + eta_(k-1))/(2c) = S_k/(2c)^(k+1), S_k the
+    exact sum of t_i (2c)^i = +-t_i << e i (2|c| = 2^e) over i <= k.  As
+    |c| >= 1, |f_k| <= 1 and truncation is at most 2^-n.  Both steps floor,
+    so from input terms within E units eta_k is within E sum_(i<=k)
+    |2c|^-(k-i+1) + 1 <= E + 1, and t'_(k+1) within E + 2 (letter 0: E/k + 1):
+    a word of j letters is within 2^-n + 2j (n+1) 2^-bits.
     """
-    f = [1 << bits] + [0] * n
-    values = [f[0] << n]
+    t = [1 << bits] + [0] * n
+    values = [t[0]]
     for c in letters:
         if c == 0:
-            f = [0] + [_rdiv(fk, k) for k, fk in enumerate(f[1:], 1)]
+            t = [0, *map(floordiv, t[1:], range(1, n + 1))]
         else:
-            h, g = 0, [0]
-            for k, fk in enumerate(f[:-1]):
-                h = (fk + h) * c if c in (1, -1) else _rdiv(fk + h, c)
-                g.append(_rdiv(h, k + 1))
-            f = g
-        values.append(sum(fk << (n - k) for k, fk in enumerate(f)))
+            e = abs(c)  # 2|c| = 2^e for c in {1, -1, 2}
+            u = list(map(lshift, t[:-1], range(0, e * n, e)))
+            if c == -1:
+                u[1::2] = map(neg, u[1::2])
+            u = list(accumulate(u))
+            if c == -1:
+                u[::2] = map(neg, u[::2])
+            t = [0, *map(floordiv, map(rshift, u, range(e, e * (n + 1), e)), range(1, n + 1))]
+        values.append(sum(t))
     return values
 
 
@@ -836,10 +835,11 @@ def _double_memo(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> m
     B_j = I(0 -> 1/2; w_(j+1)..w_L) and A_j = I(1/2 -> 1; w_1..w_j).  Reversing
     the path and putting t = 1 - u gives A_j = (-1)^(j + #{i <= j: w_i in
     {0, 1}}) I(0 -> 1/2; w_j'..w_1'), where 0' = 1 and c' = 1 - c.  Every
-    letter c != 0 has |c| >= 1, so |A_j|, |B_j| <= 1, each is within
-    delta = 2^-N + 3L/2 2^-B of its computed value, and the exact sum of the
-    products is within 3 (L+1) delta: truncation 3 (L+1) 2^-N and rounding
-    9/2 L (L+1) 2^-B at B = prec + STREAM_GUARD bits, then rounded once.
+    letter c != 0 has |c| >= 1, so |A_j|, |B_j| <= 1; each is a word of at
+    most L letters, within delta = 2^-N + 2L (N+1) 2^-B (_half_values), so
+    the exact sum of the products, at 2B bits, is within (2 delta +
+    delta^2) (L+1) <= 3 (L+1) delta: truncation 3 (L+1) 2^-N and rounding
+    6 L (L+1) (N+1) 2^-B at B = prec + STREAM_GUARD bits, then rounded once.
     """
     word = [0] * (a1 - 1) + [g1] + [0] * (a2 - 1) + [g1 * g2]
     size = len(word)
@@ -852,9 +852,9 @@ def _double_memo(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> m
         heads = _half_values([1 if c == 0 else 1 - c for c in word], n, bits)
         signs = accumulate((1 if c in (0, 1) else -1 for c in word), mul, initial=1)
         total = sum(g * a * b for g, a, b in zip(signs, heads, reversed(tails)))
-        value = _fixed_mpf(total, 2 * (bits + n))
+        value = _fixed_mpf(total, 2 * bits)
         truncation = mp.ldexp(mpf(3 * (size + 1)), -n)
-        rounding = mp.ldexp(mpf(9 * size * (size + 1)) / 2, -bits)
+        rounding = mp.ldexp(mpf(6 * size * (size + 1) * (n + 1)), -bits)
         _bound("classical_double_euler", value, truncation, rounding, goal)
         return value
 

@@ -123,6 +123,19 @@ def test_eval_zeta2_near_q_one_golden(capsys):
     assert example in readme
 
 
+def test_eval_zeta2_classical_numeric_golden(capsys):
+    # even weight: the split at 1/2 alone, on a word of 6 letters at 120 digits
+    rc, out, _ = run(capsys, "eval", "zeta2", "4", "2", "--digits", "120")
+    assert rc == 0
+    expected = ["no closed form, numeric only (even weight 6)",
+                "zeta[4,2] ≈ 0.0884833824543687142943278390857604566479787523"
+                "86750591674889276559474278928743571455827794600470586619559667498925395915"]
+    assert out.splitlines() == expected
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = "\n  ".join(["tornheim eval zeta2 4 2 --digits 120", *expected])
+    assert example in readme
+
+
 def test_eval_rejects_exponent_denominator_above_the_bound(capsys):
     # 2.001 reads as 2001/1000; its 1000th roots are outside the q-side's domain
     rc, _, err = run(capsys, "eval", "qzeta", "2.001", "--q", "2")

@@ -145,12 +145,15 @@ def test_double_closed_vs_numeric_sweep():
 
 
 def test_double_closed_vs_numeric_at_high_precision():
-    """All four sign pairs at 60 and 120 digits: the classical route meets
-    its own goal, not only at the 30 digits above."""
-    for digits in (60, 120):
+    """All four sign pairs at 60, 120 and 250 digits: the classical route
+    meets its own goal, not only at the 30 digits above, also on the long
+    words where its rounding allowance is largest."""
+    pairs = [(2, 1), (1, 2), (3, 2), (2, 3), (4, 3), (3, 4), (6, 1),
+             (12, 3), (3, 12), (20, 1), (1, 20)]
+    for digits in (60, 120, 250):
         prec = PrecisionConfig(digits=digits)
         ref_prec = PrecisionConfig(digits=digits + 20)
-        for s, t in [(2, 1), (1, 2), (3, 2), (2, 3), (4, 3), (3, 4), (6, 1)]:
+        for s, t in pairs:
             for sigma in (1, -1):
                 for tau in (1, -1):
                     if sigma == 1 and s < 2:

@@ -591,6 +591,43 @@ def test_double_euler_meets_goal_at_high_precision():
             assert err <= prec.goal(), (digits, s1, g1, s2, g2, err)
 
 
+def _half_series_exact(letters, n):
+    """Each prefix word's power series cut at k <= n, summed at x = 1/2 in
+    exact rationals from its coefficients f_k."""
+    f = [F(1)] + [F(0)] * n
+    values = [F(1)]
+    for c in letters:
+        if c == 0:
+            f = [F(0)] + [fk / k for k, fk in enumerate(f[1:], 1)]
+        else:
+            h, g = F(0), [F(0)]
+            for k, fk in enumerate(f[:-1]):
+                h = (fk + h) / c
+                g.append(h / (k + 1))
+            f = g
+        values.append(sum(fk / 2 ** k for k, fk in enumerate(f)))
+    return values
+
+
+@pytest.mark.parametrize("n,bits", [(6, 20), (40, 64), (40, 200), (130, 160)])
+def test_half_values_meet_their_rounding_count(n, bits):
+    """Every prefix of a word of j letters lies within 2j (n+1) units of
+    2^-bits of its truncated series at 1/2, the count _double_memo's
+    rounding allowance is built from."""
+    words = [
+        [2, 0, 0, -1, 0, 1, 2, 0, -1, -1, 0, 1],
+        [-1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 1, 0, 0],  # the tails of zeta(3, 4)
+        [1, 1, 2, 1, 2],  # the heads of zeta(3, 2; -1, +1)
+        [2, 2, 2, 2, -1, -1, -1, -1],
+    ]
+    for word in words:
+        got = numeric._half_values(word, n, bits)
+        for j, (v, exact) in enumerate(zip(got, _half_series_exact(word, n))):
+            err = abs(F(v, 2 ** bits) - exact) * 2 ** bits
+            assert err <= 2 * j * (n + 1), (word, j, float(err))
+
+
 def test_double_euler_stuffle_product():
     # zeta(a;x) zeta(b;y) = zeta(a,b;x,y) + zeta(b,a;y,x) + zeta(a+b;xy)
     p = PrecisionConfig(digits=30)
