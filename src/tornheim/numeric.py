@@ -12,9 +12,9 @@ truncation point with a proven geometric tail bound is computed up front:
                                        / ([m]^s1 [n]^s2)
     phi_q(s, sign, q)              sum_n (n-1) sign^n q^((s-1)n) / [n]^s
     tornheim_q(r, s, t, sg, tg, q) sum_{u,v} sg^u tg^v q^((r+t-1)u+(s+t-1)v)
-                                       / ([u]^r [v]^s [u+v]^t), summed over
-                                       the triangle u + v <= W by one
-                                       big-integer product
+                                       / ([u]^r [v]^s [u+v]^t), summed by
+                                       the Lambert series of 1/[u+v]^t as
+                                       products of single q-series
 
 classical side.  Geometric-rate series with tails bounded in closed form:
 
@@ -50,15 +50,16 @@ All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
 front, bound truncation plus a proven rounding allowance, and raise
 PrecisionError when that exceeds the goal.
-tornheim_q sums its triangle by Kronecker substitution: the rescaled
-factors sigma^u q^(ru)/[u]^r and tau^v q^(sv)/[v]^s are read from the
-q-term table as p-bit fixed-point integers, packed one per slot into two
-Python ints and multiplied once, so every diagonal sum over u + v = m comes
-out of one big-integer product.  The diagonal weights q^((t-1)m)/[m]^t are
-q-terms too; an exact integer dot product applies them, rounded once.  When
-the requested tail goal is coarse (>= 1e-10), a float64 fft kernel sums the
-same triangle instead if truncation plus its a-priori rounding bound still
-meets the goal.
+tornheim_q expands its coupling weight q^((t-1)m)/[m]^t, m = u + v, as
+(q-1)^t sum_j binom(t+j-1, j) q^(-(j+1)m), which splits the double sum into
+(q-1)^t sum_j beta_j A_j B_j, where A_j = sum_u sigma^u q^(ru)/[u]^r
+q^(-(j+1)u) and B_j is the same in (s, tau).  The factors and the powers
+q^-k are q-term table entries, each A_j and B_j is one exact integer dot
+product over them, the weights beta_j come from a floored integer
+recurrence, and the sum is rounded once.  Every cut A_j and the last j are
+planned from the goal.  When the requested tail goal is coarse (>= 1e-10),
+a float64 fft kernel sums the triangle u + v <= W instead if truncation
+plus its a-priori rounding bound still meets the goal.
 """
 from __future__ import annotations
 
@@ -359,9 +360,9 @@ def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
     Memory: an entry is a Python int and its list slot, about bits/8 + 36
     bytes, and _tables keeps at most TABLE_BUDGET entries of all its tables
     together once a call returns.  At 30 digits the 576-case q_sweep grid
-    stores about 14,400 entries in 120 tables (0.7 MB), 12 of them the
-    diagonal weights of tornheim_q, and the 144-case q_limit grid about
-    36,000 in 48 (1.6 MB).
+    stores about 12,700 entries in 111 tables (0.7 MB), 3 of them the
+    powers q^-k of tornheim_q, and the 144-case q_limit grid about 36,000
+    in 48 (1.6 MB).
     """
     shift = Fraction(x) - Fraction(e)
     if shift not in (0, 1):
@@ -533,19 +534,47 @@ def tornheim_q_info(
     r, s, t, sigma: int = 1, tau: int = 1, q=None, prec: PrecisionConfig | None = None,
 ) -> SumInfo:
     """T[r,s,t; sigma,tau] = sum_{u,v>=1} sigma^u tau^v q^((r+t-1)u + (s+t-1)v)
-    / ([u]^r [v]^s [u+v]^t), summed over the triangle u + v <= W, with a
-    bound that covers truncation and rounding.
+    / ([u]^r [v]^s [u+v]^t), with a bound that covers truncation and rounding.
 
-    Each of the m - 1 terms with u + v = m is at most k q^(-m), so the tail
-    past W is at most k sum_{m>W} m q^(-m); W is the first cutoff, grown from
-    the geometric estimate, where that meets the goal.  The triangle is one
-    big-integer product of p-bit fixed-point factors (_tornheim_q_kronecker),
-    p >= prec + 32, whose diagonals are weighted by an exact integer dot
-    product; its rounding allowance is at most 2^-prec + 3/8 2^-p plus
-    2^(1-prec) |value| at working precision prec.  Coarse goals (>= FLOAT64_GOAL_CUTOFF) take the
-    float64 kernel when truncation plus its rounding bound meets the goal.
-    tail_bound is truncation plus rounding; if that exceeds the goal,
-    PrecisionError is raised.
+    The weight of u + v = m is a Lambert series: as [m] = q^m (1 - q^-m)/(q-1),
+    q^((t-1)m)/[m]^t = c q^-m (1 - q^-m)^-t = c sum_{j>=0} beta_j x_j^m, with
+    c = (q-1)^t, x_j = q^-(j+1) and beta_j = binom(t+j-1, j).  All sums
+    converge absolutely, so T = c sum_j beta_j A_j B_j, where
+    A_j = sum_u a_u x_j^u, a_u = sigma^u q^(ru)/[u]^r, and B_j is the same
+    in (s, tau).  _tornheim_q_lambert sums it.
+
+    Truncation.  |a_u| <= K(r) and |b_v| <= K(s) (_kbound), |beta_j| <=
+    gamma_j = binom(|t|+j-1, j), and |A_j| <= K(r) h_j, h_j = x_j/(1 - x_j).
+    With lambda = 1 - 1/q, h_j <= q^-(j+1)/lambda, and the series of
+    (1 - y)^-|t| gives sum_j gamma_j h_j <= Gamma(|t|) = q^-1 lambda^(-|t|-1).
+
+    * Cutting A_j and B_j after U_j = ceil(n/(j+1)) - 1 terms moves A_j B_j
+      by at most 2 K(r) K(s) x_j^U_j h_j^2, and x_j^U_j h_j <= q^-n/lambda
+      as (j+1)(U_j + 1) >= n.  Over all j this is at most 2 q M q^-n,
+      M = K(r) K(s) Gamma(|t|)/(q-1); n is the least that makes c times it
+      at most goal/4.  Every j >= n - 1 has U_j = 0.
+    * Dropping every j >= js drops at most sum_{j>=js} gamma_j K(r) K(s)
+      h_j^2 <= K(r) K(s) lambda^-2 q^(-3(js+1)/2) sum_j gamma_j q^(-(j+1)/2)
+      = D q^(-3(js+1)/2), D = K(r) K(s)/(q^(1/2) lambda^2 mu^|t|),
+      mu = 1 - q^(-1/2).  js is the least that makes c times it at most
+      goal/4.  If that is n - 1 or more, js = n - 1 and the first bound
+      alone covers every dropped j, as each has U_j = 0.
+
+    Truncation is c times the sum of both.  The sum is taken in bits-bit
+    fixed point, bits = prec plus the bit length of 4 (c + 1) kappa Lambda
+    (Gamma(1) + Gamma(|t|)) rounded up to whole STREAM_GUARD steps, so that
+    calls with other (r, s, t) share tables.  With E = 2^-bits and R the
+    count of _lambert_rounding, the sum S' is within R of the cut sum, which
+    is at most M, and C E (_tornheim_q_lambert) within 2E of c; so C S' E is
+    within (c + 2E) R + 2E M of c times the cut sum before its one rounding
+    to prec.
+
+    terms, and the max_terms budget, count the triangle u + v <= W whose
+    tail k sum_{m>W} m q^-m, k = K(r) K(s) K(t), meets the goal.  Coarse
+    goals (>= FLOAT64_GOAL_CUTOFF) sum that triangle by the float64 kernel
+    when its tail plus its rounding bound meets the goal.  tail_bound is
+    truncation plus rounding; if that exceeds the goal, PrecisionError is
+    raised.
     """
     _sign_ok(sigma), _sign_ok(tau)
     r, s, t = (_exponent(x, "tornheim_q") for x in (r, s, t))
@@ -555,17 +584,34 @@ def tornheim_q_info(
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         goal = prec.goal()
-        k = _kbound(r, qm) * _kbound(s, qm) * _kbound(t, qm)
+        kr, ks = _kbound(r, qm), _kbound(s, qm)
+        k = kr * ks * _kbound(t, qm)
         x = 1 / qm
         w = _linear_cutoff(k, x, max(2, _geometric_n(2 * k / (qm - 1) ** 2, qm, goal)), goal)
         count = w * (w - 1) // 2
         _budget(count, prec, "tornheim_q")
-        truncation = _linear_geometric_tail(k, x, w)
         if goal >= FLOAT64_GOAL_CUTOFF:
+            truncation = _linear_geometric_tail(k, x, w)
             value, rounding = _tornheim_q_float64(r, s, t, sigma, tau, qp.to_float(), w)
             if truncation + rounding <= goal:
                 return SumInfo(mpf(value), truncation + rounding, count)
-        value, rounding = _tornheim_q_kronecker(r, s, t, sigma, tau, qp, w)
+        ta = abs(_xm(t))
+        lam, c, root = 1 - x, mp.power(qm - 1, _xm(t)), mp.sqrt(qm)
+        gamma_1, gamma_t = x / lam ** 2, x * mp.power(lam, -ta - 1)
+        mass = kr * ks * gamma_t / (qm - 1)
+        drop = c * kr * ks / (root * lam ** 2 * mp.power(1 - 1 / root, ta))
+        n = _geometric_n(8 * qm * c * mass, qm, goal)
+        js = _geometric_n(4 * drop, root ** 3, goal) - 1
+        truncation = 2 * qm * c * mass * qm ** -n
+        if js < n - 1:
+            truncation += drop * root ** (-3 * (js + 1))
+        js = min(js, n - 1)
+        kappa, spread = (kr + 1) * (ks + 1), n - 1 + 1 / (qm - 1)
+        bits = mp.prec + _step_bits(4 * (c + 1) * kappa * spread * (gamma_1 + gamma_t))
+        value = _fixed_mpf(_tornheim_q_lambert(r, s, t, sigma, tau, qp, n, js, bits), 6 * bits)
+        e = mp.ldexp(1, -bits)
+        rounding = ((c + 2 * e) * _lambert_rounding(kappa, spread, gamma_1 + gamma_t, n, t, bits)
+                    + 2 * e * mass)
         return SumInfo(value, _bound("tornheim_q", value, truncation, rounding, goal), count)
 
 
@@ -579,74 +625,97 @@ def _step_bits(x: mpf) -> int:
     return -(-_ceil_bits(x) // STREAM_GUARD) * STREAM_GUARD
 
 
-def _tornheim_q_kronecker(r, s, t, sigma: int, tau: int, qp: QParam, w: int):
-    """The triangle u + v <= w of tornheim_q_info by one big-integer product.
+def _lambert_weights(t, bits: int):
+    """beta_j = binom(t+j-1, j), the coefficients of (1-y)^-t =
+    sum_j beta_j y^j, for j = 0, 1, ... in bits-bit fixed point.
 
-    Returns (value, rounding) at the caller's working precision prec, where
-    rounding + 2^(1-prec) |value| bounds |value - sum over the triangle|.
-
-    With a_u = sigma^u q^(ru)/[u]^r, b_v = tau^v q^(sv)/[v]^s and
-    c_m = q^((t-1)m)/[m]^t the triangle is sum_{m=2}^{w} c_m D_m, where
-    D_m = sum_{u+v=m} a_u b_v, |a_u| <= K(r), |b_v| <= K(s) and
-    0 < c_m <= K(t) q^(-m) (_kbound).  With E = 2^-p:
-
-    * a and b are read as p-bit fixed-point integers A, B from the q-term
-      table (_stream_terms), so |A E - a| <= 3E/4 and |B E - b| <= 3E/4.
-    * c is read from the q-term table too (e = t - 1, x = t), as
-      pc-bit fixed-point integers C with |C 2^-pc - c| <= 3/4 2^-pc, where
-      pc = p + bitlen(ceil(w^2 (K(r) + 1)(K(s) + 1))) rounded up to whole
-      STREAM_GUARD steps.
-    * A and B are packed into one Python int each, one slot per index, and
-      multiplied once.  A slot holds 2p + bitlen(w ceil(K(r) K(s))) + 2
-      bits, more than twice any |sum_{u+v=m} A_u B_v|, so adding 2^(width-1)
-      to every slot unpacks the signed diagonals without borrows.  Each
-      D'_m = E^2 sum A_u B_v is exact and |D'_m - D_m| <=
-      (m-1) E (3/4 (K(r) + K(s)) + E).
-    * The integer dot product of the diagonals with C is exact at 2p + pc
-      bits and is rounded once to prec.  As |D'_m| <= (m-1)(K(r) + 1)(K(s) + 1),
-      the error of c adds at most 3/4 (m-1)(K(r) + 1)(K(s) + 1) 2^-pc per
-      diagonal, 3/8 w(w-1)(K(r) + 1)(K(s) + 1) 2^-pc <= 3/8 E in all.
-
-    Hence |value - T_w| <= E (K(r) + K(s) + 1) sum_{m>=2} (m-1) c_m
-    + 3/8 w(w-1)(K(r) + 1)(K(s) + 1) 2^-pc + 2^(1-prec) |value|, and the sum
-    is at most K(t) sum_{m>=2} m q^(-m) = _linear_geometric_tail(K(t), 1/q, 1).
-    Any p >= prec + bitlen(ceil((K(r) + K(s) + 1) * that)) puts the first
-    term below 2^-prec; p is that rounded up to whole STREAM_GUARD steps
-    past prec, so calls with other (r, s, t) share table entries.
+    With t = m/d, B_0 = 2^bits and B_(j+1) = floor(B_j (m + j d) / ((j+1) d)).
+    Each floor adds less than one unit, and the factor |t+j|/(j+1) <=
+    (|t|+j)/(j+1) carries the error on, so by induction |B_j - 2^bits beta_j|
+    <= j max(1, gamma_j), gamma_j = binom(|t|+j-1, j) >= |beta_j| (gamma_j >=
+    1 for |t| >= 1, <= 1 for |t| < 1).  For t = 0, -1, -2, ... every weight
+    past j = -t is exactly 0.
     """
-    prec = mp.prec
-    qm = qp.to_mpf()
-    kr, ks = _kbound(r, qm), _kbound(s, qm)
-    c_mass = _linear_geometric_tail(_kbound(t, qm), 1 / qm, 1)
-    p = prec + _step_bits((kr + ks + 1) * c_mass)
-    pc = p + _step_bits(w * w * (kr + 1) * (ks + 1))
-    a = _stream_terms(qp, p, r, r, sigma, w - 1)
-    b = _stream_terms(qp, p, s, s, tau, w - 1)
-    c = _stream_terms(qp, pc, t - 1, t, 1, w)[1:]
-    width = 2 * p + (w * int(mp.ceil(kr * ks))).bit_length() + 2
-    diags = _kronecker_diagonals(a, b, width)
-    value = _fixed_mpf(sum(map(mul, diags, c)), 2 * p + pc)
-    rounding = (mp.ldexp((kr + ks + 1) * c_mass, -p)
-                + mp.ldexp(3 * w * (w - 1) * (kr + 1) * (ks + 1) / 8, -pc))
-    return value, rounding
+    y = Fraction(t)
+    m, d = y.numerator, y.denominator
+    beta, j = 1 << bits, 0
+    while True:
+        yield beta
+        beta = beta * (m + j * d) // ((j + 1) * d)
+        j += 1
 
 
-def _kronecker_diagonals(a: list[int], b: list[int], width: int) -> list[int]:
-    """Diagonal sums sum_{i+j=k} a_i b_j for k < len(a) = len(b) by one
-    big-integer product (Kronecker substitution).  Every |sum| must stay
-    below 2^(width-1), counting the diagonals past len(a) too."""
-    nbytes = -(-width // 8)
-    half = 1 << (8 * nbytes - 1)
-    n = len(a)
-    bias = int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
+def _lambert_sum(a: list[int], b: list[int], x: list[int], t, bits: int, js: int) -> int:
+    """sum_{j<js} B_j A_j B'_j, exact, at 5 bits bits: B_j from
+    _lambert_weights, A_j = sum_u a_u x_((j+1)u) and B'_j the same over b,
+    all lists indexed from 1.  x[j::j+1] holds k = (j+1)u for
+    u <= ceil((len(x) + 1)/(j+1)) - 1, where the dot products stop when a and
+    b are at least as long as x.  Stops at the first zero weight, as every
+    later one is zero too."""
+    total = 0
+    for j, beta in zip(range(js), _lambert_weights(t, bits)):
+        if not beta:
+            break
+        xs = x[j::j + 1]
+        aj = sum(map(mul, a, xs))
+        total += beta * aj * (aj if b is a else sum(map(mul, b, xs)))
+    return total
 
-    def pack(xs):  # slot k holds x_k + half, which lies in [0, 2 half) as |x_k| < half
-        raw = b"".join((x + half).to_bytes(nbytes, "little") for x in xs)
-        return int.from_bytes(raw, "little") - bias
 
-    low = (pack(a) * pack(b) + bias) & ((1 << (8 * nbytes * n)) - 1)
-    raw = low.to_bytes(nbytes * n, "little")
-    return [int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little") - half for k in range(n)]
+def _lambert_rounding(kappa: mpf, spread: mpf, gammas: mpf, n: int, t, bits: int) -> mpf:
+    """The rounding allowance of _lambert_sum over n - 1 entries and any
+    js <= n - 1 weights, before the factor c = (q-1)^t.
+
+    In the terms of tornheim_q_info, kappa = (K(r) + 1)(K(s) + 1), spread
+    Lambda = n - 1 + 1/(q-1) and gammas = Gamma(1) + Gamma(|t|); E = 2^-bits
+    and h_j = 1/(q^(j+1) - 1).  Against the same sum over exact entries and
+    weights:
+
+    * The a_u, b_v and the powers q^-k are table entries within 3/4 E, and
+      U_j <= (n-1)/(j+1), sum_u x_j^u <= h_j <= 1/((j+1)(q-1)); so each
+      integer dot product is within E (K + 1) Lambda/(j+1) of A_j (K = K(r))
+      or B_j (K = K(s)), and as |A_j| <= K(r) h_j, their product is within
+      2 kappa E Lambda h_j + kappa (E Lambda)^2/(j+1)^2 of A_j B_j.
+    * The weights are within E j max(1, gamma_j) (_lambert_weights), so they
+      are at most omega (1 + gamma_j), omega = 1 + E (n-1), and as
+      j h_j <= 1/(q-1) their own error adds at most E K(r) K(s) gammas/(q-1)
+      <= E kappa Lambda gammas.
+    * sum_j (1 + gamma_j) h_j <= gammas, and over j <= J = n - 2,
+      sum_j (1 + gamma_j)/(j+1)^2 <= 2 + binom(|t|+J, J)
+      <= 2 + binom(ceil(|t|)+J, J).
+
+    In all, E kappa Lambda (1 + 2 omega) gammas
+    + omega kappa (E Lambda)^2 (2 + binom(ceil(|t|)+J, J)).
+    """
+    e = mp.ldexp(1, -bits)
+    omega = 1 + e * (n - 1)
+    last = max(n - 2, 0)
+    gamma_sum = math.comb(math.ceil(abs(Fraction(t))) + last, last)
+    return (e * kappa * spread * (1 + 2 * omega) * gammas
+            + omega * kappa * (e * spread) ** 2 * (2 + gamma_sum))
+
+
+def _tornheim_q_lambert(r, s, t, sigma: int, tau: int, qp: QParam, n: int, js: int,
+                        bits: int) -> int:
+    """C S', exact at 6 bits bits: S' = _lambert_sum over js weights and the
+    bits-bit q-term tables of a_u = sigma^u q^(ru)/[u]^r, b_v =
+    tau^v q^(sv)/[v]^s and the powers q^-k (e = -1, x = 0), n - 1 entries
+    each, so A_j is cut after U_j = ceil(n/(j+1)) - 1 terms (tornheim_q_info),
+    and C is c = (q-1)^t by _fixed_rational_power."""
+    x = _stream_terms(qp, bits, -1, 0, 1, n - 1)
+    a = _stream_terms(qp, bits, r, r, sigma, n - 1)
+    b = a if (s, tau) == (r, sigma) else _stream_terms(qp, bits, s, s, tau, n - 1)
+    c = _fixed_rational_power(Fraction(qp.value) - 1, Fraction(t), bits)
+    return c * _lambert_sum(a, b, x, t, bits, js)
+
+
+def _fixed_rational_power(v: Fraction, y: Fraction, bits: int) -> int:
+    """v^y in bits-bit fixed point, within 2 units, for rationals v > 0 and
+    y = m/d: floor(N^(1/d)) (_iroot) with N = floor(2^(bits d) v^m), as
+    (z^d - 1)^(1/d) >= z - 1 for z >= 1."""
+    power = v ** y.numerator
+    root = (power.numerator << bits * y.denominator) // power.denominator
+    return _iroot(root, y.denominator) if root else 0
 
 
 def _signed_diagonals(a: np.ndarray, b: np.ndarray, sigma: int, tau: int):

@@ -123,6 +123,15 @@ def test_eval_zeta2_near_q_one_golden(capsys):
     assert example in readme
 
 
+def test_eval_t_near_q_one_golden(capsys):
+    # the Lambert sum reads about 1,600 powers q^-k at q = 11/10 and 60 digits;
+    # the Theorem 1 reduction gives the same 60 digits
+    rc, out, _ = run(capsys, "eval", "T", "2", "1", "2", "--q", "11/10", "--digits", "60")
+    assert rc == 0
+    assert out.splitlines()[0] == ("T[2,1,2], q = 11/10 ≈ 0.6535284620691832971948992820670647"
+                                   "36583385426336921955723252")
+
+
 def test_eval_zeta2_classical_numeric_golden(capsys):
     # even weight: the split at 1/2 alone, on a word of 6 letters at 120 digits
     rc, out, _ = run(capsys, "eval", "zeta2", "4", "2", "--digits", "120")

@@ -1,8 +1,10 @@
 """Tests for the numeric engines: q-series, classical zeta, double eulers."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
 import mpmath
 import numpy as np
@@ -190,8 +192,9 @@ def test_q_kernels_tail_bound_is_honest():
 
 def test_q_term_table_meets_its_contract_when_extended():
     bits = 97  # no kernel asks for this width, so every stream starts empty
-    # (t - 1, t) for t = 0, 1/2, 2, 7/3 are the diagonal weights of tornheim_q;
-    # x = 7/3 and 2/5 take the integer Newton root
+    # (-1, 0) holds the powers q^-k of tornheim_q's Lambert sum, and the pairs
+    # with x - e = 1 have the shape of q_zeta1's terms; x = 7/3 and 2/5 take
+    # the integer Newton root
     pairs = [(F(3, 2), F(5, 2)), (2, 2), (-2, -1),
              (-1, 0), (F(-1, 2), F(1, 2)), (1, 2), (F(4, 3), F(7, 3)), (F(-3, 5), F(2, 5))]
     # 1 - q^-k cancels most at q = 1001/1000; the float 1.1 is a ratio of 52-bit ints
@@ -242,6 +245,19 @@ def test_integer_root_is_the_floor_root():
             assert r ** d <= n < (r + 1) ** d, (n, d)
             # Newton from any start at or above the root lands on it too
             assert numeric._iroot(n, d, r) == numeric._iroot(n, d, 2 * r + 7) == r
+
+
+def test_fixed_rational_power_is_within_two_units():
+    # (q-1)^t, the factor of tornheim_q's Lambert sum; the float 1.1 is a
+    # ratio of 52-bit ints
+    for v in (F(1, 10), F(1, 2), F(2), F(1, 1000), F(1.1) - 1):
+        for y in (F(-7, 3), F(-1), F(-1, 2), F(0), F(1, 2), F(2), F(9, 2), F(17, 8)):
+            for bits in (24, 64, 185):
+                got = numeric._fixed_rational_power(v, y, bits)
+                with mp.workprec(bits + 200):
+                    exact = mp.ldexp(mp.power(mpf(v.numerator) / v.denominator,
+                                              mpf(y.numerator) / y.denominator), bits)
+                    assert abs(got - exact) <= 2, (v, y, bits)
 
 
 def test_q_term_table_grown_in_pieces_equals_one_fill(monkeypatch):
@@ -355,8 +371,9 @@ def _brute_tornheim_q(r, s, t, sigma, tau, qm, n):
 
 
 def test_tornheim_q_signed_against_brute_oracle():
-    # q = 3 covers every sign pair, whose negative diagonals borrow from
-    # the next slot of the big-integer product
+    # q = 3 covers every sign pair, whose signs alternate the factors of each
+    # dot product A_j and B_j, at t = -1, whose Lambert weights end after
+    # j = 1, and at t = 7/3, whose weights grow
     cases = [(1, 2, 1, -1, 1, F(3, 2), 220)]
     cases += [(2, 1, t, sigma, tau, 3, 100)
               for t in (-1, F(7, 3)) for sigma in (1, -1) for tau in (1, -1)]
@@ -383,17 +400,19 @@ def _theorem1_value(r, s, t, sigma, tau, q, prec):
 
 
 def test_tornheim_q_tail_bound_is_honest():
-    # at 120 digits rounding outweighs truncation (1e3 to 1e6 times here), so the
-    # bound must cover both
+    # the bound must cover truncation and rounding at every precision
     cases = [((2, 1, F(1, 2), -1, 1), 2), ((3, 2, 2, 1, 1), 2),
              ((1, 2, -1, -1, -1), F(3, 2)), ((2, 3, F(7, 3), 1, -1), 3)]
     precs = [PrecisionConfig(digits=d) for d in (12, 30, 60, 120)]
     checks = [(args, q, prec) for args, q in cases for prec in precs]
     # a coarse goal that float64 rounding (about 3e-9 on this 5.7e6 value) misses
     checks.append(((4, 4, 4, 1, 1), 5, PrecisionConfig(digits=10, tail_goal=1e-10)))
-    # near q = 1 the cutoff w is about 1,000, where the rounding of the diagonal
-    # weights, which grows like w(w-1), is largest
+    # near q = 1 the Lambert sum reads the most powers q^-k (912 here), and its
+    # rounding allowance grows with their number
     checks.append(((2, 1, F(1, 2), 1, -1), F(11, 10), PrecisionConfig(digits=30)))
+    # at t = 100 the weights grow so fast that every j < n - 1 is kept, and
+    # the cut of the A_j alone bounds what is dropped
+    checks.append(((2, 1, 100, 1, 1), F(11, 10), PrecisionConfig(digits=30)))
     for args, q, prec in checks:
         info = tornheim_q_info(*args, q=q, prec=prec)
         oracle = _theorem1_value(*args, q, PrecisionConfig(digits=prec.digits + 30))
@@ -404,10 +423,106 @@ def test_tornheim_q_tail_bound_is_honest():
         tornheim_q_info(2, 1, 1, q=2, prec=PrecisionConfig(digits=10, tail_goal=1e-40))
 
 
+def test_tornheim_q_bound_covers_every_weight_sign_and_precision():
+    # t < 0 gives negative weights beta_j, t = 0 and -1 end the Lambert sum
+    # after one and two terms, and t = 9/2 has the fastest-growing weights.
+    # max_terms counts the triangle u + v <= W, which q = 11/10 exceeds at 120
+    # digits and up, so it is lifted here.
+    ts = (-1, F(-1, 2), 0, F(1, 2), 1, 2, F(7, 3), F(9, 2))
+    pairs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    qs = (F(11, 10), F(3, 2), 2, 3, 5)
+    digits = (12, 30, 60, 120, 250)
+    rng = random.Random(13)
+    cases = rng.sample([(t, g, q, d) for t in ts for g in pairs for q in qs for d in digits], 40)
+    for i, values in enumerate((ts, pairs, qs, digits)):
+        assert {case[i] for case in cases} == set(values)
+    for t, (sigma, tau), q, d in cases:
+        r, s = rng.randint(1, 3), rng.randint(1, 3)
+        prec = PrecisionConfig(digits=d, max_terms=10 ** 9)
+        info = tornheim_q_info(r, s, t, sigma, tau, q, prec)
+        # at q = 5 and t = 9/2 a q_zeta1 term of the reduction reaches 1e11,
+        # where an absolute goal of 10^-(digits+5) is below its working precision
+        fine = PrecisionConfig(digits=d + 40, tail_goal=float(f"1e-{d + 20}"))
+        oracle = _theorem1_value(r, s, t, sigma, tau, q, fine)
+        with mp.workdps(d + 55):
+            error = abs(info.value - oracle)
+            assert error <= info.tail_bound <= prec.goal(), (r, s, t, sigma, tau, q, d)
+
+
+def _exact_lambert_sum(r, s, t, sigma, tau, q, n):
+    """sum_{j < n-1} beta_j A_j B_j in Fractions, each A_j and B_j cut after
+    ceil(n/(j+1)) - 1 terms, as tornheim_q_info plans them."""
+    q = F(q)
+    qint = [None] + [(q ** k - 1) / (q - 1) for k in range(1, n)]
+    a = [sigma ** u * q ** (r * u) / qint[u] ** r for u in range(1, n)]
+    b = [tau ** v * q ** (s * v) / qint[v] ** s for v in range(1, n)]
+    total, beta = F(0), F(1)
+    for j in range(n - 1):
+        powers = [q ** (-(j + 1) * u) for u in range(1, -(-n // (j + 1)))]
+        total += beta * sum(map(mul, a, powers)) * sum(map(mul, b, powers))
+        beta *= (F(t) + j) / (j + 1)
+    return total
+
+
+def test_lambert_sum_meets_its_rounding_count():
+    # integer r and s keep every entry an exact rational; narrow tables make
+    # the rounding large enough to see.  The sum alone is held to the count of
+    # _lambert_rounding, and the kernel's C S', with c = (q-1)^t as C, to
+    # (c + 2E) R + 2E M (tornheim_q_info).
+    rng = random.Random(7)
+    worst = [0, 0]
+    for _ in range(24):
+        r, s = rng.randint(0, 3), rng.randint(0, 3)
+        t = rng.choice((-1, F(-1, 2), 0, F(1, 2), 1, 2, F(7, 3), F(9, 2)))
+        sigma, tau = rng.choice((1, -1)), rng.choice((1, -1))
+        q = rng.choice((F(11, 10), F(3, 2), 2, 3))
+        n, bits = rng.randint(8, 60), rng.choice((24, 40, 64))
+        qp = QParam(q)
+        x = numeric._stream_terms(qp, bits, -1, 0, 1, n - 1)
+        a = numeric._stream_terms(qp, bits, r, r, sigma, n - 1)
+        b = a if (s, tau) == (r, sigma) else numeric._stream_terms(qp, bits, s, s, tau, n - 1)
+        exact = _exact_lambert_sum(r, s, t, sigma, tau, q, n)
+        got = F(numeric._lambert_sum(a, b, x, t, bits, n - 1), 2 ** (5 * bits))
+        kernel = F(numeric._tornheim_q_lambert(r, s, t, sigma, tau, qp, n, n - 1, bits),
+                   2 ** (6 * bits))
+        with mp.workdps(60):
+            qm, tm = (mpf(F(v).numerator) / F(v).denominator for v in (q, t))
+            kr, ks, lam = numeric._kbound(r, qm), numeric._kbound(s, qm), 1 - 1 / qm
+            gamma_t = lam ** (-abs(tm) - 1) / qm
+            rounding = numeric._lambert_rounding(
+                (kr + 1) * (ks + 1), n - 1 + 1 / (qm - 1), lam ** -2 / qm + gamma_t, n, t, bits)
+            c, e = (qm - 1) ** tm, mp.ldexp(1, -bits)
+            value = lambda f: mpf(f.numerator) / f.denominator
+            shares = (abs(value(got - exact)) / rounding,
+                      abs(value(kernel) - c * value(exact))
+                      / ((c + 2 * e) * rounding + 2 * e * kr * ks * gamma_t / (qm - 1)))
+            assert max(shares) <= 1, (r, s, t, sigma, tau, q, n, bits, shares)
+            worst = [max(w, share) for w, share in zip(worst, shares)]
+    assert min(worst) > 0.001  # the cases do round
+
+
+def test_lambert_weights_are_the_binomial_series_within_their_count():
+    bits, y = 40, F(1, 3)
+    for t in (-1, F(-1, 2), 0, F(1, 2), 1, 2, F(7, 3), F(9, 2), F(-7, 3)):
+        beta, gamma, total, slack = F(1), F(1), F(0), F(0)
+        for j, weight in zip(range(120), numeric._lambert_weights(t, bits)):
+            assert abs(weight - beta * 2 ** bits) <= j * max(1, gamma), (t, j)
+            total += weight * y ** j
+            slack += j * max(1, gamma) * y ** j
+            beta *= (t + j) / F(j + 1)
+            gamma *= (abs(F(t)) + j) / F(j + 1)
+        with mp.workdps(50):
+            # sum_j beta_j y^j = (1 - y)^-t; the terms past j = 120 are below 1e-45
+            tm = mpf(F(t).numerator) / F(t).denominator
+            got = mp.ldexp(mpf(total.numerator) / total.denominator, -bits)
+            allowance = mp.ldexp(mpf(slack.numerator) / slack.denominator, -bits)
+            assert abs(got - (1 - mpf(1) / 3) ** -tm) <= allowance + 1e-45, t
+
+
 @pytest.mark.parametrize("digits", [30, 120])
 def test_tornheim_q_with_empty_outer_exponents(digits):
-    # at r = s = 0 every a_u and b_v is 1, so the value rests on the diagonal
-    # weights q^((t-1)m)/[m]^t of the q-term table alone
+    # at r = s = 0 every a_u and b_v is 1, so the value rests on the Lambert
+    # weights beta_j and the powers q^-k of the q-term table alone
     prec = PrecisionConfig(digits=digits)
     info = tornheim_q_info(0, 0, 0, q=3, prec=prec)
     with mp.workdps(digits + 45):
@@ -474,7 +589,7 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
     q_zeta1_info(F(5, 2), 1, "13/7", prec)
     q_zeta1_info(F(5, 2), -1, "13/7", prec)
     # tornheim_q's a and b lists are one table when (r, sigma) == (s, tau) up to
-    # sign, and its diagonal weights are one more
+    # sign, and its powers q^-k are one more
     tornheim_q_info(3, 3, 1, 1, -1, "13/7", prec)
     after = numeric.memo_stats()["tables"]
     assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (2, 3)
