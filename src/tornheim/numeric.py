@@ -40,11 +40,13 @@ and drops the least recently used tables first.  q_zeta1, phi_q and
 q_zeta2 are exact integer sums over q-term entries (sum sign^k F_k,
 sum (k-1) sign^k F_k, sum_m sign^m F_m times a running prefix), converted
 to mpf once, so their rounding is a count of 3/4-units at B = working
-precision + STREAM_GUARD bits.  classical_zeta, classical_double_euler and
-the terms of evaluate_reduction are memoized by functools.lru_cache(MEMO_SIZE)
-on private functions (_zeta_memo, _double_memo, _qterm_memo) that the public
-ones call after validating their input.  memo_stats() reports the hits,
-misses and sizes of all four memos, and clear_memos() empties them.
+precision + STREAM_GUARD bits.  Three functools.lru_cache(MEMO_SIZE) memos
+sit behind validated input: _zeta_memo and _double_memo hold the classical
+values, and _qterm_memo the SumInfo of a q-kernel call keyed on the kernel,
+its exact exponents and signs, the QParam and the PrecisionConfig (used by
+evaluate_reduction, and by tornheim_q_info after _orient).  memo_stats()
+reports the hits, misses and sizes of all four memos, and clear_memos()
+empties them.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
@@ -103,7 +105,7 @@ __all__ = [
 ]
 
 FLOAT64_GOAL_CUTOFF = 1e-10  # coarser goals than this use the vectorized kernel
-MEMO_SIZE = 4096  # entries per memo (_zeta_memo, _double_memo, _qterm_memo)
+MEMO_SIZE = 4096  # entries per memo: mpf values (_zeta_memo, _double_memo), SumInfo (_qterm_memo)
 TABLE_BUDGET = 1 << 17  # terms kept by all growable tables together (_tables)
 STREAM_GUARD = 32  # bits the q-term table keeps past working precision
 MAX_EXPONENT_DENOMINATOR = 8  # q-side exponents are rationals m/d, d <= this
@@ -523,9 +525,10 @@ def phi_q(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> mpf:
 def _orient(r, s, sigma, tau):
     """Canonical orientation: swapping (r, sigma) <-> (s, tau) together with
     u <-> v is a term-level bijection, so both orders denote the same sum.
-    Sorting the slot pair makes the swapped call run the identical
-    computation, hence return the identical float."""
-    if (float(_xm(s)), tau) < (float(_xm(r)), sigma):
+    Sorting the slot pairs by exact exponent (r and s come from _exponent)
+    and then sign makes both orders one canonical key of _qterm_memo, so
+    they share one entry and return the identical SumInfo."""
+    if (s, tau) < (r, sigma):
         return s, r, tau, sigma
     return r, s, sigma, tau
 
@@ -574,13 +577,18 @@ def tornheim_q_info(
     goals (>= FLOAT64_GOAL_CUTOFF) sum that triangle by the float64 kernel
     when its tail plus its rounding bound meets the goal.  tail_bound is
     truncation plus rounding; if that exceeds the goal, PrecisionError is
-    raised.
+    raised.  Results are kept in _qterm_memo after _orient.
     """
     _sign_ok(sigma), _sign_ok(tau)
     r, s, t = (_exponent(x, "tornheim_q") for x in (r, s, t))
     qp = _as_q(q)
     prec = _as_prec(prec)
     r, s, sigma, tau = _orient(r, s, sigma, tau)
+    return _qterm_memo(_tornheim_q, r, s, t, sigma, tau, qp, prec)
+
+
+def _tornheim_q(r, s, t, sigma: int, tau: int, qp: QParam, prec: PrecisionConfig) -> SumInfo:
+    """tornheim_q_info for exact exponents in _orient's order."""
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         goal = prec.goal()
@@ -965,40 +973,46 @@ def tornheim_classical_naive(r: int, s: int, t: int, variant: str = "T",
 # ----------------------------------------------------------------------
 
 def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf:
-    """Numeric value of a Reduction's right-hand side at a given q."""
+    """Numeric value of a Reduction's right-hand side at a given q.  Each term's
+    series comes from _qterm_memo, keyed on its exponents as the term holds
+    them (exact ints and Fractions, validated by the kernel on a miss); its
+    (1-q) and (1+q) factors are applied here, and skipped at power 0."""
     qp = _as_q(q)
     prec = _as_prec(prec)
     with mp.workdps(prec.working_dps):
+        qm, q2 = qp.to_mpf(), qp.squared()
+        omq, opq = 1 - qm, 1 + qm
         total = mpf(0)
         for coeff, kind in reduction.terms:
-            if not isinstance(kind, (DoubleQZeta, PhiTerm, QSquaredZeta)):
+            if isinstance(kind, DoubleQZeta):
+                a, b = kind.outer, kind.inner
+                info = _qterm_memo(q_zeta2_info, a.value, a.sign, b.value, b.sign, qp, prec)
+            elif isinstance(kind, PhiTerm):
+                info = _qterm_memo(phi_q_info, kind.index.value, kind.index.sign, qp, prec)
+            elif isinstance(kind, QSquaredZeta):
+                info = _qterm_memo(q_zeta1_info, kind.index, 1, q2, prec)
+            else:
                 raise DomainError(f"evaluate_reduction: unknown term kind {kind!r}")
-            total += _xm(coeff) * _qterm_memo(kind, qp, prec)
+            val = info.value
+            if kind.one_minus_q_pow:
+                val *= omq ** kind.one_minus_q_pow
+            if isinstance(kind, QSquaredZeta) and kind.one_plus_q_pow:
+                val *= _pow(opq, kind.one_plus_q_pow)
+            total += _xm(coeff) * val
         return total
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _qterm_memo(kind, qp: QParam, prec: PrecisionConfig) -> mpf:
-    """One reduction term, its (1-q) and (1+q) factors included."""
-    with mp.workdps(prec.working_dps):
-        qm = qp.to_mpf()
-        if isinstance(kind, DoubleQZeta):
-            val = q_zeta2(kind.outer.value, kind.outer.sign,
-                          kind.inner.value, kind.inner.sign, qp, prec)
-        elif isinstance(kind, PhiTerm):
-            val = phi_q(kind.index.value, kind.index.sign, qp, prec)
-        else:
-            val = q_zeta1(kind.index, 1, qp.squared(), prec)
-        val *= (1 - qm) ** kind.one_minus_q_pow
-        if isinstance(kind, QSquaredZeta):
-            val *= _pow(1 + qm, kind.one_plus_q_pow)
-        return val
+def _qterm_memo(kernel, *args) -> SumInfo:
+    """kernel(*args): q_zeta2_info, phi_q_info or q_zeta1_info for
+    evaluate_reduction (their public calls bypass this memo), or _tornheim_q."""
+    return kernel(*args)
 
 
 def memo_stats() -> dict:
-    """Hits, misses and size of each value memo (_zeta_memo, _double_memo,
-    _qterm_memo), and for the q-term tables (_tables) their number, the terms
-    stored, the budget, and their hits and misses."""
+    """Hits, misses and size of _zeta_memo, _double_memo (mpf values) and
+    _qterm_memo (SumInfo), and for the q-term tables (_tables) their number,
+    the terms stored, the budget, and their hits and misses."""
     stats = {}
     for memo in (_zeta_memo, _double_memo, _qterm_memo):
         info = memo.cache_info()

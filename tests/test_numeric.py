@@ -388,6 +388,21 @@ def test_tornheim_q_symmetry_is_bit_exact():
     a = tornheim_q(2, 1, 1, -1, 1, 2, P30)
     b = tornheim_q(1, 2, 1, 1, -1, 2, P30)
     assert a == b
+    # both orders share one _qterm_memo entry, so each side is computed from
+    # empty memos here: the float64 kernel (coarse goal) and the Lambert sum
+    # must give the swapped call the identical value, bound and term count
+    coarse = PrecisionConfig(digits=10, tail_goal=1e-7, max_terms=10 ** 9)
+    pairs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    for q, prec in ((F(3, 2), coarse), (F(11, 10), coarse), (F(3, 2), P30)):
+        for r in range(1, 4):
+            for s in range(1, 4):
+                for t in (0, F(1, 2), 2):
+                    for sigma, tau in pairs:
+                        numeric.clear_memos()
+                        a = tornheim_q_info(r, s, t, sigma, tau, q, prec)
+                        numeric.clear_memos()
+                        b = tornheim_q_info(s, r, t, tau, sigma, q, prec)
+                        assert a == b, (r, s, t, sigma, tau, q, prec)
 
 
 def _theorem1_value(r, s, t, sigma, tau, q, prec):
@@ -605,6 +620,25 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
     with pytest.raises(PrecisionError):
         phi_q_info(2, 1, F(101, 100), PrecisionConfig(digits=30, max_terms=100))
     assert numeric.memo_stats() == before
+
+
+def test_q_memo_hands_every_call_its_own_entry():
+    # the calls differ in one argument at a time: the signs (T, S, R), an
+    # exponent, q (and so q^2) and the precision; a _qterm_memo key that
+    # dropped any of them would hand one call the entry of another
+    cases = [(q, prec, v, t) for q in (F(3, 2), 2)
+             for prec in (PrecisionConfig(digits=12), P30) for v in "TSR" for t in (1, 2)]
+    calls = [(tornheim_q_info, (2, 1, t, *VARIANT_SIGNS[v], q, prec)) for q, prec, v, t in cases]
+    calls += [(evaluate_reduction, (theorem1_reduce(2, 1, t, v), q, prec))
+              for q, prec, v, t in cases]
+    numeric.clear_memos()
+    warm = [fn(*args) for fn, args in calls]
+    misses = numeric.memo_stats()["qterm_memo"]["misses"]
+    assert [fn(*args) for fn, args in calls] == warm
+    assert numeric.memo_stats()["qterm_memo"]["misses"] == misses  # the repeats were hits
+    for (fn, args), value in zip(calls, warm):
+        numeric.clear_memos()
+        assert fn(*args) == value, (fn.__name__, args)
 
 
 @pytest.mark.parametrize("digits", [12, 30, 60, 120, 250])
