@@ -340,11 +340,7 @@ def _verify_corollary3(args):
             for r in range(rlo, bound + 1):
                 for s in range(slo, bound + 1):
                     lhs = classical_zeta(r, sigma, prec) * classical_zeta(s, tau, prec)
-                    terms = corollary1_reduce(r, s, 0, variant)
-                    rhs = sum(
-                        c * classical_double_euler(o, i, prec) for c, o, i in terms
-                    )
-                    resid = abs(lhs - rhs)
+                    resid = abs(lhs - tornheim_classical(r, s, 0, variant, prec))
                     yield (resid <= tol,
                            f"zeta[{SignedIndex(r, sigma)}]*zeta[{SignedIndex(s, tau)}] "
                            f"residual {_fmt_bound(resid)}")

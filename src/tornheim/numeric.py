@@ -40,13 +40,15 @@ and drops the least recently used tables first.  q_zeta1, phi_q and
 q_zeta2 are exact integer sums over q-term entries (sum sign^k F_k,
 sum (k-1) sign^k F_k, sum_m sign^m F_m times a running prefix), converted
 to mpf once, so their rounding is a count of 3/4-units at B = working
-precision + STREAM_GUARD bits.  Three functools.lru_cache(MEMO_SIZE) memos
-sit behind validated input: _zeta_memo and _double_memo hold the classical
-values, and _qterm_memo the SumInfo of a q-kernel call keyed on the kernel,
-its exact exponents and signs, the QParam and the PrecisionConfig (used by
-evaluate_reduction, and by tornheim_q_info after _orient).  memo_stats()
-reports the hits, misses and sizes of all four memos, and clear_memos()
-empties them.
+precision + STREAM_GUARD bits.
+
+One functools.lru_cache of MEMO_SIZE entries, _memo(kernel, *args), sits
+behind validated input and holds the SumInfo of each kernel call, keyed on
+the kernel and its canonical arguments: _zeta_sum and _double_sum for the
+classical values, and q_zeta2_info, phi_q_info, q_zeta1_info (used by
+evaluate_reduction) and _tornheim_q (after _orient) on the q-side.
+memo_stats() reports the hits, misses and size of _memo and of _tables,
+and clear_memos() empties both.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
@@ -105,7 +107,7 @@ __all__ = [
 ]
 
 FLOAT64_GOAL_CUTOFF = 1e-10  # coarser goals than this use the vectorized kernel
-MEMO_SIZE = 4096  # entries per memo: mpf values (_zeta_memo, _double_memo), SumInfo (_qterm_memo)
+MEMO_SIZE = 4096  # SumInfo entries of _memo; criterion 4's grid takes 1,200
 TABLE_BUDGET = 1 << 17  # terms kept by all growable tables together (_tables)
 STREAM_GUARD = 32  # bits the q-term table keeps past working precision
 MAX_EXPONENT_DENOMINATOR = 8  # q-side exponents are rationals m/d, d <= this
@@ -526,7 +528,7 @@ def _orient(r, s, sigma, tau):
     """Canonical orientation: swapping (r, sigma) <-> (s, tau) together with
     u <-> v is a term-level bijection, so both orders denote the same sum.
     Sorting the slot pairs by exact exponent (r and s come from _exponent)
-    and then sign makes both orders one canonical key of _qterm_memo, so
+    and then sign makes both orders one canonical key of _memo, so
     they share one entry and return the identical SumInfo."""
     if (s, tau) < (r, sigma):
         return s, r, tau, sigma
@@ -577,14 +579,14 @@ def tornheim_q_info(
     goals (>= FLOAT64_GOAL_CUTOFF) sum that triangle by the float64 kernel
     when its tail plus its rounding bound meets the goal.  tail_bound is
     truncation plus rounding; if that exceeds the goal, PrecisionError is
-    raised.  Results are kept in _qterm_memo after _orient.
+    raised.  Results are kept in _memo after _orient.
     """
     _sign_ok(sigma), _sign_ok(tau)
     r, s, t = (_exponent(x, "tornheim_q") for x in (r, s, t))
     qp = _as_q(q)
     prec = _as_prec(prec)
     r, s, sigma, tau = _orient(r, s, sigma, tau)
-    return _qterm_memo(_tornheim_q, r, s, t, sigma, tau, qp, prec)
+    return _memo(_tornheim_q, r, s, t, sigma, tau, qp, prec)
 
 
 def _tornheim_q(r, s, t, sigma: int, tau: int, qp: QParam, prec: PrecisionConfig) -> SumInfo:
@@ -794,7 +796,7 @@ def classical_zeta(s, sign: int = 1, prec: PrecisionConfig | None = None) -> mpf
 
     sign=+1 needs s > 1; sign=-1 needs s >= 1, with zeta(1; -1) = -log 2.
     Raises PrecisionError when the a-priori cutoff exceeds max_terms or the
-    proven bound misses the goal (see _zeta_memo).
+    proven bound misses the goal (see _zeta_sum).
     """
     _sign_ok(sign)
     prec = _as_prec(prec)
@@ -802,11 +804,10 @@ def classical_zeta(s, sign: int = 1, prec: PrecisionConfig | None = None) -> mpf
         raise DivergenceError(f"classical_zeta: zeta(s) needs s > 1, got {s}")
     if sign == -1 and not s >= 1:
         raise DomainError(f"classical_zeta: zeta(s; -1) needs s >= 1, got {s}")
-    return _zeta_memo(s, sign, prec)
+    return _memo(_zeta_sum, s, sign, prec).value
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _zeta_memo(s, sign: int, prec: PrecisionConfig) -> mpf:
+def _zeta_sum(s, sign: int, prec: PrecisionConfig) -> SumInfo:
     """Borwein's acceleration of eta(s) = sum_{k>=0} (-1)^k a_k, a_k = (k+1)^-s.
 
     For real s > 0, a_k = int_0^1 x^k dmu with dmu = (-log x)^(s-1) dx /
@@ -843,8 +844,7 @@ def _zeta_memo(s, sign: int, prec: PrecisionConfig) -> mpf:
         truncation = 1 / (d[n] * abs(divisor))
         rounding = (mp.ldexp(mpf(3 * n + 4) / 4, -bits)
                     + mp.ldexp(abs(value), 3 - mp.prec)) / abs(divisor)
-        _bound("classical_zeta", value, truncation, rounding, goal)
-        return value
+        return SumInfo(value, _bound("classical_zeta", value, truncation, rounding, goal), n)
 
 
 def _as_signed(x) -> SignedIndex:
@@ -860,7 +860,7 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
 
     Arguments are SignedIndex (or plain ints, meaning sign +1).  Convergence
     preconditions: s1 >= 2 when g1 = +1, s1 >= 1 when g1 = -1, s2 >= 1.
-    Summed by the split of its iterated integral at 1/2 (_double_memo); raises
+    Summed by the split of its iterated integral at 1/2 (_double_sum); raises
     PrecisionError when the cutoff exceeds max_terms or the bound the goal.
     """
     s1 = _as_signed(first)
@@ -869,7 +869,7 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
     if not isinstance(s1.value, int) or not isinstance(s2.value, int):
         raise DomainError("classical_double_euler: indices must be integers")
     check_convergent("classical_double_euler:", s1.value, s1.sign, s2.value, ("s1", "s2"))
-    return _double_memo(s1.value, s1.sign, s2.value, s2.sign, prec)
+    return _memo(_double_sum, s1.value, s1.sign, s2.value, s2.sign, prec).value
 
 
 def _half_values(letters, n: int, bits: int) -> list[int]:
@@ -904,8 +904,7 @@ def _half_values(letters, n: int, bits: int) -> list[int]:
     return values
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _double_memo(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> mpf:
+def _double_sum(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> SumInfo:
     """zeta(a1, a2; g1, g2) = I(0 -> 1; w), w = w_1..w_L = 0^(a1-1) g1 0^(a2-1)
     g1g2 in the letters of _half_values, split at 1/2 (Borwein, Bradley,
     Broadhurst and Lisonek 2001): zeta = sum_{j<=L} A_j B_j with
@@ -932,8 +931,8 @@ def _double_memo(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> m
         value = _fixed_mpf(total, 2 * bits)
         truncation = mp.ldexp(mpf(3 * (size + 1)), -n)
         rounding = mp.ldexp(mpf(6 * size * (size + 1) * (n + 1)), -bits)
-        _bound("classical_double_euler", value, truncation, rounding, goal)
-        return value
+        return SumInfo(value, _bound("classical_double_euler", value, truncation, rounding, goal),
+                       n)
 
 
 # ----------------------------------------------------------------------
@@ -974,7 +973,7 @@ def tornheim_classical_naive(r: int, s: int, t: int, variant: str = "T",
 
 def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf:
     """Numeric value of a Reduction's right-hand side at a given q.  Each term's
-    series comes from _qterm_memo, keyed on its exponents as the term holds
+    series comes from _memo, keyed on its exponents as the term holds
     them (exact ints and Fractions, validated by the kernel on a miss); its
     (1-q) and (1+q) factors are applied here, and skipped at power 0."""
     qp = _as_q(q)
@@ -986,11 +985,11 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
         for coeff, kind in reduction.terms:
             if isinstance(kind, DoubleQZeta):
                 a, b = kind.outer, kind.inner
-                info = _qterm_memo(q_zeta2_info, a.value, a.sign, b.value, b.sign, qp, prec)
+                info = _memo(q_zeta2_info, a.value, a.sign, b.value, b.sign, qp, prec)
             elif isinstance(kind, PhiTerm):
-                info = _qterm_memo(phi_q_info, kind.index.value, kind.index.sign, qp, prec)
+                info = _memo(phi_q_info, kind.index.value, kind.index.sign, qp, prec)
             elif isinstance(kind, QSquaredZeta):
-                info = _qterm_memo(q_zeta1_info, kind.index, 1, q2, prec)
+                info = _memo(q_zeta1_info, kind.index, 1, q2, prec)
             else:
                 raise DomainError(f"evaluate_reduction: unknown term kind {kind!r}")
             val = info.value
@@ -1003,27 +1002,25 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _qterm_memo(kernel, *args) -> SumInfo:
-    """kernel(*args): q_zeta2_info, phi_q_info or q_zeta1_info for
-    evaluate_reduction (their public calls bypass this memo), or _tornheim_q."""
+def _memo(kernel, *args) -> SumInfo:
+    """kernel(*args), for a kernel that returns a SumInfo: _zeta_sum and
+    _double_sum behind the classical validators, q_zeta2_info, phi_q_info or
+    q_zeta1_info for evaluate_reduction (their public calls bypass this
+    memo), and _tornheim_q."""
     return kernel(*args)
 
 
 def memo_stats() -> dict:
-    """Hits, misses and size of _zeta_memo, _double_memo (mpf values) and
-    _qterm_memo (SumInfo), and for the q-term tables (_tables) their number,
-    the terms stored, the budget, and their hits and misses."""
-    stats = {}
-    for memo in (_zeta_memo, _double_memo, _qterm_memo):
-        info = memo.cache_info()
-        stats[memo.__name__.strip("_")] = {
-            "hits": info.hits, "misses": info.misses, "size": info.currsize}
-    stats["tables"] = _tables.stats()
-    return stats
+    """Hits, misses and size of _memo, and for the q-term tables (_tables)
+    their number, the terms stored, the budget, and their hits and misses.
+    A call that a kernel rejects inside _memo (_budget raising from
+    _zeta_sum, _double_sum or _tornheim_q) counts a miss and stores nothing."""
+    info = _memo.cache_info()
+    return {"memo": {"hits": info.hits, "misses": info.misses, "size": info.currsize},
+            "tables": _tables.stats()}
 
 
 def clear_memos() -> None:
-    """Empty every memo and table and reset their counts."""
-    for memo in (_zeta_memo, _double_memo, _qterm_memo):
-        memo.cache_clear()
+    """Empty _memo and the tables and reset their counts."""
+    _memo.cache_clear()
     _tables.clear()

@@ -119,11 +119,11 @@ def test_criterion_4_q_reduction_numeric_sweep():
     # the same width, and one table of the powers q^-k per q
     assert tables["misses"] == 111
     assert tables["terms"] <= tables["budget"]
-    # _qterm_memo holds one entry per distinct kernel call: 624 q_zeta2, 96
+    # _memo holds one entry per distinct kernel call: 624 q_zeta2, 96
     # phi_q and 48 q_zeta1 argument sets of the reduction terms, whatever their
     # (1-q) and (1+q) factors, and 432 tornheim_q sums once T[r,s;sigma,tau]
     # and T[s,r;tau,sigma] share one entry
-    assert numeric.memo_stats()["qterm_memo"]["misses"] == 624 + 96 + 48 + 432
+    assert numeric.memo_stats()["memo"]["misses"] == 624 + 96 + 48 + 432
     print(f"criterion 4: PASS - 576 cases, worst residual {mp.nstr(worst, 3)} ({dt:.1f}s)")
 
 

@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp, mpf
 
 from tornheim import numeric
+from tornheim.closedform import double_euler_closed
 from tornheim.errors import DivergenceError, DomainError, PrecisionError
 from tornheim.exact import SignedIndex
 from tornheim.numeric import (
@@ -388,7 +389,7 @@ def test_tornheim_q_symmetry_is_bit_exact():
     a = tornheim_q(2, 1, 1, -1, 1, 2, P30)
     b = tornheim_q(1, 2, 1, 1, -1, 2, P30)
     assert a == b
-    # both orders share one _qterm_memo entry, so each side is computed from
+    # both orders share one _memo entry, so each side is computed from
     # empty memos here: the float64 kernel (coarse goal) and the Lambert sum
     # must give the swapped call the identical value, bound and term count
     coarse = PrecisionConfig(digits=10, tail_goal=1e-7, max_terms=10 ** 9)
@@ -586,18 +587,17 @@ def test_classical_zeta_domain_errors():
 
 
 def test_memos_are_bounded_count_hits_and_skip_rejected_input():
-    memos = (numeric._zeta_memo, numeric._double_memo, numeric._qterm_memo)
-    assert all(memo.cache_info().maxsize == numeric.MEMO_SIZE for memo in memos)
+    assert numeric._memo.cache_info().maxsize == numeric.MEMO_SIZE
     prec = PrecisionConfig(digits=12)
     red = theorem1_reduce(1, 2, 1, "S")
     evaluate_reduction(red, "7/3", prec)
-    hits = numeric._qterm_memo.cache_info().hits
+    hits = numeric._memo.cache_info().hits
     evaluate_reduction(red, "7/3", prec)
-    assert numeric._qterm_memo.cache_info().hits == hits + len(red.terms)
+    assert numeric._memo.cache_info().hits == hits + len(red.terms)
     classical_double_euler(3, 1, prec)
-    hits = numeric._double_memo.cache_info().hits
+    hits = numeric._memo.cache_info().hits
     classical_double_euler(3, 1, prec)
-    assert numeric._double_memo.cache_info().hits == hits + 1
+    assert numeric._memo.cache_info().hits == hits + 1
     # the q-term table: one table per (q, bits, e, x), signs applied after it
     assert numeric.memo_stats()["tables"]["budget"] == numeric.TABLE_BUDGET
     before = numeric.memo_stats()["tables"]
@@ -620,11 +620,20 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
     with pytest.raises(PrecisionError):
         phi_q_info(2, 1, F(101, 100), PrecisionConfig(digits=30, max_terms=100))
     assert numeric.memo_stats() == before
+    # a call the budget rejects inside _memo counts a miss and stores nothing
+    size = numeric.memo_stats()["memo"]["size"]
+    with pytest.raises(PrecisionError):
+        classical_zeta(3, 1, PrecisionConfig(digits=250, max_terms=100))
+    assert numeric.memo_stats()["memo"]["size"] == size
+    with pytest.raises(PrecisionError):
+        tornheim_q_info(2, 1, 1, 1, 1, "101/100", PrecisionConfig(digits=30, max_terms=100))
+    assert numeric.memo_stats()["memo"]["size"] == size
+    assert numeric.memo_stats()["memo"]["misses"] == before["memo"]["misses"] + 2
 
 
 def test_q_memo_hands_every_call_its_own_entry():
     # the calls differ in one argument at a time: the signs (T, S, R), an
-    # exponent, q (and so q^2) and the precision; a _qterm_memo key that
+    # exponent, q (and so q^2) and the precision; a _memo key that
     # dropped any of them would hand one call the entry of another
     cases = [(q, prec, v, t) for q in (F(3, 2), 2)
              for prec in (PrecisionConfig(digits=12), P30) for v in "TSR" for t in (1, 2)]
@@ -633,9 +642,9 @@ def test_q_memo_hands_every_call_its_own_entry():
               for q, prec, v, t in cases]
     numeric.clear_memos()
     warm = [fn(*args) for fn, args in calls]
-    misses = numeric.memo_stats()["qterm_memo"]["misses"]
+    misses = numeric.memo_stats()["memo"]["misses"]
     assert [fn(*args) for fn, args in calls] == warm
-    assert numeric.memo_stats()["qterm_memo"]["misses"] == misses  # the repeats were hits
+    assert numeric.memo_stats()["memo"]["misses"] == misses  # the repeats were hits
     for (fn, args), value in zip(calls, warm):
         numeric.clear_memos()
         assert fn(*args) == value, (fn.__name__, args)
@@ -740,6 +749,45 @@ def test_double_euler_meets_goal_at_high_precision():
             assert err <= prec.goal(), (digits, s1, g1, s2, g2, err)
 
 
+def _mpmath_value(expr):
+    """A ZetaExpression at the current precision, its zeta(odd) by mpmath.zeta."""
+    total = mpf(0)
+    for mono, coeff in expr.terms():
+        val = mpf(F(coeff).numerator) / F(coeff).denominator
+        val *= mp.pi ** mono.pi_exponent * mp.log(2) ** mono.log2_exponent
+        for k in mono.odd_zeta_factors:
+            val *= mpmath.zeta(k)
+        total += val
+    return total
+
+
+@pytest.mark.parametrize("digits", [12, 30, 60, 120, 250])
+def test_classical_bounds_cover_the_truth(digits):
+    """Each classical SumInfo in _memo: |value - oracle| <= tail_bound <= goal,
+    with mpmath.zeta, and for the doubles their odd-weight closed form, as the
+    oracle; the public calls return the same value."""
+    prec = PrecisionConfig(digits=digits)
+    for s in (3, 5, 11):
+        with mp.workdps(digits + 40):
+            plain = mpmath.zeta(s)
+            oracles = {1: plain, -1: (2 ** (1 - mpf(s)) - 1) * plain}
+        for sign, oracle in oracles.items():
+            info = numeric._memo(numeric._zeta_sum, s, sign, prec)
+            assert classical_zeta(s, sign, prec) == info.value
+            with mp.workdps(digits + 40):
+                assert abs(info.value - oracle) <= info.tail_bound <= prec.goal(), (s, sign)
+    for a1, a2 in ((2, 1), (3, 2), (2, 3), (4, 3), (6, 5)):
+        for g1 in (1, -1):
+            for g2 in (1, -1):
+                info = numeric._memo(numeric._double_sum, a1, g1, a2, g2, prec)
+                got = classical_double_euler(SignedIndex(a1, g1), SignedIndex(a2, g2), prec)
+                assert got == info.value
+                with mp.workdps(digits + 40):
+                    oracle = _mpmath_value(double_euler_closed(a1, a2, g1, g2))
+                    assert abs(info.value - oracle) <= info.tail_bound <= prec.goal(), (
+                        a1, g1, a2, g2)
+
+
 def _half_series_exact(letters, n):
     """Each prefix word's power series cut at k <= n, summed at x = 1/2 in
     exact rationals from its coefficients f_k."""
@@ -761,7 +809,7 @@ def _half_series_exact(letters, n):
 @pytest.mark.parametrize("n,bits", [(6, 20), (40, 64), (40, 200), (130, 160)])
 def test_half_values_meet_their_rounding_count(n, bits):
     """Every prefix of a word of j letters lies within 2j (n+1) units of
-    2^-bits of its truncated series at 1/2, the count _double_memo's
+    2^-bits of its truncated series at 1/2, the count _double_sum's
     rounding allowance is built from."""
     words = [
         [2, 0, 0, -1, 0, 1, 2, 0, -1, -1, 0, 1],
