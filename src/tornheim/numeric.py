@@ -46,14 +46,25 @@ One functools.lru_cache of MEMO_SIZE entries, _memo(kernel, *args), sits
 behind validated input and holds the SumInfo of each kernel call, keyed on
 the kernel and its canonical arguments: _zeta_sum and _double_sum for the
 classical values, and q_zeta2_info, phi_q_info, q_zeta1_info (used by
-evaluate_reduction) and _tornheim_q (after _orient) on the q-side.
-memo_stats() reports the hits, misses and size of _memo and of _tables,
-and clear_memos() empties both.
+evaluate_reduction) and _tornheim_q (after _orient) on the q-side.  Every
+q-kernel splits into a plan (_Plan: the cutoff, table width, truncation
+bound and rounding allowance) and the signed integer sum that reads it.
+The signs only flip terms, so a plan is keyed without them: the exponents
+(r <= s for tornheim_q, then t), the QParam and the PrecisionConfig.
+_memo also holds the plans of tornheim_q, q_zeta2 and phi_q, so that T, S
+and R of one (r, s, t, q, precision) are planned once.  q_zeta1 plans on
+every call: its reduction terms (zq2) all have sign +1, so a plan entry
+would only repeat its sum entry.  memo_stats() reports the hits, misses
+and size of _memo and of _tables, and clear_memos() empties both.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
 front, bound truncation plus a proven rounding allowance, and raise
-PrecisionError when that exceeds the goal.
+PrecisionError when that exceeds the goal.  The cutoff planners
+(_geometric_n, _linear_cutoff) decide in float log2, read from each mpf's
+mantissa and exponent, and compare mpfs only within PLAN_TIE of a tie;
+the bounds stay mpfs and are checked against the goal, so a planning slip
+can only raise PrecisionError.
 tornheim_q expands its coupling weight q^((t-1)m)/[m]^t, m = u + v, as
 (q-1)^t sum_j binom(t+j-1, j) q^(-(j+1)m), which splits the double sum into
 (q-1)^t sum_j beta_j A_j B_j, where A_j = sum_u sigma^u q^(ru)/[u]^r
@@ -107,10 +118,11 @@ __all__ = [
 ]
 
 FLOAT64_GOAL_CUTOFF = 1e-10  # coarser goals than this use the vectorized kernel
-MEMO_SIZE = 4096  # SumInfo entries of _memo; criterion 4's grid takes 1,200
+MEMO_SIZE = 4096  # entries of _memo; criterion 4's grid takes 1,200 sums and 324 plans
 TABLE_BUDGET = 1 << 17  # terms kept by all growable tables together (_tables)
 STREAM_GUARD = 32  # bits the q-term table keeps past working precision
 MAX_EXPONENT_DENOMINATOR = 8  # q-side exponents are rationals m/d, d <= this
+PLAN_TIE = 1e-9  # relative log2 margin within which the cutoff planners compare mpfs
 
 
 @dataclass(frozen=True)
@@ -237,11 +249,34 @@ def _kbound(x, qm: mpf) -> mpf:
     return mp.power(qm - 1, xf)
 
 
+def _log2(x: mpf) -> float:
+    """log2 x for an mpf x > 0, as exp + bc + log2(man 2^-bc) from its
+    mantissa man of bc bits and its exponent exp, so that no x overflows it."""
+    _, man, exp, bc = x._mpf_
+    return exp + bc + math.log2(man / (1 << bc))
+
+
+def _decided(margin: float, scale: float, exact) -> bool:
+    """margin <= 0, for a float log2 margin whose parts sum to at most scale
+    in absolute value; within PLAN_TIE * (1 + scale) of a tie, exact()
+    decides, as the float's error is far smaller than that."""
+    if abs(margin) <= PLAN_TIE * (1 + scale):
+        return exact()
+    return margin <= 0
+
+
 def _geometric_n(c: mpf, qm: mpf, goal: mpf) -> int:
-    """Smallest N >= 1 with c * q^(-N) <= goal."""
-    if c <= goal:
-        return 1
-    return max(1, int(mp.ceil(mp.log(c / goal) / mp.log(qm))))
+    """The least N >= 1 with c q^-N <= goal, found in float log2 (_log2);
+    each N tried is decided by _decided, the mpf comparison at a near tie."""
+    lc, lq, lg = _log2(c), _log2(qm), _log2(goal)
+    scale = abs(lc) + abs(lg)
+    meets = lambda n: _decided(lc - n * lq - lg, scale, lambda: c * qm ** -n <= goal)
+    n = max(1, math.ceil((lc - lg) / lq))
+    while n > 1 and meets(n - 1):
+        n -= 1
+    while not meets(n):
+        n += 1
+    return n
 
 
 def _budget(n_terms: int, prec: PrecisionConfig, what: str) -> None:
@@ -419,6 +454,48 @@ def _bound(what: str, value: mpf, truncation: mpf, rounding: mpf, goal: mpf) -> 
     return truncation + rounding
 
 
+class _Plan(NamedTuple):
+    """The sign-free part of a q-kernel call, kept in _memo for all but
+    q_zeta1: the terms the call reports, its cutoff n, the width bits of its
+    table entries, its truncation bound, its rounding allowance before the
+    final rounding to working precision, and the goal.  tornheim_q adds js,
+    the Lambert weights summed, and, at a goal >= FLOAT64_GOAL_CUTOFF, the
+    triangle u + v <= w of its float64 kernel and that triangle's tail,
+    coarse."""
+    terms: int
+    n: int
+    bits: int
+    truncation: mpf
+    rounding: mpf
+    goal: mpf
+    js: int = 0
+    w: int = 0
+    coarse: mpf | None = None
+
+
+def _summed(what: str, plan: _Plan, prec: PrecisionConfig, total: int, bits: int) -> SumInfo:
+    """The SumInfo of the exact integer sum total 2^-bits of a call planned
+    by plan: rounded once to working precision and bounded by _bound."""
+    with mp.workdps(prec.working_dps):
+        value = _fixed_mpf(total, bits)
+        return SumInfo(value, _bound(what, value, plan.truncation, plan.rounding, plan.goal),
+                       plan.terms)
+
+
+def _q_zeta1_plan(s, qp: QParam, prec: PrecisionConfig) -> _Plan:
+    """q_zeta1_info's cutoff and bound, the same for both signs."""
+    with mp.workdps(prec.working_dps):
+        qm = qp.to_mpf()
+        goal = prec.goal()
+        k = _kbound(s, qm)
+        n_terms = _geometric_n(k / (qm - 1), qm, goal)
+        _budget(n_terms, prec, "q_zeta1")
+        bits = mp.prec + STREAM_GUARD
+        truncation = k / (qm - 1) * qm ** (-n_terms)
+        rounding = mp.ldexp(mpf(3 * n_terms) / 4, -bits)
+        return _Plan(n_terms, n_terms, bits, truncation, rounding, goal)
+
+
 def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> SumInfo:
     """zeta_q[s; sign] = sum_{n>=1} sign^n q^((s-1)n) / [n]^s, with tail bound.
 
@@ -429,21 +506,28 @@ def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) 
     s = _exponent(s, "q_zeta1")
     qp = _as_q(q)
     prec = _as_prec(prec)
-    with mp.workdps(prec.working_dps):
-        qm = qp.to_mpf()
-        goal = prec.goal()
-        k = _kbound(s, qm)
-        n_terms = _geometric_n(k / (qm - 1), qm, goal)
-        _budget(n_terms, prec, "q_zeta1")
-        bits = mp.prec + STREAM_GUARD
-        value = _fixed_mpf(sum(_stream_terms(qp, bits, s - 1, s, sign, n_terms)), bits)
-        truncation = k / (qm - 1) * qm ** (-n_terms)
-        rounding = mp.ldexp(mpf(3 * n_terms) / 4, -bits)
-        return SumInfo(value, _bound("q_zeta1", value, truncation, rounding, goal), n_terms)
+    plan = _q_zeta1_plan(s, qp, prec)
+    total = sum(_stream_terms(qp, plan.bits, s - 1, s, sign, plan.n))
+    return _summed("q_zeta1", plan, prec, total, plan.bits)
 
 
 def q_zeta1(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> mpf:
     return q_zeta1_info(s, sign, q, prec).value
+
+
+def _q_zeta2_plan(s1, s2, qp: QParam, prec: PrecisionConfig) -> _Plan:
+    """q_zeta2_info's cutoff and bound, the same for all four sign pairs."""
+    with mp.workdps(prec.working_dps):
+        qm = qp.to_mpf()
+        goal = prec.goal()
+        k1, k2 = _kbound(s1, qm), _kbound(s2, qm)
+        n_terms = _geometric_n(k1 * k2 / (qm - 1) ** 2, qm, goal)
+        _budget(n_terms, prec, "q_zeta2")
+        bits = mp.prec + STREAM_GUARD
+        truncation = k1 * k2 / (qm - 1) ** 2 * qm ** (-n_terms)
+        rounding = mp.ldexp(3 * ((n_terms - 1) * (k2 / (qm - 1) + 1) + k1 / (qm - 1) ** 2) / 4,
+                            -bits)
+        return _Plan(n_terms, n_terms, bits, truncation, rounding, goal)
 
 
 def q_zeta2_info(
@@ -457,26 +541,17 @@ def q_zeta2_info(
     (_kbound), so |p_j| <= K2/(q-1) and |P_j - 2^B p_j| <= 3/4 j; each
     product then errs by at most 3/4 2^B (K2/(q-1) + 1) + 3/4 (m-1) 2^B |f_m|
     (for N <= 2^B), and summing over m with sum (m-1) q^-m = 1/(q-1)^2 gives
-    rounding <= 3/4 2^-B ((N-1)(K2/(q-1) + 1) + K1/(q-1)^2).
+    rounding <= 3/4 2^-B ((N-1)(K2/(q-1) + 1) + K1/(q-1)^2).  The plan
+    comes from _memo.
     """
     _sign_ok(sign1), _sign_ok(sign2)
     s1, s2 = _exponent(s1, "q_zeta2"), _exponent(s2, "q_zeta2")
     qp = _as_q(q)
     prec = _as_prec(prec)
-    with mp.workdps(prec.working_dps):
-        qm = qp.to_mpf()
-        goal = prec.goal()
-        k1, k2 = _kbound(s1, qm), _kbound(s2, qm)
-        n_terms = _geometric_n(k1 * k2 / (qm - 1) ** 2, qm, goal)
-        _budget(n_terms, prec, "q_zeta2")
-        bits = mp.prec + STREAM_GUARD
-        outer = _stream_terms(qp, bits, s1 - 1, s1, sign1, n_terms)
-        prefixes = accumulate(_stream_terms(qp, bits, s2 - 1, s2, sign2, n_terms))
-        value = _fixed_mpf(sum(map(mul, outer[1:], prefixes)), 2 * bits)
-        truncation = k1 * k2 / (qm - 1) ** 2 * qm ** (-n_terms)
-        rounding = mp.ldexp(3 * ((n_terms - 1) * (k2 / (qm - 1) + 1) + k1 / (qm - 1) ** 2) / 4,
-                            -bits)
-        return SumInfo(value, _bound("q_zeta2", value, truncation, rounding, goal), n_terms)
+    plan = _memo(_q_zeta2_plan, s1, s2, qp, prec)
+    outer = _stream_terms(qp, plan.bits, s1 - 1, s1, sign1, plan.n)
+    prefixes = accumulate(_stream_terms(qp, plan.bits, s2 - 1, s2, sign2, plan.n))
+    return _summed("q_zeta2", plan, prec, sum(map(mul, outer[1:], prefixes)), 2 * plan.bits)
 
 
 def q_zeta2(s1, sign1: int, s2, sign2: int, q=None, prec: PrecisionConfig | None = None) -> mpf:
@@ -489,22 +564,21 @@ def _linear_geometric_tail(k: mpf, x: mpf, n: int) -> mpf:
 
 
 def _linear_cutoff(k: mpf, x: mpf, n: int, goal: mpf) -> int:
-    """Grow n by an eighth at a time until _linear_geometric_tail(k, x, n) <= goal."""
-    while _linear_geometric_tail(k, x, n) > goal:
+    """Grow n by an eighth at a time until _linear_geometric_tail(k, x, n) <=
+    goal, each n decided in float log2 by _decided (the mpf tail at a near
+    tie); (n+1) - n x is taken as 1 + n (1-x)."""
+    fixed = (_log2(k), -2 * _log2(1 - x), -_log2(goal))
+    lx, gap = _log2(x), float(1 - x)
+    while True:
+        parts = (*fixed, (n + 1) * lx, math.log2(1 + n * gap))
+        if _decided(sum(parts), sum(map(abs, parts)),
+                    lambda: _linear_geometric_tail(k, x, n) <= goal):
+            return n
         n += max(1, n // 8)
-    return n
 
 
-def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> SumInfo:
-    """phi[s; sign] = sum_{n>=1} (n-1) sign^n q^((s-1)n) / [n]^s, with bound.
-
-    The integer sum of (k-1) F_k over the N table entries is exact, so
-    rounding is at most 3/4 2^-B sum (k-1) = 3/4 2^-B N(N-1)/2.
-    """
-    _sign_ok(sign)
-    s = _exponent(s, "phi_q")
-    qp = _as_q(q)
-    prec = _as_prec(prec)
+def _phi_q_plan(s, qp: QParam, prec: PrecisionConfig) -> _Plan:
+    """phi_q_info's cutoff and bound, the same for both signs."""
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         goal = prec.goal()
@@ -513,11 +587,25 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
         n_terms = _linear_cutoff(k, x, _geometric_n(k / (qm - 1), qm, goal), goal)
         _budget(n_terms, prec, "phi_q")
         bits = mp.prec + STREAM_GUARD
-        terms = _stream_terms(qp, bits, s - 1, s, sign, n_terms)
-        value = _fixed_mpf(sum(map(mul, range(n_terms), terms)), bits)
         truncation = _linear_geometric_tail(k, x, n_terms)
         rounding = mp.ldexp(mpf(3 * n_terms * (n_terms - 1)) / 8, -bits)
-        return SumInfo(value, _bound("phi_q", value, truncation, rounding, goal), n_terms)
+        return _Plan(n_terms, n_terms, bits, truncation, rounding, goal)
+
+
+def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> SumInfo:
+    """phi[s; sign] = sum_{n>=1} (n-1) sign^n q^((s-1)n) / [n]^s, with bound.
+
+    The integer sum of (k-1) F_k over the N table entries is exact, so
+    rounding is at most 3/4 2^-B sum (k-1) = 3/4 2^-B N(N-1)/2.  The plan
+    comes from _memo.
+    """
+    _sign_ok(sign)
+    s = _exponent(s, "phi_q")
+    qp = _as_q(q)
+    prec = _as_prec(prec)
+    plan = _memo(_phi_q_plan, s, qp, prec)
+    terms = _stream_terms(qp, plan.bits, s - 1, s, sign, plan.n)
+    return _summed("phi_q", plan, prec, sum(map(mul, range(plan.n), terms)), plan.bits)
 
 
 def phi_q(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> mpf:
@@ -579,18 +667,25 @@ def tornheim_q_info(
     goals (>= FLOAT64_GOAL_CUTOFF) sum that triangle by the float64 kernel
     when its tail plus its rounding bound meets the goal.  tail_bound is
     truncation plus rounding; if that exceeds the goal, PrecisionError is
-    raised.  Results are kept in _memo after _orient.
+    raised.  Results are kept in _memo after _orient.  W, n, js, bits, the
+    truncation and the rounding allowance depend on neither sign, so they
+    are one plan (_tornheim_q_plan) in _memo for all four sign pairs; it is
+    looked up first, so a call the budget rejects counts one miss.
     """
     _sign_ok(sigma), _sign_ok(tau)
     r, s, t = (_exponent(x, "tornheim_q") for x in (r, s, t))
     qp = _as_q(q)
     prec = _as_prec(prec)
     r, s, sigma, tau = _orient(r, s, sigma, tau)
+    _memo(_tornheim_q_plan, r, s, t, qp, prec)  # raises first when the budget rejects
     return _memo(_tornheim_q, r, s, t, sigma, tau, qp, prec)
 
 
-def _tornheim_q(r, s, t, sigma: int, tau: int, qp: QParam, prec: PrecisionConfig) -> SumInfo:
-    """tornheim_q_info for exact exponents in _orient's order."""
+def _tornheim_q_plan(r, s, t, qp: QParam, prec: PrecisionConfig) -> _Plan:
+    """tornheim_q_info's cutoffs and bounds for r, s in _orient's order, the
+    same for all four sign pairs: the triangle W of terms and max_terms,
+    with its tail when the float64 kernel may serve, and the Lambert sum's
+    n, js, bits, truncation and rounding allowance."""
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         goal = prec.goal()
@@ -600,11 +695,7 @@ def _tornheim_q(r, s, t, sigma: int, tau: int, qp: QParam, prec: PrecisionConfig
         w = _linear_cutoff(k, x, max(2, _geometric_n(2 * k / (qm - 1) ** 2, qm, goal)), goal)
         count = w * (w - 1) // 2
         _budget(count, prec, "tornheim_q")
-        if goal >= FLOAT64_GOAL_CUTOFF:
-            truncation = _linear_geometric_tail(k, x, w)
-            value, rounding = _tornheim_q_float64(r, s, t, sigma, tau, qp.to_float(), w)
-            if truncation + rounding <= goal:
-                return SumInfo(mpf(value), truncation + rounding, count)
+        coarse = _linear_geometric_tail(k, x, w) if goal >= FLOAT64_GOAL_CUTOFF else None
         ta = abs(_xm(t))
         lam, c, root = 1 - x, mp.power(qm - 1, _xm(t)), mp.sqrt(qm)
         gamma_1, gamma_t = x / lam ** 2, x * mp.power(lam, -ta - 1)
@@ -618,11 +709,23 @@ def _tornheim_q(r, s, t, sigma: int, tau: int, qp: QParam, prec: PrecisionConfig
         js = min(js, n - 1)
         kappa, spread = (kr + 1) * (ks + 1), n - 1 + 1 / (qm - 1)
         bits = mp.prec + _step_bits(4 * (c + 1) * kappa * spread * (gamma_1 + gamma_t))
-        value = _fixed_mpf(_tornheim_q_lambert(r, s, t, sigma, tau, qp, n, js, bits), 6 * bits)
         e = mp.ldexp(1, -bits)
         rounding = ((c + 2 * e) * _lambert_rounding(kappa, spread, gamma_1 + gamma_t, n, t, bits)
                     + 2 * e * mass)
-        return SumInfo(value, _bound("tornheim_q", value, truncation, rounding, goal), count)
+        return _Plan(count, n, bits, truncation, rounding, goal, js, w, coarse)
+
+
+def _tornheim_q(r, s, t, sigma: int, tau: int, qp: QParam, prec: PrecisionConfig) -> SumInfo:
+    """tornheim_q_info for exact exponents in _orient's order."""
+    plan = _memo(_tornheim_q_plan, r, s, t, qp, prec)
+    if plan.coarse is not None:
+        with mp.workdps(prec.working_dps):
+            value, rounding = _tornheim_q_float64(r, s, t, sigma, tau, qp.to_float(), plan.w)
+            bound = plan.coarse + rounding
+            if bound <= plan.goal:
+                return SumInfo(mpf(value), bound, plan.terms)
+    total = _tornheim_q_lambert(r, s, t, sigma, tau, qp, plan.n, plan.js, plan.bits)
+    return _summed("tornheim_q", plan, prec, total, 6 * plan.bits)
 
 
 def _ceil_bits(x: mpf) -> int:
@@ -829,7 +932,7 @@ def _zeta_sum(s, sign: int, prec: PrecisionConfig) -> SumInfo:
     with mp.workdps(prec.working_dps):
         goal = prec.goal()
         divisor = mpf(-1) if sign == -1 else 1 - mp.power(2, 1 - _xm(s))
-        n = max(1, int(mp.ceil(mp.log(4 / (goal * abs(divisor))) / mp.log(3 + mp.sqrt(8)))))
+        n = _geometric_n(4 / abs(divisor), 3 + mp.sqrt(8), goal)
         _budget(n, prec, "classical_zeta")
         bits = mp.prec + STREAM_GUARD
         with mp.workprec(bits + 8 + _ceil_bits(abs(_xm(s)) * mp.log(n + 1))):
@@ -1002,19 +1105,25 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _memo(kernel, *args) -> SumInfo:
-    """kernel(*args), for a kernel that returns a SumInfo: _zeta_sum and
+def _memo(kernel, *args) -> SumInfo | _Plan:
+    """kernel(*args) for a kernel that returns a SumInfo: _zeta_sum and
     _double_sum behind the classical validators, q_zeta2_info, phi_q_info or
-    q_zeta1_info for evaluate_reduction (their public calls bypass this
-    memo), and _tornheim_q."""
+    q_zeta1_info for evaluate_reduction (their public calls store no sum
+    here), and _tornheim_q; or for a q-kernel's sign-free planner, which
+    returns a _Plan: _tornheim_q_plan, _q_zeta2_plan or _phi_q_plan, looked
+    up by every call of the kernel, public ones too."""
     return kernel(*args)
 
 
 def memo_stats() -> dict:
-    """Hits, misses and size of _memo, and for the q-term tables (_tables)
-    their number, the terms stored, the budget, and their hits and misses.
-    A call that a kernel rejects inside _memo (_budget raising from
-    _zeta_sum, _double_sum or _tornheim_q) counts a miss and stores nothing."""
+    """Hits, misses and size of _memo, sums and plans together, and for the
+    q-term tables (_tables) their number, the terms stored, the budget, and
+    their hits and misses.  A call that a kernel rejects inside _memo
+    (_budget raising from _zeta_sum, _double_sum or a q-kernel's plan)
+    counts a miss for each entry it looked up and stores nothing: one for a
+    classical kernel, a public q_zeta2 or phi_q call, tornheim_q_info or a
+    q_zeta1 term of evaluate_reduction, two for a q_zeta2 or phi_q term (its
+    sum, then its plan), none for a public q_zeta1 call."""
     info = _memo.cache_info()
     return {"memo": {"hits": info.hits, "misses": info.misses, "size": info.currsize},
             "tables": _tables.stats()}

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -425,15 +426,19 @@ def test_removed_window_flag_exits_2(capsys):
 
 
 def test_readme_cli_examples_print_the_readme_lines(capsys):
+    """Every README example that shows its output prints exactly those lines."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = readme.splitlines()
-    for command in ("eval R 1 1 1", "eval T 2 1 2 --q 2 --digits 30"):
-        start = lines.index(f"tornheim {command}") + 1
-        expected = []
-        for line in lines[start:]:
-            if not line.startswith("  "):
-                break
-            expected.append(line[2:])
+    examples = {}
+    for i, line in enumerate(lines):
+        if line.startswith("tornheim ") and lines[i + 1].startswith("  "):
+            output = takewhile(lambda shown: shown.startswith("  "), lines[i + 1:])
+            examples[line[len("tornheim "):]] = [shown[2:] for shown in output]
+    assert list(examples) == [
+        "eval R 1 1 1", "eval T 2 1 2 --q 2 --digits 30", "eval zeta2 4 1",
+        "eval zeta2 5/2 3/2 --q 1001/1000", "eval zeta2 4 2 --digits 120", "reduce R 1 1 1",
+    ]
+    for command, expected in examples.items():
         rc, out, _ = run(capsys, *command.split())
         assert rc == 0
         assert out.splitlines() == expected, command

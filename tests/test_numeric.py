@@ -617,18 +617,19 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
         q_zeta1_info(2, 0, 2, prec)
     with pytest.raises(DomainError):
         q_zeta2_info(2, 1, 1, 1, 1, prec)
-    with pytest.raises(PrecisionError):
-        phi_q_info(2, 1, F(101, 100), PrecisionConfig(digits=30, max_terms=100))
     assert numeric.memo_stats() == before
     # a call the budget rejects inside _memo counts a miss and stores nothing
     size = numeric.memo_stats()["memo"]["size"]
     with pytest.raises(PrecisionError):
         classical_zeta(3, 1, PrecisionConfig(digits=250, max_terms=100))
-    assert numeric.memo_stats()["memo"]["size"] == size
+    with pytest.raises(PrecisionError):
+        phi_q_info(2, 1, F(101, 100), PrecisionConfig(digits=30, max_terms=100))
     with pytest.raises(PrecisionError):
         tornheim_q_info(2, 1, 1, 1, 1, "101/100", PrecisionConfig(digits=30, max_terms=100))
     assert numeric.memo_stats()["memo"]["size"] == size
-    assert numeric.memo_stats()["memo"]["misses"] == before["memo"]["misses"] + 2
+    # one miss each: the _zeta_sum entry, the phi_q plan and the tornheim_q
+    # plan, which is looked up before its sum entry, so that is never reached
+    assert numeric.memo_stats()["memo"]["misses"] == before["memo"]["misses"] + 3
 
 
 def test_q_memo_hands_every_call_its_own_entry():
@@ -648,6 +649,73 @@ def test_q_memo_hands_every_call_its_own_entry():
     for (fn, args), value in zip(calls, warm):
         numeric.clear_memos()
         assert fn(*args) == value, (fn.__name__, args)
+    # each kernel's plan is keyed without the signs: T, S and R of one
+    # (r, s, t, q, prec) share one plan entry (and r, s in either order), the
+    # public q_zeta2/phi_q calls store only their plan, and q_zeta1 none
+    prec12 = PrecisionConfig(digits=12)
+    numeric.clear_memos()
+    misses = lambda: numeric.memo_stats()["memo"]["misses"]
+    for v in "TSR":
+        tornheim_q_info(2, 1, 1, *VARIANT_SIGNS[v], F(3, 2), prec12)
+    tornheim_q_info(1, 2, 1, -1, 1, F(3, 2), prec12)
+    assert misses() == 1 + 3  # one plan, three sums: the swapped R is R's
+    plan = numeric._memo(numeric._tornheim_q_plan, 1, 2, 1, QParam(F(3, 2)), prec12)
+    assert misses() == 4 and plan.terms == tornheim_q_info(2, 1, 1, q=F(3, 2), prec=prec12).terms
+    for g1 in (1, -1):
+        q_zeta1_info(F(5, 2), g1, 2, prec12)
+        phi_q_info(F(5, 2), g1, 2, prec12)
+        for g2 in (1, -1):
+            q_zeta2_info(3, g1, F(1, 2), g2, 2, prec12)
+    assert misses() == 4 + 2
+    # a change in r, s, t, q or digits is a new plan and a new sum
+    for r, s, t, q, prec in [(3, 1, 1, F(3, 2), prec12), (2, 2, 1, F(3, 2), prec12),
+                             (2, 1, 2, F(3, 2), prec12), (2, 1, 1, 2, prec12),
+                             (2, 1, 1, F(3, 2), P30)]:
+        before = misses()
+        warm = tornheim_q_info(r, s, t, 1, -1, q, prec)
+        assert misses() == before + 2, (r, s, t, q, prec)
+        numeric.clear_memos()
+        assert tornheim_q_info(r, s, t, 1, -1, q, prec) == warm
+    for args in [(F(7, 2), 1, F(1, 2), 1, 2), (3, 1, 1, 1, 2), (3, 1, F(1, 2), 1, 3)]:
+        for prec in (prec12, P30):
+            before = misses()
+            warm = q_zeta2_info(*args, prec)
+            assert misses() == before + 1, (args, prec)
+            numeric.clear_memos()
+            assert q_zeta2_info(*args, prec) == warm
+
+
+@pytest.mark.parametrize("digits", [12, 30, 120, 400, 1000])
+def test_cutoff_planners_return_the_least_n_that_meets_the_mpf_inequality(digits):
+    """_geometric_n decides in float log2, and _linear_cutoff walks its steps
+    of an eighth the same way; both must agree with the mpf inequality at
+    working precision, also for goals below the float range (digits >= 400)
+    and at constructed near-ties of relative +-1e-12, which the float alone
+    cannot decide."""
+    prec = PrecisionConfig(digits=digits)
+    with mp.workdps(prec.working_dps):
+        goal = prec.goal()
+        geometric = lambda c, qm, g, n: c * qm ** -n <= g
+        linear = lambda k, x, g, n: numeric._linear_geometric_tail(k, x, n) <= g
+        for q in (F(1001, 1000), F(101, 100), F(11, 10), F(3, 2), 2, 3, mpf(3) + mp.sqrt(8)):
+            qm = q if isinstance(q, mpf) else mpf(F(q).numerator) / F(q).denominator
+            for c in (mpf(1) / 3, mpf(7), mpf(10) ** 40):
+                n = numeric._geometric_n(c, qm, goal)
+                assert geometric(c, qm, goal, n), (q, c)
+                assert n == 1 or not geometric(c, qm, goal, n - 1), (q, c)
+                for rel in (-1e-12, 0, 1e-12):
+                    tied = c * qm ** -n * (1 + mpf(rel))
+                    assert numeric._geometric_n(c, qm, tied) == (n + 1 if rel < 0 else n)
+                x = 1 / qm
+                steps = [n]
+                while not linear(c, x, goal, steps[-1]):
+                    steps.append(steps[-1] + max(1, steps[-1] // 8))
+                assert numeric._linear_cutoff(c, x, n, goal) == steps[-1], (q, c)
+                for m in steps:
+                    for rel in (-1e-12, 0, 1e-12):
+                        tied = numeric._linear_geometric_tail(c, x, m) * (1 + mpf(rel))
+                        cut = numeric._linear_cutoff(c, x, n, tied)
+                        assert cut == (m + max(1, m // 8) if rel < 0 else m), (q, c, m, rel)
 
 
 @pytest.mark.parametrize("digits", [12, 30, 60, 120, 250])
@@ -823,6 +891,28 @@ def test_half_values_meet_their_rounding_count(n, bits):
         for j, (v, exact) in enumerate(zip(got, _half_series_exact(word, n))):
             err = abs(F(v, 2 ** bits) - exact) * 2 ** bits
             assert err <= 2 * j * (n + 1), (word, j, float(err))
+
+
+def test_double_sum_bound_covers_its_rounding_at_few_bits(monkeypatch):
+    """_double_sum at B = 53 bits (a guard of -100 at 30 digits) against the
+    exact sum of its series cut at N terms: the two differ by rounding alone,
+    which must lie within tail_bound less the truncation 3 (L+1) 2^-N, and
+    is far above the final rounding, so this fails without the allowance."""
+    monkeypatch.setattr(numeric, "STREAM_GUARD", -100)
+    prec = PrecisionConfig(digits=30, tail_goal=1e-9)
+    for a1, g1, a2, g2 in ((3, 1, 2, 1), (2, -1, 1, -1), (3, -1, 2, 1), (1, -1, 3, 1)):
+        info = numeric._double_sum(a1, g1, a2, g2, prec)  # not through _memo
+        word = [0] * (a1 - 1) + [g1] + [0] * (a2 - 1) + [g1 * g2]
+        n, size = info.terms, len(word)
+        tails = _half_series_exact(list(reversed(word)), n)
+        heads = _half_series_exact([1 if c == 0 else 1 - c for c in word], n)
+        signs = accumulate((1 if c in (0, 1) else -1 for c in word), mul, initial=1)
+        exact = sum(g * a * b for g, a, b in zip(signs, heads, reversed(tails)))
+        with mp.workdps(60):
+            error = abs(info.value - mpf(exact.numerator) / exact.denominator)
+            rounding = info.tail_bound - 3 * (size + 1) * mp.ldexp(1, -n)
+            assert error <= rounding, (a1, g1, a2, g2, error, rounding)
+            assert error > mp.ldexp(abs(info.value), -100), (a1, g1, a2, g2)
 
 
 def test_double_euler_stuffle_product():
