@@ -22,13 +22,21 @@ every even s <= 60 and both sigma (the tests check s <= 40).
 Tornheim values follow by the depth-2 reduction: tornheim_closed combines
 the classical reduction's terms through this identity and reports the
 pairs it used as provenance.
+
+Assembly runs in exact integers.  Each factor zeta(k; sign) of the identity
+is one monomial or zero, so a double Euler value is a sum of single-monomial
+products, merged in one dict.  Its memo entry keeps that ZetaExpression and
+the same coefficients as integer numerators over their lcm denominator.  A
+Tornheim value scales each pair's numerators to the lcm L of the pairs'
+denominators, sums them as ints, and builds one Fraction per monomial of
+the result at the end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .errors import DomainError
 from .exact import (
@@ -80,14 +88,16 @@ class EvaluationResult:
     provenance: tuple[ProvenanceStep, ...]
 
 
-def _zeta_or_local(k: int, sign: int, alt_zero: Fraction) -> ZetaExpression:
-    """zeta_const extended by the two formula-local constants."""
+def _zeta_term(k: int, sign: int, alt_zero: Fraction) -> tuple[ZetaMonomial, Fraction] | None:
+    """zeta(k; sign), extended by the two formula-local constants, as its
+    one monomial and coefficient; None where the value is 0."""
     if k == 0:
         value = alt_zero if sign == -1 else Fraction(-1, 2)
-        return ZetaExpression.constant(value)
+        return (ZetaMonomial(), value) if value else None
     if k == 1 and sign == 1:
-        return ZetaExpression.zero()  # sentinel: the formula's zeta(1) reads as 0
-    return zeta_const(k, sign)
+        return None  # sentinel: the formula's zeta(1) reads as 0
+    (term,) = zeta_const(k, sign).terms()
+    return term
 
 
 def _validate_double(s: int, t: int, sigma: int, tau: int) -> None:
@@ -118,33 +128,47 @@ def double_euler_closed(
     which is safe because expressions are immutable.
     """
     _validate_double(s, t, sigma, tau)
-    return _double_closed_memo(s, t, sigma, tau, Fraction(alt_zero))
+    return _double_closed_memo(s, t, sigma, tau, Fraction(alt_zero))[0]
 
 
 @lru_cache(maxsize=CLOSED_MEMO_SIZE)
 def _double_closed_memo(
     s: int, t: int, sigma: int, tau: int, alt_zero: Fraction
-) -> ZetaExpression:
+) -> tuple[ZetaExpression, tuple[tuple[ZetaMonomial, int], ...], int]:
+    """(value, numerators, denominator) of one double Euler value.
+
+    The value is the identity's sum of single-monomial products; the
+    numerators are its coefficients times the lcm of their denominators,
+    which tornheim_closed sums as ints.
+    """
     st = sigma * tau
+    flip = -1 if t % 2 else 1  # the bracket's (-1)^t
+    one = (ZetaMonomial(), Fraction(1))
+    products = [(Fraction(-1, 2), _zeta_term(s + t, st, alt_zero), one)]
     if s % 2 == 0:
-        acc = _zeta_or_local(s, sigma, alt_zero) * _zeta_or_local(t, tau, alt_zero)
-    else:
-        acc = ZetaExpression.zero()
-    acc = acc - zeta_const(s + t, st) * Fraction(1, 2)
-    bracket = ZetaExpression.zero()
+        products.append((1, _zeta_term(s, sigma, alt_zero), _zeta_term(t, tau, alt_zero)))
     for k in range(0, t // 2 + 1):
-        coeff = Fraction(comb(s + t - 2 * k - 1, s - 1))
-        bracket = bracket + _zeta_or_local(2 * k, st, alt_zero) * _zeta_or_local(
-            s + t - 2 * k, sigma, alt_zero
-        ) * coeff
+        products.append((
+            flip * comb(s + t - 2 * k - 1, s - 1),
+            _zeta_term(2 * k, st, alt_zero), _zeta_term(s + t - 2 * k, sigma, alt_zero),
+        ))
     for k in range(0, s // 2 + 1):
-        coeff = Fraction(comb(s + t - 2 * k - 1, t - 1))
-        bracket = bracket + _zeta_or_local(2 * k, st, alt_zero) * _zeta_or_local(
-            s + t - 2 * k, tau, alt_zero
-        ) * coeff
-    if t % 2 == 1:
-        bracket = -bracket
-    return acc + bracket
+        products.append((
+            flip * comb(s + t - 2 * k - 1, t - 1),
+            _zeta_term(2 * k, st, alt_zero), _zeta_term(s + t - 2 * k, tau, alt_zero),
+        ))
+    coeffs: dict[ZetaMonomial, Fraction] = {}
+    for factor, a, b in products:
+        if a is None or b is None:
+            continue
+        mono, coeff = a[0] * b[0], factor * a[1] * b[1]
+        if mono in coeffs:
+            coeff += coeffs.pop(mono)
+        if coeff:
+            coeffs[mono] = coeff
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    nums = tuple((m, c.numerator * (den // c.denominator)) for m, c in coeffs.items())
+    return ZetaExpression._trusted(coeffs), nums, den
 
 
 def tornheim_closed(
@@ -155,22 +179,42 @@ def tornheim_closed(
 
     Requires the variant's convergence inequalities (enforced by the depth-2
     reduction) and r + s + t odd.
+
+    Each pair (outer, inner) of the reduction is checked as
+    double_euler_closed checks it and read from _double_closed_memo.  The
+    common denominator is the lcm of the pairs' denominators, each times
+    its Corollary 1 coefficient's denominator (1 on every row).  Each
+    pair's numerators, scaled by its coefficient and to the common
+    denominator, are summed in one dict of ints; the result's coefficients
+    are those sums over the common denominator.
     """
     terms = corollary1_reduce(r, s, t, variant)
     if (r + s + t) % 2 == 0:
         raise DomainError(
             f"tornheim_closed: no closed form at even weight r + s + t = {r + s + t}"
         )
-    total = ZetaExpression.zero()
+    key = Fraction(alt_zero)
+    entries = []
+    for coeff, outer, inner in terms:
+        _validate_double(outer.value, inner.value, outer.sign, inner.sign)
+        _, nums, den = _double_closed_memo(
+            outer.value, inner.value, outer.sign, inner.sign, key
+        )
+        entries.append((coeff, nums, den * coeff.denominator))
+    common = lcm(*(den for _, _, den in entries))
+    sums: dict[ZetaMonomial, int] = {}
+    for coeff, nums, den in entries:
+        scale = coeff.numerator * (common // den)
+        for mono, num in nums:
+            sums[mono] = sums.get(mono, 0) + num * scale
+    total = ZetaExpression._trusted(
+        {mono: Fraction(num, common) for mono, num in sums.items() if num}
+    )
     steps = [
         ProvenanceStep.make(
             "depth-2-reduction", variant=variant, r=r, s=s, t=t, terms=len(terms)
         )
     ]
-    for coeff, outer, inner in terms:
-        total = total + double_euler_closed(
-            outer.value, inner.value, outer.sign, inner.sign, alt_zero
-        ) * coeff
     pairs = dict.fromkeys((outer, inner) for _, outer, inner in terms)
     for outer, inner in pairs:
         steps.append(

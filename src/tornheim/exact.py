@@ -205,8 +205,10 @@ class ZetaMonomial:
 class ZetaExpression:
     """Sparse Q-linear combination of ZetaMonomial, always canonical.
 
-    Construction merges duplicate monomials and drops zero coefficients, so
-    two expressions are equal iff their term maps are equal.  The ring
+    Construction converts each coefficient to a Fraction once (one that is
+    already a Fraction is kept as is) and drops the zeros, so two
+    expressions are equal iff their term maps are equal; a Mapping holds
+    each monomial once, so there is nothing to merge.  The ring
     operations build their results through _trusted, which skips that
     work: its callers pass an already merged dict whose coefficients are
     all nonzero Fractions, and hand that dict over to the new expression.
@@ -217,17 +219,13 @@ class ZetaExpression:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[ZetaMonomial, Fraction | int] | None = None) -> None:
-        merged: dict[ZetaMonomial, Fraction] = {}
+        canonical: dict[ZetaMonomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            acc = merged.get(mono, Fraction(0)) + coeff
-            if acc == 0:
-                merged.pop(mono, None)
-            else:
-                merged[mono] = acc
-        object.__setattr__(self, "_terms", merged)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if coeff:
+                canonical[mono] = coeff
+        object.__setattr__(self, "_terms", canonical)
 
     # -- constructors ---------------------------------------------------
 
@@ -362,7 +360,8 @@ def expression_to_json(expr: ZetaExpression) -> list[dict]:
 
 def expression_from_json(items: list[Mapping]) -> ZetaExpression:
     """Inverse of expression_to_json.  Anything but a list of term objects
-    with a "coeff" and integer exponents raises DomainError."""
+    with a "coeff" and integer exponents raises DomainError.  Terms of one
+    monomial are summed, and a zero coefficient or sum is dropped."""
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise DomainError(f"expression JSON must be a list of term objects, got {items!r}")
     terms: dict[ZetaMonomial, Fraction] = {}
@@ -378,8 +377,11 @@ def expression_from_json(items: list[Mapping]) -> ZetaExpression:
             coeff = Fraction(item["coeff"])
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"bad expression term {item!r}: {exc}") from exc
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
-    return ZetaExpression(terms)
+        if mono in terms:
+            coeff += terms.pop(mono)
+        if coeff:
+            terms[mono] = coeff
+    return ZetaExpression._trusted(terms)
 
 
 # ----------------------------------------------------------------------

@@ -65,6 +65,12 @@ PRODUCT_VARIANTS = {"TT": "T", "SS": "S", "TS": "R"}
 # (sigma, tau) slot signs per variant
 VARIANT_SIGNS = {"T": (1, 1), "S": (-1, -1), "R": (1, -1)}
 
+# corollary1_reduce entries.  A classical check calls it twice in a row with
+# the same arguments (closed form, then numeric route), and the second call
+# hits; `table --weight 15` never repeats a row, and at weight 15 an entry
+# holds about 3 kB, so the memo stays small.
+COROLLARY1_MEMO_SIZE = 16
+
 
 # ----------------------------------------------------------------------
 # combinatorics
@@ -304,7 +310,9 @@ def theorem1_reduce(r: int, s: int, t, variant: str = "T") -> Reduction:
     return Reduction(variant=variant, r=r, s=s, t=t, terms=terms)
 
 
-def corollary1_reduce(r: int, s: int, t: int, variant: str = "T") -> list[tuple[Fraction, SignedIndex, SignedIndex]]:
+def corollary1_reduce(
+    r: int, s: int, t: int, variant: str = "T"
+) -> tuple[tuple[Fraction, SignedIndex, SignedIndex], ...]:
     """Classical (q -> 1) reduction: T/S/R(r,s,t) as a combination of depth-2
     signed zeta values.  Only the (1-q)^0 terms of theorem1_reduce survive
     the limit:
@@ -316,6 +324,10 @@ def corollary1_reduce(r: int, s: int, t: int, variant: str = "T") -> list[tuple[
     every emitted one; DivergenceError otherwise):
       T: s + t > 1 and r + t > 1;  S: s + t > 0 and r + t > 0;
       R: s + t > 0 and r + t > 1.
+
+    Memoized like lemma1_expand, after the checks (COROLLARY1_MEMO_SIZE
+    entries, so rejected input is never cached): a repeated call returns the
+    same tuple of terms.
     """
     _check_variant(variant)
     if not all(isinstance(x, int) for x in (r, s, t)):
@@ -326,12 +338,19 @@ def corollary1_reduce(r: int, s: int, t: int, variant: str = "T") -> list[tuple[
     where = f"corollary1_reduce: {variant}-variant"
     check_convergent(where, s + t, tau, r, ("s + t", "r"))
     check_convergent(where, r + t, sigma, s, ("r + t", "s"))
-    out: list[tuple[Fraction, SignedIndex, SignedIndex]] = []
+    return _corollary1_memo(r, s, t, variant)
+
+
+@lru_cache(maxsize=COROLLARY1_MEMO_SIZE)
+def _corollary1_memo(
+    r: int, s: int, t: int, variant: str
+) -> tuple[tuple[Fraction, SignedIndex, SignedIndex], ...]:
+    out = []
     for term in lemma1_expand(r, s):
         if term.one_minus_q_pow == 0:  # diagonal terms carry (1-q)^j, j >= 1
             coeff, kind = _theorem1_term(term, t, variant)
             out.append((coeff, kind.outer, kind.inner))
-    return out
+    return tuple(out)
 
 
 def product_decompose(r: int, s: int, variant: str = "TT") -> Reduction:

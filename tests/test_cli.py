@@ -393,6 +393,9 @@ def test_table_json(capsys):
 
 # SHA-256 of `table --weight 15` stdout; pins every row's render() string.
 TABLE_15_SHA256 = "a19d56736e4c12f5c0cb0346114179c127bd51d4c87dd577ebff36e212997eb2"
+# SHA-256 of `table --weight 15 --format json` stdout; pins every exact
+# coefficient of every row.
+TABLE_15_JSON_SHA256 = "e116a3baecc8448b2d804504348127d5ac092f785a194ef31db0cbc214a08b18"
 
 
 def test_table_weight_15_golden(capsys):
@@ -400,6 +403,13 @@ def test_table_weight_15_golden(capsys):
     assert rc == 0
     assert len(out.splitlines()) == 756  # one row per (variant, r, s, t)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE_15_SHA256
+
+
+def test_table_weight_15_json_golden(capsys):
+    rc, out, _ = run(capsys, "table", "--weight", "15", "--format", "json")
+    assert rc == 0
+    assert len(json.loads(out)) == 756
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE_15_JSON_SHA256
 
 
 def test_table_weight_guard(capsys):

@@ -1,6 +1,8 @@
 """Closed-form route: reference table, identity goldens, numeric cross-checks."""
 import json
 from fractions import Fraction as F
+from functools import lru_cache
+from math import comb, lcm
 
 import pytest
 from mpmath import mp, mpf
@@ -25,6 +27,7 @@ from tornheim.exact import (
     zeta_const,
 )
 from tornheim.numeric import PrecisionConfig, classical_double_euler, tornheim_classical
+from tornheim.reduction import corollary1_reduce
 
 
 def expr(pairs):
@@ -116,6 +119,104 @@ def test_general_rule_golden():
 def test_known_simple_values():
     assert tornheim_closed(1, 1, 1, "S").expression == expr([(F(1, 4), 0, (3,))])
     assert tornheim_closed(1, 1, 1, "T").expression == expr([(F(2), 0, (3,))])
+
+
+# ----------------------------------------------------------------------
+# the integer assembly against the ring operators
+# ----------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _ring_zeta_or_local(k, sign, alt_zero):
+    if k == 0:
+        return ZetaExpression.constant(alt_zero if sign == -1 else F(-1, 2))
+    if k == 1 and sign == 1:
+        return ZetaExpression.zero()
+    return zeta_const(k, sign)
+
+
+def _ring_double(s, t, sigma, tau, alt_zero):
+    """The module docstring's identity, composed with ZetaExpression + and *."""
+    def z(k, sign):
+        return _ring_zeta_or_local(k, sign, alt_zero)
+
+    st = sigma * tau
+    acc = z(s, sigma) * z(t, tau) if s % 2 == 0 else ZetaExpression.zero()
+    acc = acc - zeta_const(s + t, st) * F(1, 2)
+    bracket = ZetaExpression.zero()
+    for k in range(t // 2 + 1):
+        bracket = bracket + z(2 * k, st) * z(s + t - 2 * k, sigma) * comb(s + t - 2 * k - 1, s - 1)
+    for k in range(s // 2 + 1):
+        bracket = bracket + z(2 * k, st) * z(s + t - 2 * k, tau) * comb(s + t - 2 * k - 1, t - 1)
+    return acc + (-bracket if t % 2 else bracket)
+
+
+def _ring_tornheim(r, s, t, variant, alt_zero, doubles):
+    total = ZetaExpression.zero()
+    for coeff, outer, inner in corollary1_reduce(r, s, t, variant):
+        key = (outer.value, inner.value, outer.sign, inner.sign, alt_zero)
+        if key not in doubles:
+            doubles[key] = _ring_double(*key)
+        total = total + doubles[key] * coeff
+    return total
+
+
+def _assert_canonical(expr):
+    assert all(type(c) is F and c != 0 for _, c in expr.terms())
+
+
+def test_integer_assembly_matches_the_ring_operators():
+    doubles = {}
+    rows = closed_form_table(15)
+    assert len(rows) == 756
+    for variant, r, s, t, got in rows:
+        assert got == _ring_tornheim(r, s, t, variant, ALT_ZETA_AT_ZERO, doubles), (variant, r, s, t)
+        _assert_canonical(got)
+    for w in (3, 5, 7, 9):
+        for r in range(1, w - 1):
+            for s in range(1, w - r):
+                for variant in ("T", "S", "R"):
+                    got = tornheim_closed(r, s, w - r - s, variant, alt_zero=F(1, 2)).expression
+                    want = _ring_tornheim(r, s, w - r - s, variant, F(1, 2), doubles)
+                    assert got == want, (variant, r, s, w - r - s)
+                    _assert_canonical(got)
+
+
+def test_integer_assembly_scales_fractional_coefficients(monkeypatch):
+    """Corollary 1's coefficients are integers; the assembly does not rely
+    on it, so reductions with fractional coefficients still sum exactly."""
+    terms = corollary1_reduce(3, 2, 2, "R")
+    scaled = tuple((c * F(k + 1, 3 * k + 2), o, i) for k, (c, o, i) in enumerate(terms))
+    monkeypatch.setattr(closedform, "corollary1_reduce", lambda *args: scaled)
+    want = ZetaExpression.zero()
+    for coeff, outer, inner in scaled:
+        key = (outer.value, inner.value, outer.sign, inner.sign, ALT_ZETA_AT_ZERO)
+        want = want + _ring_double(*key) * coeff
+    got = tornheim_closed(3, 2, 2, "R").expression
+    assert got == want
+    _assert_canonical(got)
+
+
+def test_double_closed_memo_entries_hold_integer_numerators():
+    checked = 0
+    for s in range(1, 30):
+        for t in range(1, 30):
+            if (s + t) % 2 == 0:
+                continue
+            for sigma in (1, -1):
+                if s == 1 and sigma == 1:
+                    continue
+                for tau in (1, -1):
+                    got = double_euler_closed(s, t, sigma, tau)
+                    assert got == _ring_double(s, t, sigma, tau, ALT_ZETA_AT_ZERO), (s, t, sigma, tau)
+                    _assert_canonical(got)
+                    value, nums, den = closedform._double_closed_memo(
+                        s, t, sigma, tau, ALT_ZETA_AT_ZERO)
+                    assert value is got
+                    assert den == lcm(*(c.denominator for _, c in got.terms()))
+                    assert all(type(n) is int for _, n in nums)
+                    assert {m: F(n, den) for m, n in nums} == dict(got.terms())
+                    checked += 1
+    assert checked == 1652
 
 
 # ----------------------------------------------------------------------

@@ -186,6 +186,45 @@ def test_constructor_drops_zeros_and_merges():
     assert e2.terms() == [(m, F(1))]
 
 
+def test_constructor_converts_each_coefficient_to_a_fraction():
+    m3, m5 = ZetaMonomial(odd_zeta_factors=(3,)), ZetaMonomial(odd_zeta_factors=(5,))
+    e = ZetaExpression({m3: 2, m5: 0.25, ZetaMonomial(): F(0)})
+    assert e.terms() == [(m3, F(2)), (m5, F(1, 4))]
+    assert all(type(c) is Fraction for _, c in e.terms())
+    half = F(1, 2)
+    assert ZetaExpression({m3: half}).terms()[0][1] is half  # kept, not rebuilt
+    assert ZetaExpression({m3: 0, m5: 0.0}).is_zero()
+    for expr in (e, ZetaExpression({m3: "2/6"})):
+        assert canonicalize(expr) == expr
+        assert canonicalize(canonicalize(expr)) == canonicalize(expr)
+
+
+def test_expression_from_json_merges_converts_and_drops_zeros():
+    z3 = {"pi": 0, "log2": 0, "zeta": [3]}
+    z53 = {"pi": 2, "log2": 0, "zeta": [5, 3]}
+    m3 = ZetaMonomial(odd_zeta_factors=(3,))
+    m35 = ZetaMonomial(pi_exponent=2, odd_zeta_factors=(3, 5))
+    # duplicate monomials that cancel are dropped; int and float become Fractions
+    e = expression_from_json([
+        {"coeff": "1/2", **z3}, {"coeff": 3, **z53}, {"coeff": "-1/2", **z3},
+        {"coeff": 0.5, **z53}, {"coeff": 0, "pi": 4},
+    ])
+    assert e.terms() == [(m35, F(7, 2))]
+    assert all(type(c) is Fraction for _, c in e.terms())
+    # a "coeff": 0 term is dropped, and a later term of its monomial still counts
+    assert expression_from_json([{"coeff": 0, **z3}, {"coeff": "2", **z3}]).terms() == [(m3, F(2))]
+    # a cancelled monomial may come back
+    back = expression_from_json([{"coeff": 1, **z3}, {"coeff": -1, **z3}, {"coeff": 1.5, **z3}])
+    assert back.terms() == [(m3, F(3, 2))]
+    # duplicates that sum to zero leave nothing
+    assert expression_from_json([{"coeff": "1/3", **z53}, {"coeff": "-2/6", **z53}]).is_zero()
+    assert expression_from_json([{"coeff": 0, **z3}]).is_zero()
+    for expr in (e, back):
+        assert canonicalize(expr) == expr
+        assert canonicalize(canonicalize(expr)) == canonicalize(expr)
+        assert expression_from_json(expression_to_json(expr)) == expr
+
+
 def test_canonicalize_idempotent():
     rng = random.Random(7)
     for _ in range(50):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tornheim import reduction
 from tornheim.errors import DivergenceError, DomainError
 from tornheim.exact import SignedIndex
 from tornheim.reduction import (
@@ -196,18 +197,18 @@ def test_theorem1_render_golden():
 # ---------------------------------------------------------------- corollary 1
 
 def test_corollary1_golden_T212():
-    assert corollary1_reduce(2, 1, 2, "T") == [
+    assert corollary1_reduce(2, 1, 2, "T") == (
         (F(1), SI(3, 1), SI(2, 1)),
         (F(1), SI(4, 1), SI(1, 1)),
         (F(1), SI(4, 1), SI(1, 1)),
-    ]
+    )
 
 
 def test_corollary1_golden_R111():
-    assert corollary1_reduce(1, 1, 1, "R") == [
+    assert corollary1_reduce(1, 1, 1, "R") == (
         (F(1), SI(2, -1), SI(1, -1)),
         (F(1), SI(2, 1), SI(1, -1)),
-    ]
+    )
 
 
 def test_corollary1_binomial_coefficients():
@@ -227,11 +228,11 @@ def test_corollary1_binomial_coefficients():
                         classical = corollary1_reduce(r, s, t, variant)
                     except DomainError:
                         continue
-                    slice_ = [
+                    slice_ = tuple(
                         (c, k.outer, k.inner)
                         for c, k in theorem1_reduce(r, s, t, variant).terms
                         if isinstance(k, DoubleQZeta) and k.one_minus_q_pow == 0
-                    ]
+                    )
                     assert classical == slice_, (variant, r, s, t)
                     checked += 1
     assert checked > 200
@@ -249,6 +250,24 @@ def test_corollary1_binomial_coefficients():
 def test_corollary1_precondition_messages(r, s, t, variant, fragment):
     with pytest.raises(DivergenceError, match=fragment.replace("+", r"\+")):
         corollary1_reduce(r, s, t, variant)
+
+
+def test_corollary1_memo_is_bounded_shares_entries_and_skips_rejected_input():
+    memo = reduction._corollary1_memo
+    assert memo.cache_info().maxsize == reduction.COROLLARY1_MEMO_SIZE
+    first = corollary1_reduce(3, 2, 2, "S")
+    hits = memo.cache_info().hits
+    assert corollary1_reduce(3, 2, 2, "S") is first
+    assert memo.cache_info().hits == hits + 1
+    assert isinstance(first, tuple)
+    # input equal to a cached key but rejected by the checks still raises
+    before = memo.cache_info()
+    for args in [(3, 2, 2.0, "S"), (3.0, 2, 2, "S"), (3, 2, [2], "S"), (3, 2, 2, "X")]:
+        with pytest.raises(DomainError):
+            corollary1_reduce(*args)
+    with pytest.raises(DivergenceError):
+        corollary1_reduce(2, 1, 0, "T")
+    assert memo.cache_info() == before
 
 
 def test_corollary1_allows_t_zero_when_inequalities_hold():
