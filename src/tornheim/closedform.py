@@ -25,11 +25,11 @@ pairs it used as provenance.
 
 Assembly runs in exact integers.  Each factor zeta(k; sign) of the identity
 is one monomial or zero, so a double Euler value is a sum of single-monomial
-products, merged in one dict.  Its memo entry keeps that ZetaExpression and
-the same coefficients as integer numerators over their lcm denominator.  A
-Tornheim value scales each pair's numerators to the lcm L of the pairs'
-denominators, sums them as ints, and builds one Fraction per monomial of
-the result at the end.
+products, merged in one dict; its memo entry is that ZetaExpression.  A
+Tornheim value takes each pair's value from double_euler_closed, puts every
+coefficient (times its Corollary 1 coefficient) over the lcm L of their
+denominators, sums the numerators as ints, and scales the expression of
+those sums by 1/L at the end.
 """
 from __future__ import annotations
 
@@ -125,22 +125,18 @@ def double_euler_closed(
     Results are memoized by _double_closed_memo (CLOSED_MEMO_SIZE entries,
     keyed by the validated arguments with defaults filled in, so rejected
     input is never cached); repeat calls return the same ZetaExpression,
-    which is safe because expressions are immutable.
+    which is safe because expressions are immutable.  An entry is that
+    ZetaExpression alone, summed from single-monomial products on a miss.
     """
     _validate_double(s, t, sigma, tau)
-    return _double_closed_memo(s, t, sigma, tau, Fraction(alt_zero))[0]
+    return _double_closed_memo(s, t, sigma, tau, Fraction(alt_zero))
 
 
 @lru_cache(maxsize=CLOSED_MEMO_SIZE)
 def _double_closed_memo(
     s: int, t: int, sigma: int, tau: int, alt_zero: Fraction
-) -> tuple[ZetaExpression, tuple[tuple[ZetaMonomial, int], ...], int]:
-    """(value, numerators, denominator) of one double Euler value.
-
-    The value is the identity's sum of single-monomial products; the
-    numerators are its coefficients times the lcm of their denominators,
-    which tornheim_closed sums as ints.
-    """
+) -> ZetaExpression:
+    """The identity as a sum of single-monomial products, merged in one dict."""
     st = sigma * tau
     flip = -1 if t % 2 else 1  # the bracket's (-1)^t
     one = (ZetaMonomial(), Fraction(1))
@@ -166,9 +162,7 @@ def _double_closed_memo(
             coeff += coeffs.pop(mono)
         if coeff:
             coeffs[mono] = coeff
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    nums = tuple((m, c.numerator * (den // c.denominator)) for m, c in coeffs.items())
-    return ZetaExpression._trusted(coeffs), nums, den
+    return ZetaExpression._trusted(coeffs)
 
 
 def tornheim_closed(
@@ -180,36 +174,37 @@ def tornheim_closed(
     Requires the variant's convergence inequalities (enforced by the depth-2
     reduction) and r + s + t odd.
 
-    Each pair (outer, inner) of the reduction is checked as
-    double_euler_closed checks it and read from _double_closed_memo.  The
-    common denominator is the lcm of the pairs' denominators, each times
-    its Corollary 1 coefficient's denominator (1 on every row).  Each
-    pair's numerators, scaled by its coefficient and to the common
-    denominator, are summed in one dict of ints; the result's coefficients
-    are those sums over the common denominator.
+    Each term's pair (outer, inner) goes through double_euler_closed, which
+    checks it and returns its memoized value.  The common denominator L is
+    the lcm of every value coefficient's denominator times its Corollary 1
+    coefficient's denominator (1 on every row).  Each product of the two
+    coefficients, as an integer numerator over L, is summed in one dict of
+    ints; the result is the expression of those sums times 1/L, the one
+    ring operation of the assembly.
     """
     terms = corollary1_reduce(r, s, t, variant)
     if (r + s + t) % 2 == 0:
         raise DomainError(
             f"tornheim_closed: no closed form at even weight r + s + t = {r + s + t}"
         )
-    key = Fraction(alt_zero)
-    entries = []
-    for coeff, outer, inner in terms:
-        _validate_double(outer.value, inner.value, outer.sign, inner.sign)
-        _, nums, den = _double_closed_memo(
-            outer.value, inner.value, outer.sign, inner.sign, key
-        )
-        entries.append((coeff, nums, den * coeff.denominator))
-    common = lcm(*(den for _, _, den in entries))
+    values = [
+        (coeff, double_euler_closed(
+            outer.value, inner.value, outer.sign, inner.sign, alt_zero
+        )._terms)
+        for coeff, outer, inner in terms
+    ]
+    common = lcm(*(
+        coeff.denominator * c.denominator
+        for coeff, value in values for c in value.values()
+    ))
     sums: dict[ZetaMonomial, int] = {}
-    for coeff, nums, den in entries:
-        scale = coeff.numerator * (common // den)
-        for mono, num in nums:
-            sums[mono] = sums.get(mono, 0) + num * scale
-    total = ZetaExpression._trusted(
-        {mono: Fraction(num, common) for mono, num in sums.items() if num}
-    )
+    for coeff, value in values:
+        num, den = coeff.numerator, coeff.denominator
+        for mono, c in value.items():
+            sums[mono] = sums.get(mono, 0) + (
+                num * c.numerator * (common // (den * c.denominator))
+            )
+    total = ZetaExpression(sums) * Fraction(1, common)
     steps = [
         ProvenanceStep.make(
             "depth-2-reduction", variant=variant, r=r, s=s, t=t, terms=len(terms)
