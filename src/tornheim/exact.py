@@ -375,7 +375,7 @@ def expression_from_json(items: list[Mapping]) -> ZetaExpression:
                 odd_zeta_factors=tuple(int(k) for k in item.get("zeta", ())),
             )
             coeff = Fraction(item["coeff"])
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(f"bad expression term {item!r}: {exc}") from exc
         if mono in terms:
             coeff += terms.pop(mono)

@@ -42,6 +42,16 @@ sum (k-1) sign^k F_k, sum_m sign^m F_m times a running prefix), converted
 to mpf once, so their rounding is a count of 3/4-units at B = working
 precision + STREAM_GUARD bits.
 
+The classical double zeta keeps each word of its split at 1/2 as the word's
+terms at 1/2 (_half_values), built one letter at a time.  The heads of
+zeta(a1, a2; g1, g2) start with the letters 1^(a1-1) and its tails with
+g1g2 0^(a2-1); these runs do not depend on the rest of the double, so
+_half_values keeps their terms in _tables too, under (bits, letters), and
+every double at that width reads them there and builds only its other
+letters.  Term k of a word reads terms 0..k of the word before it and
+nothing else, so a word stored with more terms serves a shorter cutoff by
+truncation, exactly.
+
 One functools.lru_cache of MEMO_SIZE entries, _memo(kernel, *args), sits
 behind validated input and holds the SumInfo of each kernel call, keyed on
 the kernel and its canonical arguments: _zeta_sum and _double_sum for the
@@ -55,7 +65,8 @@ _memo also holds the plans of tornheim_q, q_zeta2 and phi_q, so that T, S
 and R of one (r, s, t, q, precision) are planned once.  q_zeta1 plans on
 every call: its reduction terms (zq2) all have sign +1, so a plan entry
 would only repeat its sum entry.  memo_stats() reports the hits, misses
-and size of _memo and of _tables, and clear_memos() empties both.
+and size of _memo and of _tables (q-term tables and half-series words
+together), and clear_memos() empties both.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
@@ -82,7 +93,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from operator import floordiv, lshift, mul, neg, rshift
 from typing import NamedTuple
@@ -975,36 +986,72 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
     return _memo(_double_sum, s1.value, s1.sign, s2.value, s2.sign, prec).value
 
 
-def _half_values(letters, n: int, bits: int) -> list[int]:
+def _letter(t: list[int], c: int, start: int, n: int) -> list[int]:
+    """Terms start+1..n at 1/2 of the word c w, from the terms t[0..n] of w
+    (_half_values): letter 0 floors t_k/k, and letter c != 0 floors
+    S_k/(2c)^(k+1) and then its quotient by k+1, where S_k is the exact sum
+    of t_i (2c)^i = +-t_i << e i (2|c| = 2^e) over i <= k.  Term k reads
+    t_0..t_k only, so the terms of a longer t are the same."""
+    if c == 0:
+        return list(map(floordiv, t[start + 1:n + 1], range(start + 1, n + 1)))
+    e = abs(c)  # 2|c| = 2^e for c in {1, -1, 2}
+    u = list(map(lshift, t[:n], range(0, e * n, e)))
+    if c == -1:
+        u[1::2] = map(neg, u[1::2])
+    u = list(accumulate(u))[start:]  # S_start..S_(n-1)
+    if c == -1:
+        u[start % 2::2] = map(neg, u[start % 2::2])  # (2c)^(k+1) < 0 for even k
+    return list(map(floordiv, map(rshift, u, range(e * (start + 1), e * (n + 1), e)),
+                    range(start + 1, n + 1)))
+
+
+def _half_values(letters, n: int, bits: int, shared: int = 0) -> list[int]:
     """I(0 -> 1/2; word), as an int V with value V 2^-bits, for each word built
     by applying letters one at a time to the constant 1, the empty word first.
 
     A word's series sum_k f_k x^k (f_0 = 0 unless the word is empty) is kept
     as its terms at 1/2, t_k = f_k 2^-k (k <= n), in bits-bit fixed point.
     Letter 0 is dt/t: t'_k = t_k/k.  Letter c != 0 is dt/(c - t): t'_(k+1) =
-    eta_k/(k+1), eta_k = (t_k + eta_(k-1))/(2c) = S_k/(2c)^(k+1), S_k the
-    exact sum of t_i (2c)^i = +-t_i << e i (2|c| = 2^e) over i <= k.  As
-    |c| >= 1, |f_k| <= 1 and truncation is at most 2^-n.  Both steps floor,
-    so from input terms within E units eta_k is within E sum_(i<=k)
+    eta_k/(k+1), eta_k = (t_k + eta_(k-1))/(2c) = S_k/(2c)^(k+1) (_letter).
+    As |c| >= 1, |f_k| <= 1 and truncation is at most 2^-n.  Both steps
+    floor, so from input terms within E units eta_k is within E sum_(i<=k)
     |2c|^-(k-i+1) + 1 <= E + 1, and t'_(k+1) within E + 2 (letter 0: E/k + 1):
     a word of j letters is within 2^-n + 2j (n+1) 2^-bits.
+
+    The terms of the words of the first shared letters are kept in _tables
+    under (bits, letters so far); a stored word is grown from the word
+    before it, which the loop holds at n terms.  Term k of a word reads
+    terms 0..k of the word before it only, so a stored word of more than n
+    terms serves n by truncation, and its values are exactly those of a
+    word built at n.
+
+    Memory: _split_values shares only the runs 1^j and g 0^j, at most 3
+    words per width and run length.  The 567-case classical_check grid
+    (30, 60 and 120 digits, up to weight 15) keeps 22 words per width, 66
+    tables of 16,896 terms in all (about 1.2 MB).
     """
+    letters = list(letters)
     t = [1 << bits] + [0] * n
     values = [t[0]]
-    for c in letters:
-        if c == 0:
-            t = [0, *map(floordiv, t[1:], range(1, n + 1))]
-        else:
-            e = abs(c)  # 2|c| = 2^e for c in {1, -1, 2}
-            u = list(map(lshift, t[:-1], range(0, e * n, e)))
-            if c == -1:
-                u[1::2] = map(neg, u[1::2])
-            u = list(accumulate(u))
-            if c == -1:
-                u[::2] = map(neg, u[::2])
-            t = [0, *map(floordiv, map(rshift, u, range(e, e * (n + 1), e)), range(1, n + 1))]
+    for j, c in enumerate(letters[:shared], 1):
+        t = [0, *_tables.table((bits, tuple(letters[:j])), n, partial(_letter, t, c))]
+        values.append(sum(t))
+    for c in letters[shared:]:
+        t = [0, *_letter(t, c, 0, n)]
         values.append(sum(t))
     return values
+
+
+def _split_values(word: list[int], a1: int, n: int, bits: int):
+    """The heads I(0 -> 1/2; w_j'..w_1') and the tails I(0 -> 1/2; w_L..w_j)
+    of _double_sum, j = 0..L, for w = 0^(a1-1) g1 0^(a2-1) g1g2.  The first
+    letters applied are 1^(a1-1) for the heads and g1g2 0^(a2-1) for the
+    tails: these runs do not depend on the rest of the word, so every double
+    at bits bits reads them from _tables (_half_values) and builds only the
+    letters after them."""
+    heads = _half_values([1 if c == 0 else 1 - c for c in word], n, bits, a1 - 1)
+    tails = _half_values(reversed(word), n, bits, len(word) - a1)
+    return heads, tails
 
 
 def _double_sum(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> SumInfo:
@@ -1019,6 +1066,9 @@ def _double_sum(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> Su
     the exact sum of the products, at 2B bits, is within (2 delta +
     delta^2) (L+1) <= 3 (L+1) delta: truncation 3 (L+1) 2^-N and rounding
     6 L (L+1) (N+1) 2^-B at B = prec + STREAM_GUARD bits, then rounded once.
+    The heads and tails come from _split_values; the runs it reads from
+    _tables are term for term those a fresh build gives, so the value and
+    bound do not depend on what is stored.
     """
     word = [0] * (a1 - 1) + [g1] + [0] * (a2 - 1) + [g1 * g2]
     size = len(word)
@@ -1027,8 +1077,7 @@ def _double_sum(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> Su
         n = _ceil_bits(6 * (size + 1) / goal)
         _budget(n, prec, "classical_double_euler")
         bits = mp.prec + STREAM_GUARD
-        tails = _half_values(reversed(word), n, bits)
-        heads = _half_values([1 if c == 0 else 1 - c for c in word], n, bits)
+        heads, tails = _split_values(word, a1, n, bits)
         signs = accumulate((1 if c in (0, 1) else -1 for c in word), mul, initial=1)
         total = sum(g * a * b for g, a, b in zip(signs, heads, reversed(tails)))
         value = _fixed_mpf(total, 2 * bits)

@@ -469,6 +469,19 @@ def test_closed_stdout_exits_1_without_traceback():
     assert b"Traceback" not in err
 
 
+@pytest.mark.parametrize("coeff", ["Infinity", "-Infinity"])
+def test_verify_expr_infinite_coefficient_exits_2_without_traceback(coeff):
+    # json.loads accepts Infinity, which no Fraction can hold
+    proc = subprocess.run(
+        [sys.executable, "-m", "tornheim.cli", "verify", "expr", "T", "1", "1", "1",
+         "--expression", f'[{{"coeff": {coeff}, "zeta": [3]}}]'],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: bad expression term")
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tornheim.cli", "eval", "S", "1", "1", "1"],

@@ -1,6 +1,7 @@
 """Tests for the exact ring: constants, monomial order, ring axioms, JSON."""
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -223,6 +224,12 @@ def test_expression_from_json_merges_converts_and_drops_zeros():
         assert canonicalize(expr) == expr
         assert canonicalize(canonicalize(expr)) == canonicalize(expr)
         assert expression_from_json(expression_to_json(expr)) == expr
+
+
+def test_expression_from_json_rejects_infinite_coefficients():
+    for blob in ('[{"coeff": Infinity, "zeta": [3]}]', '[{"coeff": -Infinity, "zeta": [3]}]'):
+        with pytest.raises(DomainError, match="bad expression term"):
+            expression_from_json(json.loads(blob))
 
 
 def test_canonicalize_idempotent():

@@ -1,10 +1,11 @@
 """Tests for the numeric engines: q-series, classical zeta, double eulers."""
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import floordiv, lshift, mul, neg, rshift
 
 import mpmath
 import numpy as np
@@ -33,7 +34,7 @@ from tornheim.numeric import (
     tornheim_q,
     tornheim_q_info,
 )
-from tornheim.reduction import VARIANT_SIGNS, theorem1_reduce
+from tornheim.reduction import VARIANT_SIGNS, corollary1_reduce, theorem1_reduce
 
 F = Fraction
 P30 = PrecisionConfig(digits=30)
@@ -913,6 +914,162 @@ def test_double_sum_bound_covers_its_rounding_at_few_bits(monkeypatch):
             rounding = info.tail_bound - 3 * (size + 1) * mp.ldexp(1, -n)
             assert error <= rounding, (a1, g1, a2, g2, error, rounding)
             assert error > mp.ldexp(abs(info.value), -100), (a1, g1, a2, g2)
+
+
+def _half_values_letter_by_letter(letters, n, bits):
+    """_half_values with no word read from _tables: each letter applied in
+    turn to the terms at 1/2 of the word before it, from the constant 1."""
+    t = [1 << bits] + [0] * n
+    values = [t[0]]
+    for c in letters:
+        if c == 0:
+            t = [0, *map(floordiv, t[1:], range(1, n + 1))]
+        else:
+            e = abs(c)
+            u = list(map(lshift, t[:-1], range(0, e * n, e)))
+            if c == -1:
+                u[1::2] = map(neg, u[1::2])
+            u = list(accumulate(u))
+            if c == -1:
+                u[::2] = map(neg, u[::2])
+            t = [0, *map(floordiv, map(rshift, u, range(e, e * (n + 1), e)), range(1, n + 1))]
+        values.append(sum(t))
+    return values
+
+
+def _double_sum_width(size, prec):
+    """The cutoff n and the width bits _double_sum takes for a word of size letters."""
+    with mp.workdps(prec.working_dps):
+        return numeric._ceil_bits(6 * (size + 1) / prec.goal()), mp.prec + numeric.STREAM_GUARD
+
+
+@pytest.mark.parametrize("digits", [12, 30, 60, 120, 250])
+def test_split_values_equal_the_words_built_letter_by_letter(monkeypatch, digits):
+    """The heads and tails _double_sum reads, whose leading runs come from
+    _tables, against the same words built letter by letter, for every
+    a1 + a2 <= 16 and sign pair at the (n, bits) of its precision: with the
+    calls in ascending n from clear_memos() (stored words grow), then in
+    descending n (stored words are cut)."""
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
+    prec = PrecisionConfig(digits=digits)
+    want = {}
+    for a1 in range(1, 16):
+        for a2 in range(1, 17 - a1):
+            for g1 in (1, -1):
+                for g2 in (1, -1):
+                    word = [0] * (a1 - 1) + [g1] + [0] * (a2 - 1) + [g1 * g2]
+                    n, bits = _double_sum_width(len(word), prec)
+                    heads = [1 if c == 0 else 1 - c for c in word]
+                    want[(tuple(word), a1, n, bits)] = (
+                        _half_values_letter_by_letter(heads, n, bits),
+                        _half_values_letter_by_letter(reversed(word), n, bits))
+    ascending = sorted(want, key=lambda key: key[2])
+    assert len({key[2] for key in ascending}) >= 2
+    numeric.clear_memos()
+    for order in (ascending, ascending[::-1]):
+        for word, a1, n, bits in order:
+            got = numeric._split_values(list(word), a1, n, bits)
+            assert got == want[(word, a1, n, bits)], (word, n, bits)
+
+
+CLASSICAL_GRID_DOUBLES_SHA256 = "bbec225b4980a6fed52ee7eec429419574904789c18ad62f8906c83c998a7455"
+
+
+def test_double_sum_on_the_classical_grid_is_pinned():
+    """Every SumInfo of _double_sum (value, tail_bound, terms) over the
+    doubles of the odd-weight grid r, s, t <= 5 at 30, 60 and 120 digits,
+    hashed: the words shared through _tables leave every bit as it was when
+    each double built its own."""
+    doubles = sorted({(a.value, a.sign, b.value, b.sign)
+                      for r in range(1, 6) for s in range(1, 6) for t in range(1, 6)
+                      if (r + s + t) % 2 == 1 for v in "TSR"
+                      for _, a, b in corollary1_reduce(r, s, t, v)})
+    digest = hashlib.sha256()
+    for digits in (30, 60, 120):
+        prec = PrecisionConfig(digits=digits)
+        for key in doubles:
+            info = numeric._double_sum(*key, prec)
+            parts = []
+            for x in (info.value, info.tail_bound):
+                sign, man, exp, bc = x._mpf_
+                parts.append(f"{sign} {int(man)} {exp} {bc}")
+            digest.update(f"{key} {digits}: {' | '.join(parts)} | {info.terms}\n".encode())
+    assert len(doubles) == 116
+    assert digest.hexdigest() == CLASSICAL_GRID_DOUBLES_SHA256
+
+
+def test_shared_half_series_words_are_tables(monkeypatch):
+    """The leading runs of the heads (1^(a1-1)) and tails (g1g2 0^(a2-1)) are
+    tables of _tables, one per (bits, word), counted by memo_stats() and
+    emptied by clear_memos()."""
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
+    prec = PrecisionConfig(digits=12)
+    numeric.clear_memos()
+    classical_double_euler(SignedIndex(3, 1), SignedIndex(2, -1), prec)
+    n, bits = _double_sum_width(5, prec)
+    words = {(1,), (1, 1), (-1,), (-1, 0)}
+    assert set(numeric._tables.lists) == {(bits, w) for w in words}
+    assert numeric.memo_stats()["tables"] == {
+        "tables": 4, "terms": 4 * n, "budget": numeric.TABLE_BUDGET, "hits": 0, "misses": 4}
+    # zeta(3, 3; -1, -1): the heads' run is read again, and the tails' run
+    # 1 0 0 starts with the heads' word 1
+    classical_double_euler(SignedIndex(3, -1), SignedIndex(3, -1), prec)
+    words |= {(1, 0), (1, 0, 0)}
+    assert set(numeric._tables.lists) == {(bits, w) for w in words}
+    numeric.clear_memos()
+    assert numeric.memo_stats()["tables"] == {
+        "tables": 0, "terms": 0, "budget": numeric.TABLE_BUDGET, "hits": 0, "misses": 0}
+
+
+def test_half_series_words_are_read_at_their_own_bits(monkeypatch):
+    """A _double_sum at a forced small width (the STREAM_GUARD of
+    test_double_sum_bound_covers_its_rounding_at_few_bits) reads only the
+    words stored at that width, not those of the same word at full width."""
+    tables = numeric._TableMemo(numeric.TABLE_BUDGET)
+    monkeypatch.setattr(numeric, "_tables", tables)
+    prec = PrecisionConfig(digits=30, tail_goal=1e-9)
+    wide = numeric._double_sum(3, -1, 2, 1, prec)
+    read, table = [], tables.table
+    monkeypatch.setattr(tables, "table", lambda key, n, grow: read.append(key) or table(key, n, grow))
+    monkeypatch.setattr(numeric, "STREAM_GUARD", -100)
+    narrow = numeric._double_sum(3, -1, 2, 1, prec)
+    assert read and {bits for bits, _ in read} == {53}
+    assert narrow.tail_bound > wide.tail_bound
+
+
+def test_q_grid_then_classical_grid_share_the_table_budget(monkeypatch):
+    """The criterion-4 q grid and then the classical grid in one session
+    keep _tables within TABLE_BUDGET, and a budget small enough to evict
+    tables mid-grid gives the same results."""
+    def session():
+        numeric.clear_memos()
+        values = []
+        for q in ("3/2", "2", "3"):
+            for v in "TSR":
+                for r in range(1, 5):
+                    for s in range(1, 5):
+                        for t in (0, 1, 2, F(1, 2)):
+                            values.append(tornheim_q_info(r, s, t, *VARIANT_SIGNS[v], q, P30))
+                            values.append(evaluate_reduction(theorem1_reduce(r, s, t, v), q, P30))
+        for digits in (30, 60, 120):
+            prec = PrecisionConfig(digits=digits)
+            for r in range(1, 6):
+                for s in range(1, 6):
+                    for t in range(1, 6):
+                        if (r + s + t) % 2 == 1:
+                            for v in "TSR":
+                                values.append(tornheim_classical(r, s, t, v, prec))
+        return values, numeric.memo_stats()["tables"]
+
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
+    full, stats = session()
+    assert stats["terms"] <= stats["budget"] == numeric.TABLE_BUDGET
+    kinds = {type(key[0]) for key in numeric._tables.lists}
+    assert kinds == {QParam, int}  # q-term tables and half-series words
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(1000))
+    evicted, small = session()
+    assert small["terms"] <= 1000 and small["misses"] > stats["misses"]
+    assert evicted == full
 
 
 def test_double_euler_stuffle_product():
