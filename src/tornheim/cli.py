@@ -40,7 +40,6 @@ from .numeric import (
     q_zeta1_info,
     q_zeta2_info,
     tornheim_classical,
-    tornheim_classical_naive,
     tornheim_q_info,
 )
 from .reduction import (
@@ -48,10 +47,13 @@ from .reduction import (
     corollary1_reduce,
     reduction_to_json,
     theorem1_reduce,
+    verify_corollary1,
     verify_lemma1,
 )
 
 __all__ = ["main", "build_parser"]
+
+COROLLARY1_WINDOW = 12  # verify corollary1 checks every triangle u + v <= w, w = 2..12
 
 
 # ----------------------------------------------------------------------
@@ -67,13 +69,6 @@ def _signs(text: str, count: int) -> tuple[int, ...]:
             "(write --signs=-+ when the first sign is minus)"
         )
     return tuple(1 if c == "+" else -1 for c in text)
-
-
-def _tolerance(args, default):
-    """The parsed --tolerance as an mpf at the current precision, else default."""
-    if args.tolerance is None:
-        return default
-    return _xm(args.tolerance)
 
 
 def _fmt_bound(x) -> str:
@@ -275,7 +270,6 @@ def _verify_lemma1(args):
 def _verify_theorem1(args):
     bound = args.max or 3
     prec = PrecisionConfig(digits=args.digits)
-    tol = _tolerance(args, mpf(10) ** -27)
     with mp.workdps(prec.working_dps):
         for q in args.q or ["3/2", "2", "3"]:
             for variant in ("T", "S", "R"):
@@ -286,34 +280,23 @@ def _verify_theorem1(args):
                             lhs = tornheim_q_info(r, s, t, sigma, tau, q, prec).value
                             rhs = evaluate_reduction(theorem1_reduce(r, s, t, variant), q, prec)
                             resid = abs(lhs - rhs)
-                            yield (resid <= tol,
+                            yield (resid <= args.tol,
                                    f"{variant}[{r},{s},{t}] q={q} residual {_fmt_bound(resid)}")
 
 
 def _verify_corollary1(args):
-    """Depth-2 reduction against a direct float64 double sum.
-
-    The direct sum truncates slowly, so this is a coarse cross-check; the
-    sharp one is the closed-form route in verify table.
-    """
     bound = args.max or 2
-    tol = float(_tolerance(args, 2e-3))
-    prec = PrecisionConfig(digits=20)
     for variant in ("T", "S", "R"):
         for r in range(1, bound + 1):
             for s in range(1, bound + 1):
                 for t in range(1, bound + 1):
-                    direct = tornheim_classical_naive(r, s, t, variant)
-                    with mp.workdps(prec.working_dps):
-                        reduced = float(tornheim_classical(r, s, t, variant, prec))
-                    resid = abs(direct - reduced)
-                    yield resid <= tol, f"{variant}[{r},{s},{t}] |direct - reduced| {resid:.2e}"
+                    ok = verify_corollary1(r, s, t, variant, COROLLARY1_WINDOW)
+                    yield ok, f"{variant}[{r},{s},{t}] exact on {COROLLARY1_WINDOW - 1} windows"
 
 
 def _verify_corollary2(args):
     bound = args.max or 4
     prec = PrecisionConfig(digits=args.digits)
-    tol = _tolerance(args, mpf(10) ** -27)
     with mp.workdps(prec.working_dps):
         for q in args.q or ["3/2", "2"]:
             for variant in ("T", "S", "R"):
@@ -323,7 +306,7 @@ def _verify_corollary2(args):
                         lhs = q_zeta1(r, sigma, q, prec) * q_zeta1(s, tau, q, prec)
                         rhs = evaluate_reduction(theorem1_reduce(r, s, 0, variant), q, prec)
                         resid = abs(lhs - rhs)
-                        yield (resid <= tol,
+                        yield (resid <= args.tol,
                                f"zq[{SignedIndex(r, sigma)}]*zq[{SignedIndex(s, tau)}] "
                                f"q={q} residual {_fmt_bound(resid)}")
 
@@ -331,7 +314,6 @@ def _verify_corollary2(args):
 def _verify_corollary3(args):
     bound = args.max or 5
     prec = PrecisionConfig(digits=args.digits)
-    tol = _tolerance(args, mpf(10) ** -24)
     with mp.workdps(prec.working_dps):
         for variant in ("T", "S", "R"):
             sigma, tau = VARIANT_SIGNS[variant]
@@ -341,20 +323,19 @@ def _verify_corollary3(args):
                 for s in range(slo, bound + 1):
                     lhs = classical_zeta(r, sigma, prec) * classical_zeta(s, tau, prec)
                     resid = abs(lhs - tornheim_classical(r, s, 0, variant, prec))
-                    yield (resid <= tol,
+                    yield (resid <= args.tol,
                            f"zeta[{SignedIndex(r, sigma)}]*zeta[{SignedIndex(s, tau)}] "
                            f"residual {_fmt_bound(resid)}")
 
 
 def _verify_table(args):
     prec = PrecisionConfig(digits=args.digits)
-    tol = _tolerance(args, mpf(10) ** -24)
     for (variant, r, s, t), want in sorted(KNOWN_VALUES.items()):
         got = tornheim_closed(r, s, t, variant).expression
         exact_ok = got == want
         with mp.workdps(prec.working_dps):
             resid = abs(expr_numeric(got, prec) - tornheim_classical(r, s, t, variant, prec))
-        yield (exact_ok and resid <= tol,
+        yield (exact_ok and resid <= args.tol,
                f"{variant}[{r},{s},{t}] exact={'yes' if exact_ok else 'NO'} "
                f"numeric residual {_fmt_bound(resid)}")
 
@@ -380,17 +361,16 @@ def _verify_expr(args) -> int:
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DomainError(f"cannot parse expression JSON: {exc}")
     prec = PrecisionConfig(digits=args.digits)
-    tol = _tolerance(args, mpf(10) ** (-(args.digits - 3)))
     with mp.workdps(prec.working_dps):
         claimed = expr_numeric(expr, prec)
         reference = tornheim_classical(r, s, t, series, prec)
         resid = abs(claimed - reference)
-    ok = resid <= tol
+    ok = resid <= args.tol
     tag = "PASS" if ok else "FAIL"
     print(f"{tag} expr {series}[{r},{s},{t}]")
     print(f"  claimed   {nstr(claimed, args.digits)}")
     print(f"  reference {nstr(reference, args.digits)}")
-    print(f"  |difference| {_fmt_bound(resid)} (tolerance {_fmt_bound(tol)})")
+    print(f"  |difference| {_fmt_bound(resid)} (tolerance {_fmt_bound(args.tol)})")
     return 0 if ok else 3
 
 
@@ -409,7 +389,11 @@ def cmd_verify(args) -> int:
         raise DomainError(f"--max must be >= 1, got {args.max}")
     if args.q:
         args.q = [as_rational(q) for q in args.q]
-    args.tolerance = as_rational(args.tolerance) if args.tolerance else None
+    tolerance = as_rational(args.tolerance) if args.tolerance else None
+    if tolerance is not None and tolerance < 0:
+        raise DomainError(f"--tolerance must be >= 0, got {tolerance}")
+    # one gate for every numeric family
+    args.tol = mpf(10) ** (3 - args.digits) if tolerance is None else _xm(tolerance)
     if args.family == "expr":
         return _verify_expr(args)
     return _sweep(args.family, _SWEEPS[args.family](args))
@@ -474,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--q", action="append",
                        help="q value, repeatable; family default otherwise")
     p_ver.add_argument("--digits", type=int, default=30)
-    p_ver.add_argument("--tolerance", help="override the family tolerance")
+    p_ver.add_argument("--tolerance",
+                       help="override the numeric gate 10^-(digits-3)")
     p_ver.add_argument("--expression", help="expression JSON (verify expr)")
     p_ver.add_argument("--expression-file", help="path to expression JSON")
     p_ver.set_defaults(func=cmd_verify)

@@ -63,7 +63,7 @@ __all__ = [
 
 # Continuation value of the alternating zeta at 0.  The alternative +1/2 is
 # rejected by the reference-table cross-check (and by direct numerics); the
-# acceptance tests assert both directions.
+# tests build the +1/2 values from their ring reference and refute them.
 ALT_ZETA_AT_ZERO = Fraction(-1, 2)
 
 MAX_TABLE_WEIGHT = 15
@@ -88,12 +88,11 @@ class EvaluationResult:
     provenance: tuple[ProvenanceStep, ...]
 
 
-def _zeta_term(k: int, sign: int, alt_zero: Fraction) -> tuple[ZetaMonomial, Fraction] | None:
+def _zeta_term(k: int, sign: int) -> tuple[ZetaMonomial, Fraction] | None:
     """zeta(k; sign), extended by the two formula-local constants, as its
     one monomial and coefficient; None where the value is 0."""
     if k == 0:
-        value = alt_zero if sign == -1 else Fraction(-1, 2)
-        return (ZetaMonomial(), value) if value else None
+        return ZetaMonomial(), ALT_ZETA_AT_ZERO if sign == -1 else Fraction(-1, 2)
     if k == 1 and sign == 1:
         return None  # sentinel: the formula's zeta(1) reads as 0
     (term,) = zeta_const(k, sign).terms()
@@ -112,15 +111,9 @@ def _validate_double(s: int, t: int, sigma: int, tau: int) -> None:
         )
 
 
-def double_euler_closed(
-    s: int, t: int, sigma: int = 1, tau: int = 1,
-    alt_zero: Fraction = ALT_ZETA_AT_ZERO,
-) -> ZetaExpression:
+def double_euler_closed(s: int, t: int, sigma: int = 1, tau: int = 1) -> ZetaExpression:
     """Closed form of zeta(s, t; sigma, tau) at odd weight, by the one
     identity of the module docstring (t = 1, tau = +1 included).
-
-    alt_zero overrides the zeta(0; -1) constant; it exists so the
-    adjudication between -1/2 and +1/2 stays testable.
 
     Results are memoized by _double_closed_memo (CLOSED_MEMO_SIZE entries,
     keyed by the validated arguments with defaults filled in, so rejected
@@ -129,29 +122,27 @@ def double_euler_closed(
     ZetaExpression alone, summed from single-monomial products on a miss.
     """
     _validate_double(s, t, sigma, tau)
-    return _double_closed_memo(s, t, sigma, tau, Fraction(alt_zero))
+    return _double_closed_memo(s, t, sigma, tau)
 
 
 @lru_cache(maxsize=CLOSED_MEMO_SIZE)
-def _double_closed_memo(
-    s: int, t: int, sigma: int, tau: int, alt_zero: Fraction
-) -> ZetaExpression:
+def _double_closed_memo(s: int, t: int, sigma: int, tau: int) -> ZetaExpression:
     """The identity as a sum of single-monomial products, merged in one dict."""
     st = sigma * tau
     flip = -1 if t % 2 else 1  # the bracket's (-1)^t
     one = (ZetaMonomial(), Fraction(1))
-    products = [(Fraction(-1, 2), _zeta_term(s + t, st, alt_zero), one)]
+    products = [(Fraction(-1, 2), _zeta_term(s + t, st), one)]
     if s % 2 == 0:
-        products.append((1, _zeta_term(s, sigma, alt_zero), _zeta_term(t, tau, alt_zero)))
+        products.append((1, _zeta_term(s, sigma), _zeta_term(t, tau)))
     for k in range(0, t // 2 + 1):
         products.append((
             flip * comb(s + t - 2 * k - 1, s - 1),
-            _zeta_term(2 * k, st, alt_zero), _zeta_term(s + t - 2 * k, sigma, alt_zero),
+            _zeta_term(2 * k, st), _zeta_term(s + t - 2 * k, sigma),
         ))
     for k in range(0, s // 2 + 1):
         products.append((
             flip * comb(s + t - 2 * k - 1, t - 1),
-            _zeta_term(2 * k, st, alt_zero), _zeta_term(s + t - 2 * k, tau, alt_zero),
+            _zeta_term(2 * k, st), _zeta_term(s + t - 2 * k, tau),
         ))
     coeffs: dict[ZetaMonomial, Fraction] = {}
     for factor, a, b in products:
@@ -165,10 +156,7 @@ def _double_closed_memo(
     return ZetaExpression._trusted(coeffs)
 
 
-def tornheim_closed(
-    r: int, s: int, t: int, variant: str = "T",
-    alt_zero: Fraction = ALT_ZETA_AT_ZERO,
-) -> EvaluationResult:
+def tornheim_closed(r: int, s: int, t: int, variant: str = "T") -> EvaluationResult:
     """Closed form of the classical T/S/R(r,s,t) at odd total weight.
 
     Requires the variant's convergence inequalities (enforced by the depth-2
@@ -188,9 +176,7 @@ def tornheim_closed(
             f"tornheim_closed: no closed form at even weight r + s + t = {r + s + t}"
         )
     values = [
-        (coeff, double_euler_closed(
-            outer.value, inner.value, outer.sign, inner.sign, alt_zero
-        )._terms)
+        (coeff, double_euler_closed(outer.value, inner.value, outer.sign, inner.sign)._terms)
         for coeff, outer, inner in terms
     ]
     common = lcm(*(
@@ -219,7 +205,7 @@ def tornheim_closed(
             )
         )
     if any(outer.sign * inner.sign == -1 for outer, inner in pairs):
-        steps.append(ProvenanceStep.make("alternating-zeta-at-zero", value=alt_zero))
+        steps.append(ProvenanceStep.make("alternating-zeta-at-zero", value=ALT_ZETA_AT_ZERO))
     return EvaluationResult(expression=total, provenance=tuple(steps))
 
 

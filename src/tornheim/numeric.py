@@ -84,8 +84,12 @@ q^-k are q-term table entries, each A_j and B_j is one exact integer dot
 product over them, the weights beta_j come from a floored integer
 recurrence, and the sum is rounded once.  Every cut A_j and the last j are
 planned from the goal.  When the requested tail goal is coarse (>= 1e-10),
-a float64 fft kernel sums the triangle u + v <= W instead if truncation
-plus its a-priori rounding bound still meets the goal.
+a float64 fft kernel (_tornheim_q_float64, the only user of numpy) sums the
+triangle u + v <= W instead if truncation plus its a-priori rounding bound
+still meets the goal.
+
+The classical Tornheim series converge too slowly to sum directly;
+reduction.verify_corollary1 checks Corollary 1 exactly on finite triangles.
 """
 from __future__ import annotations
 
@@ -104,7 +108,7 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DivergenceError, DomainError, PrecisionError
 from .exact import SignedIndex, as_rational, check_convergent
-from .reduction import VARIANT_SIGNS, DoubleQZeta, PhiTerm, QSquaredZeta, corollary1_reduce
+from .reduction import DoubleQZeta, PhiTerm, QSquaredZeta, corollary1_reduce
 
 __all__ = [
     "PrecisionConfig",
@@ -122,7 +126,6 @@ __all__ = [
     "classical_zeta",
     "classical_double_euler",
     "tornheim_classical",
-    "tornheim_classical_naive",
     "evaluate_reduction",
     "memo_stats",
     "clear_memos",
@@ -842,22 +845,6 @@ def _fixed_rational_power(v: Fraction, y: Fraction, bits: int) -> int:
     return _iroot(root, y.denominator) if root else 0
 
 
-def _signed_diagonals(a: np.ndarray, b: np.ndarray, sigma: int, tau: int):
-    """Diagonal sums sum_{u+v=w} sigma^u tau^v a_u b_v by one fft convolution,
-    for w = 2 .. 2n with a[0], b[0] at u = v = 1.  Negates a and b in place.
-
-    Returns (w, sums) as float64 arrays.
-    """
-    if sigma == -1:
-        a[::2] = -a[::2]  # odd u get the minus sign
-    if tau == -1:
-        b[::2] = -b[::2]
-    n = len(a)
-    m = 2 * n
-    conv = np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[: 2 * n - 1]
-    return np.arange(2, 2 * n + 1, dtype=np.float64), conv
-
-
 def _tornheim_q_float64(r, s, t, sigma: int, tau: int, qf: float, w: int):
     """The triangle u + v <= w of tornheim_q_info, vectorized in float64.
 
@@ -882,12 +869,19 @@ def _tornheim_q_float64(r, s, t, sigma: int, tau: int, qf: float, w: int):
     a = np.exp(rf * (u * lnq - log_qint_u))
     b = np.exp(sf * (u * lnq - log_qint_u))
     norms = float(np.linalg.norm(a) * np.linalg.norm(b))
-    wvals, conv = _signed_diagonals(a, b, sigma, tau)
+    if sigma == -1:
+        a[::2] = -a[::2]  # odd u get the minus sign
+    if tau == -1:
+        b[::2] = -b[::2]
+    # diagonal sums sum_{u+v=m} sigma^u tau^v a_u b_v for m = 2 .. 2n
+    n = len(a)
+    conv = np.fft.irfft(np.fft.rfft(a, 2 * n) * np.fft.rfft(b, 2 * n), 2 * n)[: 2 * n - 1]
+    wvals = np.arange(2, 2 * n + 1, dtype=np.float64)
     log_qint_w = np.log(np.expm1(wvals * lnq)) - math.log(qf - 1)
     cw = np.exp((tf - 1) * wvals * lnq - tf * log_qint_w)
     keep = wvals <= w
     eps = float(np.finfo(np.float64).eps)
-    fft = 16 * eps * (math.log2(2 * len(a)) + 1)
+    fft = 16 * eps * (math.log2(2 * n) + 1)
     inputs = eps * (abs(rf) + abs(sf) + 2 * abs(tf) + 1) * (
         4 * w * (1 + lnq) + 2 * abs(math.log(qf - 1)) + 8)
     rounding = 2 * (fft + inputs) * norms * float(np.sum(cw[keep]))
@@ -1102,21 +1096,6 @@ def tornheim_classical(r: int, s: int, t: int, variant: str = "T",
         for coeff, outer, inner in terms:
             total += _xm(coeff) * classical_double_euler(outer, inner, prec)
         return total
-
-
-def tornheim_classical_naive(r: int, s: int, t: int, variant: str = "T",
-                             window: int = 200_000) -> float:
-    """Direct triangular-window double sum in float64 (fft convolution).
-
-    Low-precision sanity oracle only: truncation error decays slowly
-    (roughly log(W)/W at weight 3), so expect ~1e-4 at the default window.
-    """
-    if variant not in VARIANT_SIGNS:
-        raise DomainError(f"unknown variant {variant!r}")
-    u = np.arange(1, window, dtype=np.float64)
-    w, conv = _signed_diagonals(u ** (-float(r)), u ** (-float(s)), *VARIANT_SIGNS[variant])
-    keep = w <= window
-    return float(np.sum(conv[keep] * w[keep] ** (-float(t))))
 
 
 # ----------------------------------------------------------------------

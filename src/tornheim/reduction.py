@@ -50,6 +50,7 @@ __all__ = [
     "trinomial",
     "lemma1_expand",
     "verify_lemma1",
+    "verify_corollary1",
     "theorem1_reduce",
     "corollary1_reduce",
     "product_decompose",
@@ -267,6 +268,39 @@ def verify_lemma1(r: int, s: int, u: int, v: int, q: Fraction | int | str) -> bo
         val /= qu ** term.denom_u_pow * qv ** term.denom_v_pow * quv ** term.denom_uv_pow
         rhs += val
     return lhs == rhs
+
+
+def verify_corollary1(r: int, s: int, t: int, variant: str, w: int) -> bool:
+    """Exact rational check of Corollary 1 on every finite triangle.
+
+    For each window w' = 2 .. w, the direct sum of
+    sigma^u tau^v / (u^r v^s (u+v)^t) over u + v <= w' must equal the sum of
+    the corollary1_reduce terms, each zeta(a, b; g1, g2) cut to
+    w' >= m > n >= 1.  Both steps of the corollary (the q -> 1 partial
+    fractions in u and v, then the resummation over m = u + v) are exact on
+    such a triangle, for every integer t the reduction accepts.  Both sums
+    grow one diagonal m at a time, so one pass checks every window.
+    """
+    terms = corollary1_reduce(r, s, t, variant)
+    if not isinstance(w, int) or w < 2:
+        raise DomainError(f"verify_corollary1: window w must be an integer >= 2, got {w!r}")
+    sigma, tau = VARIANT_SIGNS[variant]
+    prefix = {(inner.value, inner.sign): Fraction(0) for _, _, inner in terms}
+    lhs = rhs = Fraction(0)
+    for m in range(2, w + 1):
+        for b, g in prefix:  # inner sums over n < m
+            prefix[b, g] += Fraction(g ** (m - 1)) / Fraction(m - 1) ** b
+        diagonal = sum(
+            Fraction(sigma ** u * tau ** (m - u), u ** r * (m - u) ** s) for u in range(1, m)
+        )
+        lhs += diagonal / Fraction(m) ** t
+        rhs += sum(
+            coeff * outer.sign ** m / Fraction(m) ** outer.value * prefix[inner.value, inner.sign]
+            for coeff, outer, inner in terms
+        )
+        if lhs != rhs:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,8 @@ from tornheim.reduction import (
     verify_lemma1,
 )
 
+from test_closedform import _ring_tornheim  # the ring reference, which takes any zeta(0; -1)
+
 PREC30 = PrecisionConfig(digits=30)
 
 LOW_WEIGHT_KEYS = [
@@ -192,9 +194,7 @@ def test_criterion_6_closed_vs_numeric_and_zero_convention():
     # the same comparison adjudicates the alternating zeta at 0: with +1/2
     # the R closed form lands far from the numeric value
     with mp.workdps(PREC30.working_dps):
-        wrong = expr_numeric(
-            tornheim_closed(1, 1, 1, "R", alt_zero=Fraction(1, 2)).expression, PREC30
-        )
+        wrong = expr_numeric(_ring_tornheim(1, 1, 1, "R", Fraction(1, 2), {}), PREC30)
         gap = abs(wrong - tornheim_classical(1, 1, 1, "R", PREC30))
     assert gap > mpf(10) ** -3
     print(

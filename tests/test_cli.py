@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tornheim.cli import main
 from tornheim.closedform import KNOWN_VALUES
-from tornheim.exact import expression_from_json, expression_to_json
+from tornheim.exact import ZetaExpression, expression_from_json, expression_to_json
 from tornheim.reduction import reduction_from_json, theorem1_reduce
 
 
@@ -302,7 +302,59 @@ def test_verify_theorem1(capsys):
 def test_verify_corollary1(capsys):
     rc, out, _ = run(capsys, "verify", "corollary1", "--max", "1")
     assert rc == 0
-    assert "corollary1: 3/3 cases passed" in out
+    assert out.splitlines() == [
+        "PASS corollary1 T[1,1,1] exact on 11 windows",
+        "PASS corollary1 S[1,1,1] exact on 11 windows",
+        "PASS corollary1 R[1,1,1] exact on 11 windows",
+        "corollary1: 3/3 cases passed",
+    ]
+
+
+def test_verify_corollary1_fails_on_a_wrong_reduction(capsys, monkeypatch):
+    from tornheim import reduction
+
+    right = reduction.corollary1_reduce
+
+    def wrong(*args):
+        (coeff, outer, inner), *rest = right(*args)
+        return ((coeff + 1, outer, inner), *rest)
+
+    monkeypatch.setattr(reduction, "corollary1_reduce", wrong)
+    rc, out, _ = run(capsys, "verify", "corollary1", "--max", "1")
+    assert rc == 3
+    assert "FAIL corollary1 T[1,1,1] exact on 11 windows" in out
+    assert "corollary1: 0/3 cases passed" in out
+
+
+# the numeric families gate on 10^-(digits-3) at every precision
+NUMERIC_FAMILY_ARGV = [
+    ("theorem1", "--max", "1", "--q", "3/2"),
+    ("corollary2", "--max", "1"),
+    ("corollary3", "--max", "2"),
+    ("table",),
+]
+
+
+@pytest.mark.parametrize("digits", ["12", "120"])
+@pytest.mark.parametrize("argv", NUMERIC_FAMILY_ARGV, ids=lambda argv: argv[0])
+def test_numeric_families_pass_at_every_precision(capsys, argv, digits):
+    rc, out, _ = run(capsys, "verify", *argv, "--digits", digits)
+    assert rc == 0, out
+    assert "FAIL" not in out
+
+
+def test_negative_tolerance_exits_2_naming_the_flag(capsys):
+    for value in ("-1", "-1/2"):
+        rc, _, err = run(capsys, "verify", "theorem1", "--max", "1", f"--tolerance={value}")
+        assert rc == 2
+        assert err.startswith("error: --tolerance")
+
+
+def test_tolerance_still_overrides_the_gate(capsys):
+    rc, out, _ = run(capsys, "verify", "corollary3", "--max", "2", "--digits", "12",
+                     "--tolerance", "0")
+    assert rc == 3
+    assert "corollary3: 0/7 cases passed" in out
 
 
 def test_verify_corollary2(capsys):
@@ -340,6 +392,17 @@ def test_verify_expr_flags_perturbed_value(capsys):
                      "--expression", json.dumps(terms))
     assert rc == 3
     assert "FAIL expr R[5,5,5]" in out
+
+
+def test_verify_expr_gate_follows_digits(capsys):
+    """At 100 digits the gate is 1e-97, so an error of 1e-60 must fail."""
+    value = KNOWN_VALUES[("R", 5, 5, 5)]
+    shifted = value + ZetaExpression.constant(F(1, 10 ** 60))
+    for expr, code in ((value, 0), (shifted, 3)):
+        rc, out, _ = run(capsys, "verify", "expr", "R", "5", "5", "5", "--digits", "100",
+                         "--expression", json.dumps(expression_to_json(expr)))
+        assert rc == code
+        assert "(tolerance 1.0e-97)" in out
 
 
 def test_verify_expr_from_file(tmp_path, capsys):

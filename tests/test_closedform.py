@@ -60,11 +60,12 @@ def test_alternative_zero_convention_breaks_table():
     """
     assert ALT_ZETA_AT_ZERO == F(-1, 2)
     broken = 0
+    doubles = {}
     for (variant, r, s, t), want in KNOWN_VALUES.items():
         if r + s + t > 5:
             continue
-        got = tornheim_closed(r, s, t, variant, alt_zero=F(1, 2)).expression
-        if got != want:
+        assert _ring_tornheim(r, s, t, variant, ALT_ZETA_AT_ZERO, doubles) == want
+        if _ring_tornheim(r, s, t, variant, F(1, 2), doubles) != want:
             broken += 1
     assert broken == 7
 
@@ -171,14 +172,6 @@ def test_integer_assembly_matches_the_ring_operators():
     for variant, r, s, t, got in rows:
         assert got == _ring_tornheim(r, s, t, variant, ALT_ZETA_AT_ZERO, doubles), (variant, r, s, t)
         _assert_canonical(got)
-    for w in (3, 5, 7, 9):
-        for r in range(1, w - 1):
-            for s in range(1, w - r):
-                for variant in ("T", "S", "R"):
-                    got = tornheim_closed(r, s, w - r - s, variant, alt_zero=F(1, 2)).expression
-                    want = _ring_tornheim(r, s, w - r - s, variant, F(1, 2), doubles)
-                    assert got == want, (variant, r, s, w - r - s)
-                    _assert_canonical(got)
 
 
 def test_integer_assembly_scales_fractional_coefficients(monkeypatch):
@@ -209,7 +202,7 @@ def test_double_closed_memo_entries_are_the_ring_values():
                     got = double_euler_closed(s, t, sigma, tau)
                     assert got == _ring_double(s, t, sigma, tau, ALT_ZETA_AT_ZERO), (s, t, sigma, tau)
                     _assert_canonical(got)
-                    assert closedform._double_closed_memo(s, t, sigma, tau, ALT_ZETA_AT_ZERO) is got
+                    assert closedform._double_closed_memo(s, t, sigma, tau) is got
                     checked += 1
     assert checked == 1652
 
@@ -224,9 +217,9 @@ def test_tornheim_closed_takes_every_pair_from_double_euler_closed(monkeypatch):
         return double_euler_closed(*args)
 
     monkeypatch.setattr(closedform, "double_euler_closed", counted)
-    tornheim_closed(3, 2, 2, "R", alt_zero=F(1, 2))
+    tornheim_closed(3, 2, 2, "R")
     assert calls == [
-        (outer.value, inner.value, outer.sign, inner.sign, F(1, 2))
+        (outer.value, inner.value, outer.sign, inner.sign)
         for _, outer, inner in corollary1_reduce(3, 2, 2, "R")
     ]
 

@@ -30,7 +30,6 @@ from tornheim.numeric import (
     q_zeta2,
     q_zeta2_info,
     tornheim_classical,
-    tornheim_classical_naive,
     tornheim_q,
     tornheim_q_info,
 )
@@ -1122,15 +1121,6 @@ def test_double_euler_digit_doubling_stable():
 
 
 # ---------------------------------------------------------------- classical tornheim
-
-def test_tornheim_classical_against_naive_oracle():
-    naive = tornheim_classical_naive(2, 1, 2, "T")
-    assert abs(float(tornheim_classical(2, 1, 2, "T", P30)) - naive) < 1e-4
-    naive_r = tornheim_classical_naive(1, 1, 1, "R")
-    assert abs(float(tornheim_classical(1, 1, 1, "R", P30)) - naive_r) < 1e-4
-    naive_s = tornheim_classical_naive(1, 1, 1, "S")
-    assert abs(float(tornheim_classical(1, 1, 1, "S", P30)) - naive_s) < 1e-4
-
 
 def test_tornheim_classical_known_value():
     # the fully alternating weight-3 case equals zeta(3)/4

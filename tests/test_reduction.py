@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -20,6 +21,7 @@ from tornheim.reduction import (
     reduction_to_json,
     theorem1_reduce,
     trinomial,
+    verify_corollary1,
     verify_lemma1,
 )
 
@@ -194,6 +196,58 @@ def test_theorem1_render_golden():
     )
 
 
+# The finite triangle u + v <= w of the q-series, and each term kind cut the
+# same way: DoubleQZeta and PhiTerm at m <= w, zq2 at 2k <= w.  Theorem 1 is
+# exact on every such triangle for integer t >= 0.
+
+@lru_cache(maxsize=None)
+def _q_int(n, q):
+    return (q ** n - 1) / (q - 1)
+
+
+def _triangle_q_sum(r, s, t, variant, q, w):
+    sigma, tau = reduction.VARIANT_SIGNS[variant]
+    return sum(
+        sigma ** u * tau ** v * q ** ((r + t - 1) * u + (s + t - 1) * v)
+        / (_q_int(u, q) ** r * _q_int(v, q) ** s * _q_int(u + v, q) ** t)
+        for u in range(1, w) for v in range(1, w + 1 - u)
+    )
+
+
+def _triangle_term(kind, q, w):
+    if isinstance(kind, DoubleQZeta):
+        (a, g1), (b, g2) = (kind.outer.value, kind.outer.sign), (kind.inner.value, kind.inner.sign)
+        body = sum(
+            g1 ** m * g2 ** n * q ** ((a - 1) * m + (b - 1) * n)
+            / (_q_int(m, q) ** a * _q_int(n, q) ** b)
+            for m in range(2, w + 1) for n in range(1, m)
+        )
+        return (1 - q) ** kind.one_minus_q_pow * body
+    if isinstance(kind, PhiTerm):
+        a, g = kind.index.value, kind.index.sign
+        body = sum((m - 1) * g ** m * q ** ((a - 1) * m) / _q_int(m, q) ** a for m in range(1, w + 1))
+        return (1 - q) ** kind.one_minus_q_pow * body
+    q2, a = q * q, kind.index
+    body = sum(q2 ** ((a - 1) * k) / _q_int(k, q2) ** a for k in range(1, w // 2 + 1))
+    return (1 - q) ** kind.one_minus_q_pow * (1 + q) ** kind.one_plus_q_pow * body
+
+
+def test_theorem1_exact_on_finite_triangles():
+    checked = 0
+    for q in (F(3, 2), F(2), F(7, 5)):
+        for variant in ("T", "S", "R"):
+            for r in range(1, 4):
+                for s in range(1, 4):
+                    for t in range(3):
+                        red = theorem1_reduce(r, s, t, variant)
+                        for w in (2, 5, 9):
+                            rhs = sum(c * _triangle_term(k, q, w) for c, k in red.terms)
+                            assert _triangle_q_sum(r, s, t, variant, q, w) == rhs, (
+                                q, variant, r, s, t, w)
+                            checked += 1
+    assert checked == 729
+
+
 # ---------------------------------------------------------------- corollary 1
 
 def test_corollary1_golden_T212():
@@ -274,6 +328,45 @@ def test_corollary1_allows_t_zero_when_inequalities_hold():
     terms = corollary1_reduce(2, 2, 0, "T")
     assert terms[0] == (F(1), SI(2, 1), SI(2, 1))
     assert corollary1_reduce(1, 1, 0, "S")  # s+t = 1 > 0 suffices here
+
+
+def test_corollary1_exact_on_finite_triangles():
+    """Direct triangle sums against the reduction's double sums cut to m <= w,
+    in exact rationals, on every window up to 16 and every integer t from
+    -1 to 3 that the reduction accepts."""
+    checked = 0
+    for variant in ("T", "S", "R"):
+        for r in range(1, 4):
+            for s in range(1, 4):
+                for t in range(-1, 4):
+                    try:
+                        corollary1_reduce(r, s, t, variant)
+                    except DivergenceError:
+                        continue
+                    assert verify_corollary1(r, s, t, variant, 16), (variant, r, s, t)
+                    checked += 1
+    assert checked == 107
+
+
+def test_verify_corollary1_rejects_bad_windows_and_divergent_input():
+    for w in (1, 0, 2.0, "12"):
+        with pytest.raises(DomainError, match="window"):
+            verify_corollary1(1, 1, 1, "T", w)
+    with pytest.raises(DivergenceError):
+        verify_corollary1(2, 1, 0, "T", 12)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda terms: ((terms[0][0] + 1, *terms[0][1:]), *terms[1:]),
+    lambda terms: ((terms[0][0], terms[0][1], SI(terms[0][2].value, -terms[0][2].sign)),
+                   *terms[1:]),
+], ids=["coefficient", "inner_sign"])
+def test_verify_corollary1_catches_a_wrong_reduction(monkeypatch, mutate):
+    for variant, r, s, t in [("T", 1, 1, 1), ("S", 2, 3, 1), ("R", 3, 1, 2)]:
+        wrong = mutate(corollary1_reduce(r, s, t, variant))
+        monkeypatch.setattr(reduction, "corollary1_reduce", lambda *args: wrong)
+        assert not verify_corollary1(r, s, t, variant, 3), (variant, r, s, t)
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------- products
