@@ -5,7 +5,16 @@ Subcommands
           numeric value where one exists, numeric-only otherwise
   reduce  print a depth-reduction as a term list (q-analog by default,
           --classical for the depth-2 limit)
-  verify  run an identity sweep with one pass/fail line per case
+  verify  run an identity sweep with one pass/fail line per case; each
+          family takes only the flags it reads, and any other flag or
+          argument exits 2:
+            lemma1                  --max --q
+            theorem1, corollary2    --max --q --digits --tolerance
+            corollary1              --max
+            corollary3              --max --digits --tolerance
+            table                   --digits --tolerance
+            expr SERIES R S T       --expression/--expression-file
+                                    --digits --tolerance
   table   enumerate all odd-weight closed forms up to a weight bound
 
 Exit codes: 0 success, 1 stdout closed early (e.g. piped into head),
@@ -90,7 +99,7 @@ def _print_json(obj) -> None:
 # ----------------------------------------------------------------------
 
 def _map_tornheim_signs(series: str, signs) -> tuple[str, bool]:
-    """Resolve (series, --signs) to a canonical variant.
+    """Resolve (series, --signs) to the variant of VARIANT_SIGNS with those signs.
 
     Returns (variant, swap): swap means the first two indices trade places,
     using the reflection T[r-,s,t] = T[s,r-,t].
@@ -99,9 +108,11 @@ def _map_tornheim_signs(series: str, signs) -> tuple[str, bool]:
         return series, False
     if series != "T":
         raise DomainError("--signs combines with series T only; S and R fix their signs")
-    table = {(1, 1): ("T", False), (-1, -1): ("S", False),
-             (1, -1): ("R", False), (-1, 1): ("R", True)}
-    return table[_signs(signs, 2)]
+    sigma, tau = _signs(signs, 2)
+    variants = {pair: variant for variant, pair in VARIANT_SIGNS.items()}
+    if (sigma, tau) in variants:
+        return variants[sigma, tau], False
+    return variants[tau, sigma], True
 
 
 def cmd_eval(args) -> int:
@@ -123,16 +134,14 @@ def cmd_eval(args) -> int:
         out.update(series=variant, indices=[str(r), str(s), str(t)])
         if q is not None:
             info = tornheim_q_info(r, s, t, *VARIANT_SIGNS[variant], q=q, prec=prec)
-            return _emit_numeric(args, out, label, info, q)
+            return _emit(args, out, label, q=q, info=info)
         _require_ints("classical evaluation", r, s, t)
         if (r + s + t) % 2 == 1:
             result = tornheim_closed(r, s, t, variant)
-            return _emit_closed(args, out, label, result.expression, prec,
-                                provenance=result_to_json(result)["provenance"])
-        note = f"no closed form, numeric only (even weight {r + s + t})"
-        with mp.workdps(prec.working_dps):
-            value = tornheim_classical(r, s, t, variant, prec)
-        return _emit_plain_numeric(args, out, label, value, note)
+            return _emit(args, out, label, expr=result.expression, prec=prec,
+                         provenance=result_to_json(result)["provenance"])
+        value = tornheim_classical(r, s, t, variant, prec)
+        return _emit(args, out, label, value=value, weight=r + s + t)
 
     if args.series == "zeta2":
         if len(args.indices) != 2:
@@ -140,19 +149,16 @@ def cmd_eval(args) -> int:
         s1, s2 = (as_rational(x) for x in args.indices)
         g1, g2 = _signs(args.signs, 2) if args.signs else (1, 1)
         first, second = SignedIndex(s1, g1), SignedIndex(s2, g2)
-        label = f"zeta[{first},{second}]"
         out.update(indices=[str(s1), str(s2)], signs=[g1, g2])
         if q is not None:
             info = q_zeta2_info(s1, g1, s2, g2, q=q, prec=prec)
-            return _emit_numeric(args, out, f"zq[{first},{second}]", info, q)
+            return _emit(args, out, f"zq[{first},{second}]", q=q, info=info)
         _require_ints("classical evaluation", s1, s2)
+        label = f"zeta[{first},{second}]"
         if (s1 + s2) % 2 == 1:
-            expr = double_euler_closed(s1, s2, g1, g2)
-            return _emit_closed(args, out, label, expr, prec)
-        note = f"no closed form, numeric only (even weight {s1 + s2})"
-        with mp.workdps(prec.working_dps):
-            value = classical_double_euler(first, second, prec)
-        return _emit_plain_numeric(args, out, label, value, note)
+            return _emit(args, out, label, expr=double_euler_closed(s1, s2, g1, g2), prec=prec)
+        value = classical_double_euler(first, second, prec)
+        return _emit(args, out, label, value=value, weight=s1 + s2)
 
     # qzeta
     if len(args.indices) != 1:
@@ -163,46 +169,37 @@ def cmd_eval(args) -> int:
     (g,) = _signs(args.signs, 1) if args.signs else (1,)
     out.update(indices=[str(s)], signs=[g])
     info = q_zeta1_info(s, g, q=q, prec=prec)
-    return _emit_numeric(args, out, f"zq[{SignedIndex(s, g)}]", info, q)
+    return _emit(args, out, f"zq[{SignedIndex(s, g)}]", q=q, info=info)
 
 
-def _emit_closed(args, out, label, expr, prec, provenance=None) -> int:
-    with mp.workdps(prec.working_dps):
-        value = expr_numeric(expr, prec)
-        rendered_value = nstr(value, args.digits)
-    if args.format == "json":
-        out.update(route="closed-form", expression=expression_to_json(expr),
-                   value=rendered_value, tail_bound=None)
+def _emit(args, out: dict, label: str, *, q=None, info=None, expr=None, prec=None,
+          provenance=None, value=None, weight=None) -> int:
+    """Print one evaluation, human or --format json: the SumInfo of a q-series
+    at q, a closed form with its value at prec, or the value of an even
+    weight, which has no closed form."""
+    if info is not None:
+        shown, bound = nstr(info.value, args.digits), _fmt_bound(info.tail_bound)
+        lines = [f"{label}, q = {q} ≈ {shown}",
+                 f"tail bound <= {bound} after {info.terms} terms"]
+        fields = dict(route="numeric", q=str(q), expression=None, value=shown,
+                      tail_bound=bound, terms=info.terms)
+    elif expr is not None:
+        shown = nstr(expr_numeric(expr, prec), args.digits)
+        lines = [f"{label} = {expr.render()} ≈ {shown}"]
+        fields = dict(route="closed-form", expression=expression_to_json(expr), value=shown,
+                      tail_bound=None)
         if provenance is not None:
-            out["provenance"] = provenance
-        _print_json(out)
+            fields["provenance"] = provenance
     else:
-        print(f"{label} = {expr.render()} ≈ {rendered_value}")
-    return 0
-
-
-def _emit_numeric(args, out, label, info, q) -> int:
-    rendered = nstr(info.value, args.digits)
+        note = f"no closed form, numeric only (even weight {weight})"
+        shown = nstr(value, args.digits)
+        lines = [note, f"{label} ≈ {shown}"]
+        fields = dict(route="numeric", q=None, expression=None, value=shown,
+                      tail_bound=None, note=note)
     if args.format == "json":
-        out.update(route="numeric", q=str(q), expression=None,
-                   value=rendered, tail_bound=_fmt_bound(info.tail_bound),
-                   terms=info.terms)
-        _print_json(out)
+        _print_json({**out, **fields})
     else:
-        print(f"{label}, q = {q} ≈ {rendered}")
-        print(f"tail bound <= {_fmt_bound(info.tail_bound)} after {info.terms} terms")
-    return 0
-
-
-def _emit_plain_numeric(args, out, label, value, note) -> int:
-    rendered = nstr(value, args.digits)
-    if args.format == "json":
-        out.update(route="numeric", q=None, expression=None, value=rendered,
-                   tail_bound=None, note=note)
-        _print_json(out)
-    else:
-        print(note)
-        print(f"{label} ≈ {rendered}")
+        print("\n".join(lines))
     return 0
 
 
@@ -242,18 +239,11 @@ def cmd_reduce(args) -> int:
 # verify
 # ----------------------------------------------------------------------
 
-def _sweep(family: str, rows) -> int:
-    """Print a PASS/FAIL line per (ok, detail) row and the summary; exit 3 on
-    any failure.  Rows are all computed before anything is printed."""
-    rows = list(rows)
-    for ok, detail in rows:
-        print(f"{'PASS' if ok else 'FAIL'} {family} {detail}")
-    passed = sum(ok for ok, _ in rows)
-    print(f"{family}: {passed}/{len(rows)} cases passed")
-    return 0 if passed == len(rows) else 3
+# Each family yields its cases: (ok, detail) from the exact families lemma1
+# and corollary1, (label, lhs, rhs) from the numeric ones, and table adds its
+# exact-match flag.  _drive gates every numeric case the same way.
 
-
-def _verify_lemma1(args):
+def _lemma1_cases(args, prec):
     bound = args.max or 4
     uv = bound + 1
     for q in args.q or ["3/2", "2", "7/2"]:
@@ -267,24 +257,20 @@ def _verify_lemma1(args):
                 yield ok, f"r={r} s={s} q={q} exact on {uv * uv} points"
 
 
-def _verify_theorem1(args):
+def _theorem1_cases(args, prec):
     bound = args.max or 3
-    prec = PrecisionConfig(digits=args.digits)
-    with mp.workdps(prec.working_dps):
-        for q in args.q or ["3/2", "2", "3"]:
-            for variant in ("T", "S", "R"):
-                sigma, tau = VARIANT_SIGNS[variant]
-                for r in range(1, bound + 1):
-                    for s in range(1, bound + 1):
-                        for t in (0, 1, 2, Fraction(1, 2)):
-                            lhs = tornheim_q_info(r, s, t, sigma, tau, q, prec).value
-                            rhs = evaluate_reduction(theorem1_reduce(r, s, t, variant), q, prec)
-                            resid = abs(lhs - rhs)
-                            yield (resid <= args.tol,
-                                   f"{variant}[{r},{s},{t}] q={q} residual {_fmt_bound(resid)}")
+    for q in args.q or ["3/2", "2", "3"]:
+        for variant in ("T", "S", "R"):
+            sigma, tau = VARIANT_SIGNS[variant]
+            for r in range(1, bound + 1):
+                for s in range(1, bound + 1):
+                    for t in (0, 1, 2, Fraction(1, 2)):
+                        yield (f"{variant}[{r},{s},{t}] q={q}",
+                               tornheim_q_info(r, s, t, sigma, tau, q, prec).value,
+                               evaluate_reduction(theorem1_reduce(r, s, t, variant), q, prec))
 
 
-def _verify_corollary1(args):
+def _corollary1_cases(args, prec):
     bound = args.max or 2
     for variant in ("T", "S", "R"):
         for r in range(1, bound + 1):
@@ -294,53 +280,38 @@ def _verify_corollary1(args):
                     yield ok, f"{variant}[{r},{s},{t}] exact on {COROLLARY1_WINDOW - 1} windows"
 
 
-def _verify_corollary2(args):
+def _corollary2_cases(args, prec):
     bound = args.max or 4
-    prec = PrecisionConfig(digits=args.digits)
-    with mp.workdps(prec.working_dps):
-        for q in args.q or ["3/2", "2"]:
-            for variant in ("T", "S", "R"):
-                sigma, tau = VARIANT_SIGNS[variant]
-                for r in range(1, bound + 1):
-                    for s in range(1, bound + 1):
-                        lhs = q_zeta1(r, sigma, q, prec) * q_zeta1(s, tau, q, prec)
-                        rhs = evaluate_reduction(theorem1_reduce(r, s, 0, variant), q, prec)
-                        resid = abs(lhs - rhs)
-                        yield (resid <= args.tol,
-                               f"zq[{SignedIndex(r, sigma)}]*zq[{SignedIndex(s, tau)}] "
-                               f"q={q} residual {_fmt_bound(resid)}")
-
-
-def _verify_corollary3(args):
-    bound = args.max or 5
-    prec = PrecisionConfig(digits=args.digits)
-    with mp.workdps(prec.working_dps):
+    for q in args.q or ["3/2", "2"]:
         for variant in ("T", "S", "R"):
             sigma, tau = VARIANT_SIGNS[variant]
-            rlo = 2 if sigma == 1 else 1
-            slo = 2 if tau == 1 else 1
-            for r in range(rlo, bound + 1):
-                for s in range(slo, bound + 1):
-                    lhs = classical_zeta(r, sigma, prec) * classical_zeta(s, tau, prec)
-                    resid = abs(lhs - tornheim_classical(r, s, 0, variant, prec))
-                    yield (resid <= args.tol,
-                           f"zeta[{SignedIndex(r, sigma)}]*zeta[{SignedIndex(s, tau)}] "
-                           f"residual {_fmt_bound(resid)}")
+            for r in range(1, bound + 1):
+                for s in range(1, bound + 1):
+                    yield (f"zq[{SignedIndex(r, sigma)}]*zq[{SignedIndex(s, tau)}] q={q}",
+                           q_zeta1(r, sigma, q, prec) * q_zeta1(s, tau, q, prec),
+                           evaluate_reduction(theorem1_reduce(r, s, 0, variant), q, prec))
 
 
-def _verify_table(args):
-    prec = PrecisionConfig(digits=args.digits)
+def _corollary3_cases(args, prec):
+    bound = args.max or 5
+    for variant in ("T", "S", "R"):
+        sigma, tau = VARIANT_SIGNS[variant]
+        for r in range(2 if sigma == 1 else 1, bound + 1):
+            for s in range(2 if tau == 1 else 1, bound + 1):
+                yield (f"zeta[{SignedIndex(r, sigma)}]*zeta[{SignedIndex(s, tau)}]",
+                       classical_zeta(r, sigma, prec) * classical_zeta(s, tau, prec),
+                       tornheim_classical(r, s, 0, variant, prec))
+
+
+def _table_cases(args, prec):
     for (variant, r, s, t), want in sorted(KNOWN_VALUES.items()):
         got = tornheim_closed(r, s, t, variant).expression
         exact_ok = got == want
-        with mp.workdps(prec.working_dps):
-            resid = abs(expr_numeric(got, prec) - tornheim_classical(r, s, t, variant, prec))
-        yield (exact_ok and resid <= args.tol,
-               f"{variant}[{r},{s},{t}] exact={'yes' if exact_ok else 'NO'} "
-               f"numeric residual {_fmt_bound(resid)}")
+        yield (f"{variant}[{r},{s},{t}] exact={'yes' if exact_ok else 'NO'} numeric",
+               expr_numeric(got, prec), tornheim_classical(r, s, t, variant, prec), exact_ok)
 
 
-def _verify_expr(args) -> int:
+def _expr_cases(args, prec):
     if len(args.params) != 4:
         raise DomainError("verify expr wants: expr SERIES R S T --expression ...")
     series = args.params[0]
@@ -360,31 +331,66 @@ def _verify_expr(args) -> int:
         expr = expression_from_json(json.loads(blob))
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DomainError(f"cannot parse expression JSON: {exc}")
-    prec = PrecisionConfig(digits=args.digits)
-    with mp.workdps(prec.working_dps):
-        claimed = expr_numeric(expr, prec)
-        reference = tornheim_classical(r, s, t, series, prec)
-        resid = abs(claimed - reference)
-    ok = resid <= args.tol
-    tag = "PASS" if ok else "FAIL"
-    print(f"{tag} expr {series}[{r},{s},{t}]")
-    print(f"  claimed   {nstr(claimed, args.digits)}")
-    print(f"  reference {nstr(reference, args.digits)}")
-    print(f"  |difference| {_fmt_bound(resid)} (tolerance {_fmt_bound(args.tol)})")
-    return 0 if ok else 3
+    yield (f"{series}[{r},{s},{t}]", expr_numeric(expr, prec),
+           tornheim_classical(r, s, t, series, prec))
 
 
-_SWEEPS = {
-    "lemma1": _verify_lemma1,
-    "theorem1": _verify_theorem1,
-    "corollary1": _verify_corollary1,
-    "corollary2": _verify_corollary2,
-    "corollary3": _verify_corollary3,
-    "table": _verify_table,
+# family: (its cases, what it reads); any other flag or argument exits 2
+_FAMILIES = {
+    "lemma1": (_lemma1_cases, "--max --q"),
+    "theorem1": (_theorem1_cases, "--max --q --digits --tolerance"),
+    "corollary1": (_corollary1_cases, "--max"),
+    "corollary2": (_corollary2_cases, "--max --q --digits --tolerance"),
+    "corollary3": (_corollary3_cases, "--max --digits --tolerance"),
+    "table": (_table_cases, "--digits --tolerance"),
+    "expr": (_expr_cases, "SERIES R S T --expression --expression-file --digits --tolerance"),
 }
 
 
+def _drive(args, cases) -> int:
+    """Run a family's cases at the working precision of --digits, print a
+    PASS/FAIL line per case and the summary (expr: its four lines), and exit
+    3 on any failure.  A numeric case passes when its residual |lhs - rhs|
+    is at most args.tol, the one gate, and its exact-match flag holds.
+    Every case is computed before anything is printed."""
+    prec = PrecisionConfig(digits=args.digits)
+    rows = []
+    with mp.workdps(prec.working_dps):
+        for case in cases(args, prec):
+            if len(case) == 2:
+                rows.append(case)
+                continue
+            label, lhs, rhs, *exact = case
+            resid = abs(lhs - rhs)
+            if args.family == "expr":
+                label += (f"\n  claimed   {nstr(lhs, args.digits)}"
+                          f"\n  reference {nstr(rhs, args.digits)}"
+                          f"\n  |difference| {_fmt_bound(resid)}"
+                          f" (tolerance {_fmt_bound(args.tol)})")
+            else:
+                label += f" residual {_fmt_bound(resid)}"
+            rows.append((resid <= args.tol and all(exact), label))
+    for ok, detail in rows:
+        print(f"{'PASS' if ok else 'FAIL'} {args.family} {detail}")
+    passed = sum(ok for ok, _ in rows)
+    if args.family != "expr":
+        print(f"{args.family}: {passed}/{len(rows)} cases passed")
+    return 0 if passed == len(rows) else 3
+
+
 def cmd_verify(args) -> int:
+    cases, reads = _FAMILIES[args.family]
+    unread = [flag for flag in ("--max", "--q", "--digits", "--tolerance", "--expression",
+                                "--expression-file")
+              if getattr(args, flag[2:].replace("-", "_")) is not None
+              and flag not in reads.split()]
+    if "SERIES" not in reads:
+        unread += map(repr, args.params)
+    if unread:
+        raise DomainError(f"verify {args.family} does not take {', '.join(unread)}; "
+                          f"it takes {reads}")
+    if args.digits is None:
+        args.digits = 30
     if args.max is not None and args.max < 1:
         raise DomainError(f"--max must be >= 1, got {args.max}")
     if args.q:
@@ -392,11 +398,8 @@ def cmd_verify(args) -> int:
     tolerance = as_rational(args.tolerance) if args.tolerance else None
     if tolerance is not None and tolerance < 0:
         raise DomainError(f"--tolerance must be >= 0, got {tolerance}")
-    # one gate for every numeric family
     args.tol = mpf(10) ** (3 - args.digits) if tolerance is None else _xm(tolerance)
-    if args.family == "expr":
-        return _verify_expr(args)
-    return _sweep(args.family, _SWEEPS[args.family](args))
+    return _drive(args, cases)
 
 
 # ----------------------------------------------------------------------
@@ -451,13 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_red.set_defaults(func=cmd_reduce)
 
     p_ver = sub.add_parser("verify", help="run an identity sweep")
-    p_ver.add_argument("family", choices=sorted([*_SWEEPS, "expr"]))
+    p_ver.add_argument("family", choices=sorted(_FAMILIES))
     p_ver.add_argument("params", nargs="*",
                        help="for expr: SERIES R S T")
     p_ver.add_argument("--max", type=int, help="index sweep bound")
     p_ver.add_argument("--q", action="append",
                        help="q value, repeatable; family default otherwise")
-    p_ver.add_argument("--digits", type=int, default=30)
+    p_ver.add_argument("--digits", type=int)  # 30 once cmd_verify knows it was not given
     p_ver.add_argument("--tolerance",
                        help="override the numeric gate 10^-(digits-3)")
     p_ver.add_argument("--expression", help="expression JSON (verify expr)")

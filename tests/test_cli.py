@@ -199,6 +199,49 @@ def test_malformed_numbers_and_json_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+# the flags each verify family reads; it refuses the other ones, and every
+# family but expr refuses positional arguments
+VERIFY_READS = {
+    "lemma1": {"--max", "--q"},
+    "theorem1": {"--max", "--q", "--digits", "--tolerance"},
+    "corollary1": {"--max"},
+    "corollary2": {"--max", "--q", "--digits", "--tolerance"},
+    "corollary3": {"--max", "--digits", "--tolerance"},
+    "table": {"--digits", "--tolerance"},
+    "expr": {"--expression", "--expression-file", "--digits", "--tolerance"},
+}
+R111 = '[{"coeff": "-5/8", "zeta": [3]}]'
+VERIFY_FLAG_ARGS = {
+    "--max": ("--max", "1"), "--q": ("--q", "2"), "--digits": ("--digits", "12"),
+    "--tolerance": ("--tolerance", "1"), "--expression": ("--expression", R111),
+    "--expression-file": ("--expression-file", "expr.json"),
+}
+# 22 (family, flag) pairs
+UNREAD_FLAGS = [(family, flag) for family, reads in VERIFY_READS.items()
+                for flag in VERIFY_FLAG_ARGS if flag not in reads]
+STRAY_ARGUMENTS = [(family, "junk") for family in VERIFY_READS if family != "expr"]
+
+
+@pytest.mark.parametrize("family,extra", UNREAD_FLAGS + STRAY_ARGUMENTS,
+                         ids=lambda value: value)
+def test_verify_refuses_what_a_family_does_not_read(capsys, family, extra):
+    base = ["R", "1", "1", "1", "--expression", R111] if family == "expr" else []
+    rc, out, err = run(capsys, "verify", family, *base, *VERIFY_FLAG_ARGS.get(extra, (extra,)))
+    assert rc == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: verify {family} does not take ")
+    assert (extra if extra.startswith("--") else repr(extra)) in line
+
+
+def test_verify_refusal_names_every_unread_flag(capsys):
+    rc, out, err = run(capsys, "verify", "corollary1", "--q", "2", "--tolerance", "5",
+                       "--digits", "5")
+    assert (rc, out) == (2, "")
+    assert err == ("error: verify corollary1 does not take --q, --digits, --tolerance; "
+                   "it takes --max\n")
+
+
 _NUMBER_TOKENS = st.sampled_from(
     ["abc", "x", "", "-", "1/0", "0/0", "nan", "inf", "1e400", "0", "1", "-2",
      "1/2", "3/2", "2", "5", "0x10"]
@@ -209,16 +252,24 @@ _EXPRESSION_TOKENS = st.sampled_from(
        '[{"coeff":"1","zeta":[2]}]', '[{"coeff":"-5/8","zeta":[3]}]']
 )
 _ARGV = st.one_of(
-    st.tuples(st.just(["eval", "qzeta", "2", "--digits", "10", "--q"]), _NUMBER_TOKENS),
-    st.tuples(st.just(["eval", "T", "1", "1", "1", "--digits", "10", "--q"]), _NUMBER_TOKENS),
-    st.tuples(st.just(["verify", "theorem1", "--max", "1", "--digits", "10", "--q"]),
-              _NUMBER_TOKENS, st.just("--tolerance"), _NUMBER_TOKENS),
-    st.tuples(st.just(["verify", "expr", "R", "1", "1", "1", "--expression"]),
-              _EXPRESSION_TOKENS),
-).map(lambda parts: [*parts[0], *parts[1:]])
+    st.one_of(
+        st.tuples(st.just(["eval", "qzeta", "2", "--digits", "10", "--q"]), _NUMBER_TOKENS),
+        st.tuples(st.just(["eval", "T", "1", "1", "1", "--digits", "10", "--q"]), _NUMBER_TOKENS),
+        st.tuples(st.just(["verify", "theorem1", "--max", "1", "--digits", "10", "--q"]),
+                  _NUMBER_TOKENS, st.just("--tolerance"), _NUMBER_TOKENS),
+        st.tuples(st.just(["verify", "expr", "R", "1", "1", "1", "--expression"]),
+                  _EXPRESSION_TOKENS),
+    ).map(lambda parts: [*parts[0], *parts[1:]]),
+    # any family with any of the verify flags, read or not, and stray arguments
+    st.tuples(
+        st.sampled_from(sorted(VERIFY_READS)),
+        st.lists(st.sampled_from([*VERIFY_FLAG_ARGS.values(), ("--digits", "10"), ("junk",),
+                                  ("R", "1", "1", "1")]), max_size=4),
+    ).map(lambda parts: ["verify", parts[0], *[tok for group in parts[1] for tok in group]]),
+)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_ARGV)
 def test_fuzzed_argv_never_tracebacks(argv):
