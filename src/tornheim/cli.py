@@ -395,9 +395,14 @@ def cmd_verify(args) -> int:
         raise DomainError(f"--max must be >= 1, got {args.max}")
     if args.q:
         args.q = [as_rational(q) for q in args.q]
-    tolerance = as_rational(args.tolerance) if args.tolerance else None
-    if tolerance is not None and tolerance < 0:
-        raise DomainError(f"--tolerance must be >= 0, got {tolerance}")
+    tolerance = None
+    if args.tolerance is not None:  # an empty value is malformed, not absent
+        try:
+            tolerance = as_rational(args.tolerance)
+        except DomainError as exc:
+            raise DomainError(f"--tolerance: {exc}") from None
+        if tolerance < 0:
+            raise DomainError(f"--tolerance must be >= 0, got {tolerance}")
     args.tol = mpf(10) ** (3 - args.digits) if tolerance is None else _xm(tolerance)
     return _drive(args, cases)
 

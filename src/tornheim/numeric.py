@@ -40,7 +40,10 @@ and drops the least recently used tables first.  q_zeta1, phi_q and
 q_zeta2 are exact integer sums over q-term entries (sum sign^k F_k,
 sum (k-1) sign^k F_k, sum_m sign^m F_m times a running prefix), converted
 to mpf once, so their rounding is a count of 3/4-units at B = working
-precision + STREAM_GUARD bits.
+precision + STREAM_GUARD bits.  The entries carry no sign: as sign^k only
+negates odd k, each sum is its part over even k plus sign times its part
+over odd k, so one pass over the unsigned entries, split by parity, gives
+the exact totals of every sign (pair) at once.
 
 The classical double zeta keeps each word of its split at 1/2 as the word's
 terms at 1/2 (_half_values), built one letter at a time.  The heads of
@@ -58,15 +61,22 @@ the kernel and its canonical arguments: _zeta_sum and _double_sum for the
 classical values, and q_zeta2_info, phi_q_info, q_zeta1_info (used by
 evaluate_reduction) and _tornheim_q (after _orient) on the q-side.  Every
 q-kernel splits into a plan (_Plan: the cutoff, table width, truncation
-bound and rounding allowance) and the signed integer sum that reads it.
-The signs only flip terms, so a plan is keyed without them: the exponents
-(r <= s for tornheim_q, then t), the QParam and the PrecisionConfig.
-_memo also holds the plans of tornheim_q, q_zeta2 and phi_q, so that T, S
-and R of one (r, s, t, q, precision) are planned once.  q_zeta1 plans on
-every call: its reduction terms (zq2) all have sign +1, so a plan entry
-would only repeat its sum entry.  memo_stats() reports the hits, misses
-and size of _memo and of _tables (q-term tables and half-series words
-together), and clear_memos() empties both.
+bound and rounding allowance) and the integer totals of all its signs,
+which the SumInfo of one sign reads.  Neither depends on the signs, so
+both are keyed without them: the exponents (r <= s for tornheim_q, then
+t), the QParam and the PrecisionConfig, or the cutoff and width it gives.
+_memo holds the plans (_q_zeta2_plan, _phi_q_plan, and tornheim_q's
+triangle, _tornheim_q_plan) and the totals (_q_zeta2_sums, _phi_q_sums,
+and _tornheim_q_sums, which holds the Lambert sum's plan too, so that it
+is planned only when the float64 kernel does not serve), so that T, S
+and R of one (r, s, t, q, precision) are planned and summed once.  The
+SumInfo of each sign stays its own entry, rounded and bounded on its
+first call only: _bound reads |value|, so a sign never asked for could
+raise.  q_zeta1 plans and sums on every call: its reduction terms (zq2)
+all have sign +1, so a plan or totals entry would only repeat its sum
+entry.  memo_stats() reports the hits, misses and size of _memo and of
+_tables (q-term tables and half-series words together), and clear_memos()
+empties both.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
@@ -132,7 +142,7 @@ __all__ = [
 ]
 
 FLOAT64_GOAL_CUTOFF = 1e-10  # coarser goals than this use the vectorized kernel
-MEMO_SIZE = 4096  # entries of _memo; criterion 4's grid takes 1,200 sums and 324 plans
+MEMO_SIZE = 4096  # entries of _memo; criterion 4's grid takes 1,200 sums, 324 plans, 324 totals
 TABLE_BUDGET = 1 << 17  # terms kept by all growable tables together (_tables)
 STREAM_GUARD = 32  # bits the q-term table keeps past working precision
 MAX_EXPONENT_DENOMINATOR = 8  # q-side exponents are rationals m/d, d <= this
@@ -377,11 +387,11 @@ class _TableMemo:
 _tables = _TableMemo(TABLE_BUDGET)
 
 
-def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
-    """sign^k F_k for k = 1..n, where F_k is q^(e k)/[k]^x in bits-bit fixed
-    point: |F_k - 2^bits q^(e k)/[k]^x| <= 3/4.  Requires x - e in {0, 1}.
+def _stream_terms(qp: QParam, bits: int, e, x, n: int) -> list[int]:
+    """F_k for k = 1..n, where F_k is q^(e k)/[k]^x in bits-bit fixed point:
+    |F_k - 2^bits q^(e k)/[k]^x| <= 3/4.  Requires x - e in {0, 1}.
 
-    The unsigned F_k are the q-term table of (q, bits, e, x) in _tables,
+    The F_k are the q-term table of (q, bits, e, x) in _tables,
     which extends it when a call needs more terms.  New entries come from
     one integer recurrence in G-bit fixed point, G = bits + guard, counted
     in units of 2^-G.  With q = a/b exactly (Fraction(q), a float too) and
@@ -407,8 +417,10 @@ def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
     In all, E = K (|m| (10 c^2 + 2q) + c) + 2 units, and guard is the bit
     length of max(ceil(4E), 9 m^2), so the error is at most 2^-bits / 4
     before rounding to the nearest integer adds 1/2, and _fixed_pow's count
-    holds.  The guard depends on q and x, not on n.  The sign negates odd
-    k, which is exact.  Returns a fresh list.
+    holds.  The guard depends on q and x, not on n.  The entries carry no
+    sign: a sum over sign^k F_k is the sum over even k plus sign times the
+    sum over odd k, so the kernels split their sums by parity and serve
+    both signs from one pass.  Returns a fresh list.
 
     Memory: an entry is a Python int and its list slot, about bits/8 + 36
     bytes, and _tables keeps at most TABLE_BUDGET entries of all its tables
@@ -444,10 +456,17 @@ def _stream_terms(qp: QParam, bits: int, e, x, sign: int, n: int) -> list[int]:
             new.append(((v * p if down else v) + half) >> drop)
         return new
 
-    terms = _tables.table((qp, bits, e, x), n, grow)
-    if sign == -1:
-        terms[::2] = [-f for f in terms[::2]]  # odd k
-    return terms
+    return _tables.table((qp, bits, e, x), n, grow)
+
+
+def _at(totals: tuple, *signs: int) -> int:
+    """The entry for signs of the totals of a sign-free sum, which list the
+    sign choices with +1 before -1 and the first sign slowest: (+, -) for
+    one sign, (++, +-, -+, --) for a pair."""
+    i = 0
+    for g in signs:
+        i = 2 * i + (g < 0)
+    return totals[i]
 
 
 def _fixed_mpf(man: int, bits: int) -> mpf:
@@ -469,13 +488,11 @@ def _bound(what: str, value: mpf, truncation: mpf, rounding: mpf, goal: mpf) -> 
 
 
 class _Plan(NamedTuple):
-    """The sign-free part of a q-kernel call, kept in _memo for all but
+    """The sign-free part of an exact q-kernel sum, kept in _memo for all but
     q_zeta1: the terms the call reports, its cutoff n, the width bits of its
     table entries, its truncation bound, its rounding allowance before the
-    final rounding to working precision, and the goal.  tornheim_q adds js,
-    the Lambert weights summed, and, at a goal >= FLOAT64_GOAL_CUTOFF, the
-    triangle u + v <= w of its float64 kernel and that triangle's tail,
-    coarse."""
+    final rounding to working precision, and the goal.  tornheim_q's Lambert
+    sum adds js, the Lambert weights summed."""
     terms: int
     n: int
     bits: int
@@ -483,8 +500,17 @@ class _Plan(NamedTuple):
     rounding: mpf
     goal: mpf
     js: int = 0
-    w: int = 0
-    coarse: mpf | None = None
+
+
+class _Triangle(NamedTuple):
+    """tornheim_q's sign-free plan, kept in _memo: the terms every call
+    reports and max_terms counts, the triangle u + v <= w they fill, and, at
+    a goal >= FLOAT64_GOAL_CUTOFF, that triangle's tail coarse, for the
+    float64 kernel."""
+    terms: int
+    w: int
+    coarse: mpf | None
+    goal: mpf
 
 
 def _summed(what: str, plan: _Plan, prec: PrecisionConfig, total: int, bits: int) -> SumInfo:
@@ -513,16 +539,25 @@ def _q_zeta1_plan(s, qp: QParam, prec: PrecisionConfig) -> _Plan:
 def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> SumInfo:
     """zeta_q[s; sign] = sum_{n>=1} sign^n q^((s-1)n) / [n]^s, with tail bound.
 
-    The N table entries are summed exactly, so rounding is at most
-    3/4 N 2^-B at B = prec + STREAM_GUARD bits.
+    The N table entries are summed exactly (_q_zeta1_sums), so rounding is
+    at most 3/4 N 2^-B at B = prec + STREAM_GUARD bits.
     """
     _sign_ok(sign)
     s = _exponent(s, "q_zeta1")
     qp = _as_q(q)
     prec = _as_prec(prec)
     plan = _q_zeta1_plan(s, qp, prec)
-    total = sum(_stream_terms(qp, plan.bits, s - 1, s, sign, plan.n))
+    total = _at(_q_zeta1_sums(s, qp, plan.n, plan.bits), sign)
     return _summed("q_zeta1", plan, prec, total, plan.bits)
+
+
+def _q_zeta1_sums(s, qp: QParam, n: int, bits: int) -> tuple[int, int]:
+    """sum_k sign^k F_k over the first n bits-bit entries of q_zeta1's table,
+    exact, for sign = +1 and -1 (_at): the sum over even k plus sign times
+    the sum over odd k."""
+    terms = _stream_terms(qp, bits, s - 1, s, n)
+    even, odd = sum(terms[1::2]), sum(terms[::2])
+    return even + odd, even - odd
 
 
 def q_zeta1(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> mpf:
@@ -556,16 +591,34 @@ def q_zeta2_info(
     product then errs by at most 3/4 2^B (K2/(q-1) + 1) + 3/4 (m-1) 2^B |f_m|
     (for N <= 2^B), and summing over m with sum (m-1) q^-m = 1/(q-1)^2 gives
     rounding <= 3/4 2^-B ((N-1)(K2/(q-1) + 1) + K1/(q-1)^2).  The plan
-    comes from _memo.
+    and the totals of all four sign pairs (_q_zeta2_sums) come from _memo.
     """
     _sign_ok(sign1), _sign_ok(sign2)
     s1, s2 = _exponent(s1, "q_zeta2"), _exponent(s2, "q_zeta2")
     qp = _as_q(q)
     prec = _as_prec(prec)
     plan = _memo(_q_zeta2_plan, s1, s2, qp, prec)
-    outer = _stream_terms(qp, plan.bits, s1 - 1, s1, sign1, plan.n)
-    prefixes = accumulate(_stream_terms(qp, plan.bits, s2 - 1, s2, sign2, plan.n))
-    return _summed("q_zeta2", plan, prec, sum(map(mul, outer[1:], prefixes)), 2 * plan.bits)
+    totals = _memo(_q_zeta2_sums, s1, s2, qp, plan.n, plan.bits)
+    return _summed("q_zeta2", plan, prec, _at(totals, sign1, sign2), 2 * plan.bits)
+
+
+def _q_zeta2_sums(s1, s2, qp: QParam, n: int, bits: int) -> tuple[int, int, int, int]:
+    """sum_{m=2}^{n} sign1^m F_m P_(m-1), P_j = sum_{k<=j} sign2^k G_k, over
+    the first n bits-bit entries F of the outer and G of the inner table,
+    exact, for the four (sign1, sign2) (_at).  With P+ and P- the prefix
+    sums for sign2 = +1 and -1, the outer entries of even m against each
+    give E+ and E-, those of odd m give O+ and O-, and the total is
+    E(sign2) + sign1 O(sign2)."""
+    outer = _stream_terms(qp, bits, s1 - 1, s1, n)
+    inner = _stream_terms(qp, bits, s2 - 1, s2, n)
+    plus = list(accumulate(inner))
+    inner[::2] = map(neg, inner[::2])  # odd k
+    minus = list(accumulate(inner))
+    # outer[i] is m = i + 1, which meets P_(m-1) = prefix[i - 1]
+    even, odd = outer[1::2], outer[2::2]
+    ep, em = sum(map(mul, even, plus[::2])), sum(map(mul, even, minus[::2]))
+    op, om = sum(map(mul, odd, plus[1::2])), sum(map(mul, odd, minus[1::2]))
+    return ep + op, em + om, ep - op, em - om
 
 
 def q_zeta2(s1, sign1: int, s2, sign2: int, q=None, prec: PrecisionConfig | None = None) -> mpf:
@@ -611,15 +664,26 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
 
     The integer sum of (k-1) F_k over the N table entries is exact, so
     rounding is at most 3/4 2^-B sum (k-1) = 3/4 2^-B N(N-1)/2.  The plan
-    comes from _memo.
+    and the totals of both signs (_phi_q_sums) come from _memo.
     """
     _sign_ok(sign)
     s = _exponent(s, "phi_q")
     qp = _as_q(q)
     prec = _as_prec(prec)
     plan = _memo(_phi_q_plan, s, qp, prec)
-    terms = _stream_terms(qp, plan.bits, s - 1, s, sign, plan.n)
-    return _summed("phi_q", plan, prec, sum(map(mul, range(plan.n), terms)), plan.bits)
+    totals = _memo(_phi_q_sums, s, qp, plan.n, plan.bits)
+    return _summed("phi_q", plan, prec, _at(totals, sign), plan.bits)
+
+
+def _phi_q_sums(s, qp: QParam, n: int, bits: int) -> tuple[int, int]:
+    """sum_k (k-1) sign^k F_k over the first n bits-bit entries of phi_q's
+    table, exact, for sign = +1 and -1 (_at): the sum over even k plus sign
+    times the sum over odd k."""
+    terms = _stream_terms(qp, bits, s - 1, s, n)
+    # terms[i] is k = i + 1, weighted by k - 1 = i
+    even = sum(map(mul, range(1, n, 2), terms[1::2]))
+    odd = sum(map(mul, range(0, n, 2), terms[::2]))
+    return even + odd, even - odd
 
 
 def phi_q(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> mpf:
@@ -681,10 +745,12 @@ def tornheim_q_info(
     goals (>= FLOAT64_GOAL_CUTOFF) sum that triangle by the float64 kernel
     when its tail plus its rounding bound meets the goal.  tail_bound is
     truncation plus rounding; if that exceeds the goal, PrecisionError is
-    raised.  Results are kept in _memo after _orient.  W, n, js, bits, the
-    truncation and the rounding allowance depend on neither sign, so they
-    are one plan (_tornheim_q_plan) in _memo for all four sign pairs; it is
-    looked up first, so a call the budget rejects counts one miss.
+    raised.  Results are kept in _memo after _orient.  Nothing but the
+    result depends on the signs, so _memo holds two sign-free entries for
+    all four sign pairs: the triangle W (_tornheim_q_plan), looked up first,
+    so that a call the budget rejects counts one miss and sums nothing, and,
+    once the float64 kernel does not serve, the Lambert sum's n, js, bits,
+    truncation and rounding allowance with its totals (_tornheim_q_sums).
     """
     _sign_ok(sigma), _sign_ok(tau)
     r, s, t = (_exponent(x, "tornheim_q") for x in (r, s, t))
@@ -695,21 +761,33 @@ def tornheim_q_info(
     return _memo(_tornheim_q, r, s, t, sigma, tau, qp, prec)
 
 
-def _tornheim_q_plan(r, s, t, qp: QParam, prec: PrecisionConfig) -> _Plan:
-    """tornheim_q_info's cutoffs and bounds for r, s in _orient's order, the
-    same for all four sign pairs: the triangle W of terms and max_terms,
-    with its tail when the float64 kernel may serve, and the Lambert sum's
-    n, js, bits, truncation and rounding allowance."""
+def _tornheim_q_plan(r, s, t, qp: QParam, prec: PrecisionConfig) -> _Triangle:
+    """tornheim_q_info's triangle u + v <= W for r, s in _orient's order, the
+    same for all four sign pairs: its terms, checked against max_terms, and
+    its tail when the float64 kernel may serve."""
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         goal = prec.goal()
-        kr, ks = _kbound(r, qm), _kbound(s, qm)
-        k = kr * ks * _kbound(t, qm)
+        k = _kbound(r, qm) * _kbound(s, qm) * _kbound(t, qm)
         x = 1 / qm
         w = _linear_cutoff(k, x, max(2, _geometric_n(2 * k / (qm - 1) ** 2, qm, goal)), goal)
         count = w * (w - 1) // 2
         _budget(count, prec, "tornheim_q")
         coarse = _linear_geometric_tail(k, x, w) if goal >= FLOAT64_GOAL_CUTOFF else None
+        return _Triangle(count, w, coarse, goal)
+
+
+def _tornheim_q_sums(r, s, t, qp: QParam, prec: PrecisionConfig) -> tuple[_Plan, tuple]:
+    """tornheim_q_info's Lambert sum for r, s in _orient's order, planned and
+    summed once for all four sign pairs: its _Plan (the triangle's terms,
+    n, js, bits, truncation and rounding allowance) and the totals of
+    _tornheim_q_lambert."""
+    terms = _memo(_tornheim_q_plan, r, s, t, qp, prec).terms
+    with mp.workdps(prec.working_dps):
+        qm = qp.to_mpf()
+        goal = prec.goal()
+        kr, ks = _kbound(r, qm), _kbound(s, qm)
+        x = 1 / qm
         ta = abs(_xm(t))
         lam, c, root = 1 - x, mp.power(qm - 1, _xm(t)), mp.sqrt(qm)
         gamma_1, gamma_t = x / lam ** 2, x * mp.power(lam, -ta - 1)
@@ -726,20 +804,21 @@ def _tornheim_q_plan(r, s, t, qp: QParam, prec: PrecisionConfig) -> _Plan:
         e = mp.ldexp(1, -bits)
         rounding = ((c + 2 * e) * _lambert_rounding(kappa, spread, gamma_1 + gamma_t, n, t, bits)
                     + 2 * e * mass)
-        return _Plan(count, n, bits, truncation, rounding, goal, js, w, coarse)
+        plan = _Plan(terms, n, bits, truncation, rounding, goal, js)
+    return plan, _tornheim_q_lambert(r, s, t, qp, n, js, bits)
 
 
 def _tornheim_q(r, s, t, sigma: int, tau: int, qp: QParam, prec: PrecisionConfig) -> SumInfo:
     """tornheim_q_info for exact exponents in _orient's order."""
-    plan = _memo(_tornheim_q_plan, r, s, t, qp, prec)
-    if plan.coarse is not None:
+    triangle = _memo(_tornheim_q_plan, r, s, t, qp, prec)
+    if triangle.coarse is not None:
         with mp.workdps(prec.working_dps):
-            value, rounding = _tornheim_q_float64(r, s, t, sigma, tau, qp.to_float(), plan.w)
-            bound = plan.coarse + rounding
-            if bound <= plan.goal:
-                return SumInfo(mpf(value), bound, plan.terms)
-    total = _tornheim_q_lambert(r, s, t, sigma, tau, qp, plan.n, plan.js, plan.bits)
-    return _summed("tornheim_q", plan, prec, total, 6 * plan.bits)
+            value, rounding = _tornheim_q_float64(r, s, t, sigma, tau, qp.to_float(), triangle.w)
+            bound = triangle.coarse + rounding
+            if bound <= triangle.goal:
+                return SumInfo(mpf(value), bound, triangle.terms)
+    plan, totals = _memo(_tornheim_q_sums, r, s, t, qp, prec)
+    return _summed("tornheim_q", plan, prec, _at(totals, sigma, tau), 6 * plan.bits)
 
 
 def _ceil_bits(x: mpf) -> int:
@@ -772,21 +851,32 @@ def _lambert_weights(t, bits: int):
         j += 1
 
 
-def _lambert_sum(a: list[int], b: list[int], x: list[int], t, bits: int, js: int) -> int:
-    """sum_{j<js} B_j A_j B'_j, exact, at 5 bits bits: B_j from
-    _lambert_weights, A_j = sum_u a_u x_((j+1)u) and B'_j the same over b,
-    all lists indexed from 1.  x[j::j+1] holds k = (j+1)u for
-    u <= ceil((len(x) + 1)/(j+1)) - 1, where the dot products stop when a and
-    b are at least as long as x.  Stops at the first zero weight, as every
-    later one is zero too."""
-    total = 0
+def _lambert_sum(a: list[int], b: list[int], x: list[int], t, bits: int,
+                 js: int) -> tuple[int, int, int, int]:
+    """sum_{j<js} B_j A_j B'_j, exact, at 5 bits bits, for the four
+    (sigma, tau) (_at): B_j from _lambert_weights, A_j = sum_u sigma^u a_u
+    x_((j+1)u) and B'_j the same over b in tau, all lists indexed from 1.
+    A_j = E_j + sigma O_j, where E_j sums the even u, read from
+    x[2j+1::2(j+1)], and O_j the odd u, from x[j::2(j+1)]: k = (j+1)u for
+    u <= ceil((len(x) + 1)/(j+1)) - 1, where the dot products stop when a
+    and b are at least as long as x.  b is a shares its split.  Stops at the
+    first zero weight, as every later one is zero too."""
+    a_even, a_odd = a[1::2], a[::2]
+    b_even, b_odd = (a_even, a_odd) if b is a else (b[1::2], b[::2])
+    pos_pos = pos_neg = neg_pos = neg_neg = 0
     for j, beta in zip(range(js), _lambert_weights(t, bits)):
         if not beta:
             break
-        xs = x[j::j + 1]
-        aj = sum(map(mul, a, xs))
-        total += beta * aj * (aj if b is a else sum(map(mul, b, xs)))
-    return total
+        x_even, x_odd = x[2 * j + 1::2 * j + 2], x[j::2 * j + 2]
+        e, o = sum(map(mul, a_even, x_even)), sum(map(mul, a_odd, x_odd))
+        a_pos, a_neg = beta * (e + o), beta * (e - o)
+        if b is not a:
+            e, o = sum(map(mul, b_even, x_even)), sum(map(mul, b_odd, x_odd))
+        pos_pos += a_pos * (e + o)
+        pos_neg += a_pos * (e - o)
+        neg_pos += a_neg * (e + o)
+        neg_neg += a_neg * (e - o)
+    return pos_pos, pos_neg, neg_pos, neg_neg
 
 
 def _lambert_rounding(kappa: mpf, spread: mpf, gammas: mpf, n: int, t, bits: int) -> mpf:
@@ -822,18 +912,19 @@ def _lambert_rounding(kappa: mpf, spread: mpf, gammas: mpf, n: int, t, bits: int
             + omega * kappa * (e * spread) ** 2 * (2 + gamma_sum))
 
 
-def _tornheim_q_lambert(r, s, t, sigma: int, tau: int, qp: QParam, n: int, js: int,
-                        bits: int) -> int:
-    """C S', exact at 6 bits bits: S' = _lambert_sum over js weights and the
-    bits-bit q-term tables of a_u = sigma^u q^(ru)/[u]^r, b_v =
-    tau^v q^(sv)/[v]^s and the powers q^-k (e = -1, x = 0), n - 1 entries
-    each, so A_j is cut after U_j = ceil(n/(j+1)) - 1 terms (tornheim_q_info),
-    and C is c = (q-1)^t by _fixed_rational_power."""
-    x = _stream_terms(qp, bits, -1, 0, 1, n - 1)
-    a = _stream_terms(qp, bits, r, r, sigma, n - 1)
-    b = a if (s, tau) == (r, sigma) else _stream_terms(qp, bits, s, s, tau, n - 1)
+def _tornheim_q_lambert(r, s, t, qp: QParam, n: int, js: int,
+                        bits: int) -> tuple[int, int, int, int]:
+    """C S' for the four (sigma, tau) (_at), exact at 6 bits bits:
+    S' = _lambert_sum over js weights and the bits-bit q-term tables of
+    a_u = q^(ru)/[u]^r, b_v = q^(sv)/[v]^s and the powers q^-k (e = -1,
+    x = 0), n - 1 entries each, so A_j is cut after U_j = ceil(n/(j+1)) - 1
+    terms (tornheim_q_info), and C is c = (q-1)^t by _fixed_rational_power.
+    r = s reads one table for a and b."""
+    x = _stream_terms(qp, bits, -1, 0, n - 1)
+    a = _stream_terms(qp, bits, r, r, n - 1)
+    b = a if s == r else _stream_terms(qp, bits, s, s, n - 1)
     c = _fixed_rational_power(Fraction(qp.value) - 1, Fraction(t), bits)
-    return c * _lambert_sum(a, b, x, t, bits, js)
+    return tuple(c * total for total in _lambert_sum(a, b, x, t, bits, js))
 
 
 def _fixed_rational_power(v: Fraction, y: Fraction, bits: int) -> int:
@@ -1136,22 +1227,25 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
 def _memo(kernel, *args) -> SumInfo | _Plan:
     """kernel(*args) for a kernel that returns a SumInfo: _zeta_sum and
     _double_sum behind the classical validators, q_zeta2_info, phi_q_info or
-    q_zeta1_info for evaluate_reduction (their public calls store no sum
-    here), and _tornheim_q; or for a q-kernel's sign-free planner, which
-    returns a _Plan: _tornheim_q_plan, _q_zeta2_plan or _phi_q_plan, looked
-    up by every call of the kernel, public ones too."""
+    q_zeta1_info for evaluate_reduction (their public calls store no SumInfo
+    here), and _tornheim_q; or for a q-kernel's sign-free entries, looked
+    up by every call of the kernel, public ones too: its plan
+    (_tornheim_q_plan, _q_zeta2_plan or _phi_q_plan), then the exact
+    integer totals of all its signs (_q_zeta2_sums, _phi_q_sums, or
+    _tornheim_q_sums with the Lambert sum's plan)."""
     return kernel(*args)
 
 
 def memo_stats() -> dict:
-    """Hits, misses and size of _memo, sums and plans together, and for the
-    q-term tables (_tables) their number, the terms stored, the budget, and
-    their hits and misses.  A call that a kernel rejects inside _memo
-    (_budget raising from _zeta_sum, _double_sum or a q-kernel's plan)
+    """Hits, misses and size of _memo, sums, plans and totals together, and
+    for the q-term tables (_tables) their number, the terms stored, the
+    budget, and their hits and misses.  A call that a kernel rejects inside
+    _memo (_budget raising from _zeta_sum, _double_sum or a q-kernel's plan)
     counts a miss for each entry it looked up and stores nothing: one for a
     classical kernel, a public q_zeta2 or phi_q call, tornheim_q_info or a
     q_zeta1 term of evaluate_reduction, two for a q_zeta2 or phi_q term (its
-    sum, then its plan), none for a public q_zeta1 call."""
+    sum, then its plan), none for a public q_zeta1 call.  The plan is looked
+    up before the totals, so a rejected call sums nothing."""
     info = _memo.cache_info()
     return {"memo": {"hits": info.hits, "misses": info.misses, "size": info.currsize},
             "tables": _tables.stats()}

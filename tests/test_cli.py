@@ -401,6 +401,14 @@ def test_negative_tolerance_exits_2_naming_the_flag(capsys):
         assert err.startswith("error: --tolerance")
 
 
+def test_malformed_tolerance_exits_2_naming_the_flag(capsys):
+    # an empty value used to read as no tolerance and pass under the default gate
+    for value in ("", "abc", "1/0"):
+        rc, out, err = run(capsys, "verify", "table", "--tolerance", value)
+        assert (rc, out) == (2, "")
+        assert err == f"error: --tolerance: not a rational number: {value!r}\n"
+
+
 def test_tolerance_still_overrides_the_gate(capsys):
     rc, out, _ = run(capsys, "verify", "corollary3", "--max", "2", "--digits", "12",
                      "--tolerance", "0")

@@ -37,6 +37,7 @@ from tornheim.reduction import VARIANT_SIGNS, corollary1_reduce, theorem1_reduce
 
 F = Fraction
 P30 = PrecisionConfig(digits=30)
+SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 # ---------------------------------------------------------------- config
@@ -202,17 +203,17 @@ def test_q_term_table_meets_its_contract_when_extended():
     for q in (F(101, 100), F(3, 2), F(3), F(1001, 1000), 1.1):
         qp = QParam(q)
         for e, x in pairs:
-            short = numeric._stream_terms(qp, bits, e, x, -1, 40)
-            terms = numeric._stream_terms(qp, bits, e, x, 1, 200)
+            short = numeric._stream_terms(qp, bits, e, x, 40)
+            terms = numeric._stream_terms(qp, bits, e, x, 200)
             assert len(numeric._tables.lists[qp, bits, e, x]) == 200
-            assert short == [-f if k % 2 else f for k, f in enumerate(terms[:40], 1)]
+            assert short == terms[:40]
             with mp.workprec(bits + 200):
                 qm, em, xm = (mpf(v.numerator) / v.denominator for v in (F(q), F(e), F(x)))
                 for k, f in enumerate(terms, 1):
                     exact = qm ** (em * k) / ((qm ** k - 1) / (qm - 1)) ** xm
                     assert abs(f - mp.ldexp(exact, bits)) <= 0.75, (q, e, x, k)
     with pytest.raises(ValueError, match="x - e"):
-        numeric._stream_terms(QParam(2), bits, 0, 2, 1, 10)
+        numeric._stream_terms(QParam(2), bits, 0, 2, 10)
 
 
 def test_q_term_table_meets_its_contract_at_large_exponents():
@@ -221,7 +222,7 @@ def test_q_term_table_meets_its_contract_at_large_exponents():
     for q in (F(11, 10), F(3, 2)):
         qp = QParam(q)
         for e, x in [(999, 1000), (F(-2003, 2), F(-2001, 2))]:
-            terms = numeric._stream_terms(qp, bits, e, x, 1, 30)
+            terms = numeric._stream_terms(qp, bits, e, x, 30)
             with mp.workprec(bits + 5000):  # entries reach 2^3600 at q = 11/10
                 qm, em, xm = (mpf(v.numerator) / v.denominator for v in (F(q), F(e), F(x)))
                 for k, f in enumerate(terms, 1):
@@ -268,28 +269,28 @@ def test_q_term_table_grown_in_pieces_equals_one_fill(monkeypatch):
     # instead of the replayed floors would move some entries by one unit
     for e, x in [(F(3, 2), F(5, 2)), (F(-3, 5), F(2, 5)), (-1, 0)]:
         for n in (1000, 5200, 6000):  # the last piece restarts past k = 5000
-            pieces = numeric._stream_terms(qp, bits, e, x, 1, n)
+            pieces = numeric._stream_terms(qp, bits, e, x, n)
         numeric._tables.clear()
-        assert pieces == numeric._stream_terms(qp, bits, e, x, 1, 6000), (e, x)
+        assert pieces == numeric._stream_terms(qp, bits, e, x, 6000), (e, x)
 
 
 def test_tables_evict_least_recently_used_within_budget(monkeypatch):
     monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(300))
     qp, bits = QParam(F(7, 5)), 97
     keys = [(qp, bits, e, e + 1) for e in (1, 2, 3)]
-    first = numeric._stream_terms(qp, bits, 1, 2, 1, 120)
-    numeric._stream_terms(qp, bits, 2, 3, 1, 120)
-    numeric._stream_terms(qp, bits, 1, 2, 1, 10)  # the first is now the most recently used
-    numeric._stream_terms(qp, bits, 3, 4, 1, 120)
+    first = numeric._stream_terms(qp, bits, 1, 2, 120)
+    numeric._stream_terms(qp, bits, 2, 3, 120)
+    numeric._stream_terms(qp, bits, 1, 2, 10)  # the first is now the most recently used
+    numeric._stream_terms(qp, bits, 3, 4, 120)
     assert list(numeric._tables.lists) == [keys[0], keys[2]]
     assert numeric.memo_stats()["tables"] == {
         "tables": 2, "terms": 240, "budget": 300, "hits": 1, "misses": 3}
     # longer than the whole budget: returned in full, not kept, the others stay
-    long = numeric._stream_terms(qp, bits, 1, 2, 1, 400)
+    long = numeric._stream_terms(qp, bits, 1, 2, 400)
     assert list(numeric._tables.lists) == [keys[2]]
     assert numeric.memo_stats()["tables"]["terms"] == 120
     monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
-    assert long == numeric._stream_terms(qp, bits, 1, 2, 1, 400)
+    assert long == numeric._stream_terms(qp, bits, 1, 2, 400)
     assert long[:120] == first
 
 
@@ -482,25 +483,23 @@ def _exact_lambert_sum(r, s, t, sigma, tau, q, n):
 
 def test_lambert_sum_meets_its_rounding_count():
     # integer r and s keep every entry an exact rational; narrow tables make
-    # the rounding large enough to see.  The sum alone is held to the count of
-    # _lambert_rounding, and the kernel's C S', with c = (q-1)^t as C, to
-    # (c + 2E) R + 2E M (tornheim_q_info).
+    # the rounding large enough to see.  Each of the four sign-pair totals of
+    # the sum alone is held to the count of _lambert_rounding, and of the
+    # kernel's C S', with c = (q-1)^t as C, to (c + 2E) R + 2E M
+    # (tornheim_q_info).
     rng = random.Random(7)
     worst = [0, 0]
     for _ in range(24):
         r, s = rng.randint(0, 3), rng.randint(0, 3)
         t = rng.choice((-1, F(-1, 2), 0, F(1, 2), 1, 2, F(7, 3), F(9, 2)))
-        sigma, tau = rng.choice((1, -1)), rng.choice((1, -1))
         q = rng.choice((F(11, 10), F(3, 2), 2, 3))
         n, bits = rng.randint(8, 60), rng.choice((24, 40, 64))
         qp = QParam(q)
-        x = numeric._stream_terms(qp, bits, -1, 0, 1, n - 1)
-        a = numeric._stream_terms(qp, bits, r, r, sigma, n - 1)
-        b = a if (s, tau) == (r, sigma) else numeric._stream_terms(qp, bits, s, s, tau, n - 1)
-        exact = _exact_lambert_sum(r, s, t, sigma, tau, q, n)
-        got = F(numeric._lambert_sum(a, b, x, t, bits, n - 1), 2 ** (5 * bits))
-        kernel = F(numeric._tornheim_q_lambert(r, s, t, sigma, tau, qp, n, n - 1, bits),
-                   2 ** (6 * bits))
+        x = numeric._stream_terms(qp, bits, -1, 0, n - 1)
+        a = numeric._stream_terms(qp, bits, r, r, n - 1)
+        b = a if s == r else numeric._stream_terms(qp, bits, s, s, n - 1)
+        sums = numeric._lambert_sum(a, b, x, t, bits, n - 1)
+        kernels = numeric._tornheim_q_lambert(r, s, t, qp, n, n - 1, bits)
         with mp.workdps(60):
             qm, tm = (mpf(F(v).numerator) / F(v).denominator for v in (q, t))
             kr, ks, lam = numeric._kbound(r, qm), numeric._kbound(s, qm), 1 - 1 / qm
@@ -509,12 +508,82 @@ def test_lambert_sum_meets_its_rounding_count():
                 (kr + 1) * (ks + 1), n - 1 + 1 / (qm - 1), lam ** -2 / qm + gamma_t, n, t, bits)
             c, e = (qm - 1) ** tm, mp.ldexp(1, -bits)
             value = lambda f: mpf(f.numerator) / f.denominator
-            shares = (abs(value(got - exact)) / rounding,
-                      abs(value(kernel) - c * value(exact))
-                      / ((c + 2 * e) * rounding + 2 * e * kr * ks * gamma_t / (qm - 1)))
-            assert max(shares) <= 1, (r, s, t, sigma, tau, q, n, bits, shares)
-            worst = [max(w, share) for w, share in zip(worst, shares)]
+            for sigma, tau in SIGN_PAIRS:
+                exact = _exact_lambert_sum(r, s, t, sigma, tau, q, n)
+                got = F(numeric._at(sums, sigma, tau), 2 ** (5 * bits))
+                kernel = F(numeric._at(kernels, sigma, tau), 2 ** (6 * bits))
+                shares = (abs(value(got - exact)) / rounding,
+                          abs(value(kernel) - c * value(exact))
+                          / ((c + 2 * e) * rounding + 2 * e * kr * ks * gamma_t / (qm - 1)))
+                assert max(shares) <= 1, (r, s, t, sigma, tau, q, n, bits, shares)
+                worst = [max(w, share) for w, share in zip(worst, shares)]
     assert min(worst) > 0.001  # the cases do round
+
+
+def _signed(terms, sign):
+    """sign^k F_k for the entries F_1, F_2, ...: the per-sign copy of a
+    q-term table that the sums once read."""
+    return [-f if sign == -1 and k % 2 else f for k, f in enumerate(terms, 1)]
+
+
+@pytest.mark.parametrize("q", [F(3, 2), 2, F(11, 10), 1.1])
+def test_sign_free_totals_equal_the_signed_reference_sums(q):
+    # each kernel sums its unsigned entries once, split by parity, for every
+    # sign; the reference sums the signed entries once per sign, as the
+    # kernels did before.  The float 1.1 is a ratio of 52-bit ints.
+    qp, bits, n = QParam(q), 64, 37
+    exponents = (F(5, 2), 2, 0, -1, F(1, 2))
+    table = {x: numeric._stream_terms(qp, bits, x - 1, x, n) for x in exponents}
+    for x in exponents:
+        zeta1, phi = numeric._q_zeta1_sums(x, qp, n, bits), numeric._phi_q_sums(x, qp, n, bits)
+        for sign in (1, -1):
+            signed = _signed(table[x], sign)
+            assert numeric._at(zeta1, sign) == sum(signed), (x, sign)
+            assert numeric._at(phi, sign) == sum(map(mul, range(n), signed)), (x, sign)
+        for y in exponents:
+            zeta2 = numeric._q_zeta2_sums(x, y, qp, n, bits)
+            for g1, g2 in SIGN_PAIRS:
+                prefixes = accumulate(_signed(table[y], g2))
+                reference = sum(map(mul, _signed(table[x], g1)[1:], prefixes))
+                assert numeric._at(zeta2, g1, g2) == reference, (x, y, g1, g2)
+    powers = numeric._stream_terms(qp, bits, -1, 0, n - 1)
+    for r, s in ((1, 1), (2, 1), (1, 3), (F(1, 2), F(1, 2)), (0, F(5, 2))):
+        for t in (0, 1, 2, F(1, 2), -1):
+            for js in (n - 1, 5):
+                totals = numeric._tornheim_q_lambert(r, s, t, qp, n, js, bits)
+                c = numeric._fixed_rational_power(F(qp.value) - 1, F(t), bits)
+                for sigma, tau in SIGN_PAIRS:
+                    a = _signed(numeric._stream_terms(qp, bits, r, r, n - 1), sigma)
+                    b = _signed(numeric._stream_terms(qp, bits, s, s, n - 1), tau)
+                    reference = 0
+                    for j, beta in zip(range(js), numeric._lambert_weights(t, bits)):
+                        xs = powers[j::j + 1]
+                        reference += beta * sum(map(mul, a, xs)) * sum(map(mul, b, xs))
+                    assert numeric._at(totals, sigma, tau) == c * reference, (r, s, t, sigma, tau)
+
+
+def test_each_q_sum_runs_once_per_sign_free_key(monkeypatch):
+    # T, S and R of the criterion-4 grid at one q: 144 tornheim_q sums on 40
+    # keys (r <= s, t), and in the reduction terms 208 q_zeta2 sums on 52
+    # keys (s1, s2), 32 phi_q sums on 16 keys (s) and 16 q_zeta1 sums.  Each
+    # sign-free key is summed once, for all its sign pairs.
+    calls = dict.fromkeys(("_lambert_sum", "_q_zeta2_sums", "_phi_q_sums"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(numeric, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(numeric, name, counted)
+    numeric.clear_memos()
+    for v in "TSR":
+        for r in range(1, 5):
+            for s in range(1, 5):
+                for t in (0, 1, 2, F(1, 2)):
+                    tornheim_q_info(r, s, t, *VARIANT_SIGNS[v], F(3, 2), P30)
+                    evaluate_reduction(theorem1_reduce(r, s, t, v), F(3, 2), P30)
+    assert calls == {"_lambert_sum": 40, "_q_zeta2_sums": 52, "_phi_q_sums": 16}
+    sums, plans, totals = 144 + 208 + 32 + 16, 40 + 52 + 16, 40 + 52 + 16
+    assert numeric.memo_stats()["memo"]["misses"] == sums + plans + totals
+    numeric.clear_memos()  # the entries above are keyed on the counting wrappers
 
 
 def test_lambert_weights_are_the_binomial_series_within_their_count():
@@ -598,16 +667,16 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
     hits = numeric._memo.cache_info().hits
     classical_double_euler(3, 1, prec)
     assert numeric._memo.cache_info().hits == hits + 1
-    # the q-term table: one table per (q, bits, e, x), signs applied after it
+    # the q-term table: one table per (q, bits, e, x), signs applied by the sums
     assert numeric.memo_stats()["tables"]["budget"] == numeric.TABLE_BUDGET
     before = numeric.memo_stats()["tables"]
-    q_zeta1_info(F(5, 2), 1, "13/7", prec)
-    q_zeta1_info(F(5, 2), -1, "13/7", prec)
-    # tornheim_q's a and b lists are one table when (r, sigma) == (s, tau) up to
-    # sign, and its powers q^-k are one more
+    q_zeta1_info(F(5, 2), 1, "13/7", prec)  # a miss
+    q_zeta1_info(F(5, 2), -1, "13/7", prec)  # a hit on the same table
+    # tornheim_q at r = s reads one table for its a and b lists, and its
+    # powers q^-k are one more: two misses, and no read for b
     tornheim_q_info(3, 3, 1, 1, -1, "13/7", prec)
     after = numeric.memo_stats()["tables"]
-    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (2, 3)
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 3)
     before = numeric.memo_stats()
     with pytest.raises(DivergenceError):
         classical_zeta(1, 1, prec)
@@ -649,38 +718,40 @@ def test_q_memo_hands_every_call_its_own_entry():
     for (fn, args), value in zip(calls, warm):
         numeric.clear_memos()
         assert fn(*args) == value, (fn.__name__, args)
-    # each kernel's plan is keyed without the signs: T, S and R of one
-    # (r, s, t, q, prec) share one plan entry (and r, s in either order), the
-    # public q_zeta2/phi_q calls store only their plan, and q_zeta1 none
+    # each kernel's plan and integer totals are keyed without the signs: T, S
+    # and R of one (r, s, t, q, prec) share one plan entry and one entry of
+    # Lambert totals (and r, s in either order), the public q_zeta2/phi_q
+    # calls store only their plan and totals, and q_zeta1 nothing
     prec12 = PrecisionConfig(digits=12)
     numeric.clear_memos()
     misses = lambda: numeric.memo_stats()["memo"]["misses"]
     for v in "TSR":
         tornheim_q_info(2, 1, 1, *VARIANT_SIGNS[v], F(3, 2), prec12)
     tornheim_q_info(1, 2, 1, -1, 1, F(3, 2), prec12)
-    assert misses() == 1 + 3  # one plan, three sums: the swapped R is R's
+    # one plan, one entry of Lambert totals, three sums: the swapped R is R's
+    assert misses() == 1 + 1 + 3
     plan = numeric._memo(numeric._tornheim_q_plan, 1, 2, 1, QParam(F(3, 2)), prec12)
-    assert misses() == 4 and plan.terms == tornheim_q_info(2, 1, 1, q=F(3, 2), prec=prec12).terms
+    assert misses() == 5 and plan.terms == tornheim_q_info(2, 1, 1, q=F(3, 2), prec=prec12).terms
     for g1 in (1, -1):
         q_zeta1_info(F(5, 2), g1, 2, prec12)
         phi_q_info(F(5, 2), g1, 2, prec12)
         for g2 in (1, -1):
             q_zeta2_info(3, g1, F(1, 2), g2, 2, prec12)
-    assert misses() == 4 + 2
-    # a change in r, s, t, q or digits is a new plan and a new sum
+    assert misses() == 5 + 2 + 2  # a plan and totals each for phi_q and q_zeta2
+    # a change in r, s, t, q or digits is a new plan, new totals and a new sum
     for r, s, t, q, prec in [(3, 1, 1, F(3, 2), prec12), (2, 2, 1, F(3, 2), prec12),
                              (2, 1, 2, F(3, 2), prec12), (2, 1, 1, 2, prec12),
                              (2, 1, 1, F(3, 2), P30)]:
         before = misses()
         warm = tornheim_q_info(r, s, t, 1, -1, q, prec)
-        assert misses() == before + 2, (r, s, t, q, prec)
+        assert misses() == before + 3, (r, s, t, q, prec)
         numeric.clear_memos()
         assert tornheim_q_info(r, s, t, 1, -1, q, prec) == warm
     for args in [(F(7, 2), 1, F(1, 2), 1, 2), (3, 1, 1, 1, 2), (3, 1, F(1, 2), 1, 3)]:
         for prec in (prec12, P30):
             before = misses()
             warm = q_zeta2_info(*args, prec)
-            assert misses() == before + 1, (args, prec)
+            assert misses() == before + 2, (args, prec)
             numeric.clear_memos()
             assert q_zeta2_info(*args, prec) == warm
 
