@@ -56,27 +56,22 @@ nothing else, so a word stored with more terms serves a shorter cutoff by
 truncation, exactly.
 
 One functools.lru_cache of MEMO_SIZE entries, _memo(kernel, *args), sits
-behind validated input and holds the SumInfo of each kernel call, keyed on
-the kernel and its canonical arguments: _zeta_sum and _double_sum for the
-classical values, and q_zeta2_info, phi_q_info, q_zeta1_info (used by
-evaluate_reduction) and _tornheim_q (after _orient) on the q-side.  Every
-q-kernel splits into a plan (_Plan: the cutoff, table width, truncation
-bound and rounding allowance) and the integer totals of all its signs,
-which the SumInfo of one sign reads.  Neither depends on the signs, so
-both are keyed without them: the exponents (r <= s for tornheim_q, then
-t), the QParam and the PrecisionConfig, or the cutoff and width it gives.
-_memo holds the plans (_q_zeta2_plan, _phi_q_plan, and tornheim_q's
-triangle, _tornheim_q_plan) and the totals (_q_zeta2_sums, _phi_q_sums,
-and _tornheim_q_sums, which holds the Lambert sum's plan too, so that it
-is planned only when the float64 kernel does not serve), so that T, S
-and R of one (r, s, t, q, precision) are planned and summed once.  The
-SumInfo of each sign stays its own entry, rounded and bounded on its
-first call only: _bound reads |value|, so a sign never asked for could
-raise.  q_zeta1 plans and sums on every call: its reduction terms (zq2)
-all have sign +1, so a plan or totals entry would only repeat its sum
-entry.  memo_stats() reports the hits, misses and size of _memo and of
-_tables (q-term tables and half-series words together), and clear_memos()
-empties both.
+behind validated input, keyed on the kernel and its canonical arguments.
+It holds the SumInfo of each classical call (_zeta_sum, _double_sum) and
+of each tornheim_q sign pair (_tornheim_q, after _orient).  Every q-kernel
+splits into a plan (_Plan: the cutoff, table width, truncation bound and
+rounding allowance) and the exact integer totals of all its signs.
+Neither depends on the signs, so both are keyed without them: the
+exponents (r <= s for tornheim_q, then t), the QParam and the
+PrecisionConfig.  q_zeta1, q_zeta2 and phi_q keep both in one _Series
+entry (_q_zeta1_series, _q_zeta2_series, _phi_q_series), which their
+public *_info calls round and bound per sign and evaluate_reduction
+combines exactly.  tornheim_q keeps its triangle (_tornheim_q_plan) and
+its Lambert sum's plan and totals (_tornheim_q_sums, planned only when the
+float64 kernel does not serve).  So T, S and R of one (r, s, t, q,
+precision) are planned and summed once.  memo_stats() reports the hits,
+misses and size of _memo and of _tables (q-term tables and half-series
+words together), and clear_memos() empties both.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
@@ -104,17 +99,18 @@ reduction.verify_corollary1 checks Corollary 1 exactly on finite triangles.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate
+from numbers import Real
 from operator import floordiv, lshift, mul, neg, rshift
 from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
 
 from .errors import DivergenceError, DomainError, PrecisionError
 from .exact import SignedIndex, as_rational, check_convergent
@@ -142,7 +138,7 @@ __all__ = [
 ]
 
 FLOAT64_GOAL_CUTOFF = 1e-10  # coarser goals than this use the vectorized kernel
-MEMO_SIZE = 4096  # entries of _memo; criterion 4's grid takes 1,200 sums, 324 plans, 324 totals
+MEMO_SIZE = 4096  # entries of _memo; criterion 4's grid takes 924
 TABLE_BUDGET = 1 << 17  # terms kept by all growable tables together (_tables)
 STREAM_GUARD = 32  # bits the q-term table keeps past working precision
 MAX_EXPONENT_DENOMINATOR = 8  # q-side exponents are rationals m/d, d <= this
@@ -180,12 +176,29 @@ class PrecisionConfig:
 
 @dataclass(frozen=True)
 class QParam:
-    """The deformation parameter; only q > 1 is admitted."""
+    """The deformation parameter; only a finite q > 1 is admitted.
+
+    Its hash is computed once, as every _memo lookup hashes it; _as_q hands
+    out one QParam per input, so a lookup finds its key by identity.
+    """
     value: Fraction | int | float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.value, Real):
+            raise DomainError(f"QParam: q must be a number, got {self.value!r}")
         if not self.value > 1:
             raise DomainError(f"QParam: q must be > 1, got {self.value}")
+        if self.value == math.inf:
+            raise DomainError(f"QParam: q must be finite, got {self.value}")
+        object.__setattr__(self, "_hash", hash(self.value))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def ratio(self) -> Fraction:
+        """q exactly, a float by its binary value."""
+        return Fraction(self.value)
 
     def to_mpf(self) -> mpf:
         return _xm(self.value)
@@ -195,7 +208,11 @@ class QParam:
 
     def squared(self) -> "QParam":
         """q^2, exact for a float q too (a float square would round it)."""
-        return QParam(Fraction(self.value) ** 2)
+        return self._square
+
+    @cached_property
+    def _square(self) -> "QParam":
+        return _as_q(self.ratio ** 2)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -209,10 +226,19 @@ class SumInfo(NamedTuple):
 
 
 def _as_q(q) -> QParam:
-    if isinstance(q, QParam):
-        return q
+    return q if isinstance(q, QParam) else _qparam(q)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _qparam(q) -> QParam:
+    """The QParam of a q given as a number or a string (exact.as_rational),
+    one object per input and its type, so that 2 and 2.0 keep their own
+    str().  Rejected input raises DomainError and is not kept."""
     if isinstance(q, str):
-        return QParam(Fraction(q))
+        try:
+            q = as_rational(q)
+        except DomainError as exc:
+            raise DomainError(f"q: {exc}") from None
     return QParam(q)
 
 
@@ -488,11 +514,11 @@ def _bound(what: str, value: mpf, truncation: mpf, rounding: mpf, goal: mpf) -> 
 
 
 class _Plan(NamedTuple):
-    """The sign-free part of an exact q-kernel sum, kept in _memo for all but
-    q_zeta1: the terms the call reports, its cutoff n, the width bits of its
-    table entries, its truncation bound, its rounding allowance before the
-    final rounding to working precision, and the goal.  tornheim_q's Lambert
-    sum adds js, the Lambert weights summed."""
+    """The sign-free part of an exact q-kernel sum: the terms the call
+    reports, its cutoff n, the width bits of its table entries, its
+    truncation bound, its rounding allowance before the final rounding to
+    working precision, and the goal.  tornheim_q's Lambert sum adds js, the
+    Lambert weights summed."""
     terms: int
     n: int
     bits: int
@@ -522,6 +548,43 @@ def _summed(what: str, plan: _Plan, prec: PrecisionConfig, total: int, bits: int
                        plan.terms)
 
 
+class _Series(NamedTuple):
+    """One sign-free q_zeta1, q_zeta2 or phi_q series, kept in _memo: its
+    plan, the exact integer totals of all its signs (_at) in units of
+    2^-scale, and limit, a |total| up to which _bound accepts the rounded
+    value (-1: none is sure to pass).  The public *_info calls and the
+    terms of evaluate_reduction read it."""
+    what: str
+    plan: _Plan
+    totals: tuple
+    scale: int
+    limit: int
+
+    def info(self, prec: PrecisionConfig, *signs: int) -> SumInfo:
+        """The SumInfo of the signs, rounded and bounded by _summed."""
+        return _summed(self.what, self.plan, prec, _at(self.totals, *signs), self.scale)
+
+
+def _series(what: str, plan: _Plan, prec: PrecisionConfig, totals: tuple, scale: int) -> _Series:
+    """The _Series of totals in units of 2^-scale planned by plan.
+
+    With slack = goal - truncation - rounding, exact, and p the working
+    precision, a total of at most slack 2^(p-2+scale) in absolute value
+    rounds to a value v with 2^(1-p) |v| <= (1 + 2^-p) slack/2.  Then
+    rounding + 2^(1-p) |v| <= goal, so _bound's first rounded addition adds
+    at most 2^-p goal, and the exact truncation + rounding it compares is at
+    most goal - (1 - 2^-p) slack/2 + 2^-p goal <= goal once slack >=
+    2^(3-p) goal.  Round to nearest is monotone and goal a p-bit number, so
+    the rounded sum is at most goal too and _bound accepts v.  Below that
+    slack, limit is -1."""
+    with mp.workdps(prec.working_dps):
+        slack = mp.fsub(mp.fsub(plan.goal, plan.truncation, exact=True), plan.rounding,
+                        exact=True)
+        sure = slack >= mp.ldexp(plan.goal, 3 - mp.prec)
+        limit = int(mp.ldexp(slack, mp.prec - 2 + scale)) if sure else -1
+    return _Series(what, plan, totals, scale, limit)
+
+
 def _q_zeta1_plan(s, qp: QParam, prec: PrecisionConfig) -> _Plan:
     """q_zeta1_info's cutoff and bound, the same for both signs."""
     with mp.workdps(prec.working_dps):
@@ -540,15 +603,21 @@ def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) 
     """zeta_q[s; sign] = sum_{n>=1} sign^n q^((s-1)n) / [n]^s, with tail bound.
 
     The N table entries are summed exactly (_q_zeta1_sums), so rounding is
-    at most 3/4 N 2^-B at B = prec + STREAM_GUARD bits.
+    at most 3/4 N 2^-B at B = prec + STREAM_GUARD bits.  The plan and the
+    totals of both signs come from _memo (_q_zeta1_series).
     """
     _sign_ok(sign)
     s = _exponent(s, "q_zeta1")
     qp = _as_q(q)
     prec = _as_prec(prec)
+    return _memo(_q_zeta1_series, s, qp, prec).info(prec, sign)
+
+
+def _q_zeta1_series(s, qp: QParam, prec: PrecisionConfig) -> _Series:
+    """q_zeta1's _Series, planned and summed once for both signs."""
+    s = _exponent(s, "q_zeta1")
     plan = _q_zeta1_plan(s, qp, prec)
-    total = _at(_q_zeta1_sums(s, qp, plan.n, plan.bits), sign)
-    return _summed("q_zeta1", plan, prec, total, plan.bits)
+    return _series("q_zeta1", plan, prec, _q_zeta1_sums(s, qp, plan.n, plan.bits), plan.bits)
 
 
 def _q_zeta1_sums(s, qp: QParam, n: int, bits: int) -> tuple[int, int]:
@@ -591,15 +660,21 @@ def q_zeta2_info(
     product then errs by at most 3/4 2^B (K2/(q-1) + 1) + 3/4 (m-1) 2^B |f_m|
     (for N <= 2^B), and summing over m with sum (m-1) q^-m = 1/(q-1)^2 gives
     rounding <= 3/4 2^-B ((N-1)(K2/(q-1) + 1) + K1/(q-1)^2).  The plan
-    and the totals of all four sign pairs (_q_zeta2_sums) come from _memo.
+    and the totals of all four sign pairs come from _memo (_q_zeta2_series).
     """
     _sign_ok(sign1), _sign_ok(sign2)
     s1, s2 = _exponent(s1, "q_zeta2"), _exponent(s2, "q_zeta2")
     qp = _as_q(q)
     prec = _as_prec(prec)
-    plan = _memo(_q_zeta2_plan, s1, s2, qp, prec)
-    totals = _memo(_q_zeta2_sums, s1, s2, qp, plan.n, plan.bits)
-    return _summed("q_zeta2", plan, prec, _at(totals, sign1, sign2), 2 * plan.bits)
+    return _memo(_q_zeta2_series, s1, s2, qp, prec).info(prec, sign1, sign2)
+
+
+def _q_zeta2_series(s1, s2, qp: QParam, prec: PrecisionConfig) -> _Series:
+    """q_zeta2's _Series, planned and summed once for all four sign pairs."""
+    s1, s2 = _exponent(s1, "q_zeta2"), _exponent(s2, "q_zeta2")
+    plan = _q_zeta2_plan(s1, s2, qp, prec)
+    totals = _q_zeta2_sums(s1, s2, qp, plan.n, plan.bits)
+    return _series("q_zeta2", plan, prec, totals, 2 * plan.bits)
 
 
 def _q_zeta2_sums(s1, s2, qp: QParam, n: int, bits: int) -> tuple[int, int, int, int]:
@@ -664,15 +739,20 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
 
     The integer sum of (k-1) F_k over the N table entries is exact, so
     rounding is at most 3/4 2^-B sum (k-1) = 3/4 2^-B N(N-1)/2.  The plan
-    and the totals of both signs (_phi_q_sums) come from _memo.
+    and the totals of both signs come from _memo (_phi_q_series).
     """
     _sign_ok(sign)
     s = _exponent(s, "phi_q")
     qp = _as_q(q)
     prec = _as_prec(prec)
-    plan = _memo(_phi_q_plan, s, qp, prec)
-    totals = _memo(_phi_q_sums, s, qp, plan.n, plan.bits)
-    return _summed("phi_q", plan, prec, _at(totals, sign), plan.bits)
+    return _memo(_phi_q_series, s, qp, prec).info(prec, sign)
+
+
+def _phi_q_series(s, qp: QParam, prec: PrecisionConfig) -> _Series:
+    """phi_q's _Series, planned and summed once for both signs."""
+    s = _exponent(s, "phi_q")
+    plan = _phi_q_plan(s, qp, prec)
+    return _series("phi_q", plan, prec, _phi_q_sums(s, qp, plan.n, plan.bits), plan.bits)
 
 
 def _phi_q_sums(s, qp: QParam, n: int, bits: int) -> tuple[int, int]:
@@ -1194,45 +1274,76 @@ def tornheim_classical(r: int, s: int, t: int, variant: str = "T",
 # ----------------------------------------------------------------------
 
 def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf:
-    """Numeric value of a Reduction's right-hand side at a given q.  Each term's
-    series comes from _memo, keyed on its exponents as the term holds
-    them (exact ints and Fractions, validated by the kernel on a miss); its
-    (1-q) and (1+q) factors are applied here, and skipped at power 0."""
+    """Numeric value of a Reduction's right-hand side at a given q.
+
+    Each term's series is a _Series of _memo, keyed on its exponents as the
+    term holds them (exact ints and Fractions, validated by the kernel on a
+    miss), and its sign's total T_i is an exact integer in units of
+    2^-scale_i.  A term whose rounded value _bound could reject (|T_i| above
+    the entry's limit) goes through _summed, which raises PrecisionError as
+    the term's own SumInfo would.  With L the common denominator of the
+    coefficients c_i and S = 2 (working bits + STREAM_GUARD), the integers
+    c_i L T_i 2^(S - scale_i) are summed per power (a, p) of (1-q) and
+    (1+q), exactly.  With q = n/d, (1-q)^a (1+q)^p = (d-n)^a (n+d)^w d^(-a-w)
+    (1+q)^f, w = floor(p), f = p - w, so the groups of one f form one exact
+    rational, rounded once to working precision (from_rational); only a
+    fractional f (R at non-integer t) is a factor mp.power(1+q, f).
+    """
     qp = _as_q(q)
     prec = _as_prec(prec)
+    q2 = qp.squared()
+    den = math.lcm(*(coeff.denominator for coeff, _ in reduction.terms))
+    groups = defaultdict(int)  # (a, p) -> sum of c_i L T_i 2^(S - scale_i)
     with mp.workdps(prec.working_dps):
-        qm, q2 = qp.to_mpf(), qp.squared()
-        omq, opq = 1 - qm, 1 + qm
-        total = mpf(0)
+        scale = 2 * (mp.prec + STREAM_GUARD)
         for coeff, kind in reduction.terms:
+            p = 0
             if isinstance(kind, DoubleQZeta):
                 a, b = kind.outer, kind.inner
-                info = _memo(q_zeta2_info, a.value, a.sign, b.value, b.sign, qp, prec)
+                series = _memo(_q_zeta2_series, a.value, b.value, qp, prec)
+                total = _at(series.totals, a.sign, b.sign)
             elif isinstance(kind, PhiTerm):
-                info = _memo(phi_q_info, kind.index.value, kind.index.sign, qp, prec)
+                series = _memo(_phi_q_series, kind.index.value, qp, prec)
+                total = _at(series.totals, kind.index.sign)
             elif isinstance(kind, QSquaredZeta):
-                info = _memo(q_zeta1_info, kind.index, 1, q2, prec)
+                series = _memo(_q_zeta1_series, kind.index, q2, prec)
+                total, p = series.totals[0], kind.one_plus_q_pow
             else:
                 raise DomainError(f"evaluate_reduction: unknown term kind {kind!r}")
-            val = info.value
-            if kind.one_minus_q_pow:
-                val *= omq ** kind.one_minus_q_pow
-            if isinstance(kind, QSquaredZeta) and kind.one_plus_q_pow:
-                val *= _pow(opq, kind.one_plus_q_pow)
-            total += _xm(coeff) * val
-        return total
+            if abs(total) > series.limit:  # _summed raises if this term misses its goal
+                _summed(series.what, series.plan, prec, total, series.scale)
+            weight = coeff.numerator * (den // coeff.denominator)
+            groups[kind.one_minus_q_pow, p] += weight * total << scale - series.scale
+        n, d = qp.ratio.numerator, qp.ratio.denominator
+        bases = (d - n, n + d, d)
+        parts = defaultdict(dict)  # f -> {powers (a, w, -a-w) of bases: group}
+        for (a, p), group in groups.items():
+            w = math.floor(p)
+            parts[p - w][a, w, -a - w] = group
+        value = mpf(0)
+        for f, part in parts.items():
+            lows = [min(e) for e in zip(*part)]
+            num = sum(g * math.prod(b ** (e - lo) for b, e, lo in zip(bases, powers, lows))
+                      for powers, g in part.items())
+            low = den
+            for b, lo in zip(bases, lows):
+                if lo < 0:
+                    low *= b ** -lo
+                else:
+                    num *= b ** lo
+            term = mp.ldexp(mp.make_mpf(from_rational(num, low, mp.prec, round_nearest)), -scale)
+            value += term * mp.power(1 + qp.to_mpf(), _xm(f)) if f else term
+        return value
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _memo(kernel, *args) -> SumInfo | _Plan:
+def _memo(kernel, *args) -> SumInfo | _Series | _Triangle | tuple:
     """kernel(*args) for a kernel that returns a SumInfo: _zeta_sum and
-    _double_sum behind the classical validators, q_zeta2_info, phi_q_info or
-    q_zeta1_info for evaluate_reduction (their public calls store no SumInfo
-    here), and _tornheim_q; or for a q-kernel's sign-free entries, looked
-    up by every call of the kernel, public ones too: its plan
-    (_tornheim_q_plan, _q_zeta2_plan or _phi_q_plan), then the exact
-    integer totals of all its signs (_q_zeta2_sums, _phi_q_sums, or
-    _tornheim_q_sums with the Lambert sum's plan)."""
+    _double_sum behind the classical validators, and _tornheim_q; or for a
+    q-kernel's sign-free entries, looked up by every call of the kernel,
+    public ones too: the _Series of q_zeta1, q_zeta2 and phi_q, which
+    evaluate_reduction reads too, and tornheim_q's triangle
+    (_tornheim_q_plan), then its Lambert sum (_tornheim_q_sums)."""
     return kernel(*args)
 
 
@@ -1241,11 +1352,11 @@ def memo_stats() -> dict:
     for the q-term tables (_tables) their number, the terms stored, the
     budget, and their hits and misses.  A call that a kernel rejects inside
     _memo (_budget raising from _zeta_sum, _double_sum or a q-kernel's plan)
-    counts a miss for each entry it looked up and stores nothing: one for a
-    classical kernel, a public q_zeta2 or phi_q call, tornheim_q_info or a
-    q_zeta1 term of evaluate_reduction, two for a q_zeta2 or phi_q term (its
-    sum, then its plan), none for a public q_zeta1 call.  The plan is looked
-    up before the totals, so a rejected call sums nothing."""
+    counts one miss, for the one entry it looked up, and stores nothing: a
+    classical kernel, a public q_zeta1, q_zeta2 or phi_q call or such a
+    term of evaluate_reduction (its _Series), or tornheim_q_info (its
+    triangle, looked up before its Lambert sum).  Each plans before it
+    sums, so a rejected call sums nothing."""
     info = _memo.cache_info()
     return {"memo": {"hits": info.hits, "misses": info.misses, "size": info.currsize},
             "tables": _tables.stats()}

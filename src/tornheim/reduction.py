@@ -53,18 +53,19 @@ __all__ = [
     "verify_corollary1",
     "theorem1_reduce",
     "corollary1_reduce",
-    "product_decompose",
     "reduction_to_json",
     "reduction_from_json",
     "VARIANTS",
-    "PRODUCT_VARIANTS",
 ]
 
 VARIANTS = ("T", "S", "R")
-PRODUCT_VARIANTS = {"TT": "T", "SS": "S", "TS": "R"}
 
 # (sigma, tau) slot signs per variant
 VARIANT_SIGNS = {"T": (1, 1), "S": (-1, -1), "R": (1, -1)}
+
+# theorem1_reduce entries: a q sweep meets each reduction once per q, and
+# the criterion-4 grid has 192 of them (T/S/R, r, s <= 4, four t).
+THEOREM1_MEMO_SIZE = 256
 
 # corollary1_reduce entries.  A classical check calls it twice in a row with
 # the same arguments (closed form, then numeric route), and the second call
@@ -335,11 +336,20 @@ def _theorem1_term(term: PartialFractionTerm, t, variant: str) -> tuple[Fraction
 
 def theorem1_reduce(r: int, s: int, t, variant: str = "T") -> Reduction:
     """Depth-2 decomposition of T[r,s,t] for any real t (int or Fraction):
-    the term-by-term resummation of lemma1_expand(r, s)."""
+    the term-by-term resummation of lemma1_expand(r, s).
+
+    Memoized after the checks, with t exact (THEOREM1_MEMO_SIZE entries,
+    so rejected input is never cached): a repeated call returns the same
+    Reduction.
+    """
     _check_variant(variant)
     if not (isinstance(r, int) and isinstance(s, int)) or r < 1 or s < 1:
         raise DomainError(f"theorem1_reduce: r, s must be integers >= 1, got {(r, s)}")
-    t = as_rational(t)
+    return _theorem1_memo(r, s, as_rational(t), variant)
+
+
+@lru_cache(maxsize=THEOREM1_MEMO_SIZE)
+def _theorem1_memo(r: int, s: int, t, variant: str) -> Reduction:
     terms = tuple(_theorem1_term(term, t, variant) for term in lemma1_expand(r, s))
     return Reduction(variant=variant, r=r, s=s, t=t, terms=terms)
 
@@ -385,20 +395,6 @@ def _corollary1_memo(
             coeff, kind = _theorem1_term(term, t, variant)
             out.append((coeff, kind.outer, kind.inner))
     return tuple(out)
-
-
-def product_decompose(r: int, s: int, variant: str = "TT") -> Reduction:
-    """Depth-1 product decomposition: at t = 0 the double series factorizes,
-
-        TT: zeta_q[r] zeta_q[s]      SS: zeta_q[r-] zeta_q[s-]
-        TS: zeta_q[r] zeta_q[s-]
-
-    and the t = 0 reduction expresses the product through depth-2 values."""
-    if variant not in PRODUCT_VARIANTS:
-        raise DomainError(
-            f"unknown product variant {variant!r}; expected one of {tuple(PRODUCT_VARIANTS)}"
-        )
-    return theorem1_reduce(r, s, 0, PRODUCT_VARIANTS[variant])
 
 
 # ----------------------------------------------------------------------

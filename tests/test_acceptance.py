@@ -121,17 +121,16 @@ def test_criterion_4_q_reduction_numeric_sweep():
     # the same width, and one table of the powers q^-k per q
     assert tables["misses"] == 111
     assert tables["terms"] <= tables["budget"]
-    # _memo holds one entry per distinct kernel call: 624 q_zeta2, 96
-    # phi_q and 48 q_zeta1 argument sets of the reduction terms, whatever their
-    # (1-q) and (1+q) factors, and 432 tornheim_q sums once T[r,s;sigma,tau]
-    # and T[s,r;tau,sigma] share one entry; one plan per sign-free key:
-    # 120 tornheim_q (r <= s, t, q), 156 q_zeta2 (s1, s2, q) and 48 phi_q
-    # (s, q), all at one precision (q_zeta1 keeps no plan); and one entry of
-    # integer totals for all sign pairs per sign-free key: 120 Lambert sums
-    # of tornheim_q (at 30 digits the float64 kernel never serves), 156
-    # q_zeta2 and 48 phi_q, so each is summed once, not once per sign
-    sums, plans, totals = 624 + 96 + 48 + 432, 120 + 156 + 48, 120 + 156 + 48
-    assert numeric.memo_stats()["memo"]["misses"] == sums + plans + totals
+    # _memo holds 432 tornheim_q sums once T[r,s;sigma,tau] and
+    # T[s,r;tau,sigma] share one entry, and one sign-free entry per key for
+    # the rest: 120 tornheim_q triangles and 120 entries of Lambert totals
+    # (r <= s, t, q; at 30 digits the float64 kernel never serves), and for
+    # the reduction terms, whatever their signs and their (1-q) and (1+q)
+    # factors, one plan with the integer totals of all its signs per series:
+    # 156 q_zeta2 (s1, s2, q), 48 phi_q (s, q) and 48 q_zeta1 (s, q^2), all
+    # at one precision, so each is summed once, not once per sign
+    tornheim, series = 432 + 120 + 120, 156 + 48 + 48
+    assert numeric.memo_stats()["memo"]["misses"] == tornheim + series == 924
     print(f"criterion 4: PASS - 576 cases, worst residual {mp.nstr(worst, 3)} ({dt:.1f}s)")
 
 

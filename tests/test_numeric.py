@@ -33,7 +33,14 @@ from tornheim.numeric import (
     tornheim_q,
     tornheim_q_info,
 )
-from tornheim.reduction import VARIANT_SIGNS, corollary1_reduce, theorem1_reduce
+from tornheim.reduction import (
+    VARIANT_SIGNS,
+    DoubleQZeta,
+    PhiTerm,
+    QSquaredZeta,
+    corollary1_reduce,
+    theorem1_reduce,
+)
 
 F = Fraction
 P30 = PrecisionConfig(digits=30)
@@ -58,6 +65,16 @@ def test_qparam_validation():
     with pytest.raises(DomainError):
         QParam(F(1, 2))
     assert QParam(F(3, 2)).squared().value == F(9, 4)
+    # malformed q at the API is a DomainError naming q, before any kernel runs
+    for q in ("x", "1/0", "", float("inf"), float("nan"), "1", None):
+        with pytest.raises(DomainError, match="q"):
+            q_zeta1_info(3, 1, q)
+    # one QParam per input and its type: 2 and 2.0 keep their own str()
+    assert numeric._as_q("3/2") is numeric._as_q("3/2") == QParam(F(3, 2))
+    assert numeric._as_q(F(3, 2)).squared() is numeric._as_q(F(3, 2)).squared()
+    assert (str(numeric._as_q(2)), str(numeric._as_q(2.0)), str(numeric._as_q("2"))) == (
+        "2", "2.0", "2")
+    assert hash(QParam(F(3, 2))) == hash(F(3, 2))
 
 
 # ---------------------------------------------------------------- q_int
@@ -566,7 +583,8 @@ def test_each_q_sum_runs_once_per_sign_free_key(monkeypatch):
     # T, S and R of the criterion-4 grid at one q: 144 tornheim_q sums on 40
     # keys (r <= s, t), and in the reduction terms 208 q_zeta2 sums on 52
     # keys (s1, s2), 32 phi_q sums on 16 keys (s) and 16 q_zeta1 sums.  Each
-    # sign-free key is summed once, for all its sign pairs.
+    # sign-free key is summed once, for all its sign pairs, and the series
+    # of the reduction terms keep one entry each, plan and totals together.
     calls = dict.fromkeys(("_lambert_sum", "_q_zeta2_sums", "_phi_q_sums"), 0)
     for name in calls:
         def counted(*args, _name=name, _kernel=getattr(numeric, name)):
@@ -581,8 +599,8 @@ def test_each_q_sum_runs_once_per_sign_free_key(monkeypatch):
                     tornheim_q_info(r, s, t, *VARIANT_SIGNS[v], F(3, 2), P30)
                     evaluate_reduction(theorem1_reduce(r, s, t, v), F(3, 2), P30)
     assert calls == {"_lambert_sum": 40, "_q_zeta2_sums": 52, "_phi_q_sums": 16}
-    sums, plans, totals = 144 + 208 + 32 + 16, 40 + 52 + 16, 40 + 52 + 16
-    assert numeric.memo_stats()["memo"]["misses"] == sums + plans + totals
+    tornheim, series = 144 + 40 + 40, 52 + 16 + 16  # sums, triangles, Lambert
+    assert numeric.memo_stats()["memo"]["misses"] == tornheim + series
     numeric.clear_memos()  # the entries above are keyed on the counting wrappers
 
 
@@ -671,12 +689,12 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
     assert numeric.memo_stats()["tables"]["budget"] == numeric.TABLE_BUDGET
     before = numeric.memo_stats()["tables"]
     q_zeta1_info(F(5, 2), 1, "13/7", prec)  # a miss
-    q_zeta1_info(F(5, 2), -1, "13/7", prec)  # a hit on the same table
+    q_zeta1_info(F(5, 2), -1, "13/7", prec)  # its _memo entry holds both signs: no read
     # tornheim_q at r = s reads one table for its a and b lists, and its
     # powers q^-k are one more: two misses, and no read for b
     tornheim_q_info(3, 3, 1, 1, -1, "13/7", prec)
     after = numeric.memo_stats()["tables"]
-    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 3)
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (0, 3)
     before = numeric.memo_stats()
     with pytest.raises(DivergenceError):
         classical_zeta(1, 1, prec)
@@ -720,8 +738,8 @@ def test_q_memo_hands_every_call_its_own_entry():
         assert fn(*args) == value, (fn.__name__, args)
     # each kernel's plan and integer totals are keyed without the signs: T, S
     # and R of one (r, s, t, q, prec) share one plan entry and one entry of
-    # Lambert totals (and r, s in either order), the public q_zeta2/phi_q
-    # calls store only their plan and totals, and q_zeta1 nothing
+    # Lambert totals (and r, s in either order), and the public q_zeta1,
+    # q_zeta2 and phi_q calls store one entry each, plan and totals together
     prec12 = PrecisionConfig(digits=12)
     numeric.clear_memos()
     misses = lambda: numeric.memo_stats()["memo"]["misses"]
@@ -737,7 +755,7 @@ def test_q_memo_hands_every_call_its_own_entry():
         phi_q_info(F(5, 2), g1, 2, prec12)
         for g2 in (1, -1):
             q_zeta2_info(3, g1, F(1, 2), g2, 2, prec12)
-    assert misses() == 5 + 2 + 2  # a plan and totals each for phi_q and q_zeta2
+    assert misses() == 5 + 1 + 1 + 1  # q_zeta1, phi_q and q_zeta2
     # a change in r, s, t, q or digits is a new plan, new totals and a new sum
     for r, s, t, q, prec in [(3, 1, 1, F(3, 2), prec12), (2, 2, 1, F(3, 2), prec12),
                              (2, 1, 2, F(3, 2), prec12), (2, 1, 1, 2, prec12),
@@ -751,7 +769,7 @@ def test_q_memo_hands_every_call_its_own_entry():
         for prec in (prec12, P30):
             before = misses()
             warm = q_zeta2_info(*args, prec)
-            assert misses() == before + 2, (args, prec)
+            assert misses() == before + 1, (args, prec)
             numeric.clear_memos()
             assert q_zeta2_info(*args, prec) == warm
 
@@ -1241,3 +1259,83 @@ def test_evaluate_reduction_at_a_float_q_uses_its_exact_square():
     lhs = tornheim_q_info(1, 2, 2, 1, -1, 1.1, P30)
     rhs = evaluate_reduction(theorem1_reduce(1, 2, 2, "R"), 1.1, P30)
     assert abs(lhs.value - rhs) < 1e-27
+
+
+def _term_info(kind, q, prec):
+    """The public SumInfo of the series of a reduction term at q."""
+    if isinstance(kind, DoubleQZeta):
+        a, b = kind.outer, kind.inner
+        return q_zeta2_info(a.value, a.sign, b.value, b.sign, q, prec)
+    if isinstance(kind, PhiTerm):
+        return phi_q_info(kind.index.value, kind.index.sign, q, prec)
+    return q_zeta1_info(kind.index, 1, F(q) ** 2, prec)
+
+
+@pytest.mark.parametrize("prec", [P30, PrecisionConfig(digits=10, tail_goal=1e-40)])
+def test_evaluate_reduction_raises_when_a_term_misses_its_goal(prec):
+    # at q = 10 the terms of T[5,5,5] reach 1e10 and more, so rounding one
+    # to working precision alone exceeds the goal; the exact combine must
+    # raise as the first such term's own SumInfo does, not return a value
+    red = theorem1_reduce(5, 5, 5, "T")
+    with pytest.raises(PrecisionError, match="q_zeta2.*rounding") as raised:
+        evaluate_reduction(red, 10, prec)
+    for _, kind in red.terms:
+        try:
+            _term_info(kind, 10, prec)
+        except PrecisionError as exc:
+            assert str(exc) == str(raised.value)
+            break
+    else:
+        pytest.fail("no term of T[5,5,5] misses its goal")
+
+
+def test_series_limit_is_a_total_that_bound_accepts():
+    # _Series.limit lets evaluate_reduction skip _bound: every total within
+    # it must pass, and it must not be far below the real threshold
+    prec = PrecisionConfig(digits=12)
+    with mp.workdps(prec.working_dps):
+        goal, p = mpf(10) ** -17, mp.prec
+        for used in (0, mpf(1) / 2, 1 - mp.ldexp(1, 4 - p), 1 - mp.ldexp(1, 2 - p), 1):
+            plan = numeric._Plan(10, 10, p + 32, goal * used * 3 / 4, goal * used / 4, goal)
+            for scale in (p + 32, 2 * (p + 32)):
+                series = numeric._series("q_zeta2", plan, prec, (0,), scale)
+                if series.limit < 0:
+                    assert used > 1 - mp.ldexp(1, 3 - p), used
+                    continue
+                for total in (series.limit, -series.limit):
+                    numeric._summed("q_zeta2", plan, prec, total, scale)
+                with pytest.raises(PrecisionError):
+                    numeric._summed("q_zeta2", plan, prec, 3 * series.limit + 3, scale)
+
+
+@pytest.mark.parametrize("digits", [12, 30])
+def test_evaluate_reduction_is_within_the_weighted_bounds_of_its_terms(digits):
+    # |value - truth| <= sum_i |c_i| |1-q|^a_i |1+q|^p_i tail_bound_i
+    # + 2^(1-prec) |value|, with each tail_bound_i from the term's public
+    # *_info call and the same reduction at digits + 30 as the truth
+    prec, fine = PrecisionConfig(digits=digits), PrecisionConfig(digits=digits + 30)
+    with mp.workdps(prec.working_dps):
+        bits = mp.prec
+    worst = 0
+    for q in ("3/2", "2", "3", "11/10"):
+        for v in "TSR":
+            for r in range(1, 5):
+                for s in range(1, 5):
+                    for t in (0, 1, 2, F(1, 2)):
+                        red = theorem1_reduce(r, s, t, v)
+                        value = evaluate_reduction(red, q, prec)
+                        truth = evaluate_reduction(red, q, fine)
+                        with mp.workdps(digits + 45):
+                            qm = mpf(F(q).numerator) / F(q).denominator
+                            bound = mp.ldexp(abs(value), 1 - bits)
+                            for c, kind in red.terms:
+                                weight = abs(mpf(c.numerator) / c.denominator)
+                                weight *= abs(1 - qm) ** kind.one_minus_q_pow
+                                if isinstance(kind, QSquaredZeta):
+                                    p = F(kind.one_plus_q_pow)
+                                    weight *= mp.power(1 + qm, mpf(p.numerator) / p.denominator)
+                                bound += weight * _term_info(kind, q, prec).tail_bound
+                            error = abs(value - truth)
+                            assert error <= bound, (q, v, r, s, t, error, bound)
+                            worst = max(worst, error / bound)
+    assert worst > 0  # the cases do round

@@ -16,7 +16,6 @@ from tornheim.reduction import (
     Reduction,
     corollary1_reduce,
     lemma1_expand,
-    product_decompose,
     reduction_from_json,
     reduction_to_json,
     theorem1_reduce,
@@ -324,6 +323,22 @@ def test_corollary1_memo_is_bounded_shares_entries_and_skips_rejected_input():
     assert memo.cache_info() == before
 
 
+def test_theorem1_memo_is_bounded_shares_entries_and_skips_rejected_input():
+    memo = reduction._theorem1_memo
+    assert memo.cache_info().maxsize == reduction.THEOREM1_MEMO_SIZE
+    first = theorem1_reduce(2, 1, F(1, 2), "R")
+    hits = memo.cache_info().hits
+    # t is keyed exactly, whatever form it is given in
+    assert theorem1_reduce(2, 1, "1/2", "R") is first
+    assert theorem1_reduce(2, 1, 0.5, "R") is first
+    assert memo.cache_info().hits == hits + 2
+    before = memo.cache_info()
+    for args in [(2.0, 1, 1, "R"), (2, 0, 1, "R"), (2, 1, "x", "R"), (2, 1, 1, "X")]:
+        with pytest.raises(DomainError):
+            theorem1_reduce(*args)
+    assert memo.cache_info() == before
+
+
 def test_corollary1_allows_t_zero_when_inequalities_hold():
     terms = corollary1_reduce(2, 2, 0, "T")
     assert terms[0] == (F(1), SI(2, 1), SI(2, 1))
@@ -367,17 +382,6 @@ def test_verify_corollary1_catches_a_wrong_reduction(monkeypatch, mutate):
         monkeypatch.setattr(reduction, "corollary1_reduce", lambda *args: wrong)
         assert not verify_corollary1(r, s, t, variant, 3), (variant, r, s, t)
         monkeypatch.undo()
-
-
-# ---------------------------------------------------------------- products
-
-def test_product_decompose_maps_variants():
-    assert product_decompose(2, 3, "TT").variant == "T"
-    assert product_decompose(2, 3, "SS").variant == "S"
-    assert product_decompose(2, 3, "TS").variant == "R"
-    assert product_decompose(2, 3, "TS").t == 0
-    with pytest.raises(DomainError):
-        product_decompose(2, 3, "ST")
 
 
 # ---------------------------------------------------------------- JSON
