@@ -57,21 +57,18 @@ truncation, exactly.
 
 One functools.lru_cache of MEMO_SIZE entries, _memo(kernel, *args), sits
 behind validated input, keyed on the kernel and its canonical arguments.
-It holds the SumInfo of each classical call (_zeta_sum, _double_sum) and
-of each tornheim_q sign pair (_tornheim_q, after _orient).  Every q-kernel
-splits into a plan (_Plan: the cutoff, table width, truncation bound and
-rounding allowance) and the exact integer totals of all its signs.
-Neither depends on the signs, so both are keyed without them: the
-exponents (r <= s for tornheim_q, then t), the QParam and the
-PrecisionConfig.  q_zeta1, q_zeta2 and phi_q keep both in one _Series
-entry (_q_zeta1_series, _q_zeta2_series, _phi_q_series), which their
-public *_info calls round and bound per sign and evaluate_reduction
-combines exactly.  tornheim_q keeps its triangle (_tornheim_q_plan) and
-its Lambert sum's plan and totals (_tornheim_q_sums, planned only when the
-float64 kernel does not serve).  So T, S and R of one (r, s, t, q,
-precision) are planned and summed once.  memo_stats() reports the hits,
-misses and size of _memo and of _tables (q-term tables and half-series
-words together), and clear_memos() empties both.
+It holds the SumInfo of each classical call (_zeta_sum, _double_sum).
+Every q-kernel splits into a plan (_Plan: the cutoff, table width,
+truncation bound and rounding allowance) and the exact integer totals of
+all its signs.  Neither depends on the signs, so both are keyed without
+them: the exponents (r <= s for tornheim_q, after _orient, then t), the
+QParam and the PrecisionConfig.  Each q-kernel keeps both in one _Series
+entry (_q_zeta1_series, _q_zeta2_series, _phi_q_series,
+_tornheim_q_series), which its public *_info call rounds and bounds per
+sign and evaluate_reduction combines exactly.  So T, S and R of one
+(r, s, t, q, precision) are planned and summed once.  memo_stats() reports
+the hits, misses and size of _memo and of _tables (q-term tables and
+half-series words together), and clear_memos() empties both.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
@@ -88,10 +85,7 @@ q^(-(j+1)u) and B_j is the same in (s, tau).  The factors and the powers
 q^-k are q-term table entries, each A_j and B_j is one exact integer dot
 product over them, the weights beta_j come from a floored integer
 recurrence, and the sum is rounded once.  Every cut A_j and the last j are
-planned from the goal.  When the requested tail goal is coarse (>= 1e-10),
-a float64 fft kernel (_tornheim_q_float64, the only user of numpy) sums the
-triangle u + v <= W instead if truncation plus its a-priori rounding bound
-still meets the goal.
+planned from the goal.
 
 The classical Tornheim series converge too slowly to sum directly;
 reduction.verify_corollary1 checks Corollary 1 exactly on finite triangles.
@@ -108,7 +102,6 @@ from numbers import Real
 from operator import floordiv, lshift, mul, neg, rshift
 from typing import NamedTuple
 
-import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
 
@@ -137,8 +130,7 @@ __all__ = [
     "clear_memos",
 ]
 
-FLOAT64_GOAL_CUTOFF = 1e-10  # coarser goals than this use the vectorized kernel
-MEMO_SIZE = 4096  # entries of _memo; criterion 4's grid takes 924
+MEMO_SIZE = 4096  # entries of _memo; criterion 4's grid takes 372
 TABLE_BUDGET = 1 << 17  # terms kept by all growable tables together (_tables)
 STREAM_GUARD = 32  # bits the q-term table keeps past working precision
 MAX_EXPONENT_DENOMINATOR = 8  # q-side exponents are rationals m/d, d <= this
@@ -202,9 +194,6 @@ class QParam:
 
     def to_mpf(self) -> mpf:
         return _xm(self.value)
-
-    def to_float(self) -> float:
-        return float(self.value)
 
     def squared(self) -> "QParam":
         """q^2, exact for a float q too (a float square would round it)."""
@@ -452,8 +441,9 @@ def _stream_terms(qp: QParam, bits: int, e, x, n: int) -> list[int]:
     bytes, and _tables keeps at most TABLE_BUDGET entries of all its tables
     together once a call returns.  At 30 digits the 576-case q_sweep grid
     stores about 12,700 entries in 111 tables (0.7 MB), 3 of them the
-    powers q^-k of tornheim_q, and the 144-case q_limit grid about 36,000
-    in 48 (1.6 MB).
+    powers q^-k of tornheim_q.  The 144-case q_limit grid (goal 1e-7) stores
+    about 54,000 in 60 (2.5 MB); 12 of them, about 16,700 entries, are the
+    factors and powers of tornheim_q's Lambert sums, most at q = 101/100.
     """
     shift = Fraction(x) - Fraction(e)
     if shift not in (0, 1):
@@ -469,18 +459,26 @@ def _stream_terms(qp: QParam, bits: int, e, x, n: int) -> list[int]:
         guard = max(math.ceil(4 * units), 9 * m * m).bit_length()
         g = bits + guard
         one, num = 1 << g, (a - b) << 2 * g
+        p, powers = one, []
+        for _ in range(n):
+            p = p * b // a
+            powers.append(p)
+        del powers[:start]  # P_k for k = start+1..n
+        w = [num // (b * (one - p)) for p in powers]  # 2^G R_k
+        if d > 1:
+            root, lift = 0, g * (d - 1)
+            for i, v in enumerate(w):
+                w[i] = root = _iroot(v << lift, d, root)
+        if negative:
+            top = 1 << 2 * g
+            w = [top // v for v in w]
+        if m != 1:
+            w = [_fixed_pow(v, m, g) for v in w]
+        if down:
+            w = list(map(mul, w, powers))
         drop = guard + g * down
         half = 1 << (drop - 1)
-        p = one
-        for _ in range(start):
-            p = p * b // a
-        new, root = [], 0
-        for _ in range(start, n):
-            p = p * b // a
-            root = _iroot(num // (b * (one - p)) << g * (d - 1), d, root)
-            v = _fixed_pow((1 << 2 * g) // root if negative else root, m, g)
-            new.append(((v * p if down else v) + half) >> drop)
-        return new
+        return [(v + half) >> drop for v in w]
 
     return _tables.table((qp, bits, e, x), n, grow)
 
@@ -528,17 +526,6 @@ class _Plan(NamedTuple):
     js: int = 0
 
 
-class _Triangle(NamedTuple):
-    """tornheim_q's sign-free plan, kept in _memo: the terms every call
-    reports and max_terms counts, the triangle u + v <= w they fill, and, at
-    a goal >= FLOAT64_GOAL_CUTOFF, that triangle's tail coarse, for the
-    float64 kernel."""
-    terms: int
-    w: int
-    coarse: mpf | None
-    goal: mpf
-
-
 def _summed(what: str, plan: _Plan, prec: PrecisionConfig, total: int, bits: int) -> SumInfo:
     """The SumInfo of the exact integer sum total 2^-bits of a call planned
     by plan: rounded once to working precision and bounded by _bound."""
@@ -549,10 +536,10 @@ def _summed(what: str, plan: _Plan, prec: PrecisionConfig, total: int, bits: int
 
 
 class _Series(NamedTuple):
-    """One sign-free q_zeta1, q_zeta2 or phi_q series, kept in _memo: its
-    plan, the exact integer totals of all its signs (_at) in units of
-    2^-scale, and limit, a |total| up to which _bound accepts the rounded
-    value (-1: none is sure to pass).  The public *_info calls and the
+    """One sign-free q_zeta1, q_zeta2, phi_q or tornheim_q series, kept in
+    _memo: its plan, the exact integer totals of all its signs (_at) in
+    units of 2^-scale, and limit, a |total| up to which _bound accepts the
+    rounded value (-1: none is sure to pass).  The public *_info calls and the
     terms of evaluate_reduction read it."""
     what: str
     plan: _Plan
@@ -821,53 +808,35 @@ def tornheim_q_info(
     to prec.
 
     terms, and the max_terms budget, count the triangle u + v <= W whose
-    tail k sum_{m>W} m q^-m, k = K(r) K(s) K(t), meets the goal.  Coarse
-    goals (>= FLOAT64_GOAL_CUTOFF) sum that triangle by the float64 kernel
-    when its tail plus its rounding bound meets the goal.  tail_bound is
-    truncation plus rounding; if that exceeds the goal, PrecisionError is
-    raised.  Results are kept in _memo after _orient.  Nothing but the
-    result depends on the signs, so _memo holds two sign-free entries for
-    all four sign pairs: the triangle W (_tornheim_q_plan), looked up first,
-    so that a call the budget rejects counts one miss and sums nothing, and,
-    once the float64 kernel does not serve, the Lambert sum's n, js, bits,
-    truncation and rounding allowance with its totals (_tornheim_q_sums).
+    tail k sum_{m>W} m q^-m, k = K(r) K(s) K(t), meets the goal.  tail_bound
+    is truncation plus rounding; if that exceeds the goal, PrecisionError is
+    raised.  Nothing but the result depends on the signs, so after _orient
+    _memo holds one sign-free _Series for all four sign pairs
+    (_tornheim_q_series), as it does for q_zeta1, q_zeta2 and phi_q.
     """
     _sign_ok(sigma), _sign_ok(tau)
     r, s, t = (_exponent(x, "tornheim_q") for x in (r, s, t))
     qp = _as_q(q)
     prec = _as_prec(prec)
     r, s, sigma, tau = _orient(r, s, sigma, tau)
-    _memo(_tornheim_q_plan, r, s, t, qp, prec)  # raises first when the budget rejects
-    return _memo(_tornheim_q, r, s, t, sigma, tau, qp, prec)
+    return _memo(_tornheim_q_series, r, s, t, qp, prec).info(prec, sigma, tau)
 
 
-def _tornheim_q_plan(r, s, t, qp: QParam, prec: PrecisionConfig) -> _Triangle:
-    """tornheim_q_info's triangle u + v <= W for r, s in _orient's order, the
-    same for all four sign pairs: its terms, checked against max_terms, and
-    its tail when the float64 kernel may serve."""
-    with mp.workdps(prec.working_dps):
-        qm = qp.to_mpf()
-        goal = prec.goal()
-        k = _kbound(r, qm) * _kbound(s, qm) * _kbound(t, qm)
-        x = 1 / qm
-        w = _linear_cutoff(k, x, max(2, _geometric_n(2 * k / (qm - 1) ** 2, qm, goal)), goal)
-        count = w * (w - 1) // 2
-        _budget(count, prec, "tornheim_q")
-        coarse = _linear_geometric_tail(k, x, w) if goal >= FLOAT64_GOAL_CUTOFF else None
-        return _Triangle(count, w, coarse, goal)
-
-
-def _tornheim_q_sums(r, s, t, qp: QParam, prec: PrecisionConfig) -> tuple[_Plan, tuple]:
-    """tornheim_q_info's Lambert sum for r, s in _orient's order, planned and
-    summed once for all four sign pairs: its _Plan (the triangle's terms,
-    n, js, bits, truncation and rounding allowance) and the totals of
+def _tornheim_q_series(r, s, t, qp: QParam, prec: PrecisionConfig) -> _Series:
+    """tornheim_q's _Series for r, s in _orient's order, planned and summed
+    once for all four sign pairs: the triangle W that terms counts, checked
+    against max_terms before anything is summed, then the Lambert sum's n,
+    js, bits, truncation and rounding allowance and the totals of
     _tornheim_q_lambert."""
-    terms = _memo(_tornheim_q_plan, r, s, t, qp, prec).terms
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         goal = prec.goal()
         kr, ks = _kbound(r, qm), _kbound(s, qm)
+        k = kr * ks * _kbound(t, qm)
         x = 1 / qm
+        w = _linear_cutoff(k, x, max(2, _geometric_n(2 * k / (qm - 1) ** 2, qm, goal)), goal)
+        terms = w * (w - 1) // 2
+        _budget(terms, prec, "tornheim_q")
         ta = abs(_xm(t))
         lam, c, root = 1 - x, mp.power(qm - 1, _xm(t)), mp.sqrt(qm)
         gamma_1, gamma_t = x / lam ** 2, x * mp.power(lam, -ta - 1)
@@ -885,20 +854,8 @@ def _tornheim_q_sums(r, s, t, qp: QParam, prec: PrecisionConfig) -> tuple[_Plan,
         rounding = ((c + 2 * e) * _lambert_rounding(kappa, spread, gamma_1 + gamma_t, n, t, bits)
                     + 2 * e * mass)
         plan = _Plan(terms, n, bits, truncation, rounding, goal, js)
-    return plan, _tornheim_q_lambert(r, s, t, qp, n, js, bits)
-
-
-def _tornheim_q(r, s, t, sigma: int, tau: int, qp: QParam, prec: PrecisionConfig) -> SumInfo:
-    """tornheim_q_info for exact exponents in _orient's order."""
-    triangle = _memo(_tornheim_q_plan, r, s, t, qp, prec)
-    if triangle.coarse is not None:
-        with mp.workdps(prec.working_dps):
-            value, rounding = _tornheim_q_float64(r, s, t, sigma, tau, qp.to_float(), triangle.w)
-            bound = triangle.coarse + rounding
-            if bound <= triangle.goal:
-                return SumInfo(mpf(value), bound, triangle.terms)
-    plan, totals = _memo(_tornheim_q_sums, r, s, t, qp, prec)
-    return _summed("tornheim_q", plan, prec, _at(totals, sigma, tau), 6 * plan.bits)
+    totals = _tornheim_q_lambert(r, s, t, qp, n, js, bits)
+    return _series("tornheim_q", plan, prec, totals, 6 * bits)
 
 
 def _ceil_bits(x: mpf) -> int:
@@ -1014,49 +971,6 @@ def _fixed_rational_power(v: Fraction, y: Fraction, bits: int) -> int:
     power = v ** y.numerator
     root = (power.numerator << bits * y.denominator) // power.denominator
     return _iroot(root, y.denominator) if root else 0
-
-
-def _tornheim_q_float64(r, s, t, sigma: int, tau: int, qf: float, w: int):
-    """The triangle u + v <= w of tornheim_q_info, vectorized in float64.
-
-    Returns (value, rounding), where rounding is an a-priori bound on the
-    float64 error.  Each diagonal of the fft convolution is off by at most
-    16 eps (log2(n) + 1) |a|_2 |b|_2 for an fft of length n (the form of
-    Percival's bound, its constant rounded up), and the exp/log inputs
-    carry a relative error of at most eps (|r| + |s| + 2|t| + 1)
-    (4 w (1 + ln q) + 2 |ln(q - 1)| + 8), which also covers float(q) and
-    the final sum; every diagonal sum of |a_u b_v| is at most |a|_2 |b|_2.
-    Both terms are weighted by sum_m c_m and doubled for the second-order
-    terms.
-    """
-    lnq = math.log(qf)
-    rf, sf, tf = float(_xm(r)), float(_xm(s)), float(_xm(t))
-    # Rescaled split: a_u = q^(ru)/[u]^r and b_v = q^(sv)/[v]^s stay O(1),
-    # while the shifted factor q^((t-1)(u+v)) joins the diagonal weight,
-    # keeping the fft inputs balanced (raw arrays can grow like q^((t-1)u),
-    # which would sink small convolution bins in rounding noise).
-    u = np.arange(1, w, dtype=np.float64)
-    log_qint_u = np.log(np.expm1(u * lnq)) - math.log(qf - 1)
-    a = np.exp(rf * (u * lnq - log_qint_u))
-    b = np.exp(sf * (u * lnq - log_qint_u))
-    norms = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if sigma == -1:
-        a[::2] = -a[::2]  # odd u get the minus sign
-    if tau == -1:
-        b[::2] = -b[::2]
-    # diagonal sums sum_{u+v=m} sigma^u tau^v a_u b_v for m = 2 .. 2n
-    n = len(a)
-    conv = np.fft.irfft(np.fft.rfft(a, 2 * n) * np.fft.rfft(b, 2 * n), 2 * n)[: 2 * n - 1]
-    wvals = np.arange(2, 2 * n + 1, dtype=np.float64)
-    log_qint_w = np.log(np.expm1(wvals * lnq)) - math.log(qf - 1)
-    cw = np.exp((tf - 1) * wvals * lnq - tf * log_qint_w)
-    keep = wvals <= w
-    eps = float(np.finfo(np.float64).eps)
-    fft = 16 * eps * (math.log2(2 * n) + 1)
-    inputs = eps * (abs(rf) + abs(sf) + 2 * abs(tf) + 1) * (
-        4 * w * (1 + lnq) + 2 * abs(math.log(qf - 1)) + 8)
-    rounding = 2 * (fft + inputs) * norms * float(np.sum(cw[keep]))
-    return float(np.sum(conv[keep] * cw[keep])), rounding
 
 
 def tornheim_q(
@@ -1337,13 +1251,12 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _memo(kernel, *args) -> SumInfo | _Series | _Triangle | tuple:
-    """kernel(*args) for a kernel that returns a SumInfo: _zeta_sum and
-    _double_sum behind the classical validators, and _tornheim_q; or for a
-    q-kernel's sign-free entries, looked up by every call of the kernel,
-    public ones too: the _Series of q_zeta1, q_zeta2 and phi_q, which
-    evaluate_reduction reads too, and tornheim_q's triangle
-    (_tornheim_q_plan), then its Lambert sum (_tornheim_q_sums)."""
+def _memo(kernel, *args) -> SumInfo | _Series:
+    """kernel(*args) for a kernel that returns a SumInfo, _zeta_sum and
+    _double_sum behind the classical validators, or for a q-kernel's one
+    sign-free _Series, looked up by every call of the kernel, public ones
+    too: those of q_zeta1, q_zeta2 and phi_q, which evaluate_reduction reads
+    too, and of tornheim_q."""
     return kernel(*args)
 
 
@@ -1353,10 +1266,9 @@ def memo_stats() -> dict:
     budget, and their hits and misses.  A call that a kernel rejects inside
     _memo (_budget raising from _zeta_sum, _double_sum or a q-kernel's plan)
     counts one miss, for the one entry it looked up, and stores nothing: a
-    classical kernel, a public q_zeta1, q_zeta2 or phi_q call or such a
-    term of evaluate_reduction (its _Series), or tornheim_q_info (its
-    triangle, looked up before its Lambert sum).  Each plans before it
-    sums, so a rejected call sums nothing."""
+    classical kernel, or a public q-kernel call or a term of
+    evaluate_reduction (its _Series).  Each plans before it sums, so a
+    rejected call sums nothing."""
     info = _memo.cache_info()
     return {"memo": {"hits": info.hits, "misses": info.misses, "size": info.currsize},
             "tables": _tables.stats()}

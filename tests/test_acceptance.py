@@ -121,16 +121,15 @@ def test_criterion_4_q_reduction_numeric_sweep():
     # the same width, and one table of the powers q^-k per q
     assert tables["misses"] == 111
     assert tables["terms"] <= tables["budget"]
-    # _memo holds 432 tornheim_q sums once T[r,s;sigma,tau] and
-    # T[s,r;tau,sigma] share one entry, and one sign-free entry per key for
-    # the rest: 120 tornheim_q triangles and 120 entries of Lambert totals
-    # (r <= s, t, q; at 30 digits the float64 kernel never serves), and for
-    # the reduction terms, whatever their signs and their (1-q) and (1+q)
-    # factors, one plan with the integer totals of all its signs per series:
-    # 156 q_zeta2 (s1, s2, q), 48 phi_q (s, q) and 48 q_zeta1 (s, q^2), all
-    # at one precision, so each is summed once, not once per sign
-    tornheim, series = 432 + 120 + 120, 156 + 48 + 48
-    assert numeric.memo_stats()["memo"]["misses"] == tornheim + series == 924
+    # _memo holds one sign-free entry per key, plan and integer totals of
+    # all its signs together: 120 tornheim_q series (r <= s, t, q), as
+    # T[r,s;sigma,tau] and T[s,r;tau,sigma] share one, and for the
+    # reduction terms, whatever their signs and their (1-q) and (1+q)
+    # factors, 156 q_zeta2 (s1, s2, q), 48 phi_q (s, q) and 48 q_zeta1
+    # (s, q^2), all at one precision, so each is summed once, not once per
+    # sign
+    tornheim, series = 120, 156 + 48 + 48
+    assert numeric.memo_stats()["memo"]["misses"] == tornheim + series == 372
     print(f"criterion 4: PASS - 576 cases, worst residual {mp.nstr(worst, 3)} ({dt:.1f}s)")
 
 

@@ -604,6 +604,18 @@ def test_verify_expr_infinite_coefficient_exits_2_without_traceback(coeff):
     assert "Traceback" not in proc.stderr
 
 
+def test_package_imports_without_numpy():
+    # numpy is a test dependency only: a fresh interpreter that imports the
+    # package and its CLI loads no numpy module
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tornheim, tornheim.cli; "
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tornheim.cli", "eval", "S", "1", "1", "1"],

@@ -8,7 +8,7 @@ from itertools import accumulate
 from operator import floordiv, lshift, mul, neg, rshift
 
 import mpmath
-import numpy as np
+import numpy as np  # the _brute_double oracle only
 import pytest
 from mpmath import mp, mpf
 
@@ -408,8 +408,8 @@ def test_tornheim_q_symmetry_is_bit_exact():
     b = tornheim_q(1, 2, 1, 1, -1, 2, P30)
     assert a == b
     # both orders share one _memo entry, so each side is computed from
-    # empty memos here: the float64 kernel (coarse goal) and the Lambert sum
-    # must give the swapped call the identical value, bound and term count
+    # empty memos here: the Lambert sum, at a coarse and a fine goal, must
+    # give the swapped call the identical value, bound and term count
     coarse = PrecisionConfig(digits=10, tail_goal=1e-7, max_terms=10 ** 9)
     pairs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
     for q, prec in ((F(3, 2), coarse), (F(11, 10), coarse), (F(3, 2), P30)):
@@ -439,8 +439,14 @@ def test_tornheim_q_tail_bound_is_honest():
              ((1, 2, -1, -1, -1), F(3, 2)), ((2, 3, F(7, 3), 1, -1), 3)]
     precs = [PrecisionConfig(digits=d) for d in (12, 30, 60, 120)]
     checks = [(args, q, prec) for args, q in cases for prec in precs]
-    # a coarse goal that float64 rounding (about 3e-9 on this 5.7e6 value) misses
+    # a coarse goal on a large value (about 5.7e6)
     checks.append(((4, 4, 4, 1, 1), 5, PrecisionConfig(digits=10, tail_goal=1e-10)))
+    # the coarse goal of the q -> 1 study: near q = 1 the Lambert sum runs to
+    # its largest js (about 1,890 at q = 101/100)
+    coarse = PrecisionConfig(digits=10, tail_goal=1e-7, max_terms=10 ** 9)
+    checks += [((r, s, t, sigma, tau), q, coarse) for q in (F(6, 5), F(11, 10), F(101, 100))
+               for r, s, t in ((2, 1, 2), (1, 2, F(1, 2)), (2, 2, 1))
+               for sigma in (1, -1) for tau in (1, -1)]
     # near q = 1 the Lambert sum reads the most powers q^-k (912 here), and its
     # rounding allowance grows with their number
     checks.append(((2, 1, F(1, 2), 1, -1), F(11, 10), PrecisionConfig(digits=30)))
@@ -583,8 +589,8 @@ def test_each_q_sum_runs_once_per_sign_free_key(monkeypatch):
     # T, S and R of the criterion-4 grid at one q: 144 tornheim_q sums on 40
     # keys (r <= s, t), and in the reduction terms 208 q_zeta2 sums on 52
     # keys (s1, s2), 32 phi_q sums on 16 keys (s) and 16 q_zeta1 sums.  Each
-    # sign-free key is summed once, for all its sign pairs, and the series
-    # of the reduction terms keep one entry each, plan and totals together.
+    # sign-free key is summed once, for all its sign pairs, and every series
+    # keeps one entry, plan and totals together.
     calls = dict.fromkeys(("_lambert_sum", "_q_zeta2_sums", "_phi_q_sums"), 0)
     for name in calls:
         def counted(*args, _name=name, _kernel=getattr(numeric, name)):
@@ -599,7 +605,7 @@ def test_each_q_sum_runs_once_per_sign_free_key(monkeypatch):
                     tornheim_q_info(r, s, t, *VARIANT_SIGNS[v], F(3, 2), P30)
                     evaluate_reduction(theorem1_reduce(r, s, t, v), F(3, 2), P30)
     assert calls == {"_lambert_sum": 40, "_q_zeta2_sums": 52, "_phi_q_sums": 16}
-    tornheim, series = 144 + 40 + 40, 52 + 16 + 16  # sums, triangles, Lambert
+    tornheim, series = 40, 52 + 16 + 16
     assert numeric.memo_stats()["memo"]["misses"] == tornheim + series
     numeric.clear_memos()  # the entries above are keyed on the counting wrappers
 
@@ -641,7 +647,7 @@ def test_tornheim_q_with_empty_outer_exponents(digits):
             assert abs(info.value - oracle) <= info.tail_bound, (t, digits)
 
 
-def test_tornheim_q_float64_kernel_matches_mpf():
+def test_tornheim_q_coarse_goal_matches_fine():
     coarse = PrecisionConfig(digits=10, tail_goal=1e-8)
     fine = PrecisionConfig(digits=20)
     a = tornheim_q(2, 1, 2, 1, 1, F(3, 2), coarse)
@@ -714,8 +720,8 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
     with pytest.raises(PrecisionError):
         tornheim_q_info(2, 1, 1, 1, 1, "101/100", PrecisionConfig(digits=30, max_terms=100))
     assert numeric.memo_stats()["memo"]["size"] == size
-    # one miss each: the _zeta_sum entry, the phi_q plan and the tornheim_q
-    # plan, which is looked up before its sum entry, so that is never reached
+    # one miss each: the _zeta_sum entry and the phi_q and tornheim_q series,
+    # whose plans raise before anything is summed
     assert numeric.memo_stats()["memo"]["misses"] == before["memo"]["misses"] + 3
 
 
@@ -737,32 +743,30 @@ def test_q_memo_hands_every_call_its_own_entry():
         numeric.clear_memos()
         assert fn(*args) == value, (fn.__name__, args)
     # each kernel's plan and integer totals are keyed without the signs: T, S
-    # and R of one (r, s, t, q, prec) share one plan entry and one entry of
-    # Lambert totals (and r, s in either order), and the public q_zeta1,
-    # q_zeta2 and phi_q calls store one entry each, plan and totals together
+    # and R of one (r, s, t, q, prec) share one entry (and r, s in either
+    # order), and the public q_zeta1, q_zeta2 and phi_q calls store one entry
+    # each, plan and totals together
     prec12 = PrecisionConfig(digits=12)
     numeric.clear_memos()
     misses = lambda: numeric.memo_stats()["memo"]["misses"]
     for v in "TSR":
         tornheim_q_info(2, 1, 1, *VARIANT_SIGNS[v], F(3, 2), prec12)
     tornheim_q_info(1, 2, 1, -1, 1, F(3, 2), prec12)
-    # one plan, one entry of Lambert totals, three sums: the swapped R is R's
-    assert misses() == 1 + 1 + 3
-    plan = numeric._memo(numeric._tornheim_q_plan, 1, 2, 1, QParam(F(3, 2)), prec12)
-    assert misses() == 5 and plan.terms == tornheim_q_info(2, 1, 1, q=F(3, 2), prec=prec12).terms
+    # one entry for all four calls: the swapped R is R's
+    assert misses() == 1
     for g1 in (1, -1):
         q_zeta1_info(F(5, 2), g1, 2, prec12)
         phi_q_info(F(5, 2), g1, 2, prec12)
         for g2 in (1, -1):
             q_zeta2_info(3, g1, F(1, 2), g2, 2, prec12)
-    assert misses() == 5 + 1 + 1 + 1  # q_zeta1, phi_q and q_zeta2
-    # a change in r, s, t, q or digits is a new plan, new totals and a new sum
+    assert misses() == 1 + 1 + 1 + 1  # q_zeta1, phi_q and q_zeta2
+    # a change in r, s, t, q or digits is a new entry
     for r, s, t, q, prec in [(3, 1, 1, F(3, 2), prec12), (2, 2, 1, F(3, 2), prec12),
                              (2, 1, 2, F(3, 2), prec12), (2, 1, 1, 2, prec12),
                              (2, 1, 1, F(3, 2), P30)]:
         before = misses()
         warm = tornheim_q_info(r, s, t, 1, -1, q, prec)
-        assert misses() == before + 3, (r, s, t, q, prec)
+        assert misses() == before + 1, (r, s, t, q, prec)
         numeric.clear_memos()
         assert tornheim_q_info(r, s, t, 1, -1, q, prec) == warm
     for args in [(F(7, 2), 1, F(1, 2), 1, 2), (3, 1, 1, 1, 2), (3, 1, F(1, 2), 1, 3)]:
