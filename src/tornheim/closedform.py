@@ -43,7 +43,6 @@ from .exact import (
     ZetaExpression,
     ZetaMonomial,
     check_convergent,
-    expression_from_json,
     expression_to_json,
     zeta_const,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "closed_form_table",
     "KNOWN_VALUES",
     "result_to_json",
-    "result_from_json",
 ]
 
 # Continuation value of the alternating zeta at 0.  The alternative +1/2 is
@@ -306,16 +304,3 @@ def result_to_json(result: EvaluationResult) -> dict:
             for step in result.provenance
         ],
     }
-
-
-def result_from_json(obj: dict) -> EvaluationResult:
-    return EvaluationResult(
-        expression=expression_from_json(obj["expression"]),
-        provenance=tuple(
-            ProvenanceStep(
-                rule=item["rule"],
-                details=tuple(sorted((k, str(v)) for k, v in item["details"].items())),
-            )
-            for item in obj["provenance"]
-        ),
-    )

@@ -91,15 +91,16 @@ def zeta_const(k: int, sign: int = 1) -> "ZetaExpression":
 # ----------------------------------------------------------------------
 
 def as_rational(value) -> int | Fraction:
-    """'3', '1/2', 7, Fraction(4, 2), ... as an int when integral, else a Fraction."""
+    """'3', '1/2', 7, Fraction(4, 2), ... as an int when integral, else a
+    Fraction; anything else (a non-finite float, None, ...) raises DomainError."""
     try:
         frac = Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
         raise DomainError(f"not a rational number: {value!r}") from exc
     return int(frac) if frac.denominator == 1 else frac
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SignedIndex:
     """An exponent with an attached sign character.
 
@@ -122,21 +123,8 @@ class SignedIndex:
     def __str__(self) -> str:
         return f"{self.value}-" if self.barred else str(self.value)
 
-    @classmethod
-    def parse(cls, text: str) -> "SignedIndex":
-        text = text.strip()
-        sign = 1
-        if text.endswith("-"):
-            sign = -1
-            text = text[:-1]
-        return cls(as_rational(text), sign)
-
     def to_json(self) -> dict:
         return {"value": str(Fraction(self.value)), "sign": self.sign}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "SignedIndex":
-        return cls(as_rational(obj["value"]), int(obj["sign"]))
 
 
 def check_convergent(where: str, a, g1: int, b, names: tuple[str, str]) -> None:

@@ -58,17 +58,17 @@ truncation, exactly.
 One functools.lru_cache of MEMO_SIZE entries, _memo(kernel, *args), sits
 behind validated input, keyed on the kernel and its canonical arguments.
 It holds the SumInfo of each classical call (_zeta_sum, _double_sum).
-Every q-kernel splits into a plan (_Plan: the cutoff, table width,
-truncation bound and rounding allowance) and the exact integer totals of
-all its signs.  Neither depends on the signs, so both are keyed without
-them: the exponents (r <= s for tornheim_q, after _orient, then t), the
-QParam and the PrecisionConfig.  Each q-kernel keeps both in one _Series
-entry (_q_zeta1_series, _q_zeta2_series, _phi_q_series,
-_tornheim_q_series), which its public *_info call rounds and bounds per
-sign and evaluate_reduction combines exactly.  So T, S and R of one
-(r, s, t, q, precision) are planned and summed once.  memo_stats() reports
-the hits, misses and size of _memo and of _tables (q-term tables and
-half-series words together), and clear_memos() empties both.
+Each q-kernel keeps one _Series record per sign-free key (_q_zeta1_series,
+_q_zeta2_series, _phi_q_series, _tornheim_q_series): its terms,
+truncation bound, rounding allowance and goal, and the exact integer
+totals of all its signs.  None of these depends on the signs, so the key
+holds only the exponents (r <= s for tornheim_q, after _orient, then t),
+the QParam and the PrecisionConfig.  The public *_info call rounds and
+bounds the record per sign, and evaluate_reduction combines its totals
+exactly.  So T, S and R of one (r, s, t, q, precision) are planned and
+summed once.  memo_stats() reports the hits, misses and size of _memo and
+of _tables (q-term tables and half-series words together), and
+clear_memos() empties both.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
@@ -141,8 +141,8 @@ PLAN_TIE = 1e-9  # relative log2 margin within which the cutoff planners compare
 class PrecisionConfig:
     """Requested precision: output digits, term budget, and tail goal.
 
-    tail_goal is the absolute truncation-error target; None means
-    10^-(digits+5).  Working precision is digits + 15.
+    tail_goal is the absolute truncation-error target, positive and finite;
+    None means 10^-(digits+5).  Working precision is digits + 15.
     """
     digits: int = 30
     max_terms: int = 2_000_000
@@ -155,6 +155,8 @@ class PrecisionConfig:
             raise DomainError(f"PrecisionConfig: max_terms must be >= 100, got {self.max_terms}")
         if self.tail_goal is not None and not self.tail_goal > 0:
             raise DomainError("PrecisionConfig: tail_goal must be positive")
+        if self.tail_goal == math.inf:
+            raise DomainError(f"PrecisionConfig: tail_goal must be finite, got {self.tail_goal}")
 
     @property
     def working_dps(self) -> int:
@@ -511,49 +513,40 @@ def _bound(what: str, value: mpf, truncation: mpf, rounding: mpf, goal: mpf) -> 
     return truncation + rounding
 
 
-class _Plan(NamedTuple):
-    """The sign-free part of an exact q-kernel sum: the terms the call
-    reports, its cutoff n, the width bits of its table entries, its
-    truncation bound, its rounding allowance before the final rounding to
-    working precision, and the goal.  tornheim_q's Lambert sum adds js, the
-    Lambert weights summed."""
+class _Series(NamedTuple):
+    """One sign-free q_zeta1, q_zeta2, phi_q or tornheim_q series, kept in
+    _memo: the terms the call reports, its truncation bound, its rounding
+    allowance before the final rounding to working precision, the goal, the
+    exact integer totals of all its signs (_at) in units of 2^-scale, and
+    limit, a |total| up to which _bound accepts the rounded value (-1: none
+    is sure to pass).  The public *_info calls and the terms of
+    evaluate_reduction read it."""
+    what: str
     terms: int
-    n: int
-    bits: int
     truncation: mpf
     rounding: mpf
     goal: mpf
-    js: int = 0
-
-
-def _summed(what: str, plan: _Plan, prec: PrecisionConfig, total: int, bits: int) -> SumInfo:
-    """The SumInfo of the exact integer sum total 2^-bits of a call planned
-    by plan: rounded once to working precision and bounded by _bound."""
-    with mp.workdps(prec.working_dps):
-        value = _fixed_mpf(total, bits)
-        return SumInfo(value, _bound(what, value, plan.truncation, plan.rounding, plan.goal),
-                       plan.terms)
-
-
-class _Series(NamedTuple):
-    """One sign-free q_zeta1, q_zeta2, phi_q or tornheim_q series, kept in
-    _memo: its plan, the exact integer totals of all its signs (_at) in
-    units of 2^-scale, and limit, a |total| up to which _bound accepts the
-    rounded value (-1: none is sure to pass).  The public *_info calls and the
-    terms of evaluate_reduction read it."""
-    what: str
-    plan: _Plan
     totals: tuple
     scale: int
     limit: int
 
     def info(self, prec: PrecisionConfig, *signs: int) -> SumInfo:
         """The SumInfo of the signs, rounded and bounded by _summed."""
-        return _summed(self.what, self.plan, prec, _at(self.totals, *signs), self.scale)
+        return _summed(self, prec, _at(self.totals, *signs))
 
 
-def _series(what: str, plan: _Plan, prec: PrecisionConfig, totals: tuple, scale: int) -> _Series:
-    """The _Series of totals in units of 2^-scale planned by plan.
+def _summed(series: _Series, prec: PrecisionConfig, total: int) -> SumInfo:
+    """The SumInfo of the exact integer sum total 2^-scale of series: rounded
+    once to working precision and bounded by _bound."""
+    with mp.workdps(prec.working_dps):
+        value = _fixed_mpf(total, series.scale)
+        bound = _bound(series.what, value, series.truncation, series.rounding, series.goal)
+        return SumInfo(value, bound, series.terms)
+
+
+def _series(what: str, prec: PrecisionConfig, terms: int, truncation: mpf, rounding: mpf,
+            goal: mpf, totals: tuple, scale: int) -> _Series:
+    """The _Series of totals in units of 2^-scale, with its limit.
 
     With slack = goal - truncation - rounding, exact, and p the working
     precision, a total of at most slack 2^(p-2+scale) in absolute value
@@ -565,32 +558,17 @@ def _series(what: str, plan: _Plan, prec: PrecisionConfig, totals: tuple, scale:
     the rounded sum is at most goal too and _bound accepts v.  Below that
     slack, limit is -1."""
     with mp.workdps(prec.working_dps):
-        slack = mp.fsub(mp.fsub(plan.goal, plan.truncation, exact=True), plan.rounding,
-                        exact=True)
-        sure = slack >= mp.ldexp(plan.goal, 3 - mp.prec)
+        slack = mp.fsub(mp.fsub(goal, truncation, exact=True), rounding, exact=True)
+        sure = slack >= mp.ldexp(goal, 3 - mp.prec)
         limit = int(mp.ldexp(slack, mp.prec - 2 + scale)) if sure else -1
-    return _Series(what, plan, totals, scale, limit)
-
-
-def _q_zeta1_plan(s, qp: QParam, prec: PrecisionConfig) -> _Plan:
-    """q_zeta1_info's cutoff and bound, the same for both signs."""
-    with mp.workdps(prec.working_dps):
-        qm = qp.to_mpf()
-        goal = prec.goal()
-        k = _kbound(s, qm)
-        n_terms = _geometric_n(k / (qm - 1), qm, goal)
-        _budget(n_terms, prec, "q_zeta1")
-        bits = mp.prec + STREAM_GUARD
-        truncation = k / (qm - 1) * qm ** (-n_terms)
-        rounding = mp.ldexp(mpf(3 * n_terms) / 4, -bits)
-        return _Plan(n_terms, n_terms, bits, truncation, rounding, goal)
+    return _Series(what, terms, truncation, rounding, goal, totals, scale, limit)
 
 
 def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> SumInfo:
     """zeta_q[s; sign] = sum_{n>=1} sign^n q^((s-1)n) / [n]^s, with tail bound.
 
     The N table entries are summed exactly (_q_zeta1_sums), so rounding is
-    at most 3/4 N 2^-B at B = prec + STREAM_GUARD bits.  The plan and the
+    at most 3/4 N 2^-B at B = prec + STREAM_GUARD bits.  The bound and the
     totals of both signs come from _memo (_q_zeta1_series).
     """
     _sign_ok(sign)
@@ -601,10 +579,20 @@ def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) 
 
 
 def _q_zeta1_series(s, qp: QParam, prec: PrecisionConfig) -> _Series:
-    """q_zeta1's _Series, planned and summed once for both signs."""
+    """q_zeta1's _Series: its cutoff and bound, the same for both signs, then
+    the totals of both signs."""
     s = _exponent(s, "q_zeta1")
-    plan = _q_zeta1_plan(s, qp, prec)
-    return _series("q_zeta1", plan, prec, _q_zeta1_sums(s, qp, plan.n, plan.bits), plan.bits)
+    with mp.workdps(prec.working_dps):
+        qm = qp.to_mpf()
+        goal = prec.goal()
+        k = _kbound(s, qm)
+        n = _geometric_n(k / (qm - 1), qm, goal)
+        _budget(n, prec, "q_zeta1")
+        bits = mp.prec + STREAM_GUARD
+        truncation = k / (qm - 1) * qm ** (-n)
+        rounding = mp.ldexp(mpf(3 * n) / 4, -bits)
+    totals = _q_zeta1_sums(s, qp, n, bits)
+    return _series("q_zeta1", prec, n, truncation, rounding, goal, totals, bits)
 
 
 def _q_zeta1_sums(s, qp: QParam, n: int, bits: int) -> tuple[int, int]:
@@ -620,21 +608,6 @@ def q_zeta1(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> mp
     return q_zeta1_info(s, sign, q, prec).value
 
 
-def _q_zeta2_plan(s1, s2, qp: QParam, prec: PrecisionConfig) -> _Plan:
-    """q_zeta2_info's cutoff and bound, the same for all four sign pairs."""
-    with mp.workdps(prec.working_dps):
-        qm = qp.to_mpf()
-        goal = prec.goal()
-        k1, k2 = _kbound(s1, qm), _kbound(s2, qm)
-        n_terms = _geometric_n(k1 * k2 / (qm - 1) ** 2, qm, goal)
-        _budget(n_terms, prec, "q_zeta2")
-        bits = mp.prec + STREAM_GUARD
-        truncation = k1 * k2 / (qm - 1) ** 2 * qm ** (-n_terms)
-        rounding = mp.ldexp(3 * ((n_terms - 1) * (k2 / (qm - 1) + 1) + k1 / (qm - 1) ** 2) / 4,
-                            -bits)
-        return _Plan(n_terms, n_terms, bits, truncation, rounding, goal)
-
-
 def q_zeta2_info(
     s1, sign1: int, s2, sign2: int, q=None, prec: PrecisionConfig | None = None
 ) -> SumInfo:
@@ -646,7 +619,7 @@ def q_zeta2_info(
     (_kbound), so |p_j| <= K2/(q-1) and |P_j - 2^B p_j| <= 3/4 j; each
     product then errs by at most 3/4 2^B (K2/(q-1) + 1) + 3/4 (m-1) 2^B |f_m|
     (for N <= 2^B), and summing over m with sum (m-1) q^-m = 1/(q-1)^2 gives
-    rounding <= 3/4 2^-B ((N-1)(K2/(q-1) + 1) + K1/(q-1)^2).  The plan
+    rounding <= 3/4 2^-B ((N-1)(K2/(q-1) + 1) + K1/(q-1)^2).  The bound
     and the totals of all four sign pairs come from _memo (_q_zeta2_series).
     """
     _sign_ok(sign1), _sign_ok(sign2)
@@ -657,11 +630,20 @@ def q_zeta2_info(
 
 
 def _q_zeta2_series(s1, s2, qp: QParam, prec: PrecisionConfig) -> _Series:
-    """q_zeta2's _Series, planned and summed once for all four sign pairs."""
+    """q_zeta2's _Series: its cutoff and bound, the same for all four sign
+    pairs, then the totals of all four."""
     s1, s2 = _exponent(s1, "q_zeta2"), _exponent(s2, "q_zeta2")
-    plan = _q_zeta2_plan(s1, s2, qp, prec)
-    totals = _q_zeta2_sums(s1, s2, qp, plan.n, plan.bits)
-    return _series("q_zeta2", plan, prec, totals, 2 * plan.bits)
+    with mp.workdps(prec.working_dps):
+        qm = qp.to_mpf()
+        goal = prec.goal()
+        k1, k2 = _kbound(s1, qm), _kbound(s2, qm)
+        n = _geometric_n(k1 * k2 / (qm - 1) ** 2, qm, goal)
+        _budget(n, prec, "q_zeta2")
+        bits = mp.prec + STREAM_GUARD
+        truncation = k1 * k2 / (qm - 1) ** 2 * qm ** (-n)
+        rounding = mp.ldexp(3 * ((n - 1) * (k2 / (qm - 1) + 1) + k1 / (qm - 1) ** 2) / 4, -bits)
+    totals = _q_zeta2_sums(s1, s2, qp, n, bits)
+    return _series("q_zeta2", prec, n, truncation, rounding, goal, totals, 2 * bits)
 
 
 def _q_zeta2_sums(s1, s2, qp: QParam, n: int, bits: int) -> tuple[int, int, int, int]:
@@ -706,26 +688,11 @@ def _linear_cutoff(k: mpf, x: mpf, n: int, goal: mpf) -> int:
         n += max(1, n // 8)
 
 
-def _phi_q_plan(s, qp: QParam, prec: PrecisionConfig) -> _Plan:
-    """phi_q_info's cutoff and bound, the same for both signs."""
-    with mp.workdps(prec.working_dps):
-        qm = qp.to_mpf()
-        goal = prec.goal()
-        k = _kbound(s, qm)
-        x = 1 / qm
-        n_terms = _linear_cutoff(k, x, _geometric_n(k / (qm - 1), qm, goal), goal)
-        _budget(n_terms, prec, "phi_q")
-        bits = mp.prec + STREAM_GUARD
-        truncation = _linear_geometric_tail(k, x, n_terms)
-        rounding = mp.ldexp(mpf(3 * n_terms * (n_terms - 1)) / 8, -bits)
-        return _Plan(n_terms, n_terms, bits, truncation, rounding, goal)
-
-
 def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> SumInfo:
     """phi[s; sign] = sum_{n>=1} (n-1) sign^n q^((s-1)n) / [n]^s, with bound.
 
     The integer sum of (k-1) F_k over the N table entries is exact, so
-    rounding is at most 3/4 2^-B sum (k-1) = 3/4 2^-B N(N-1)/2.  The plan
+    rounding is at most 3/4 2^-B sum (k-1) = 3/4 2^-B N(N-1)/2.  The bound
     and the totals of both signs come from _memo (_phi_q_series).
     """
     _sign_ok(sign)
@@ -736,10 +703,21 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
 
 
 def _phi_q_series(s, qp: QParam, prec: PrecisionConfig) -> _Series:
-    """phi_q's _Series, planned and summed once for both signs."""
+    """phi_q's _Series: its cutoff and bound, the same for both signs, then
+    the totals of both signs."""
     s = _exponent(s, "phi_q")
-    plan = _phi_q_plan(s, qp, prec)
-    return _series("phi_q", plan, prec, _phi_q_sums(s, qp, plan.n, plan.bits), plan.bits)
+    with mp.workdps(prec.working_dps):
+        qm = qp.to_mpf()
+        goal = prec.goal()
+        k = _kbound(s, qm)
+        x = 1 / qm
+        n = _linear_cutoff(k, x, _geometric_n(k / (qm - 1), qm, goal), goal)
+        _budget(n, prec, "phi_q")
+        bits = mp.prec + STREAM_GUARD
+        truncation = _linear_geometric_tail(k, x, n)
+        rounding = mp.ldexp(mpf(3 * n * (n - 1)) / 8, -bits)
+    totals = _phi_q_sums(s, qp, n, bits)
+    return _series("phi_q", prec, n, truncation, rounding, goal, totals, bits)
 
 
 def _phi_q_sums(s, qp: QParam, n: int, bits: int) -> tuple[int, int]:
@@ -853,9 +831,8 @@ def _tornheim_q_series(r, s, t, qp: QParam, prec: PrecisionConfig) -> _Series:
         e = mp.ldexp(1, -bits)
         rounding = ((c + 2 * e) * _lambert_rounding(kappa, spread, gamma_1 + gamma_t, n, t, bits)
                     + 2 * e * mass)
-        plan = _Plan(terms, n, bits, truncation, rounding, goal, js)
     totals = _tornheim_q_lambert(r, s, t, qp, n, js, bits)
-    return _series("tornheim_q", plan, prec, totals, 6 * bits)
+    return _series("tornheim_q", prec, terms, truncation, rounding, goal, totals, 6 * bits)
 
 
 def _ceil_bits(x: mpf) -> int:
@@ -1225,7 +1202,7 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
             else:
                 raise DomainError(f"evaluate_reduction: unknown term kind {kind!r}")
             if abs(total) > series.limit:  # _summed raises if this term misses its goal
-                _summed(series.what, series.plan, prec, total, series.scale)
+                _summed(series, prec, total)
             weight = coeff.numerator * (den // coeff.denominator)
             groups[kind.one_minus_q_pow, p] += weight * total << scale - series.scale
         n, d = qp.ratio.numerator, qp.ratio.denominator
@@ -1261,14 +1238,15 @@ def _memo(kernel, *args) -> SumInfo | _Series:
 
 
 def memo_stats() -> dict:
-    """Hits, misses and size of _memo, sums, plans and totals together, and
-    for the q-term tables (_tables) their number, the terms stored, the
-    budget, and their hits and misses.  A call that a kernel rejects inside
-    _memo (_budget raising from _zeta_sum, _double_sum or a q-kernel's plan)
-    counts one miss, for the one entry it looked up, and stores nothing: a
-    classical kernel, or a public q-kernel call or a term of
-    evaluate_reduction (its _Series).  Each plans before it sums, so a
-    rejected call sums nothing."""
+    """Hits, misses and size of _memo, whose entries are the classical
+    SumInfos and one _Series record per sign-free q-series, and for the
+    q-term tables (_tables) their number, the terms stored, the budget, and
+    their hits and misses.  A call that a kernel rejects inside _memo
+    (_budget raising from _zeta_sum, _double_sum or a q-kernel's _Series
+    builder) counts one miss, for the one entry it looked up, and stores
+    nothing: a classical kernel, or a public q-kernel call or a term of
+    evaluate_reduction.  Each checks _budget before it sums, so a rejected
+    call sums nothing."""
     info = _memo.cache_info()
     return {"memo": {"hits": info.hits, "misses": info.misses, "size": info.currsize},
             "tables": _tables.stats()}

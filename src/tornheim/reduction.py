@@ -54,7 +54,6 @@ __all__ = [
     "theorem1_reduce",
     "corollary1_reduce",
     "reduction_to_json",
-    "reduction_from_json",
     "VARIANTS",
 ]
 
@@ -255,7 +254,7 @@ def verify_lemma1(r: int, s: int, u: int, v: int, q: Fraction | int | str) -> bo
     """Exact rational check of the partial-fraction identity at one point."""
     if u < 1 or v < 1:
         raise DomainError(f"verify_lemma1: u, v must be >= 1, got {(u, v)}")
-    q = Fraction(q)
+    q = Fraction(as_rational(q))  # a Fraction, so that (q^n - 1)/(q - 1) stays exact
     if q == 1:
         raise DomainError("verify_lemma1: q must differ from 1")
     qu, qv, quv = ((q ** n - 1) / (q - 1) for n in (u, v, u + v))
@@ -425,28 +424,6 @@ def _kind_to_json(kind: QTermKind) -> dict:
     raise DomainError(f"unknown term kind {kind!r}")
 
 
-def _kind_from_json(obj: dict) -> QTermKind:
-    k = obj["kind"]
-    if k == "double_q_zeta":
-        return DoubleQZeta(
-            outer=SignedIndex.from_json(obj["outer"]),
-            inner=SignedIndex.from_json(obj["inner"]),
-            one_minus_q_pow=int(obj["one_minus_q_pow"]),
-        )
-    if k == "phi":
-        return PhiTerm(
-            index=SignedIndex.from_json(obj["index"]),
-            one_minus_q_pow=int(obj["one_minus_q_pow"]),
-        )
-    if k == "q_squared_zeta":
-        return QSquaredZeta(
-            index=as_rational(obj["index"]),
-            one_minus_q_pow=int(obj["one_minus_q_pow"]),
-            one_plus_q_pow=as_rational(obj["one_plus_q_pow"]),
-        )
-    raise DomainError(f"unknown term kind {k!r} in JSON")
-
-
 def reduction_to_json(red: Reduction) -> dict:
     return {
         "variant": red.variant,
@@ -457,15 +434,3 @@ def reduction_to_json(red: Reduction) -> dict:
             {"coeff": str(coeff), **_kind_to_json(kind)} for coeff, kind in red.terms
         ],
     }
-
-
-def reduction_from_json(obj: dict) -> Reduction:
-    return Reduction(
-        variant=obj["variant"],
-        r=int(obj["r"]),
-        s=int(obj["s"]),
-        t=as_rational(obj["t"]),
-        terms=tuple(
-            (Fraction(item["coeff"]), _kind_from_json(item)) for item in obj["terms"]
-        ),
-    )

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from tornheim.cli import main
 from tornheim.closedform import KNOWN_VALUES
 from tornheim.exact import ZetaExpression, expression_from_json, expression_to_json
-from tornheim.reduction import reduction_from_json, theorem1_reduce
+from tornheim.reduction import reduction_to_json, theorem1_reduce
 
 
 def run(capsys, *argv):
@@ -318,7 +318,27 @@ def test_reduce_fractional_t(capsys):
 def test_reduce_json_roundtrip(capsys):
     rc, out, _ = run(capsys, "reduce", "T", "2", "1", "2", "--format", "json")
     assert rc == 0
-    assert reduction_from_json(json.loads(out)) == theorem1_reduce(2, 1, 2, "T")
+    assert json.loads(out) == reduction_to_json(theorem1_reduce(2, 1, 2, "T"))
+
+
+# SHA-256 of the stdout of each command; pins reduction_to_json, the
+# classical reduction's JSON and result_to_json (provenance included) byte
+# for byte.
+JSON_SHA256 = {
+    ("reduce", "T", "2", "1", "2", "--format", "json"):
+        "548b9678cfe26435b9142cb5ef9df2efe22edb37eb8bd09c92247247cb31cf84",
+    ("reduce", "T", "3", "2", "1", "--classical", "--format", "json"):
+        "1de7bd08932e40a6c8c366bbec78f90f2a78d3d5c496ad89bc8d7e42c647451d",
+    ("eval", "R", "1", "2", "2", "--format", "json"):
+        "a95c86a83ff1958a88c4035a4abc0d3812a3de29a61ff172283896b8325d40c9",
+}
+
+
+@pytest.mark.parametrize("argv", list(JSON_SHA256), ids=" ".join)
+def test_json_output_golden(capsys, argv):
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == JSON_SHA256[argv]
 
 
 def test_reduce_classical(capsys):

@@ -1,5 +1,4 @@
 """Closed-form route: reference table, identity goldens, numeric cross-checks."""
-import json
 from fractions import Fraction as F
 from functools import lru_cache
 from math import comb
@@ -11,11 +10,8 @@ from tornheim import closedform
 from tornheim.closedform import (
     ALT_ZETA_AT_ZERO,
     KNOWN_VALUES,
-    EvaluationResult,
     closed_form_table,
     double_euler_closed,
-    result_from_json,
-    result_to_json,
     tornheim_closed,
 )
 from tornheim.errors import DivergenceError, DomainError
@@ -366,11 +362,3 @@ def test_provenance_records_rules():
     assert alt.provenance[-1].rule == "alternating-zeta-at-zero"
     for result in (res, plain, alt):
         assert all("identity" not in dict(step.details) for step in result.provenance)
-
-
-def test_result_json_roundtrip():
-    res = tornheim_closed(1, 2, 2, "R")
-    blob = json.dumps(result_to_json(res))
-    back = result_from_json(json.loads(blob))
-    assert isinstance(back, EvaluationResult)
-    assert back == res

@@ -110,18 +110,29 @@ def test_zeta_const_signed_matches_mpmath_oracle():
 
 # ---------------------------------------------------------------- SignedIndex
 
-def test_signed_index_parse_render_roundtrip():
-    for text in ["1", "2-", "5/2", "7/2-", "10"]:
-        si = SignedIndex.parse(text)
+def test_signed_index_render_and_json():
+    for value, sign, text in [(1, 1, "1"), (2, -1, "2-"), (F(5, 2), 1, "5/2"),
+                              (F(7, 2), -1, "7/2-"), (10, 1, "10")]:
+        si = SignedIndex(value, sign)
         assert str(si) == text
-        assert SignedIndex.from_json(si.to_json()) == si
+        assert si.to_json() == {"value": str(F(value)), "sign": sign}
 
 
 def test_signed_index_validation():
-    with pytest.raises(DomainError):
-        SignedIndex(2, 0)
-    with pytest.raises(DomainError):
-        SignedIndex.parse("abc")
+    for value, sign in ((2, 0), ("2", 1), (2.5, 1)):
+        with pytest.raises(DomainError):
+            SignedIndex(value, sign)
+
+
+def test_signed_index_has_slots_and_keeps_its_value_semantics():
+    si = SignedIndex(F(3, 2), -1)
+    assert not hasattr(si, "__dict__")
+    with pytest.raises(AttributeError):
+        si.sign = 1
+    assert hash(si) == hash(SignedIndex(F(3, 2), -1))
+    assert len({si, SignedIndex(F(3, 2), -1), SignedIndex(2)}) == 2
+    assert sorted([SignedIndex(2), si, SignedIndex(1, -1), SignedIndex(2, -1)]) == [
+        SignedIndex(1, -1), si, SignedIndex(2, -1), SignedIndex(2)]
 
 
 # ---------------------------------------------------------------- monomials

@@ -59,6 +59,17 @@ def test_precision_config_validation():
     assert PrecisionConfig().working_dps == 45
 
 
+def test_precision_config_rejects_an_infinite_tail_goal():
+    # an infinite goal would plan no terms: the kernels would shift by a
+    # negative count, and classical_double_euler would return 0.0
+    for goal in (float("inf"), mpf("inf")):
+        with pytest.raises(DomainError, match="tail_goal must be finite"):
+            PrecisionConfig(tail_goal=goal)
+    with pytest.raises(DomainError, match="tail_goal must be positive"):
+        PrecisionConfig(tail_goal=float("nan"))
+    assert PrecisionConfig(tail_goal=1e300).goal() == mpf(1e300)
+
+
 def test_qparam_validation():
     with pytest.raises(DomainError):
         QParam(1)
@@ -1300,16 +1311,20 @@ def test_series_limit_is_a_total_that_bound_accepts():
     with mp.workdps(prec.working_dps):
         goal, p = mpf(10) ** -17, mp.prec
         for used in (0, mpf(1) / 2, 1 - mp.ldexp(1, 4 - p), 1 - mp.ldexp(1, 2 - p), 1):
-            plan = numeric._Plan(10, 10, p + 32, goal * used * 3 / 4, goal * used / 4, goal)
+            truncation, rounding = goal * used * 3 / 4, goal * used / 4
             for scale in (p + 32, 2 * (p + 32)):
-                series = numeric._series("q_zeta2", plan, prec, (0,), scale)
+                series = numeric._series("q_zeta2", prec, 10, truncation, rounding, goal,
+                                         (0,), scale)
+                assert (series.truncation, series.rounding, series.goal, series.scale,
+                        series.terms) == (truncation, rounding, goal, scale, 10)
                 if series.limit < 0:
                     assert used > 1 - mp.ldexp(1, 3 - p), used
                     continue
                 for total in (series.limit, -series.limit):
-                    numeric._summed("q_zeta2", plan, prec, total, scale)
+                    assert numeric._summed(series, prec, total).terms == 10
+                assert series.info(prec, 1).value == 0
                 with pytest.raises(PrecisionError):
-                    numeric._summed("q_zeta2", plan, prec, 3 * series.limit + 3, scale)
+                    numeric._summed(series, prec, 3 * series.limit + 3)
 
 
 @pytest.mark.parametrize("digits", [12, 30])

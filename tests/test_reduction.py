@@ -1,4 +1,4 @@
-"""Tests for partial fractions, depth-2 reductions, and their serialization."""
+"""Tests for partial fractions and depth-2 reductions."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -8,7 +8,8 @@ import pytest
 
 from tornheim import reduction
 from tornheim.errors import DivergenceError, DomainError
-from tornheim.exact import SignedIndex
+from tornheim.exact import SignedIndex, as_rational
+from tornheim.numeric import tornheim_q_info
 from tornheim.reduction import (
     DoubleQZeta,
     PhiTerm,
@@ -16,8 +17,6 @@ from tornheim.reduction import (
     Reduction,
     corollary1_reduce,
     lemma1_expand,
-    reduction_from_json,
-    reduction_to_json,
     theorem1_reduce,
     trinomial,
     verify_corollary1,
@@ -95,6 +94,24 @@ def test_verify_lemma1_accepts_string_q():
 def test_verify_lemma1_rejects_q_equal_one():
     with pytest.raises(DomainError):
         verify_lemma1(1, 1, 1, 1, 1)
+
+
+def test_malformed_rationals_raise_domain_error():
+    # every exception Fraction() raises for a non-finite float, None or a
+    # bad string reaches the caller as DomainError
+    calls = (
+        lambda: theorem1_reduce(1, 1, float("inf")),
+        lambda: tornheim_q_info(1, 1, float("inf"), q=2),
+        lambda: verify_lemma1(1, 1, 1, 1, float("inf")),
+        lambda: as_rational(None),
+        lambda: verify_lemma1(1, 1, 1, 1, "x"),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="not a rational number"):
+            call()
+    # an integral q stays a Fraction: in floats, [n] = (q^n - 1)/(q - 1)
+    # would round, and this point of the identity would fail
+    assert verify_lemma1(1, 2, 1, 3, 2) and verify_lemma1(1, 2, 1, 3, 2.0)
 
 
 def test_lemma1_dropping_a_term_breaks_identity():
@@ -382,19 +399,3 @@ def test_verify_corollary1_catches_a_wrong_reduction(monkeypatch, mutate):
         monkeypatch.setattr(reduction, "corollary1_reduce", lambda *args: wrong)
         assert not verify_corollary1(r, s, t, variant, 3), (variant, r, s, t)
         monkeypatch.undo()
-
-
-# ---------------------------------------------------------------- JSON
-
-def test_reduction_json_roundtrip():
-    for args in [(1, 1, 1, "T"), (3, 2, 2, "S"), (2, 2, 0, "R"), (2, 1, F(1, 2), "R")]:
-        red = theorem1_reduce(*args)
-        assert reduction_from_json(reduction_to_json(red)) == red
-
-
-def test_reduction_json_is_plain_data():
-    import json
-
-    red = theorem1_reduce(2, 1, F(1, 2), "R")
-    text = json.dumps(reduction_to_json(red))
-    assert reduction_from_json(json.loads(text)) == red
