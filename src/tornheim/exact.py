@@ -90,13 +90,15 @@ def zeta_const(k: int, sign: int = 1) -> "ZetaExpression":
 # signed indices
 # ----------------------------------------------------------------------
 
-def as_rational(value) -> int | Fraction:
+def as_rational(value, what: str = "") -> int | Fraction:
     """'3', '1/2', 7, Fraction(4, 2), ... as an int when integral, else a
-    Fraction; anything else (a non-finite float, None, ...) raises DomainError."""
+    Fraction; anything else (a non-finite float, None, ...) raises
+    DomainError, its message led by what, the argument's name, if given."""
     try:
         frac = Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
-        raise DomainError(f"not a rational number: {value!r}") from exc
+        lead = f"{what}: " if what else ""
+        raise DomainError(f"{lead}not a rational number: {value!r}") from exc
     return int(frac) if frac.denominator == 1 else frac
 
 

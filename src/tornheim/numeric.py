@@ -96,10 +96,10 @@ import math
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
-from itertools import accumulate
-from numbers import Real
-from operator import floordiv, lshift, mul, neg, rshift
+from functools import cached_property, lru_cache
+from itertools import accumulate, islice, repeat, takewhile
+from numbers import Integral, Real
+from operator import add, floordiv, lshift, mul, neg, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -142,21 +142,32 @@ class PrecisionConfig:
     """Requested precision: output digits, term budget, and tail goal.
 
     tail_goal is the absolute truncation-error target, positive and finite;
-    None means 10^-(digits+5).  Working precision is digits + 15.
+    None means 10^-(digits+5).  Working precision is digits + 15.  Its hash
+    is computed once, as every _memo lookup hashes it.
     """
     digits: int = 30
     max_terms: int = 2_000_000
     tail_goal: float | None = None
 
     def __post_init__(self) -> None:
+        for name, value in (("digits", self.digits), ("max_terms", self.max_terms)):
+            if not isinstance(value, Integral):
+                raise DomainError(f"PrecisionConfig: {name} must be an integer, got {value!r}")
         if self.digits < 10:
             raise DomainError(f"PrecisionConfig: digits must be >= 10, got {self.digits}")
         if self.max_terms < 100:
             raise DomainError(f"PrecisionConfig: max_terms must be >= 100, got {self.max_terms}")
+        if self.tail_goal is not None and not isinstance(self.tail_goal, Real):
+            raise DomainError(
+                f"PrecisionConfig: tail_goal must be a number, got {self.tail_goal!r}")
         if self.tail_goal is not None and not self.tail_goal > 0:
             raise DomainError("PrecisionConfig: tail_goal must be positive")
         if self.tail_goal == math.inf:
             raise DomainError(f"PrecisionConfig: tail_goal must be finite, got {self.tail_goal}")
+        object.__setattr__(self, "_hash", hash((self.digits, self.max_terms, self.tail_goal)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def working_dps(self) -> int:
@@ -226,10 +237,7 @@ def _qparam(q) -> QParam:
     one object per input and its type, so that 2 and 2.0 keep their own
     str().  Rejected input raises DomainError and is not kept."""
     if isinstance(q, str):
-        try:
-            q = as_rational(q)
-        except DomainError as exc:
-            raise DomainError(f"q: {exc}") from None
+        q = as_rational(q, "q")
     return QParam(q)
 
 
@@ -245,10 +253,11 @@ def _xm(x) -> mpf:
 
 
 def _exponent(x, what: str) -> int | Fraction:
-    """A q-side exponent exactly (a float by its binary value); DomainError
-    unless its denominator is at most MAX_EXPONENT_DENOMINATOR, which keeps
-    the d-th roots of the q-term table (_stream_terms) cheap."""
-    y = as_rational(x)
+    """A q-side exponent exactly (a float by its binary value); DomainError,
+    led by what (the kernel and the argument's name), unless it is rational
+    with a denominator of at most MAX_EXPONENT_DENOMINATOR, which keeps the
+    d-th roots of the q-term table (_stream_terms) cheap."""
+    y = as_rational(x, what)
     if (d := Fraction(y).denominator) > MAX_EXPONENT_DENOMINATOR:
         raise DomainError(f"{what}: exponent {y} has denominator {d}, above the "
                           f"{MAX_EXPONENT_DENOMINATOR} the q-side takes")
@@ -343,32 +352,40 @@ def _iroot(n: int, d: int, x: int = 0) -> int:
         x = y
 
 
-def _fixed_pow(w: int, m: int, g: int) -> int:
-    """2^g (w 2^-g)^m for m >= 0 by binary powering in g-bit fixed point,
-    each product floored: within 3m max(1, (w 2^-g)^m) units when
-    9 m^2 <= 2^g (by induction, as every power of w 2^-g is on the same
-    side of 1)."""
+def _fixed_pows(w: list[int], m: int, g: int) -> list[int]:
+    """2^g (v 2^-g)^m for each v of w and m >= 0, by binary powering in
+    g-bit fixed point over the whole list, each product floored: within
+    3m max(1, (v 2^-g)^m) units when 9 m^2 <= 2^g (by induction, as every
+    power of v 2^-g is on the same side of 1)."""
     if not m:
-        return 1 << g
-    v = w
+        return [1 << g] * len(w)
+    base = w
     for bit in bin(m)[3:]:
-        v = v * v >> g
+        w = list(map(rshift, map(mul, w, w), repeat(g)))
         if bit == "1":
-            v = v * w >> g
-    return v
+            w = list(map(rshift, map(mul, w, base), repeat(g)))
+    return w
+
+
+class _Table(list):
+    """The stored entries of one table, and state, what its grow resumes
+    from (None before the first grow)."""
+    state = None
 
 
 class _TableMemo:
     """Growable tables of terms, bounded by one budget of stored terms.
 
-    table(key, n, grow) returns entries 1..n of the table for key, appending
-    the list grow(start, n) of entries start+1..n to what is stored; nothing
-    stored is recomputed.  Tables are kept in order of last use, and once a
-    call has grown one the least recently used are dropped until at most
-    budget terms are stored.  A table longer than the whole budget is
-    returned but not kept, and the others stay.  Hits (key stored) and misses
-    are counted.  lists maps each key to the stored entries, least recently
-    used first.
+    table(key, n, grow) returns entries 1..n of the table for key.  A table
+    shorter than n is extended by grow(start, n, state), which returns the
+    list of entries start+1..n and the state to resume from, given the state
+    the last grow of the table returned (None for a new table); the state is
+    kept with the table and dropped with it, and nothing stored is
+    recomputed.  Tables are kept in order of last use, and once a call has
+    grown one the least recently used are dropped until at most budget terms
+    are stored.  A table longer than the whole budget is returned but not
+    kept, and the others stay.  Hits (key stored) and misses are counted.
+    lists maps each key to the stored entries, least recently used first.
     """
 
     def __init__(self, budget: int) -> None:
@@ -383,12 +400,13 @@ class _TableMemo:
         entries = self.lists.pop(key, None)
         if entries is None:
             self.misses += 1
-            entries = []
+            entries = _Table()
         else:
             self.hits += 1
             self.stored -= len(entries)
         if len(entries) < n:
-            entries.extend(grow(len(entries), n))
+            more, entries.state = grow(len(entries), n, entries.state)
+            entries.extend(more)
         if len(entries) <= self.budget:
             self.lists[key] = entries
             self.stored += len(entries)
@@ -416,24 +434,29 @@ def _stream_terms(qp: QParam, bits: int, e, x, n: int) -> list[int]:
     R_k = q^k/[k] = (q-1)/(1 - q^-k) lies in (q-1, q]:
 
     * P_k = floor(P_(k-1) b / a) from P_0 = 2^G stands for 2^G q^-k and errs
-      low by e_k = e_(k-1)/q + [0, 1) < c units.  A restart at k replays it
-      from P_0, so a table grown in pieces equals one filled at once.
+      low by e_k = e_(k-1)/q + [0, 1) < c units.  The last P_k of a table is
+      kept with it in _tables, and a table grown from k resumes the
+      recurrence there, so a table grown in pieces equals one filled at
+      once.  (A restart from floor(2^G b^k / a^k) would not: it moves some
+      entries by one unit.)
     * floor((a-b) 2^(2G) / (b (2^G - P_k))) is 2^G R_k low by at most
       (c^2 + c) 2^-G relative, as 1 - q^-k >= 1/c and 1/R_k < c.  It never
       grows with k, so neither does S_k, its floored d-th root times
-      2^(G(1-1/d)) for x = m/d (_iroot, started from S_(k-1)), which is
-      2^G R_k^(1/d) low by at most (c^2 + 2c) 2^-G relative.
+      2^(G(1-1/d)) for x = m/d (math.isqrt over the list for d = 2, else
+      _iroot started from S_(k-1)), which is 2^G R_k^(1/d) low by at most
+      (c^2 + 2c) 2^-G relative.
     * W_k = S_k for x >= 0, or floor(2^(2G) / S_k) for x < 0, is 2^G w_k,
       w_k = R_k^(+-1/d), within a relative eps = (2c^2 + 4c + q) 2^-G.
-    * V_k = _fixed_pow(W_k, |m|) is within 3 |m| max(1, w^|m|) units of
-      2^G w^|m|, w = W_k 2^-G, and w^|m| is within 1.01 |m| eps relative of
-      R_k^x.  With K >= max(1, R_k^x), q^ceil(x) for x >= 0 and c^ceil(-x)
-      for x < 0, V_k is within |m| K (10 c^2 + 2q) units of 2^G R_k^x.
+    * V_k, from _fixed_pows over the list of the W_k, is within
+      3 |m| max(1, w^|m|) units of 2^G w^|m|, w = W_k 2^-G, and w^|m| is
+      within 1.01 |m| eps relative of R_k^x.  With K >= max(1, R_k^x),
+      q^ceil(x) for x >= 0 and c^ceil(-x) for x < 0, V_k is within
+      |m| K (10 c^2 + 2q) units of 2^G R_k^x.
     * When x - e = 1 the term is V_k P_k 2^-G, which adds c K + 1 units.
 
     In all, E = K (|m| (10 c^2 + 2q) + c) + 2 units, and guard is the bit
     length of max(ceil(4E), 9 m^2), so the error is at most 2^-bits / 4
-    before rounding to the nearest integer adds 1/2, and _fixed_pow's count
+    before rounding to the nearest integer adds 1/2, and _fixed_pows' count
     holds.  The guard depends on q and x, not on n.  The entries carry no
     sign: a sum over sign^k F_k is the sum over even k plus sign times the
     sum over odd k, so the kernels split their sums by parity and serve
@@ -441,18 +464,21 @@ def _stream_terms(qp: QParam, bits: int, e, x, n: int) -> list[int]:
 
     Memory: an entry is a Python int and its list slot, about bits/8 + 36
     bytes, and _tables keeps at most TABLE_BUDGET entries of all its tables
-    together once a call returns.  At 30 digits the 576-case q_sweep grid
-    stores about 12,700 entries in 111 tables (0.7 MB), 3 of them the
-    powers q^-k of tornheim_q.  The 144-case q_limit grid (goal 1e-7) stores
-    about 54,000 in 60 (2.5 MB); 12 of them, about 16,700 entries, are the
-    factors and powers of tornheim_q's Lambert sums, most at q = 101/100.
+    together once a call returns.  Each stored table also keeps its last
+    P_k, one int of G bits, dropped with the table.  At 30 digits the
+    576-case q_sweep grid stores about 12,700 entries in 111 tables
+    (0.7 MB), 3 of them the powers q^-k of tornheim_q.  The 144-case
+    q_limit grid (goal 1e-7) stores about 54,000 in 60 (2.5 MB); 12 of
+    them, about 16,700 entries, are the factors and powers of tornheim_q's
+    Lambert sums, most at q = 101/100.  It grows them in 115 fills, which
+    run the recurrence once per stored entry, 54,017 steps.
     """
     shift = Fraction(x) - Fraction(e)
     if shift not in (0, 1):
         raise ValueError(f"_stream_terms: x - e must be 0 or 1, got {shift}")
     down = shift == 1  # the term carries q^-k
 
-    def grow(start: int, n: int) -> list[int]:
+    def grow(start: int, n: int, p: int | None) -> tuple[list[int], int]:
         q, y = Fraction(qp.value), Fraction(x)
         a, b, m, d = q.numerator, q.denominator, abs(y.numerator), y.denominator
         c, negative = Fraction(a, a - b), y < 0
@@ -460,27 +486,29 @@ def _stream_terms(qp: QParam, bits: int, e, x, n: int) -> list[int]:
         units = k * (m * (10 * c * c + 2 * q) + c) + 2
         guard = max(math.ceil(4 * units), 9 * m * m).bit_length()
         g = bits + guard
-        one, num = 1 << g, (a - b) << 2 * g
-        p, powers = one, []
-        for _ in range(n):
+        one = 1 << g
+        p, powers = one if p is None else p, []  # P_start, 2^G for a new table
+        for _ in range(n - start):
             p = p * b // a
-            powers.append(p)
-        del powers[:start]  # P_k for k = start+1..n
-        w = [num // (b * (one - p)) for p in powers]  # 2^G R_k
-        if d > 1:
-            root, lift = 0, g * (d - 1)
-            for i, v in enumerate(w):
-                w[i] = root = _iroot(v << lift, d, root)
-        if negative:
-            top = 1 << 2 * g
-            w = [top // v for v in w]
-        if m != 1:
-            w = [_fixed_pow(v, m, g) for v in w]
+            powers.append(p)  # P_k for k = start+1..n
+        w = powers  # for x = 0, _fixed_pows reads only its length
+        if m:
+            num = (a - b) << 2 * g
+            w = [num // (b * (one - pk)) for pk in powers]  # 2^G R_k
+            if d == 2:
+                w = list(map(math.isqrt, map(lshift, w, repeat(g))))
+            elif d > 2:
+                root, lift = 0, g * (d - 1)
+                for i, v in enumerate(w):
+                    w[i] = root = _iroot(v << lift, d, root)
+            if negative:
+                w = list(map(floordiv, repeat(1 << 2 * g), w))
+        w = _fixed_pows(w, m, g)
         if down:
-            w = list(map(mul, w, powers))
+            w = map(mul, w, powers)
         drop = guard + g * down
         half = 1 << (drop - 1)
-        return [(v + half) >> drop for v in w]
+        return list(map(rshift, map(add, w, repeat(half)), repeat(drop))), p
 
     return _tables.table((qp, bits, e, x), n, grow)
 
@@ -572,7 +600,7 @@ def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) 
     totals of both signs come from _memo (_q_zeta1_series).
     """
     _sign_ok(sign)
-    s = _exponent(s, "q_zeta1")
+    s = _exponent(s, "q_zeta1: s")
     qp = _as_q(q)
     prec = _as_prec(prec)
     return _memo(_q_zeta1_series, s, qp, prec).info(prec, sign)
@@ -581,7 +609,7 @@ def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) 
 def _q_zeta1_series(s, qp: QParam, prec: PrecisionConfig) -> _Series:
     """q_zeta1's _Series: its cutoff and bound, the same for both signs, then
     the totals of both signs."""
-    s = _exponent(s, "q_zeta1")
+    s = _exponent(s, "q_zeta1: s")
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         goal = prec.goal()
@@ -623,7 +651,7 @@ def q_zeta2_info(
     and the totals of all four sign pairs come from _memo (_q_zeta2_series).
     """
     _sign_ok(sign1), _sign_ok(sign2)
-    s1, s2 = _exponent(s1, "q_zeta2"), _exponent(s2, "q_zeta2")
+    s1, s2 = _exponent(s1, "q_zeta2: s1"), _exponent(s2, "q_zeta2: s2")
     qp = _as_q(q)
     prec = _as_prec(prec)
     return _memo(_q_zeta2_series, s1, s2, qp, prec).info(prec, sign1, sign2)
@@ -632,7 +660,7 @@ def q_zeta2_info(
 def _q_zeta2_series(s1, s2, qp: QParam, prec: PrecisionConfig) -> _Series:
     """q_zeta2's _Series: its cutoff and bound, the same for all four sign
     pairs, then the totals of all four."""
-    s1, s2 = _exponent(s1, "q_zeta2"), _exponent(s2, "q_zeta2")
+    s1, s2 = _exponent(s1, "q_zeta2: s1"), _exponent(s2, "q_zeta2: s2")
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         goal = prec.goal()
@@ -696,7 +724,7 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
     and the totals of both signs come from _memo (_phi_q_series).
     """
     _sign_ok(sign)
-    s = _exponent(s, "phi_q")
+    s = _exponent(s, "phi_q: s")
     qp = _as_q(q)
     prec = _as_prec(prec)
     return _memo(_phi_q_series, s, qp, prec).info(prec, sign)
@@ -705,7 +733,7 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
 def _phi_q_series(s, qp: QParam, prec: PrecisionConfig) -> _Series:
     """phi_q's _Series: its cutoff and bound, the same for both signs, then
     the totals of both signs."""
-    s = _exponent(s, "phi_q")
+    s = _exponent(s, "phi_q: s")
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         goal = prec.goal()
@@ -793,7 +821,8 @@ def tornheim_q_info(
     (_tornheim_q_series), as it does for q_zeta1, q_zeta2 and phi_q.
     """
     _sign_ok(sigma), _sign_ok(tau)
-    r, s, t = (_exponent(x, "tornheim_q") for x in (r, s, t))
+    r, s = _exponent(r, "tornheim_q: r"), _exponent(s, "tornheim_q: s")
+    t = _exponent(t, "tornheim_q: t")
     qp = _as_q(q)
     prec = _as_prec(prec)
     r, s, sigma, tau = _orient(r, s, sigma, tau)
@@ -873,24 +902,42 @@ def _lambert_sum(a: list[int], b: list[int], x: list[int], t, bits: int,
     A_j = E_j + sigma O_j, where E_j sums the even u, read from
     x[2j+1::2(j+1)], and O_j the odd u, from x[j::2(j+1)]: k = (j+1)u for
     u <= ceil((len(x) + 1)/(j+1)) - 1, where the dot products stop when a
-    and b are at least as long as x.  b is a shares its split.  Stops at the
-    first zero weight, as every later one is zero too."""
+    and b are at least as long as x.  E_j +- O_j and E'_j +- O'_j are
+    collected per j, and the four totals are dot products of the lists
+    B_j (E_j +- O_j) and E'_j +- O'_j; b is a shares its split, and then
+    the (+, -) and (-, +) totals are equal.
+
+    From j = len(x) // 2 on, 2j + 1 is past the end of x, so E_j = 0 and
+    the cut is U_j = 1: A_j = sigma a_1 x_(j+1).  That whole tail is
+    sigma tau a_1 b_1 sum_j B_j x_(j+1)^2, one dot product, which enters
+    the four totals with signs (+, -, -, +).  The weights stop at the
+    first zero one, as every later one is zero too."""
+    weights = list(islice(takewhile(bool, _lambert_weights(t, bits)), js))
+    head = weights[:len(x) // 2]
     a_even, a_odd = a[1::2], a[::2]
     b_even, b_odd = (a_even, a_odd) if b is a else (b[1::2], b[::2])
-    pos_pos = pos_neg = neg_pos = neg_neg = 0
-    for j, beta in zip(range(js), _lambert_weights(t, bits)):
-        if not beta:
-            break
+    a_pos, a_neg, b_pos, b_neg = [], [], [], []  # E_j +- O_j and E'_j +- O'_j
+    for j in range(len(head)):
         x_even, x_odd = x[2 * j + 1::2 * j + 2], x[j::2 * j + 2]
         e, o = sum(map(mul, a_even, x_even)), sum(map(mul, a_odd, x_odd))
-        a_pos, a_neg = beta * (e + o), beta * (e - o)
+        a_pos.append(e + o)
+        a_neg.append(e - o)
         if b is not a:
             e, o = sum(map(mul, b_even, x_even)), sum(map(mul, b_odd, x_odd))
-        pos_pos += a_pos * (e + o)
-        pos_neg += a_pos * (e - o)
-        neg_pos += a_neg * (e + o)
-        neg_neg += a_neg * (e - o)
-    return pos_pos, pos_neg, neg_pos, neg_neg
+            b_pos.append(e + o)
+            b_neg.append(e - o)
+    if b is a:
+        b_pos, b_neg = a_pos, a_neg
+    a_pos = list(map(mul, head, a_pos))
+    a_neg = list(map(mul, head, a_neg))
+    pos_neg = sum(map(mul, a_pos, b_neg))
+    neg_pos = pos_neg if b is a else sum(map(mul, a_neg, b_pos))
+    tail_x = x[len(head):len(weights)]
+    tail = sum(map(mul, weights[len(head):], map(mul, tail_x, tail_x)))
+    if tail:
+        tail *= a[0] * b[0]
+    return (sum(map(mul, a_pos, b_pos)) + tail, pos_neg - tail, neg_pos - tail,
+            sum(map(mul, a_neg, b_neg)) + tail)
 
 
 def _lambert_rounding(kappa: mpf, spread: mpf, gammas: mpf, n: int, t, bits: int) -> mpf:
@@ -1090,7 +1137,8 @@ def _half_values(letters, n: int, bits: int, shared: int = 0) -> list[int]:
     t = [1 << bits] + [0] * n
     values = [t[0]]
     for j, c in enumerate(letters[:shared], 1):
-        t = [0, *_tables.table((bits, tuple(letters[:j])), n, partial(_letter, t, c))]
+        grow = lambda start, n, state: (_letter(t, c, start, n), state)
+        t = [0, *_tables.table((bits, tuple(letters[:j])), n, grow)]
         values.append(sum(t))
     for c in letters[shared:]:
         t = [0, *_letter(t, c, 0, n)]

@@ -344,7 +344,7 @@ def theorem1_reduce(r: int, s: int, t, variant: str = "T") -> Reduction:
     _check_variant(variant)
     if not (isinstance(r, int) and isinstance(s, int)) or r < 1 or s < 1:
         raise DomainError(f"theorem1_reduce: r, s must be integers >= 1, got {(r, s)}")
-    return _theorem1_memo(r, s, as_rational(t), variant)
+    return _theorem1_memo(r, s, as_rational(t, "theorem1_reduce: t"), variant)
 
 
 @lru_cache(maxsize=THEOREM1_MEMO_SIZE)

@@ -588,7 +588,9 @@ def test_readme_cli_examples_print_the_readme_lines(capsys):
             examples[line[len("tornheim "):]] = [shown[2:] for shown in output]
     assert list(examples) == [
         "eval R 1 1 1", "eval T 2 1 2 --q 2 --digits 30", "eval zeta2 4 1",
-        "eval zeta2 5/2 3/2 --q 1001/1000", "eval zeta2 4 2 --digits 120", "reduce R 1 1 1",
+        "eval zeta2 5/2 3/2 --q 1001/1000",
+        "eval T 2 1 2 --q 101/100 --digits 12 --max-terms 100000000",
+        "eval zeta2 4 2 --digits 120", "reduce R 1 1 1",
     ]
     for command, expected in examples.items():
         rc, out, _ = run(capsys, *command.split())

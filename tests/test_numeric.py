@@ -70,6 +70,31 @@ def test_precision_config_rejects_an_infinite_tail_goal():
     assert PrecisionConfig(tail_goal=1e300).goal() == mpf(1e300)
 
 
+def test_precision_config_rejects_a_field_of_the_wrong_type():
+    # compared alone, the first three would escape as TypeError, and 30.5
+    # digits would run at 45.5 working digits
+    cases = [({"digits": "30"}, "digits must be an integer, got '30'"),
+             ({"max_terms": None}, "max_terms must be an integer, got None"),
+             ({"tail_goal": "1e-5"}, "tail_goal must be a number, got '1e-5'"),
+             ({"digits": 30.5}, "digits must be an integer, got 30.5")]
+    for fields, message in cases:
+        with pytest.raises(DomainError) as info:
+            PrecisionConfig(**fields)
+        assert str(info.value) == f"PrecisionConfig: {message}"
+
+
+def test_equal_precision_configs_hash_equal_and_share_memo_entries():
+    first, second = PrecisionConfig(digits=12), PrecisionConfig(12, 2_000_000, None)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert hash(first) == hash((12, 2_000_000, None))
+    assert PrecisionConfig(digits=12, tail_goal=1e-9) != first
+    numeric.clear_memos()
+    info = q_zeta1_info(3, 1, 2, first)
+    assert q_zeta1_info(3, 1, 2, second) == info
+    assert q_zeta1_info(3, -1, 2, second).terms == info.terms
+    assert numeric.memo_stats()["memo"] == {"hits": 2, "misses": 1, "size": 1}
+
+
 def test_qparam_validation():
     with pytest.raises(DomainError):
         QParam(1)
@@ -260,9 +285,9 @@ def test_q_term_table_meets_its_contract_at_large_exponents():
 
 def test_fixed_point_power_meets_its_count():
     g = 64
-    for w in (1, 3 << 60, (1 << 64) - 1, 1 << 64, (1 << 64) + 12345, 5 << 63):
-        for m in (0, 1, 2, 3, 7, 8, 100, 1001):
-            v = numeric._fixed_pow(w, m, g)
+    ws = [1, 3 << 60, (1 << 64) - 1, 1 << 64, (1 << 64) + 12345, 5 << 63]
+    for m in (0, 1, 2, 3, 7, 8, 100, 1001):
+        for w, v in zip(ws, numeric._fixed_pows(ws, m, g), strict=True):
             with mp.workprec(g * m + 200):
                 exact = mp.ldexp(mpf(w) ** m, g - g * m)
                 assert abs(v - exact) <= 3 * m * max(1, mp.ldexp(exact, -g)), (w, m)
@@ -293,10 +318,15 @@ def test_fixed_rational_power_is_within_two_units():
 def test_q_term_table_grown_in_pieces_equals_one_fill(monkeypatch):
     monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
     qp, bits = QParam(F(1001, 1000)), 97
-    # at x = 0 the entry is q^-k itself, where a restart from 2^G b^k // a^k
-    # instead of the replayed floors would move some entries by one unit
-    for e, x in [(F(3, 2), F(5, 2)), (F(-3, 5), F(2, 5)), (-1, 0)]:
-        for n in (1000, 5200, 6000):  # the last piece restarts past k = 5000
+    # each piece resumes the recurrence from the last P_k kept with the
+    # table; at x = 0 the entry is q^-k itself, where a restart from
+    # 2^G b^k // a^k instead would move some entries by one unit.  The pairs
+    # take the square root (d = 2) with m = 5, 1 and 3, the Newton root
+    # (d = 5) with m = 2, m = 0, and negative x.
+    pairs = [(F(3, 2), F(5, 2)), (F(-3, 2), F(-1, 2)), (F(-5, 2), F(-3, 2)),
+             (F(-3, 5), F(2, 5)), (-3, -2), (-1, 0)]
+    for e, x in pairs:
+        for n in (1, 2, 1000, 1001, 5200, 6000):
             pieces = numeric._stream_terms(qp, bits, e, x, n)
         numeric._tables.clear()
         assert pieces == numeric._stream_terms(qp, bits, e, x, 6000), (e, x)
@@ -580,20 +610,26 @@ def test_sign_free_totals_equal_the_signed_reference_sums(q):
                 prefixes = accumulate(_signed(table[y], g2))
                 reference = sum(map(mul, _signed(table[x], g1)[1:], prefixes))
                 assert numeric._at(zeta2, g1, g2) == reference, (x, y, g1, g2)
-    powers = numeric._stream_terms(qp, bits, -1, 0, n - 1)
-    for r, s in ((1, 1), (2, 1), (1, 3), (F(1, 2), F(1, 2)), (0, F(5, 2))):
-        for t in (0, 1, 2, F(1, 2), -1):
-            for js in (n - 1, 5):
-                totals = numeric._tornheim_q_lambert(r, s, t, qp, n, js, bits)
-                c = numeric._fixed_rational_power(F(qp.value) - 1, F(t), bits)
-                for sigma, tau in SIGN_PAIRS:
-                    a = _signed(numeric._stream_terms(qp, bits, r, r, n - 1), sigma)
-                    b = _signed(numeric._stream_terms(qp, bits, s, s, n - 1), tau)
-                    reference = 0
-                    for j, beta in zip(range(js), numeric._lambert_weights(t, bits)):
-                        xs = powers[j::j + 1]
-                        reference += beta * sum(map(mul, a, xs)) * sum(map(mul, b, xs))
-                    assert numeric._at(totals, sigma, tau) == c * reference, (r, s, t, sigma, tau)
+    # the Lambert sum over n - 1 powers, len(x) odd and even, with js on
+    # both sides of len(x) // 2, where the cut U_j = 1 starts, and n = 2
+    for n in (2, 36, 37):
+        powers = numeric._stream_terms(qp, bits, -1, 0, n - 1)
+        edge = (n - 1) // 2
+        cuts = sorted({min(js, n - 1) for js in (edge - 1, edge, edge + 1, n - 1, 5)} - {-1})
+        for r, s in ((1, 1), (2, 1), (1, 3), (F(1, 2), F(1, 2)), (0, F(5, 2))):
+            for t in (0, 1, 2, F(1, 2), -1):
+                for js in cuts:
+                    totals = numeric._tornheim_q_lambert(r, s, t, qp, n, js, bits)
+                    c = numeric._fixed_rational_power(F(qp.value) - 1, F(t), bits)
+                    for sigma, tau in SIGN_PAIRS:
+                        a = _signed(numeric._stream_terms(qp, bits, r, r, n - 1), sigma)
+                        b = _signed(numeric._stream_terms(qp, bits, s, s, n - 1), tau)
+                        reference = 0
+                        for j, beta in zip(range(js), numeric._lambert_weights(t, bits)):
+                            xs = powers[j::j + 1]
+                            reference += beta * sum(map(mul, a, xs)) * sum(map(mul, b, xs))
+                        assert numeric._at(totals, sigma, tau) == c * reference, (
+                            n, r, s, t, js, sigma, tau)
 
 
 def test_each_q_sum_runs_once_per_sign_free_key(monkeypatch):
@@ -619,6 +655,41 @@ def test_each_q_sum_runs_once_per_sign_free_key(monkeypatch):
     tornheim, series = 40, 52 + 16 + 16
     assert numeric.memo_stats()["memo"]["misses"] == tornheim + series
     numeric.clear_memos()  # the entries above are keyed on the counting wrappers
+
+
+Q_GRID_SERIES_SHA256 = "d87ae2f5865c4985cf301958819fe10b29896f362675fec783d732f2edb295f7"
+
+
+def test_q_series_totals_on_the_bench_grids_are_pinned(monkeypatch):
+    """Every _Series (terms, totals, scale, limit) that the criterion-4 grid
+    at 30 digits and the q -> 1 grid (q = 6/5, 11/10, 101/100 at digits 10,
+    goal 1e-7) read, both sides of every case, hashed: a faster table fill
+    or Lambert sum must leave every bit as it is."""
+    records = {}
+    memo = numeric._memo
+    def recording(kernel, *args):
+        series = memo(kernel, *args)
+        records[(kernel.__name__, *args)] = series
+        return series
+    numeric.clear_memos()
+    monkeypatch.setattr(numeric, "_memo", recording)
+    grids = [(("3/2", "2", "3"), range(1, 5), P30),
+             (("6/5", "11/10", "101/100"), range(1, 3),
+              PrecisionConfig(digits=10, tail_goal=1e-7, max_terms=10 ** 9))]
+    for qs, indices, prec in grids:
+        for q in qs:
+            for v in "TSR":
+                for r in indices:
+                    for s in indices:
+                        for t in (0, 1, 2, F(1, 2)):
+                            tornheim_q_info(r, s, t, *VARIANT_SIGNS[v], q, prec)
+                            evaluate_reduction(theorem1_reduce(r, s, t, v), q, prec)
+    digest = hashlib.sha256()
+    for key in sorted(records, key=repr):
+        series = records[key]
+        digest.update(repr((key, series.terms, series.totals, series.scale, series.limit)).encode())
+    assert len(records) == 372 + 126
+    assert digest.hexdigest() == Q_GRID_SERIES_SHA256
 
 
 def test_lambert_weights_are_the_binomial_series_within_their_count():

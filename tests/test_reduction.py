@@ -114,6 +114,16 @@ def test_malformed_rationals_raise_domain_error():
     assert verify_lemma1(1, 2, 1, 3, 2) and verify_lemma1(1, 2, 1, 3, 2.0)
 
 
+def test_a_malformed_exponent_is_named_in_the_error():
+    # as a malformed q names q, a malformed exponent names its argument
+    with pytest.raises(DomainError) as info:
+        tornheim_q_info(1, 1, float("inf"), q=2)
+    assert str(info.value) == "tornheim_q: t: not a rational number: inf"
+    with pytest.raises(DomainError) as info:
+        theorem1_reduce(1, 1, "x")
+    assert str(info.value) == "theorem1_reduce: t: not a rational number: 'x'"
+
+
 def test_lemma1_dropping_a_term_breaks_identity():
     # negative control: the identity is exact, so any missing piece must show
     r, s, u, v, q = 2, 2, 2, 3, F(2)
