@@ -56,8 +56,8 @@ from .reduction import (
     corollary1_reduce,
     reduction_to_json,
     theorem1_reduce,
-    verify_corollary1,
     verify_lemma1,
+    verify_theorem1,
 )
 
 __all__ = ["main", "build_parser"]
@@ -276,7 +276,7 @@ def _corollary1_cases(args, prec):
         for r in range(1, bound + 1):
             for s in range(1, bound + 1):
                 for t in range(1, bound + 1):
-                    ok = verify_corollary1(r, s, t, variant, COROLLARY1_WINDOW)
+                    ok = verify_theorem1(r, s, t, variant, 1, COROLLARY1_WINDOW)
                     yield ok, f"{variant}[{r},{s},{t}] exact on {COROLLARY1_WINDOW - 1} windows"
 
 

@@ -102,6 +102,15 @@ def as_rational(value, what: str = "") -> int | Fraction:
     return int(frac) if frac.denominator == 1 else frac
 
 
+def as_integer(value, what: str, least: int | None = None) -> int:
+    """value as an int if it is an int, not a bool, and no less than least
+    (when given); else DomainError led by what, the function and argument."""
+    if isinstance(value, bool) or not isinstance(value, int) or least is not None and value < least:
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{what} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class SignedIndex:
     """An exponent with an attached sign character.

@@ -88,7 +88,8 @@ recurrence, and the sum is rounded once.  Every cut A_j and the last j are
 planned from the goal.
 
 The classical Tornheim series converge too slowly to sum directly;
-reduction.verify_corollary1 checks Corollary 1 exactly on finite triangles.
+reduction.verify_theorem1 checks Theorem 1 exactly on finite triangles, and
+at q = 1 Corollary 1.
 """
 from __future__ import annotations
 
@@ -106,7 +107,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
 
 from .errors import DivergenceError, DomainError, PrecisionError
-from .exact import SignedIndex, as_rational, check_convergent
+from .exact import SignedIndex, as_integer, as_rational, check_convergent
 from .reduction import DoubleQZeta, PhiTerm, QSquaredZeta, corollary1_reduce
 
 __all__ = [
@@ -282,8 +283,7 @@ def _sign_ok(sign: int) -> int:
 
 def q_int(n: int, q, prec: PrecisionConfig | None = None) -> mpf:
     """The q-integer [n] = (q^n - 1)/(q - 1)."""
-    if n < 0:
-        raise DomainError(f"q_int: n must be >= 0, got {n}")
+    n = as_integer(n, "q_int: n", 0)
     qp = _as_q(q)
     prec = _as_prec(prec)
     with mp.workdps(prec.working_dps):

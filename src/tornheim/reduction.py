@@ -36,10 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .errors import DomainError
-from .exact import SignedIndex, as_rational, check_convergent
+from .exact import SignedIndex, as_integer, as_rational, check_convergent
 
 __all__ = [
     "DoubleQZeta",
@@ -50,7 +52,7 @@ __all__ = [
     "trinomial",
     "lemma1_expand",
     "verify_lemma1",
-    "verify_corollary1",
+    "verify_theorem1",
     "theorem1_reduce",
     "corollary1_reduce",
     "reduction_to_json",
@@ -192,7 +194,6 @@ class PartialFractionTerm:
     one_minus_q_pow: int
 
 
-@lru_cache(maxsize=256)
 def lemma1_expand(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
     """Exact expansion of 1/([u]^r [v]^s) into [u]/[u+v] and [v]/[u+v] pieces.
 
@@ -203,11 +204,15 @@ def lemma1_expand(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
       C: j in [1, min(r,s)]:
          -trinomial(r+s-j-1; r-j, s-j) (1-q)^j q^((s-j)u + (r-j)v) / [u+v]^(r+s-j)
 
-    Memoized (256 entries hold every (r, s) with r, s <= 16): a repeated call
-    returns the same tuple of frozen terms.
+    Memoized after the checks, which refuse a bool (True == 1): 256 entries
+    hold every (r, s) with r, s <= 16, and a repeated call returns the same
+    tuple of frozen terms.
     """
-    if r < 1 or s < 1:
-        raise DomainError(f"lemma1_expand: r, s must be >= 1, got {(r, s)}")
+    return _lemma1_memo(as_integer(r, "lemma1_expand: r", 1), as_integer(s, "lemma1_expand: s", 1))
+
+
+@lru_cache(maxsize=256)
+def _lemma1_memo(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
     terms: list[PartialFractionTerm] = []
     for a in range(r):
         for b in range(r - a):
@@ -252,9 +257,8 @@ def lemma1_expand(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
 
 def verify_lemma1(r: int, s: int, u: int, v: int, q: Fraction | int | str) -> bool:
     """Exact rational check of the partial-fraction identity at one point."""
-    if u < 1 or v < 1:
-        raise DomainError(f"verify_lemma1: u, v must be >= 1, got {(u, v)}")
-    q = Fraction(as_rational(q))  # a Fraction, so that (q^n - 1)/(q - 1) stays exact
+    r, s, u, v = (as_integer(x, f"verify_lemma1: {name}", 1) for x, name in zip((r, s, u, v), "rsuv"))
+    q = Fraction(as_rational(q, "verify_lemma1: q"))  # a Fraction, so that (q^n - 1)/(q - 1) stays exact
     if q == 1:
         raise DomainError("verify_lemma1: q must differ from 1")
     qu, qv, quv = ((q ** n - 1) / (q - 1) for n in (u, v, u + v))
@@ -268,39 +272,6 @@ def verify_lemma1(r: int, s: int, u: int, v: int, q: Fraction | int | str) -> bo
         val /= qu ** term.denom_u_pow * qv ** term.denom_v_pow * quv ** term.denom_uv_pow
         rhs += val
     return lhs == rhs
-
-
-def verify_corollary1(r: int, s: int, t: int, variant: str, w: int) -> bool:
-    """Exact rational check of Corollary 1 on every finite triangle.
-
-    For each window w' = 2 .. w, the direct sum of
-    sigma^u tau^v / (u^r v^s (u+v)^t) over u + v <= w' must equal the sum of
-    the corollary1_reduce terms, each zeta(a, b; g1, g2) cut to
-    w' >= m > n >= 1.  Both steps of the corollary (the q -> 1 partial
-    fractions in u and v, then the resummation over m = u + v) are exact on
-    such a triangle, for every integer t the reduction accepts.  Both sums
-    grow one diagonal m at a time, so one pass checks every window.
-    """
-    terms = corollary1_reduce(r, s, t, variant)
-    if not isinstance(w, int) or w < 2:
-        raise DomainError(f"verify_corollary1: window w must be an integer >= 2, got {w!r}")
-    sigma, tau = VARIANT_SIGNS[variant]
-    prefix = {(inner.value, inner.sign): Fraction(0) for _, _, inner in terms}
-    lhs = rhs = Fraction(0)
-    for m in range(2, w + 1):
-        for b, g in prefix:  # inner sums over n < m
-            prefix[b, g] += Fraction(g ** (m - 1)) / Fraction(m - 1) ** b
-        diagonal = sum(
-            Fraction(sigma ** u * tau ** (m - u), u ** r * (m - u) ** s) for u in range(1, m)
-        )
-        lhs += diagonal / Fraction(m) ** t
-        rhs += sum(
-            coeff * outer.sign ** m / Fraction(m) ** outer.value * prefix[inner.value, inner.sign]
-            for coeff, outer, inner in terms
-        )
-        if lhs != rhs:
-            return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -342,8 +313,7 @@ def theorem1_reduce(r: int, s: int, t, variant: str = "T") -> Reduction:
     Reduction.
     """
     _check_variant(variant)
-    if not (isinstance(r, int) and isinstance(s, int)) or r < 1 or s < 1:
-        raise DomainError(f"theorem1_reduce: r, s must be integers >= 1, got {(r, s)}")
+    r, s = as_integer(r, "theorem1_reduce: r", 1), as_integer(s, "theorem1_reduce: s", 1)
     return _theorem1_memo(r, s, as_rational(t, "theorem1_reduce: t"), variant)
 
 
@@ -373,10 +343,8 @@ def corollary1_reduce(
     same tuple of terms.
     """
     _check_variant(variant)
-    if not all(isinstance(x, int) for x in (r, s, t)):
-        raise DomainError(f"corollary1_reduce: indices must be integers, got {(r, s, t)}")
-    if r < 1 or s < 1:
-        raise DomainError(f"corollary1_reduce: r, s must be >= 1, got {(r, s)}")
+    r, s = as_integer(r, "corollary1_reduce: r", 1), as_integer(s, "corollary1_reduce: s", 1)
+    t = as_integer(t, "corollary1_reduce: t")
     sigma, tau = VARIANT_SIGNS[variant]
     where = f"corollary1_reduce: {variant}-variant"
     check_convergent(where, s + t, tau, r, ("s + t", "r"))
@@ -394,6 +362,67 @@ def _corollary1_memo(
             coeff, kind = _theorem1_term(term, t, variant)
             out.append((coeff, kind.outer, kind.inner))
     return tuple(out)
+
+
+# ----------------------------------------------------------------------
+# exact check on finite triangles
+# ----------------------------------------------------------------------
+
+def verify_theorem1(r: int, s: int, t: int, variant: str, q: Fraction | int | str, w: int) -> bool:
+    """Exact rational check of Theorem 1, for integer t and q >= 1, on every
+    finite triangle u + v <= w', w' = 2 .. w: the direct sum of the q-series
+    against the theorem1_reduce terms cut the same way (zeta_q[a, b] to
+    w' >= m > n, phi to m <= w', the zeta over base q^2 to 2k <= w').  One
+    pass over the diagonals u + v = m compares every window.  At q = 1,
+    [n] = n and every (1-q)^j term with j >= 1 vanishes: it reads
+    corollary1_reduce, with its DivergenceError."""
+    t = as_integer(t, "verify_theorem1: t")
+    q = Fraction(as_rational(q, "verify_theorem1: q"))
+    if q < 1:
+        raise DomainError(f"verify_theorem1: q must be >= 1, got {q}")
+    w = as_integer(w, "verify_theorem1: window w", 2)
+    if q == 1:
+        terms = [(c, DoubleQZeta(o, i)) for c, o, i in corollary1_reduce(r, s, t, variant)]
+    else:
+        terms = theorem1_reduce(r, s, t, variant).terms
+    sigma, tau = VARIANT_SIGNS[variant]
+
+    @lru_cache(maxsize=None)
+    def row(e: int, x: int, g: int, base: Fraction = q) -> list[Fraction]:
+        """g^n base^(e n) / [n]^x for n = 0 .. w (0 at n = 0).  With base = P/Q,
+        [n] = N_n / Q^(n-1), N_n = P N_(n-1) + Q^(n-1), so each entry is the
+        fraction of integers g^n P^(e n) Q^(x (n-1) - e n) / N_n^x."""
+        p, d = base.numerator, base.denominator
+        out, big_n = [Fraction(0)], 0
+        for n in range(1, w + 1):
+            big_n = p * big_n + d ** (n - 1)
+            num, den = g ** n, 1
+            for factor, k in ((p, e * n), (d, x * (n - 1) - e * n), (big_n, -x)):
+                num, den = (num * factor ** k, den) if k >= 0 else (num, den * factor ** -k)
+            out.append(Fraction(num, den))
+        return out
+
+    def zeta_row(index: SignedIndex, base: Fraction = q) -> list[Fraction]:
+        return row(index.value - 1, index.value, index.sign, base)
+
+    parts = []  # (scale, the term's part on each diagonal m = 0 .. w)
+    for coeff, kind in terms:
+        scale = coeff * (1 - q) ** kind.one_minus_q_pow
+        if isinstance(kind, DoubleQZeta):  # inner sums over n < m
+            part = [0, *map(mul, zeta_row(kind.outer)[1:], accumulate(zeta_row(kind.inner)))]
+        elif isinstance(kind, PhiTerm):
+            part = [(m - 1) * z for m, z in enumerate(zeta_row(kind.index))]
+        else:
+            scale *= (1 + q) ** kind.one_plus_q_pow
+            half = zeta_row(SignedIndex(kind.index), q * q)
+            part = [0 if m % 2 else half[m // 2] for m in range(w + 1)]
+        parts.append((scale, part))
+    u_row, v_row, m_row = row(r + t - 1, r, sigma), row(s + t - 1, s, tau), row(0, t, 1)
+    return all(
+        m_row[m] * sum(map(mul, u_row[1:m], v_row[m - 1:0:-1]))
+        == sum(scale * part[m] for scale, part in parts)
+        for m in range(2, w + 1)
+    )
 
 
 # ----------------------------------------------------------------------
