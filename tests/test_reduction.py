@@ -83,6 +83,12 @@ def test_verify_lemma1_accepts_string_q():
     assert verify_lemma1(2, 2, 3, 1, "3/2")
 
 
+def test_verify_lemma1_rejects_q_equal_one():
+    with pytest.raises(DomainError) as info:
+        verify_lemma1(1, 1, 1, 1, 1)
+    assert str(info.value) == "verify_lemma1: q must differ from 1"
+
+
 def test_malformed_rationals_raise_domain_error():
     # every exception Fraction() raises for a non-finite float, None or a
     # bad string reaches the caller as DomainError
@@ -119,10 +125,7 @@ def test_malformed_arguments_raise_domain_error_naming_them():
         (verify_lemma1, (1.5, 1, 1, 1, 2), "verify_lemma1: r must be an integer >= 1, got 1.5"),
         (verify_lemma1, (1, 1, "x", 1, 2), "verify_lemma1: u must be an integer >= 1, got 'x'"),
         (verify_lemma1, (1, 1, 1, 1, "x"), "verify_lemma1: q: not a rational number: 'x'"),
-        (verify_lemma1, (1, 1, 1, 1, 1), "verify_lemma1: q must differ from 1"),
         (theorem1_reduce, (True, 1, 1), "theorem1_reduce: r must be an integer >= 1, got True"),
-        (theorem1_reduce, (0, 1, 1), "theorem1_reduce: r must be an integer >= 1, got 0"),
-        (theorem1_reduce, (1, 1, 1, "X"), "unknown variant 'X'; expected one of ('T', 'S', 'R')"),
         (corollary1_reduce, (True, 1, 1), "corollary1_reduce: r must be an integer >= 1, got True"),
         (q_int, ("x", 2), "q_int: n must be an integer >= 0, got 'x'"),
         (q_int, (None, 2), "q_int: n must be an integer >= 0, got None"),
@@ -202,6 +205,15 @@ def test_theorem1_fractional_t():
     assert first.outer == SI(F(3, 2), -1)
     qsq = [k for _, k in red.terms if isinstance(k, QSquaredZeta)]
     assert qsq == [QSquaredZeta(F(5, 2), 1, F(-5, 2))]
+
+
+def test_theorem1_rejects_bad_variant_and_indices():
+    with pytest.raises(DomainError) as info:
+        theorem1_reduce(1, 1, 1, "X")
+    assert str(info.value) == "unknown variant 'X'; expected one of ('T', 'S', 'R')"
+    with pytest.raises(DomainError) as info:
+        theorem1_reduce(0, 1, 1, "T")
+    assert str(info.value) == "theorem1_reduce: r must be an integer >= 1, got 0"
 
 
 def test_theorem1_render_golden():
