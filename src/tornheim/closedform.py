@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm
 
 from .errors import DomainError
@@ -44,6 +43,7 @@ from .exact import (
     ZetaMonomial,
     check_convergent,
     expression_to_json,
+    memo,
     zeta_const,
 )
 from .reduction import VARIANTS, corollary1_reduce
@@ -65,7 +65,6 @@ __all__ = [
 ALT_ZETA_AT_ZERO = Fraction(-1, 2)
 
 MAX_TABLE_WEIGHT = 15
-CLOSED_MEMO_SIZE = 1024  # double_euler_closed entries; table --weight 15 needs 196
 
 
 @dataclass(frozen=True)
@@ -113,18 +112,17 @@ def double_euler_closed(s: int, t: int, sigma: int = 1, tau: int = 1) -> ZetaExp
     """Closed form of zeta(s, t; sigma, tau) at odd weight, by the one
     identity of the module docstring (t = 1, tau = +1 included).
 
-    Results are memoized by _double_closed_memo (CLOSED_MEMO_SIZE entries,
-    keyed by the validated arguments with defaults filled in, so rejected
-    input is never cached); repeat calls return the same ZetaExpression,
-    which is safe because expressions are immutable.  An entry is that
-    ZetaExpression alone, summed from single-monomial products on a miss.
+    Results are kept in exact.memo, keyed by the validated arguments with
+    defaults filled in, so rejected input is never cached; repeat calls
+    return the same ZetaExpression, which is safe because expressions are
+    immutable.  An entry is that ZetaExpression alone, summed from
+    single-monomial products on a miss.
     """
     _validate_double(s, t, sigma, tau)
-    return _double_closed_memo(s, t, sigma, tau)
+    return memo(_double_closed, s, t, sigma, tau)
 
 
-@lru_cache(maxsize=CLOSED_MEMO_SIZE)
-def _double_closed_memo(s: int, t: int, sigma: int, tau: int) -> ZetaExpression:
+def _double_closed(s: int, t: int, sigma: int, tau: int) -> ZetaExpression:
     """The identity as a sum of single-monomial products, merged in one dict."""
     st = sigma * tau
     flip = -1 if t % 2 else 1  # the bracket's (-1)^t

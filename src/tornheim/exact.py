@@ -11,6 +11,8 @@ them:
     zeta_even_as_pi(k)   zeta(k) for even k as a rational multiple of pi^k
     zeta_const(k, sign)  zeta(k; sign) as a ring element
 
+It also holds memo(kernel, *args), the package's one memo.
+
 Monomials order by (total weight, pi exponent, log2 exponent, odd factors),
 where weight counts pi and log 2 once per power and each zeta(k) as k.  All
 serialization and rendering is deterministic in that order.
@@ -27,27 +29,45 @@ from .errors import DivergenceError, DomainError
 
 
 # ----------------------------------------------------------------------
+# the memo
+# ----------------------------------------------------------------------
+
+MEMO_SIZE = 4096  # entries of memo; the largest grid, classical_check, takes about 1,040
+
+
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def memo(kernel, *args):
+    """kernel(*args), kept in the package's one memo, keyed on the kernel and
+    its arguments.  Every memoized kernel is looked up here after its own
+    checks: numeric's series and q parses, lemma1_expand, theorem1_reduce,
+    corollary1_reduce, double_euler_closed and bernoulli.  typed=True keeps
+    2 and 2.0 apart.  numeric.memo_stats() reports it and
+    numeric.clear_memos() empties it."""
+    return kernel(*args)
+
+
+# ----------------------------------------------------------------------
 # classical constants
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n as an exact Fraction (B_1 = -1/2 convention).
 
-    Computed from sum_{k=0}^{n} C(n+1, k) B_k = 0.
+    Computed from sum_{k=0}^{n} C(n+1, k) B_k = 0, each B_k from memo.
     """
     if n < 0:
         raise DomainError(f"bernoulli: n must be >= 0, got {n}")
+    return memo(_bernoulli, n)
+
+
+def _bernoulli(n: int) -> Fraction:
     if n == 0:
         return Fraction(1)
     if n == 1:
         return Fraction(-1, 2)
     if n % 2 == 1:
         return Fraction(0)
-    acc = Fraction(0)
-    for k in range(n):
-        acc += comb(n + 1, k) * bernoulli(k)
-    return -acc / (n + 1)
+    return -sum(comb(n + 1, k) * memo(_bernoulli, k) for k in range(n)) / (n + 1)
 
 
 def zeta_even_as_pi(k: int) -> "ZetaExpression":
@@ -212,7 +232,7 @@ class ZetaExpression:
     work: its callers pass an already merged dict whose coefficients are
     all nonzero Fractions, and hand that dict over to the new expression.
     Expressions are immutable, so results may be shared (see
-    closedform.double_euler_closed's memo).
+    closedform.double_euler_closed, whose results memo keeps).
     """
 
     __slots__ = ("_terms",)

@@ -55,9 +55,11 @@ letters.  Term k of a word reads terms 0..k of the word before it and
 nothing else, so a word stored with more terms serves a shorter cutoff by
 truncation, exactly.
 
-One functools.lru_cache of MEMO_SIZE entries, _memo(kernel, *args), sits
-behind validated input, keyed on the kernel and its canonical arguments.
-It holds the SumInfo of each classical call (_zeta_sum, _double_sum).
+The package has one memo, exact.memo(kernel, *args), a functools.lru_cache
+of exact.MEMO_SIZE entries that sits behind validated input, keyed on the
+kernel and its canonical arguments.  Here it holds the QParam of each q
+input (_qparam) and the SumInfo of each classical call (_zeta_sum,
+_double_sum).
 Each q-kernel keeps one _Series record per sign-free key (_q_zeta1_series,
 _q_zeta2_series, _phi_q_series, _tornheim_q_series): its terms,
 truncation bound, rounding allowance and goal, and the exact integer
@@ -66,9 +68,10 @@ holds only the exponents (r <= s for tornheim_q, after _orient, then t),
 the QParam and the PrecisionConfig.  The public *_info call rounds and
 bounds the record per sign, and evaluate_reduction combines its totals
 exactly.  So T, S and R of one (r, s, t, q, precision) are planned and
-summed once.  memo_stats() reports the hits, misses and size of _memo and
-of _tables (q-term tables and half-series words together), and
-clear_memos() empties both.
+summed once.  The expansions, reductions, closed forms and Bernoulli
+numbers of the other modules are kept in the same memo.  memo_stats()
+reports the hits, misses and size of memo and of _tables (q-term tables
+and half-series words together), and clear_memos() empties both.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
@@ -97,7 +100,7 @@ import math
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, islice, repeat, takewhile
 from numbers import Integral, Real
 from operator import add, floordiv, lshift, mul, neg, rshift, sub
@@ -107,7 +110,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
 
 from .errors import DivergenceError, DomainError, PrecisionError
-from .exact import SignedIndex, as_integer, as_rational, check_convergent
+from .exact import SignedIndex, as_integer, as_rational, check_convergent, memo
 from .reduction import DoubleQZeta, PhiTerm, QSquaredZeta, corollary1_reduce
 
 __all__ = [
@@ -131,7 +134,6 @@ __all__ = [
     "clear_memos",
 ]
 
-MEMO_SIZE = 4096  # entries of _memo; criterion 4's grid takes 372
 TABLE_BUDGET = 1 << 17  # terms kept by all growable tables together (_tables)
 STREAM_GUARD = 32  # bits the q-term table keeps past working precision
 MAX_EXPONENT_DENOMINATOR = 8  # q-side exponents are rationals m/d, d <= this
@@ -144,7 +146,7 @@ class PrecisionConfig:
 
     tail_goal is the absolute truncation-error target, positive and finite;
     None means 10^-(digits+5).  Working precision is digits + 15.  Its hash
-    is computed once, as every _memo lookup hashes it.
+    is computed once, as every memo lookup hashes it.
     """
     digits: int = 30
     max_terms: int = 2_000_000
@@ -184,7 +186,7 @@ class PrecisionConfig:
 class QParam:
     """The deformation parameter; only a finite q > 1 is admitted.
 
-    Its hash is computed once, as every _memo lookup hashes it; _as_q hands
+    Its hash is computed once, as every memo lookup hashes it; _as_q hands
     out one QParam per input, so a lookup finds its key by identity.
     """
     value: Fraction | int | float
@@ -229,14 +231,13 @@ class SumInfo(NamedTuple):
 
 
 def _as_q(q) -> QParam:
-    return q if isinstance(q, QParam) else _qparam(q)
+    return q if isinstance(q, QParam) else memo(_qparam, q)
 
 
-@lru_cache(maxsize=256, typed=True)
 def _qparam(q) -> QParam:
     """The QParam of a q given as a number or a string (exact.as_rational),
-    one object per input and its type, so that 2 and 2.0 keep their own
-    str().  Rejected input raises DomainError and is not kept."""
+    one object per input and its type in memo, so that 2 and 2.0 keep their
+    own str().  Rejected input raises DomainError and is not kept."""
     if isinstance(q, str):
         q = as_rational(q, "q")
     return QParam(q)
@@ -543,7 +544,7 @@ def _bound(what: str, value: mpf, truncation: mpf, rounding: mpf, goal: mpf) -> 
 
 class _Series(NamedTuple):
     """One sign-free q_zeta1, q_zeta2, phi_q or tornheim_q series, kept in
-    _memo: the terms the call reports, its truncation bound, its rounding
+    memo: the terms the call reports, its truncation bound, its rounding
     allowance before the final rounding to working precision, the goal, the
     exact integer totals of all its signs (_at) in units of 2^-scale, and
     limit, a |total| up to which _bound accepts the rounded value (-1: none
@@ -597,13 +598,13 @@ def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) 
 
     The N table entries are summed exactly (_q_zeta1_sums), so rounding is
     at most 3/4 N 2^-B at B = prec + STREAM_GUARD bits.  The bound and the
-    totals of both signs come from _memo (_q_zeta1_series).
+    totals of both signs come from memo (_q_zeta1_series).
     """
     _sign_ok(sign)
     s = _exponent(s, "q_zeta1: s")
     qp = _as_q(q)
     prec = _as_prec(prec)
-    return _memo(_q_zeta1_series, s, qp, prec).info(prec, sign)
+    return memo(_q_zeta1_series, s, qp, prec).info(prec, sign)
 
 
 def _q_zeta1_series(s, qp: QParam, prec: PrecisionConfig) -> _Series:
@@ -648,13 +649,13 @@ def q_zeta2_info(
     product then errs by at most 3/4 2^B (K2/(q-1) + 1) + 3/4 (m-1) 2^B |f_m|
     (for N <= 2^B), and summing over m with sum (m-1) q^-m = 1/(q-1)^2 gives
     rounding <= 3/4 2^-B ((N-1)(K2/(q-1) + 1) + K1/(q-1)^2).  The bound
-    and the totals of all four sign pairs come from _memo (_q_zeta2_series).
+    and the totals of all four sign pairs come from memo (_q_zeta2_series).
     """
     _sign_ok(sign1), _sign_ok(sign2)
     s1, s2 = _exponent(s1, "q_zeta2: s1"), _exponent(s2, "q_zeta2: s2")
     qp = _as_q(q)
     prec = _as_prec(prec)
-    return _memo(_q_zeta2_series, s1, s2, qp, prec).info(prec, sign1, sign2)
+    return memo(_q_zeta2_series, s1, s2, qp, prec).info(prec, sign1, sign2)
 
 
 def _q_zeta2_series(s1, s2, qp: QParam, prec: PrecisionConfig) -> _Series:
@@ -721,13 +722,13 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
 
     The integer sum of (k-1) F_k over the N table entries is exact, so
     rounding is at most 3/4 2^-B sum (k-1) = 3/4 2^-B N(N-1)/2.  The bound
-    and the totals of both signs come from _memo (_phi_q_series).
+    and the totals of both signs come from memo (_phi_q_series).
     """
     _sign_ok(sign)
     s = _exponent(s, "phi_q: s")
     qp = _as_q(q)
     prec = _as_prec(prec)
-    return _memo(_phi_q_series, s, qp, prec).info(prec, sign)
+    return memo(_phi_q_series, s, qp, prec).info(prec, sign)
 
 
 def _phi_q_series(s, qp: QParam, prec: PrecisionConfig) -> _Series:
@@ -767,7 +768,7 @@ def _orient(r, s, sigma, tau):
     """Canonical orientation: swapping (r, sigma) <-> (s, tau) together with
     u <-> v is a term-level bijection, so both orders denote the same sum.
     Sorting the slot pairs by exact exponent (r and s come from _exponent)
-    and then sign makes both orders one canonical key of _memo, so
+    and then sign makes both orders one canonical key of memo, so
     they share one entry and return the identical SumInfo."""
     if (s, tau) < (r, sigma):
         return s, r, tau, sigma
@@ -817,7 +818,7 @@ def tornheim_q_info(
     tail k sum_{m>W} m q^-m, k = K(r) K(s) K(t), meets the goal.  tail_bound
     is truncation plus rounding; if that exceeds the goal, PrecisionError is
     raised.  Nothing but the result depends on the signs, so after _orient
-    _memo holds one sign-free _Series for all four sign pairs
+    memo holds one sign-free _Series for all four sign pairs
     (_tornheim_q_series), as it does for q_zeta1, q_zeta2 and phi_q.
     """
     _sign_ok(sigma), _sign_ok(tau)
@@ -826,7 +827,7 @@ def tornheim_q_info(
     qp = _as_q(q)
     prec = _as_prec(prec)
     r, s, sigma, tau = _orient(r, s, sigma, tau)
-    return _memo(_tornheim_q_series, r, s, t, qp, prec).info(prec, sigma, tau)
+    return memo(_tornheim_q_series, r, s, t, qp, prec).info(prec, sigma, tau)
 
 
 def _tornheim_q_series(r, s, t, qp: QParam, prec: PrecisionConfig) -> _Series:
@@ -1021,7 +1022,7 @@ def classical_zeta(s, sign: int = 1, prec: PrecisionConfig | None = None) -> mpf
         raise DivergenceError(f"classical_zeta: zeta(s) needs s > 1, got {s}")
     if sign == -1 and not s >= 1:
         raise DomainError(f"classical_zeta: zeta(s; -1) needs s >= 1, got {s}")
-    return _memo(_zeta_sum, s, sign, prec).value
+    return memo(_zeta_sum, s, sign, prec).value
 
 
 def _zeta_sum(s, sign: int, prec: PrecisionConfig) -> SumInfo:
@@ -1086,7 +1087,7 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
     if not isinstance(s1.value, int) or not isinstance(s2.value, int):
         raise DomainError("classical_double_euler: indices must be integers")
     check_convergent("classical_double_euler:", s1.value, s1.sign, s2.value, ("s1", "s2"))
-    return _memo(_double_sum, s1.value, s1.sign, s2.value, s2.sign, prec).value
+    return memo(_double_sum, s1.value, s1.sign, s2.value, s2.sign, prec).value
 
 
 def _letter(t: list[int], c: int, start: int, n: int) -> list[int]:
@@ -1215,7 +1216,7 @@ def tornheim_classical(r: int, s: int, t: int, variant: str = "T",
 def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf:
     """Numeric value of a Reduction's right-hand side at a given q.
 
-    Each term's series is a _Series of _memo, keyed on its exponents as the
+    Each term's series is a _Series of memo, keyed on its exponents as the
     term holds them (exact ints and Fractions, validated by the kernel on a
     miss), and its sign's total T_i is an exact integer in units of
     2^-scale_i.  A term whose rounded value _bound could reject (|T_i| above
@@ -1239,13 +1240,13 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
             p = 0
             if isinstance(kind, DoubleQZeta):
                 a, b = kind.outer, kind.inner
-                series = _memo(_q_zeta2_series, a.value, b.value, qp, prec)
+                series = memo(_q_zeta2_series, a.value, b.value, qp, prec)
                 total = _at(series.totals, a.sign, b.sign)
             elif isinstance(kind, PhiTerm):
-                series = _memo(_phi_q_series, kind.index.value, qp, prec)
+                series = memo(_phi_q_series, kind.index.value, qp, prec)
                 total = _at(series.totals, kind.index.sign)
             elif isinstance(kind, QSquaredZeta):
-                series = _memo(_q_zeta1_series, kind.index, q2, prec)
+                series = memo(_q_zeta1_series, kind.index, q2, prec)
                 total, p = series.totals[0], kind.one_plus_q_pow
             else:
                 raise DomainError(f"evaluate_reduction: unknown term kind {kind!r}")
@@ -1275,32 +1276,22 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
         return value
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _memo(kernel, *args) -> SumInfo | _Series:
-    """kernel(*args) for a kernel that returns a SumInfo, _zeta_sum and
-    _double_sum behind the classical validators, or for a q-kernel's one
-    sign-free _Series, looked up by every call of the kernel, public ones
-    too: those of q_zeta1, q_zeta2 and phi_q, which evaluate_reduction reads
-    too, and of tornheim_q."""
-    return kernel(*args)
-
-
 def memo_stats() -> dict:
-    """Hits, misses and size of _memo, whose entries are the classical
-    SumInfos and one _Series record per sign-free q-series, and for the
-    q-term tables (_tables) their number, the terms stored, the budget, and
-    their hits and misses.  A call that a kernel rejects inside _memo
-    (_budget raising from _zeta_sum, _double_sum or a q-kernel's _Series
-    builder) counts one miss, for the one entry it looked up, and stores
-    nothing: a classical kernel, or a public q-kernel call or a term of
-    evaluate_reduction.  Each checks _budget before it sums, so a rejected
-    call sums nothing."""
-    info = _memo.cache_info()
+    """Hits, misses and size of exact.memo, the package's one memo (the q
+    parses, the classical SumInfos, one _Series record per sign-free
+    q-series, and the expansions, reductions, closed forms and Bernoulli
+    numbers), and for the q-term tables (_tables) their number, the terms
+    stored, the budget, and their hits and misses.  A call that a kernel
+    rejects inside memo (a q that _qparam refuses, or _budget raising from
+    _zeta_sum, _double_sum or a q-kernel's _Series builder) counts one
+    miss, for the one entry it looked up, and stores nothing.  Each checks
+    _budget before it sums, so a rejected call sums nothing."""
+    info = memo.cache_info()
     return {"memo": {"hits": info.hits, "misses": info.misses, "size": info.currsize},
             "tables": _tables.stats()}
 
 
 def clear_memos() -> None:
-    """Empty _memo and the tables and reset their counts."""
-    _memo.cache_clear()
+    """Empty exact.memo and the tables and reset their counts."""
+    memo.cache_clear()
     _tables.clear()

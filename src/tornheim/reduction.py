@@ -41,7 +41,7 @@ from math import comb
 from operator import mul
 
 from .errors import DomainError
-from .exact import SignedIndex, as_integer, as_rational, check_convergent
+from .exact import SignedIndex, as_integer, as_rational, check_convergent, memo
 
 __all__ = [
     "DoubleQZeta",
@@ -63,16 +63,6 @@ VARIANTS = ("T", "S", "R")
 
 # (sigma, tau) slot signs per variant
 VARIANT_SIGNS = {"T": (1, 1), "S": (-1, -1), "R": (1, -1)}
-
-# theorem1_reduce entries: a q sweep meets each reduction once per q, and
-# the criterion-4 grid has 192 of them (T/S/R, r, s <= 4, four t).
-THEOREM1_MEMO_SIZE = 256
-
-# corollary1_reduce entries.  A classical check calls it twice in a row with
-# the same arguments (closed form, then numeric route), and the second call
-# hits; `table --weight 15` never repeats a row, and at weight 15 an entry
-# holds about 3 kB, so the memo stays small.
-COROLLARY1_MEMO_SIZE = 16
 
 
 # ----------------------------------------------------------------------
@@ -204,15 +194,13 @@ def lemma1_expand(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
       C: j in [1, min(r,s)]:
          -trinomial(r+s-j-1; r-j, s-j) (1-q)^j q^((s-j)u + (r-j)v) / [u+v]^(r+s-j)
 
-    Memoized after the checks, which refuse a bool (True == 1): 256 entries
-    hold every (r, s) with r, s <= 16, and a repeated call returns the same
-    tuple of frozen terms.
+    Kept in exact.memo after the checks, which refuse a bool (True == 1):
+    a repeated call returns the same tuple of frozen terms.
     """
-    return _lemma1_memo(as_integer(r, "lemma1_expand: r", 1), as_integer(s, "lemma1_expand: s", 1))
+    return memo(_lemma1, as_integer(r, "lemma1_expand: r", 1), as_integer(s, "lemma1_expand: s", 1))
 
 
-@lru_cache(maxsize=256)
-def _lemma1_memo(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
+def _lemma1(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
     terms: list[PartialFractionTerm] = []
     for a in range(r):
         for b in range(r - a):
@@ -308,17 +296,15 @@ def theorem1_reduce(r: int, s: int, t, variant: str = "T") -> Reduction:
     """Depth-2 decomposition of T[r,s,t] for any real t (int or Fraction):
     the term-by-term resummation of lemma1_expand(r, s).
 
-    Memoized after the checks, with t exact (THEOREM1_MEMO_SIZE entries,
-    so rejected input is never cached): a repeated call returns the same
-    Reduction.
+    Kept in exact.memo after the checks, with t exact, so rejected input is
+    never cached: a repeated call returns the same Reduction.
     """
     _check_variant(variant)
     r, s = as_integer(r, "theorem1_reduce: r", 1), as_integer(s, "theorem1_reduce: s", 1)
-    return _theorem1_memo(r, s, as_rational(t, "theorem1_reduce: t"), variant)
+    return memo(_theorem1, r, s, as_rational(t, "theorem1_reduce: t"), variant)
 
 
-@lru_cache(maxsize=THEOREM1_MEMO_SIZE)
-def _theorem1_memo(r: int, s: int, t, variant: str) -> Reduction:
+def _theorem1(r: int, s: int, t, variant: str) -> Reduction:
     terms = tuple(_theorem1_term(term, t, variant) for term in lemma1_expand(r, s))
     return Reduction(variant=variant, r=r, s=s, t=t, terms=terms)
 
@@ -338,9 +324,8 @@ def corollary1_reduce(
       T: s + t > 1 and r + t > 1;  S: s + t > 0 and r + t > 0;
       R: s + t > 0 and r + t > 1.
 
-    Memoized like lemma1_expand, after the checks (COROLLARY1_MEMO_SIZE
-    entries, so rejected input is never cached): a repeated call returns the
-    same tuple of terms.
+    Kept in exact.memo like lemma1_expand, after the checks, so rejected
+    input is never cached: a repeated call returns the same tuple of terms.
     """
     _check_variant(variant)
     r, s = as_integer(r, "corollary1_reduce: r", 1), as_integer(s, "corollary1_reduce: s", 1)
@@ -349,11 +334,10 @@ def corollary1_reduce(
     where = f"corollary1_reduce: {variant}-variant"
     check_convergent(where, s + t, tau, r, ("s + t", "r"))
     check_convergent(where, r + t, sigma, s, ("r + t", "s"))
-    return _corollary1_memo(r, s, t, variant)
+    return memo(_corollary1, r, s, t, variant)
 
 
-@lru_cache(maxsize=COROLLARY1_MEMO_SIZE)
-def _corollary1_memo(
+def _corollary1(
     r: int, s: int, t: int, variant: str
 ) -> tuple[tuple[Fraction, SignedIndex, SignedIndex], ...]:
     out = []

@@ -121,15 +121,20 @@ def test_criterion_4_q_reduction_numeric_sweep():
     # the same width, and one table of the powers q^-k per q
     assert tables["misses"] == 111
     assert tables["terms"] <= tables["budget"]
-    # _memo holds one sign-free entry per key, plan and integer totals of
+    # the memo holds one sign-free entry per key, plan and integer totals of
     # all its signs together: 120 tornheim_q series (r <= s, t, q), as
     # T[r,s;sigma,tau] and T[s,r;tau,sigma] share one, and for the
     # reduction terms, whatever their signs and their (1-q) and (1+q)
     # factors, 156 q_zeta2 (s1, s2, q), 48 phi_q (s, q) and 48 q_zeta1
     # (s, q^2), all at one precision, so each is summed once, not once per
-    # sign
+    # sign.  It also keeps the 192 reductions (T/S/R, r, s, t), met once
+    # for all three q, their 16 expansions (r, s), and the parses of the
+    # three q and of their squares.
     tornheim, series = 120, 156 + 48 + 48
-    assert numeric.memo_stats()["memo"]["misses"] == tornheim + series == 372
+    reductions, expansions, q_parses = 3 * 4 * 4 * 4, 4 * 4, 3 + 3
+    assert tornheim + series == 372
+    assert numeric.memo_stats()["memo"]["misses"] == (
+        tornheim + series + reductions + expansions + q_parses) == 586
     print(f"criterion 4: PASS - 576 cases, worst residual {mp.nstr(worst, 3)} ({dt:.1f}s)")
 
 

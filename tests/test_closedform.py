@@ -16,10 +16,12 @@ from tornheim.closedform import (
 )
 from tornheim.errors import DivergenceError, DomainError
 from tornheim.exact import (
+    MEMO_SIZE,
     SignedIndex,
     ZetaExpression,
     ZetaMonomial,
     expr_numeric,
+    memo,
     zeta_const,
 )
 from tornheim.numeric import PrecisionConfig, classical_double_euler, tornheim_classical
@@ -198,7 +200,7 @@ def test_double_closed_memo_entries_are_the_ring_values():
                     got = double_euler_closed(s, t, sigma, tau)
                     assert got == _ring_double(s, t, sigma, tau, ALT_ZETA_AT_ZERO), (s, t, sigma, tau)
                     _assert_canonical(got)
-                    assert closedform._double_closed_memo(s, t, sigma, tau) is got
+                    assert memo(closedform._double_closed, s, t, sigma, tau) is got
                     checked += 1
     assert checked == 1652
 
@@ -305,8 +307,8 @@ def test_bad_arguments_rejected():
 
 
 def test_double_closed_memo_is_bounded_counts_hits_and_skips_rejected_input():
-    memo = closedform._double_closed_memo
-    assert memo.cache_info().maxsize == closedform.CLOSED_MEMO_SIZE
+    # a hit looks up the one exact.memo entry of the pair and nothing else
+    assert memo.cache_info().maxsize == MEMO_SIZE
     first = double_euler_closed(4, 3, -1, 1)
     hits = memo.cache_info().hits
     # defaults and explicit arguments share one entry, and the entry is shared

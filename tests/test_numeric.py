@@ -15,7 +15,7 @@ from mpmath import mp, mpf
 from tornheim import numeric
 from tornheim.closedform import double_euler_closed
 from tornheim.errors import DivergenceError, DomainError, PrecisionError
-from tornheim.exact import SignedIndex
+from tornheim.exact import MEMO_SIZE, SignedIndex, bernoulli
 from tornheim.numeric import (
     PrecisionConfig,
     QParam,
@@ -39,6 +39,7 @@ from tornheim.reduction import (
     PhiTerm,
     QSquaredZeta,
     corollary1_reduce,
+    lemma1_expand,
     theorem1_reduce,
 )
 
@@ -92,7 +93,11 @@ def test_equal_precision_configs_hash_equal_and_share_memo_entries():
     info = q_zeta1_info(3, 1, 2, first)
     assert q_zeta1_info(3, 1, 2, second) == info
     assert q_zeta1_info(3, -1, 2, second).terms == info.terms
-    assert numeric.memo_stats()["memo"] == {"hits": 2, "misses": 1, "size": 1}
+    # one series and one parse of q = 2: the first call misses both, and the
+    # other two hit both
+    series, q_parses = 1, 1
+    assert numeric.memo_stats()["memo"] == {
+        "hits": 2 * (series + q_parses), "misses": series + q_parses, "size": series + q_parses}
 
 
 def test_qparam_validation():
@@ -448,7 +453,7 @@ def test_tornheim_q_symmetry_is_bit_exact():
     a = tornheim_q(2, 1, 1, -1, 1, 2, P30)
     b = tornheim_q(1, 2, 1, 1, -1, 2, P30)
     assert a == b
-    # both orders share one _memo entry, so each side is computed from
+    # both orders share one memo entry, so each side is computed from
     # empty memos here: the Lambert sum, at a coarse and a fine goal, must
     # give the swapped call the identical value, bound and term count
     coarse = PrecisionConfig(digits=10, tail_goal=1e-7, max_terms=10 ** 9)
@@ -637,7 +642,9 @@ def test_each_q_sum_runs_once_per_sign_free_key(monkeypatch):
     # keys (r <= s, t), and in the reduction terms 208 q_zeta2 sums on 52
     # keys (s1, s2), 32 phi_q sums on 16 keys (s) and 16 q_zeta1 sums.  Each
     # sign-free key is summed once, for all its sign pairs, and every series
-    # keeps one entry, plan and totals together.
+    # keeps one entry, plan and totals together.  The memo also keeps the
+    # 192 reductions (T/S/R, r, s, t), their 16 expansions (r, s) and the
+    # parses of q and q^2.
     calls = dict.fromkeys(("_lambert_sum", "_q_zeta2_sums", "_phi_q_sums"), 0)
     for name in calls:
         def counted(*args, _name=name, _kernel=getattr(numeric, name)):
@@ -653,7 +660,9 @@ def test_each_q_sum_runs_once_per_sign_free_key(monkeypatch):
                     evaluate_reduction(theorem1_reduce(r, s, t, v), F(3, 2), P30)
     assert calls == {"_lambert_sum": 40, "_q_zeta2_sums": 52, "_phi_q_sums": 16}
     tornheim, series = 40, 52 + 16 + 16
-    assert numeric.memo_stats()["memo"]["misses"] == tornheim + series
+    reductions, expansions, q_parses = 3 * 4 * 4 * 4, 4 * 4, 2
+    assert numeric.memo_stats()["memo"]["misses"] == (
+        tornheim + series + reductions + expansions + q_parses)
     numeric.clear_memos()  # the entries above are keyed on the counting wrappers
 
 
@@ -664,15 +673,17 @@ def test_q_series_totals_on_the_bench_grids_are_pinned(monkeypatch):
     """Every _Series (terms, totals, scale, limit) that the criterion-4 grid
     at 30 digits and the q -> 1 grid (q = 6/5, 11/10, 101/100 at digits 10,
     goal 1e-7) read, both sides of every case, hashed: a faster table fill
-    or Lambert sum must leave every bit as it is."""
+    or Lambert sum must leave every bit as it is.  The q parses that numeric
+    looks up in the same memo are not recorded."""
     records = {}
-    memo = numeric._memo
+    memo = numeric.memo
     def recording(kernel, *args):
         series = memo(kernel, *args)
-        records[(kernel.__name__, *args)] = series
+        if isinstance(series, numeric._Series):
+            records[(kernel.__name__, *args)] = series
         return series
     numeric.clear_memos()
-    monkeypatch.setattr(numeric, "_memo", recording)
+    monkeypatch.setattr(numeric, "memo", recording)
     grids = [(("3/2", "2", "3"), range(1, 5), P30),
              (("6/5", "11/10", "101/100"), range(1, 3),
               PrecisionConfig(digits=10, tail_goal=1e-7, max_terms=10 ** 9))]
@@ -762,22 +773,24 @@ def test_classical_zeta_domain_errors():
 
 
 def test_memos_are_bounded_count_hits_and_skip_rejected_input():
-    assert numeric._memo.cache_info().maxsize == numeric.MEMO_SIZE
+    memo = numeric.memo
+    assert memo.cache_info().maxsize == MEMO_SIZE
     prec = PrecisionConfig(digits=12)
     red = theorem1_reduce(1, 2, 1, "S")
     evaluate_reduction(red, "7/3", prec)
-    hits = numeric._memo.cache_info().hits
+    hits = memo.cache_info().hits
     evaluate_reduction(red, "7/3", prec)
-    assert numeric._memo.cache_info().hits == hits + len(red.terms)
+    # one series per term and the parse of "7/3" (its square is kept on it)
+    assert memo.cache_info().hits == hits + len(red.terms) + 1
     classical_double_euler(3, 1, prec)
-    hits = numeric._memo.cache_info().hits
+    hits = memo.cache_info().hits
     classical_double_euler(3, 1, prec)
-    assert numeric._memo.cache_info().hits == hits + 1
+    assert memo.cache_info().hits == hits + 1
     # the q-term table: one table per (q, bits, e, x), signs applied by the sums
     assert numeric.memo_stats()["tables"]["budget"] == numeric.TABLE_BUDGET
     before = numeric.memo_stats()["tables"]
     q_zeta1_info(F(5, 2), 1, "13/7", prec)  # a miss
-    q_zeta1_info(F(5, 2), -1, "13/7", prec)  # its _memo entry holds both signs: no read
+    q_zeta1_info(F(5, 2), -1, "13/7", prec)  # its memo entry holds both signs: no read
     # tornheim_q at r = s reads one table for its a and b lists, and its
     # powers q^-k are one more: two misses, and no read for b
     tornheim_q_info(3, 3, 1, 1, -1, "13/7", prec)
@@ -790,11 +803,19 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
         classical_double_euler(1, 1, prec)
     with pytest.raises(DomainError):
         q_zeta1_info(2, 0, 2, prec)
+    assert numeric.memo_stats() == before
+    # a q that _qparam refuses inside memo counts a miss and stores nothing
     with pytest.raises(DomainError):
         q_zeta2_info(2, 1, 1, 1, 1, prec)
-    assert numeric.memo_stats() == before
-    # a call the budget rejects inside _memo counts a miss and stores nothing
+    after = numeric.memo_stats()
+    assert after["memo"] == {**before["memo"], "misses": before["memo"]["misses"] + 1}
+    assert after["tables"] == before["tables"]
+    # a call the budget rejects inside memo counts a miss and stores nothing;
+    # q_int puts the two parses of q, 101/100 and "101/100", in memo first
+    q_int(2, F(101, 100))
+    q_int(2, "101/100")
     size = numeric.memo_stats()["memo"]["size"]
+    misses = numeric.memo_stats()["memo"]["misses"]
     with pytest.raises(PrecisionError):
         classical_zeta(3, 1, PrecisionConfig(digits=250, max_terms=100))
     with pytest.raises(PrecisionError):
@@ -804,12 +825,37 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
     assert numeric.memo_stats()["memo"]["size"] == size
     # one miss each: the _zeta_sum entry and the phi_q and tornheim_q series,
     # whose plans raise before anything is summed
-    assert numeric.memo_stats()["memo"]["misses"] == before["memo"]["misses"] + 3
+    assert numeric.memo_stats()["memo"]["misses"] == misses + 3
+
+
+def test_clear_memos_empties_every_memo():
+    # every memoized public function, in an order in which each one's own
+    # lookups are the only ones it has not met before: bernoulli(2) reads
+    # B_0 and B_1, theorem1_reduce and corollary1_reduce read lemma1_expand,
+    # double_euler_closed(2, 1) reads B_2, q_int parses the string q and the
+    # q-kernel then reads that parse
+    prec = PrecisionConfig(digits=12)
+    calls = [(bernoulli, (0,)), (bernoulli, (1,)), (bernoulli, (2,)),
+             (lemma1_expand, (2, 1)), (theorem1_reduce, (2, 1, 1, "R")),
+             (corollary1_reduce, (2, 1, 1, "R")), (double_euler_closed, (2, 1)),
+             (q_int, (2, "3/2", prec)), (q_zeta1_info, (3, 1, "3/2", prec)),
+             (classical_zeta, (3, 1, prec)), (classical_double_euler, (3, 1, prec))]
+    warm = [fn(*args) for fn, args in calls]
+    assert numeric.memo_stats()["memo"]["size"] > 0
+    numeric.clear_memos()
+    stats = numeric.memo_stats()
+    assert stats["memo"] == {"hits": 0, "misses": 0, "size": 0}
+    assert (stats["tables"]["tables"], stats["tables"]["terms"]) == (0, 0)
+    for (fn, args), value in zip(calls, warm):
+        misses = numeric.memo_stats()["memo"]["misses"]
+        assert fn(*args) == value, (fn.__name__, args)
+        assert numeric.memo_stats()["memo"]["misses"] == misses + 1, (fn.__name__, args)
+    assert numeric.memo_stats()["memo"]["size"] == len(calls)  # one entry per miss
 
 
 def test_q_memo_hands_every_call_its_own_entry():
     # the calls differ in one argument at a time: the signs (T, S, R), an
-    # exponent, q (and so q^2) and the precision; a _memo key that
+    # exponent, q (and so q^2) and the precision; a memo key that
     # dropped any of them would hand one call the entry of another
     cases = [(q, prec, v, t) for q in (F(3, 2), 2)
              for prec in (PrecisionConfig(digits=12), P30) for v in "TSR" for t in (1, 2)]
@@ -834,24 +880,27 @@ def test_q_memo_hands_every_call_its_own_entry():
     for v in "TSR":
         tornheim_q_info(2, 1, 1, *VARIANT_SIGNS[v], F(3, 2), prec12)
     tornheim_q_info(1, 2, 1, -1, 1, F(3, 2), prec12)
-    # one entry for all four calls: the swapped R is R's
-    assert misses() == 1
+    # one series entry for all four calls (the swapped R is R's), and the
+    # parse of q = 3/2
+    assert misses() == 1 + 1
     for g1 in (1, -1):
         q_zeta1_info(F(5, 2), g1, 2, prec12)
         phi_q_info(F(5, 2), g1, 2, prec12)
         for g2 in (1, -1):
             q_zeta2_info(3, g1, F(1, 2), g2, 2, prec12)
-    assert misses() == 1 + 1 + 1 + 1  # q_zeta1, phi_q and q_zeta2
-    # a change in r, s, t, q or digits is a new entry
-    for r, s, t, q, prec in [(3, 1, 1, F(3, 2), prec12), (2, 2, 1, F(3, 2), prec12),
-                             (2, 1, 2, F(3, 2), prec12), (2, 1, 1, 2, prec12),
-                             (2, 1, 1, F(3, 2), P30)]:
+    assert misses() == 2 + 1 + 1 + 1 + 1  # the parse of q = 2, q_zeta1, phi_q and q_zeta2
+    # a change in r, s, t, q or digits is a new entry; q is given as a
+    # QParam, which is not parsed, so each change is one series entry
+    q32, q2, q3 = QParam(F(3, 2)), QParam(2), QParam(3)
+    for r, s, t, q, prec in [(3, 1, 1, q32, prec12), (2, 2, 1, q32, prec12),
+                             (2, 1, 2, q32, prec12), (2, 1, 1, q2, prec12),
+                             (2, 1, 1, q32, P30)]:
         before = misses()
         warm = tornheim_q_info(r, s, t, 1, -1, q, prec)
         assert misses() == before + 1, (r, s, t, q, prec)
         numeric.clear_memos()
         assert tornheim_q_info(r, s, t, 1, -1, q, prec) == warm
-    for args in [(F(7, 2), 1, F(1, 2), 1, 2), (3, 1, 1, 1, 2), (3, 1, F(1, 2), 1, 3)]:
+    for args in [(F(7, 2), 1, F(1, 2), 1, q2), (3, 1, 1, 1, q2), (3, 1, F(1, 2), 1, q3)]:
         for prec in (prec12, P30):
             before = misses()
             warm = q_zeta2_info(*args, prec)
@@ -1006,7 +1055,7 @@ def _mpmath_value(expr):
 
 @pytest.mark.parametrize("digits", [12, 30, 60, 120, 250])
 def test_classical_bounds_cover_the_truth(digits):
-    """Each classical SumInfo in _memo: |value - oracle| <= tail_bound <= goal,
+    """Each classical SumInfo in memo: |value - oracle| <= tail_bound <= goal,
     with mpmath.zeta, and for the doubles their odd-weight closed form, as the
     oracle; the public calls return the same value."""
     prec = PrecisionConfig(digits=digits)
@@ -1015,14 +1064,14 @@ def test_classical_bounds_cover_the_truth(digits):
             plain = mpmath.zeta(s)
             oracles = {1: plain, -1: (2 ** (1 - mpf(s)) - 1) * plain}
         for sign, oracle in oracles.items():
-            info = numeric._memo(numeric._zeta_sum, s, sign, prec)
+            info = numeric.memo(numeric._zeta_sum, s, sign, prec)
             assert classical_zeta(s, sign, prec) == info.value
             with mp.workdps(digits + 40):
                 assert abs(info.value - oracle) <= info.tail_bound <= prec.goal(), (s, sign)
     for a1, a2 in ((2, 1), (3, 2), (2, 3), (4, 3), (6, 5)):
         for g1 in (1, -1):
             for g2 in (1, -1):
-                info = numeric._memo(numeric._double_sum, a1, g1, a2, g2, prec)
+                info = numeric.memo(numeric._double_sum, a1, g1, a2, g2, prec)
                 got = classical_double_euler(SignedIndex(a1, g1), SignedIndex(a2, g2), prec)
                 assert got == info.value
                 with mp.workdps(digits + 40):
@@ -1076,7 +1125,7 @@ def test_double_sum_bound_covers_its_rounding_at_few_bits(monkeypatch):
     monkeypatch.setattr(numeric, "STREAM_GUARD", -100)
     prec = PrecisionConfig(digits=30, tail_goal=1e-9)
     for a1, g1, a2, g2 in ((3, 1, 2, 1), (2, -1, 1, -1), (3, -1, 2, 1), (1, -1, 3, 1)):
-        info = numeric._double_sum(a1, g1, a2, g2, prec)  # not through _memo
+        info = numeric._double_sum(a1, g1, a2, g2, prec)  # not through memo
         word = [0] * (a1 - 1) + [g1] + [0] * (a2 - 1) + [g1 * g2]
         n, size = info.terms, len(word)
         tails = _half_series_exact(list(reversed(word)), n)

@@ -9,7 +9,7 @@ import pytest
 
 from tornheim import reduction
 from tornheim.errors import DivergenceError, DomainError
-from tornheim.exact import SignedIndex, as_rational
+from tornheim.exact import MEMO_SIZE, SignedIndex, as_rational, memo
 from tornheim.numeric import q_int, tornheim_q_info
 from tornheim.reduction import (
     DoubleQZeta,
@@ -309,8 +309,8 @@ def test_corollary1_precondition_messages(r, s, t, variant, fragment):
 
 
 def test_corollary1_memo_is_bounded_shares_entries_and_skips_rejected_input():
-    memo = reduction._corollary1_memo
-    assert memo.cache_info().maxsize == reduction.COROLLARY1_MEMO_SIZE
+    # a hit looks up the one exact.memo entry of the list and nothing else
+    assert memo.cache_info().maxsize == MEMO_SIZE
     first = corollary1_reduce(3, 2, 2, "S")
     hits = memo.cache_info().hits
     assert corollary1_reduce(3, 2, 2, "S") is first
@@ -327,8 +327,7 @@ def test_corollary1_memo_is_bounded_shares_entries_and_skips_rejected_input():
 
 
 def test_theorem1_memo_is_bounded_shares_entries_and_skips_rejected_input():
-    memo = reduction._theorem1_memo
-    assert memo.cache_info().maxsize == reduction.THEOREM1_MEMO_SIZE
+    assert memo.cache_info().maxsize == MEMO_SIZE
     first = theorem1_reduce(2, 1, F(1, 2), "R")
     hits = memo.cache_info().hits
     # t is keyed exactly, whatever form it is given in
