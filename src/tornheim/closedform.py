@@ -41,6 +41,8 @@ from .errors import DomainError
 from .exact import (
     ZetaExpression,
     ZetaMonomial,
+    as_integer,
+    as_sign,
     check_convergent,
     expression_to_json,
     memo,
@@ -96,16 +98,16 @@ def _zeta_term(k: int, sign: int) -> tuple[ZetaMonomial, Fraction] | None:
     return term
 
 
-def _validate_double(s: int, t: int, sigma: int, tau: int) -> None:
-    if not (isinstance(s, int) and isinstance(t, int)):
-        raise DomainError(f"double_euler_closed: indices must be integers, got {(s, t)}")
-    if sigma not in (1, -1) or tau not in (1, -1):
-        raise DomainError("double_euler_closed: signs must be +1 or -1")
+def _validate_double(s: int, t: int, sigma: int, tau: int) -> tuple[int, int, int, int]:
+    s, t = as_integer(s, "double_euler_closed: s"), as_integer(t, "double_euler_closed: t")
+    sigma = as_sign(sigma, "double_euler_closed: sigma")
+    tau = as_sign(tau, "double_euler_closed: tau")
     check_convergent("double_euler_closed:", s, sigma, t, ("s", "t"))
     if (s + t) % 2 == 0:
         raise DomainError(
             f"double_euler_closed: no closed form at even weight s + t = {s + t}"
         )
+    return s, t, sigma, tau
 
 
 def double_euler_closed(s: int, t: int, sigma: int = 1, tau: int = 1) -> ZetaExpression:
@@ -118,8 +120,7 @@ def double_euler_closed(s: int, t: int, sigma: int = 1, tau: int = 1) -> ZetaExp
     immutable.  An entry is that ZetaExpression alone, summed from
     single-monomial products on a miss.
     """
-    _validate_double(s, t, sigma, tau)
-    return memo(_double_closed, s, t, sigma, tau)
+    return memo(_double_closed, *_validate_double(s, t, sigma, tau))
 
 
 def _double_closed(s: int, t: int, sigma: int, tau: int) -> ZetaExpression:
@@ -210,7 +211,7 @@ def closed_form_table(max_weight: int) -> list[tuple[str, int, int, int, ZetaExp
 
     max_weight is capped at 15 as a cost guard.
     """
-    if max_weight > MAX_TABLE_WEIGHT:
+    if as_integer(max_weight, "closed_form_table: max_weight") > MAX_TABLE_WEIGHT:
         raise DomainError(
             f"closed_form_table: weight bound {max_weight} exceeds {MAX_TABLE_WEIGHT}"
         )

@@ -32,7 +32,7 @@ from .errors import DivergenceError, DomainError
 # the memo
 # ----------------------------------------------------------------------
 
-MEMO_SIZE = 4096  # entries of memo; the largest grid, classical_check, takes about 1,040
+MEMO_SIZE = 4096  # entries of memo; the largest bench grid, table --weight 15, takes 1,058
 
 
 @lru_cache(maxsize=MEMO_SIZE, typed=True)
@@ -55,9 +55,7 @@ def bernoulli(n: int) -> Fraction:
 
     Computed from sum_{k=0}^{n} C(n+1, k) B_k = 0, each B_k from memo.
     """
-    if n < 0:
-        raise DomainError(f"bernoulli: n must be >= 0, got {n}")
-    return memo(_bernoulli, n)
+    return memo(_bernoulli, as_integer(n, "bernoulli: n", 0))
 
 
 def _bernoulli(n: int) -> Fraction:
@@ -75,7 +73,7 @@ def zeta_even_as_pi(k: int) -> "ZetaExpression":
 
     zeta(2m) = (-1)^(m+1) B_{2m} (2 pi)^{2m} / (2 (2m)!).
     """
-    if k < 2 or k % 2 != 0:
+    if as_integer(k, "zeta_even_as_pi: k", 2) % 2 != 0:
         raise DomainError(f"zeta_even_as_pi: k must be even and >= 2, got {k}")
     m = k // 2
     coeff = (-1) ** (m + 1) * bernoulli(k) * Fraction(2) ** (k - 1) / factorial(k)
@@ -88,10 +86,7 @@ def zeta_const(k: int, sign: int = 1) -> "ZetaExpression":
     sign=+1 requires k >= 2 (k = 1 diverges).  sign=-1 allows k >= 1:
     zeta(1; -1) = -log 2 and zeta(k; -1) = (2^(1-k) - 1) zeta(k) for k >= 2.
     """
-    if sign not in (1, -1):
-        raise DomainError(f"zeta_const: sign must be +1 or -1, got {sign}")
-    if k < 1:
-        raise DomainError(f"zeta_const: k must be >= 1, got {k}")
+    sign, k = as_sign(sign, "zeta_const: sign"), as_integer(k, "zeta_const: k", 1)
     if k == 1:
         if sign == 1:
             raise DivergenceError("zeta_const: zeta(1) diverges")
@@ -112,12 +107,14 @@ def zeta_const(k: int, sign: int = 1) -> "ZetaExpression":
 
 def as_rational(value, what: str = "") -> int | Fraction:
     """'3', '1/2', 7, Fraction(4, 2), ... as an int when integral, else a
-    Fraction; anything else (a non-finite float, None, ...) raises
+    Fraction; anything else (a bool, a non-finite float, None, ...) raises
     DomainError, its message led by what, the argument's name, if given."""
+    lead = f"{what}: " if what else ""
+    if isinstance(value, bool):
+        raise DomainError(f"{lead}not a rational number: {value!r}")
     try:
         frac = Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
-        lead = f"{what}: " if what else ""
         raise DomainError(f"{lead}not a rational number: {value!r}") from exc
     return int(frac) if frac.denominator == 1 else frac
 
@@ -128,6 +125,14 @@ def as_integer(value, what: str, least: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or least is not None and value < least:
         bound = "" if least is None else f" >= {least}"
         raise DomainError(f"{what} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def as_sign(value, what: str) -> int:
+    """value as an int if it is +1 or -1 and not a bool; else DomainError led
+    by what, the function and argument."""
+    if isinstance(value, bool) or value not in (1, -1):
+        raise DomainError(f"{what} must be +1 or -1, got {value!r}")
     return int(value)
 
 
@@ -142,9 +147,8 @@ class SignedIndex:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise DomainError(f"SignedIndex: sign must be +1 or -1, got {self.sign}")
-        if not isinstance(self.value, (int, Fraction)):
+        as_sign(self.sign, "SignedIndex: sign")
+        if isinstance(self.value, bool) or not isinstance(self.value, (int, Fraction)):
             raise DomainError(f"SignedIndex: value must be int or Fraction, got {type(self.value).__name__}")
 
     @property
@@ -416,9 +420,11 @@ def expr_numeric(expr: ZetaExpression, prec=None):
     """
     from mpmath import mp, mpf
 
-    from .numeric import PrecisionConfig, _xm, classical_zeta
+    from .numeric import _as_prec, _xm, classical_zeta
 
-    prec = prec or PrecisionConfig()
+    if not isinstance(expr, ZetaExpression):
+        raise DomainError(f"expr_numeric: expr must be a ZetaExpression, got {expr!r}")
+    prec = _as_prec(prec, "expr_numeric")
     with mp.workdps(prec.working_dps):
         total = mpf(0)
         for mono, coeff in expr.terms():

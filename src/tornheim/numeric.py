@@ -110,8 +110,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
 
 from .errors import DivergenceError, DomainError, PrecisionError
-from .exact import SignedIndex, as_integer, as_rational, check_convergent, memo
-from .reduction import DoubleQZeta, PhiTerm, QSquaredZeta, corollary1_reduce
+from .exact import SignedIndex, as_integer, as_rational, as_sign, check_convergent, memo
+from .reduction import DoubleQZeta, PhiTerm, QSquaredZeta, Reduction, corollary1_reduce
 
 __all__ = [
     "PrecisionConfig",
@@ -243,8 +243,14 @@ def _qparam(q) -> QParam:
     return QParam(q)
 
 
-def _as_prec(prec) -> PrecisionConfig:
-    return prec if prec is not None else PrecisionConfig()
+def _as_prec(prec, what: str) -> PrecisionConfig:
+    """prec, or the default PrecisionConfig for None; DomainError led by
+    what, the function, for anything else."""
+    if prec is None:
+        return PrecisionConfig()
+    if not isinstance(prec, PrecisionConfig):
+        raise DomainError(f"{what}: prec must be a PrecisionConfig, got {prec!r}")
+    return prec
 
 
 def _xm(x) -> mpf:
@@ -272,12 +278,6 @@ def _pow(base: mpf, expo) -> mpf:
     return mp.power(base, _xm(expo))
 
 
-def _sign_ok(sign: int) -> int:
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
-    return sign
-
-
 # ----------------------------------------------------------------------
 # q-side
 # ----------------------------------------------------------------------
@@ -286,7 +286,7 @@ def q_int(n: int, q, prec: PrecisionConfig | None = None) -> mpf:
     """The q-integer [n] = (q^n - 1)/(q - 1)."""
     n = as_integer(n, "q_int: n", 0)
     qp = _as_q(q)
-    prec = _as_prec(prec)
+    prec = _as_prec(prec, "q_int")
     with mp.workdps(prec.working_dps):
         qm = qp.to_mpf()
         return (qm ** n - 1) / (qm - 1)
@@ -600,10 +600,10 @@ def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) 
     at most 3/4 N 2^-B at B = prec + STREAM_GUARD bits.  The bound and the
     totals of both signs come from memo (_q_zeta1_series).
     """
-    _sign_ok(sign)
+    sign = as_sign(sign, "q_zeta1: sign")
     s = _exponent(s, "q_zeta1: s")
     qp = _as_q(q)
-    prec = _as_prec(prec)
+    prec = _as_prec(prec, "q_zeta1")
     return memo(_q_zeta1_series, s, qp, prec).info(prec, sign)
 
 
@@ -651,10 +651,10 @@ def q_zeta2_info(
     rounding <= 3/4 2^-B ((N-1)(K2/(q-1) + 1) + K1/(q-1)^2).  The bound
     and the totals of all four sign pairs come from memo (_q_zeta2_series).
     """
-    _sign_ok(sign1), _sign_ok(sign2)
+    sign1, sign2 = as_sign(sign1, "q_zeta2: sign1"), as_sign(sign2, "q_zeta2: sign2")
     s1, s2 = _exponent(s1, "q_zeta2: s1"), _exponent(s2, "q_zeta2: s2")
     qp = _as_q(q)
-    prec = _as_prec(prec)
+    prec = _as_prec(prec, "q_zeta2")
     return memo(_q_zeta2_series, s1, s2, qp, prec).info(prec, sign1, sign2)
 
 
@@ -724,10 +724,10 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
     rounding is at most 3/4 2^-B sum (k-1) = 3/4 2^-B N(N-1)/2.  The bound
     and the totals of both signs come from memo (_phi_q_series).
     """
-    _sign_ok(sign)
+    sign = as_sign(sign, "phi_q: sign")
     s = _exponent(s, "phi_q: s")
     qp = _as_q(q)
-    prec = _as_prec(prec)
+    prec = _as_prec(prec, "phi_q")
     return memo(_phi_q_series, s, qp, prec).info(prec, sign)
 
 
@@ -821,11 +821,11 @@ def tornheim_q_info(
     memo holds one sign-free _Series for all four sign pairs
     (_tornheim_q_series), as it does for q_zeta1, q_zeta2 and phi_q.
     """
-    _sign_ok(sigma), _sign_ok(tau)
+    sigma, tau = as_sign(sigma, "tornheim_q: sigma"), as_sign(tau, "tornheim_q: tau")
     r, s = _exponent(r, "tornheim_q: r"), _exponent(s, "tornheim_q: s")
     t = _exponent(t, "tornheim_q: t")
     qp = _as_q(q)
-    prec = _as_prec(prec)
+    prec = _as_prec(prec, "tornheim_q")
     r, s, sigma, tau = _orient(r, s, sigma, tau)
     return memo(_tornheim_q_series, r, s, t, qp, prec).info(prec, sigma, tau)
 
@@ -1016,8 +1016,11 @@ def classical_zeta(s, sign: int = 1, prec: PrecisionConfig | None = None) -> mpf
     Raises PrecisionError when the a-priori cutoff exceeds max_terms or the
     proven bound misses the goal (see _zeta_sum).
     """
-    _sign_ok(sign)
-    prec = _as_prec(prec)
+    sign = as_sign(sign, "classical_zeta: sign")
+    if isinstance(s, str):  # as_rational would parse it
+        raise DomainError(f"classical_zeta: s must be a number, got {s!r}")
+    s = as_rational(s, "classical_zeta: s")
+    prec = _as_prec(prec, "classical_zeta")
     if sign == 1 and not s > 1:
         raise DivergenceError(f"classical_zeta: zeta(s) needs s > 1, got {s}")
     if sign == -1 and not s >= 1:
@@ -1083,7 +1086,7 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
     """
     s1 = _as_signed(first)
     s2 = _as_signed(second)
-    prec = _as_prec(prec)
+    prec = _as_prec(prec, "classical_double_euler")
     if not isinstance(s1.value, int) or not isinstance(s2.value, int):
         raise DomainError("classical_double_euler: indices must be integers")
     check_convergent("classical_double_euler:", s1.value, s1.sign, s2.value, ("s1", "s2"))
@@ -1200,7 +1203,7 @@ def tornheim_classical(r: int, s: int, t: int, variant: str = "T",
                        prec: PrecisionConfig | None = None) -> mpf:
     """Numeric value of the classical series T/S/R(r,s,t) via its depth-2
     reduction (the production route; the raw double sum converges too slowly)."""
-    prec = _as_prec(prec)
+    prec = _as_prec(prec, "tornheim_classical")
     terms = corollary1_reduce(r, s, t, variant)
     with mp.workdps(prec.working_dps):
         total = mpf(0)
@@ -1229,8 +1232,10 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
     rational, rounded once to working precision (from_rational); only a
     fractional f (R at non-integer t) is a factor mp.power(1+q, f).
     """
+    if not isinstance(reduction, Reduction):
+        raise DomainError(f"evaluate_reduction: reduction must be a Reduction, got {reduction!r}")
     qp = _as_q(q)
-    prec = _as_prec(prec)
+    prec = _as_prec(prec, "evaluate_reduction")
     q2 = qp.squared()
     den = math.lcm(*(coeff.denominator for coeff, _ in reduction.terms))
     groups = defaultdict(int)  # (a, p) -> sum of c_i L T_i 2^(S - scale_i)

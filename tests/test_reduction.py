@@ -9,8 +9,26 @@ import pytest
 
 from tornheim import reduction
 from tornheim.errors import DivergenceError, DomainError
-from tornheim.exact import MEMO_SIZE, SignedIndex, as_rational, memo
-from tornheim.numeric import q_int, tornheim_q_info
+from tornheim.closedform import closed_form_table, double_euler_closed
+from tornheim.exact import (
+    MEMO_SIZE,
+    SignedIndex,
+    as_rational,
+    bernoulli,
+    expr_numeric,
+    memo,
+    zeta_const,
+)
+from tornheim.numeric import (
+    classical_double_euler,
+    classical_zeta,
+    evaluate_reduction,
+    q_int,
+    q_zeta1,
+    tornheim_classical,
+    tornheim_q,
+    tornheim_q_info,
+)
 from tornheim.reduction import (
     DoubleQZeta,
     PhiTerm,
@@ -135,6 +153,27 @@ def test_malformed_arguments_raise_domain_error_naming_them():
         (verify_theorem1, (1, 1, 0.5, "T", 2, 4), "verify_theorem1: t must be an integer, got 0.5"),
         (verify_theorem1, (1, 1, True, "T", 2, 4), "verify_theorem1: t must be an integer, got True"),
         (verify_theorem1, (1, 1, 1, "X", 2, 4), "unknown variant 'X'; expected one of ('T', 'S', 'R')"),
+        # a bool is no number, and no sign, anywhere (True == 1)
+        (q_zeta1, (True, 1, 2), "q_zeta1: s: not a rational number: True"),
+        (q_zeta1, (3, True, 2), "q_zeta1: sign must be +1 or -1, got True"),
+        (tornheim_q, (True, 1, 1, 1, 1, 2), "tornheim_q: r: not a rational number: True"),
+        (theorem1_reduce, (1, 1, True), "theorem1_reduce: t: not a rational number: True"),
+        (classical_double_euler, (2, True), "SignedIndex: value must be int or Fraction, got bool"),
+        (double_euler_closed, (2, True), "double_euler_closed: t must be an integer, got True"),
+        (double_euler_closed, (2, 1, True), "double_euler_closed: sigma must be +1 or -1, got True"),
+        (classical_zeta, (True, -1), "classical_zeta: s: not a rational number: True"),
+        (classical_zeta, (3, True), "classical_zeta: sign must be +1 or -1, got True"),
+        (SignedIndex, (2, True), "SignedIndex: sign must be +1 or -1, got True"),
+        # arguments of the wrong type
+        (classical_zeta, ("3",), "classical_zeta: s must be a number, got '3'"),
+        (closed_form_table, ("5",), "closed_form_table: max_weight must be an integer, got '5'"),
+        (zeta_const, ("3",), "zeta_const: k must be an integer >= 1, got '3'"),
+        (bernoulli, ("4",), "bernoulli: n must be an integer >= 0, got '4'"),
+        (bernoulli, (2.5,), "bernoulli: n must be an integer >= 0, got 2.5"),
+        (evaluate_reduction, (None, 2), "evaluate_reduction: reduction must be a Reduction, got None"),
+        (expr_numeric, (None,), "expr_numeric: expr must be a ZetaExpression, got None"),
+        (q_zeta1, (3, 1, 2, 30), "q_zeta1: prec must be a PrecisionConfig, got 30"),
+        (tornheim_classical, (2, 1, 2, "T", 30), "tornheim_classical: prec must be a PrecisionConfig, got 30"),
     ]:
         with pytest.raises(DomainError) as info:
             call(*args)
