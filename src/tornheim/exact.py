@@ -235,8 +235,8 @@ class ZetaExpression:
     operations build their results through _trusted, which skips that
     work: its callers pass an already merged dict whose coefficients are
     all nonzero Fractions, and hand that dict over to the new expression.
-    Expressions are immutable, so results may be shared (see
-    closedform.double_euler_closed, whose results memo keeps).
+    Expressions are immutable, so results may be shared (as
+    closedform.double_euler_closed shares its results through memo).
     """
 
     __slots__ = ("_terms",)
