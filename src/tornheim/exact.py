@@ -109,12 +109,12 @@ def as_rational(value, what: str = "") -> int | Fraction:
     """'3', '1/2', 7, Fraction(4, 2), ... as an int when integral, else a
     Fraction; anything else (a bool, a non-finite float, None, ...) raises
     DomainError, its message led by what, the argument's name, if given."""
-    lead = f"{what}: " if what else ""
-    if isinstance(value, bool):
-        raise DomainError(f"{lead}not a rational number: {value!r}")
     try:
+        if isinstance(value, bool):  # Fraction(True) == 1
+            raise TypeError("a bool is not a number here")
         frac = Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError, TypeError) as exc:
+        lead = f"{what}: " if what else ""
         raise DomainError(f"{lead}not a rational number: {value!r}") from exc
     return int(frac) if frac.denominator == 1 else frac
 
