@@ -35,14 +35,14 @@ from .errors import DivergenceError, DomainError
 MEMO_SIZE = 4096  # entries of memo; the largest bench grid, table --weight 15, takes 1,058
 
 
-@lru_cache(maxsize=MEMO_SIZE, typed=True)
+@lru_cache(maxsize=MEMO_SIZE)
 def memo(kernel, *args):
     """kernel(*args), kept in the package's one memo, keyed on the kernel and
     its arguments.  Every memoized kernel is looked up here after its own
     checks: numeric's series and q parses, lemma1_expand, theorem1_reduce,
-    corollary1_reduce, double_euler_closed and bernoulli.  typed=True keeps
-    2 and 2.0 apart.  numeric.memo_stats() reports it and
-    numeric.clear_memos() empties it."""
+    corollary1_reduce, double_euler_closed and bernoulli.  Equal arguments,
+    2 and 2.0 too, share an entry; numeric's q parse also keys on type(q).
+    numeric.memo_stats() reports it and numeric.clear_memos() empties it."""
     return kernel(*args)
 
 

@@ -58,20 +58,18 @@ truncation, exactly.
 The package has one memo, exact.memo(kernel, *args), a functools.lru_cache
 of exact.MEMO_SIZE entries that sits behind validated input, keyed on the
 kernel and its canonical arguments.  Here it holds the QParam of each q
-input (_qparam) and the SumInfo of each classical call (_zeta_sum,
-_double_sum).
-Each q-kernel keeps one _Series record per sign-free key (_q_zeta1_series,
-_q_zeta2_series, _phi_q_series, _tornheim_q_series): its terms,
-truncation bound, rounding allowance and goal, and the exact integer
-totals of all its signs.  None of these depends on the signs, so the key
-holds only the exponents (r <= s for tornheim_q, after _orient, then t),
-the QParam and the PrecisionConfig.  The public *_info call rounds and
-bounds the record per sign, and evaluate_reduction combines its totals
-exactly.  So T, S and R of one (r, s, t, q, precision) are planned and
-summed once.  The expansions, reductions, closed forms and Bernoulli
-numbers of the other modules are kept in the same memo.  memo_stats()
-reports the hits, misses and size of memo and of _tables (q-term tables
-and half-series words together), and clear_memos() empties both.
+and its type (_qparam), the SumInfo of each classical_zeta (_zeta_sum)
+and one _Series record per classical double (_double_sum) and per
+sign-free key of each q-kernel (_q_zeta1_series, _q_zeta2_series,
+_phi_q_series, _tornheim_q_series): its terms, truncation bound, rounding
+allowance and goal, and the exact integer totals of all its signs.  The
+key holds only the exponents (r <= s for tornheim_q, after _orient, then
+t), the QParam and the PrecisionConfig, so T, S and R of one (r, s, t, q,
+precision) are planned and summed once.  The public calls round and
+bound a record per sign (_Series.info); evaluate_reduction and
+tornheim_classical combine the totals of their terms exactly, in one
+step (_combine), and round once.  memo_stats() reports memo and _tables,
+and clear_memos() empties both.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
@@ -107,7 +105,7 @@ from operator import add, floordiv, lshift, mul, neg, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, mpf_shift, round_nearest, to_fixed
 
 from .errors import DivergenceError, DomainError, PrecisionError
 from .exact import SignedIndex, as_integer, as_rational, as_sign, check_convergent, memo
@@ -231,13 +229,15 @@ class SumInfo(NamedTuple):
 
 
 def _as_q(q) -> QParam:
-    return q if isinstance(q, QParam) else memo(_qparam, q)
+    """q, or the QParam of a number or string q, kept in memo under q and its
+    type (2 and 2.0 keep their own str()); DomainError for any other q."""
+    if not isinstance(q, (QParam, str, Real)):
+        raise DomainError(f"QParam: q must be a number, got {q!r}")
+    return q if isinstance(q, QParam) else memo(_qparam, q, type(q))
 
 
-def _qparam(q) -> QParam:
-    """The QParam of a q given as a number or a string (exact.as_rational),
-    one object per input and its type in memo, so that 2 and 2.0 keep their
-    own str().  Rejected input raises DomainError and is not kept."""
+def _qparam(q, kind: type) -> QParam:
+    """The QParam of q, of type kind; exact.as_rational parses a string."""
     if isinstance(q, str):
         q = as_rational(q, "q")
     return QParam(q)
@@ -524,9 +524,11 @@ def _at(totals: tuple, *signs: int) -> int:
     return totals[i]
 
 
-def _fixed_mpf(man: int, bits: int) -> mpf:
-    """man * 2^-bits rounded once to the working precision."""
-    return mp.make_mpf(from_man_exp(man, -bits, mp.prec, round_nearest))
+def _rounded(num: int, den: int, scale: int) -> mpf:
+    """num / den 2^-scale, exact ints, rounded once to working precision."""
+    if den == 1:  # round before from_rational's exact num would strip its zeros
+        return mp.make_mpf(from_man_exp(num, -scale, mp.prec, round_nearest))
+    return mp.make_mpf(mpf_shift(from_rational(num, den, mp.prec, round_nearest), -scale))
 
 
 def _bound(what: str, value: mpf, truncation: mpf, rounding: mpf, goal: mpf) -> mpf:
@@ -543,13 +545,13 @@ def _bound(what: str, value: mpf, truncation: mpf, rounding: mpf, goal: mpf) -> 
 
 
 class _Series(NamedTuple):
-    """One sign-free q_zeta1, q_zeta2, phi_q or tornheim_q series, kept in
-    memo: the terms the call reports, its truncation bound, its rounding
-    allowance before the final rounding to working precision, the goal, the
-    exact integer totals of all its signs (_at) in units of 2^-scale, and
-    limit, a |total| up to which _bound accepts the rounded value (-1: none
-    is sure to pass).  The public *_info calls and the terms of
-    evaluate_reduction read it."""
+    """One sign-free q_zeta1, q_zeta2, phi_q or tornheim_q series, or one
+    classical double, kept in memo: the terms the call reports, its
+    truncation bound, its rounding allowance before the final rounding to
+    working precision, the goal, the exact integer totals of all its signs
+    (_at) in units of 2^-scale, and limit, a |total| up to which _bound
+    accepts the rounded value (-1: none is sure to pass).  The public calls
+    and _combine read it."""
     what: str
     terms: int
     truncation: mpf
@@ -568,7 +570,7 @@ def _summed(series: _Series, prec: PrecisionConfig, total: int) -> SumInfo:
     """The SumInfo of the exact integer sum total 2^-scale of series: rounded
     once to working precision and bounded by _bound."""
     with mp.workdps(prec.working_dps):
-        value = _fixed_mpf(total, series.scale)
+        value = _rounded(total, 1, series.scale)
         bound = _bound(series.what, value, series.truncation, series.rounding, series.goal)
         return SumInfo(value, bound, series.terms)
 
@@ -1061,19 +1063,16 @@ def _zeta_sum(s, sign: int, prec: PrecisionConfig) -> SumInfo:
             coeff = coeff * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
             d.append(d[-1] + coeff)
         total = sum((d[n] - d[k]) * (a if k % 2 == 0 else -a) for k, a in enumerate(fixed))
-        value = _fixed_mpf(total // d[n], bits) / divisor
+        value = _rounded(total // d[n], 1, bits) / divisor
         truncation = 1 / (d[n] * abs(divisor))
         rounding = (mp.ldexp(mpf(3 * n + 4) / 4, -bits)
                     + mp.ldexp(abs(value), 3 - mp.prec)) / abs(divisor)
         return SumInfo(value, _bound("classical_zeta", value, truncation, rounding, goal), n)
 
 
-def _as_signed(x) -> SignedIndex:
-    if isinstance(x, SignedIndex):
-        return x
-    if isinstance(x, tuple):
-        return SignedIndex(x[0], x[1])
-    return SignedIndex(x, 1)
+def _as_signed(x, what: str) -> SignedIndex:
+    """x, or SignedIndex(x, 1) for an int x; else DomainError led by what."""
+    return x if isinstance(x, SignedIndex) else SignedIndex(as_integer(x, what), 1)
 
 
 def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -> mpf:
@@ -1084,13 +1083,13 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
     Summed by the split of its iterated integral at 1/2 (_double_sum); raises
     PrecisionError when the cutoff exceeds max_terms or the bound the goal.
     """
-    s1 = _as_signed(first)
-    s2 = _as_signed(second)
+    s1 = _as_signed(first, "classical_double_euler: first")
+    s2 = _as_signed(second, "classical_double_euler: second")
     prec = _as_prec(prec, "classical_double_euler")
     if not isinstance(s1.value, int) or not isinstance(s2.value, int):
         raise DomainError("classical_double_euler: indices must be integers")
     check_convergent("classical_double_euler:", s1.value, s1.sign, s2.value, ("s1", "s2"))
-    return memo(_double_sum, s1.value, s1.sign, s2.value, s2.sign, prec).value
+    return memo(_double_sum, s1.value, s1.sign, s2.value, s2.sign, prec).info(prec).value
 
 
 def _letter(t: list[int], c: int, start: int, n: int) -> list[int]:
@@ -1162,7 +1161,7 @@ def _split_values(word: list[int], a1: int, n: int, bits: int):
     return heads, tails
 
 
-def _double_sum(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> SumInfo:
+def _double_sum(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> _Series:
     """zeta(a1, a2; g1, g2) = I(0 -> 1; w), w = w_1..w_L = 0^(a1-1) g1 0^(a2-1)
     g1g2 in the letters of _half_values, split at 1/2 (Borwein, Bradley,
     Broadhurst and Lisonek 2001): zeta = sum_{j<=L} A_j B_j with
@@ -1173,7 +1172,8 @@ def _double_sum(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> Su
     most L letters, within delta = 2^-N + 2L (N+1) 2^-B (_half_values), so
     the exact sum of the products, at 2B bits, is within (2 delta +
     delta^2) (L+1) <= 3 (L+1) delta: truncation 3 (L+1) 2^-N and rounding
-    6 L (L+1) (N+1) 2^-B at B = prec + STREAM_GUARD bits, then rounded once.
+    6 L (L+1) (N+1) 2^-B at B = prec + STREAM_GUARD bits, the one total of
+    a _Series at scale 2B.
     The heads and tails come from _split_values; the runs it reads from
     _tables are term for term those a fresh build gives, so the value and
     bound do not depend on what is stored.
@@ -1185,62 +1185,67 @@ def _double_sum(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> Su
         n = _ceil_bits(6 * (size + 1) / goal)
         _budget(n, prec, "classical_double_euler")
         bits = mp.prec + STREAM_GUARD
-        heads, tails = _split_values(word, a1, n, bits)
-        signs = accumulate((1 if c in (0, 1) else -1 for c in word), mul, initial=1)
-        total = sum(g * a * b for g, a, b in zip(signs, heads, reversed(tails)))
-        value = _fixed_mpf(total, 2 * bits)
         truncation = mp.ldexp(mpf(3 * (size + 1)), -n)
         rounding = mp.ldexp(mpf(6 * size * (size + 1) * (n + 1)), -bits)
-        return SumInfo(value, _bound("classical_double_euler", value, truncation, rounding, goal),
-                       n)
+    heads, tails = _split_values(word, a1, n, bits)
+    signs = accumulate((1 if c in (0, 1) else -1 for c in word), mul, initial=1)
+    total = sum(g * a * b for g, a, b in zip(signs, heads, reversed(tails)))
+    return _series("classical_double_euler", prec, n, truncation, rounding, goal, (total,),
+                   2 * bits)
 
 
 # ----------------------------------------------------------------------
-# classical Tornheim values
+# combinations of series: classical Tornheim values and reductions
 # ----------------------------------------------------------------------
+
+def _combine(parts, den: int, prec: PrecisionConfig) -> tuple[defaultdict, int]:
+    """Per group, the exact int sum of c_i L T_i 2^(S - scale_i) over parts
+    (c_i, group, series, T_i), T_i a total of series (_at), L = den a common
+    denominator of the c_i, S = 2 (working bits + STREAM_GUARD); and S.  A
+    term whose rounded value _bound could reject (|T_i| above its limit)
+    goes through _summed, which raises as its own SumInfo would."""
+    groups = defaultdict(int)
+    scale = 2 * (mp.prec + STREAM_GUARD)
+    for c, group, series, total in parts:
+        if abs(total) > series.limit:  # _summed raises if this term misses its goal
+            _summed(series, prec, total)
+        groups[group] += c.numerator * (den // c.denominator) * total << scale - series.scale
+    return groups, scale
+
 
 def tornheim_classical(r: int, s: int, t: int, variant: str = "T",
                        prec: PrecisionConfig | None = None) -> mpf:
     """Numeric value of the classical series T/S/R(r,s,t) via its depth-2
-    reduction (the production route; the raw double sum converges too slowly)."""
+    reduction (the production route; the raw double sum converges too slowly).
+    corollary1_reduce checks that each term converges, so its _double_sum
+    _Series is read from memo directly; _combine sums them, rounded once."""
     prec = _as_prec(prec, "tornheim_classical")
     terms = corollary1_reduce(r, s, t, variant)
+    den = math.lcm(*(coeff.denominator for coeff, _, _ in terms))
     with mp.workdps(prec.working_dps):
-        total = mpf(0)
-        for coeff, outer, inner in terms:
-            total += _xm(coeff) * classical_double_euler(outer, inner, prec)
-        return total
+        doubles = (memo(_double_sum, a.value, a.sign, b.value, b.sign, prec) for _, a, b in terms)
+        parts = ((c, 0, series, series.totals[0]) for (c, _, _), series in zip(terms, doubles))
+        groups, scale = _combine(parts, den, prec)
+        return _rounded(groups[0], den, scale)
 
-
-# ----------------------------------------------------------------------
-# reduction evaluation
-# ----------------------------------------------------------------------
 
 def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf:
     """Numeric value of a Reduction's right-hand side at a given q.
 
-    Each term's series is a _Series of memo, keyed on its exponents as the
-    term holds them (exact ints and Fractions, validated by the kernel on a
-    miss), and its sign's total T_i is an exact integer in units of
-    2^-scale_i.  A term whose rounded value _bound could reject (|T_i| above
-    the entry's limit) goes through _summed, which raises PrecisionError as
-    the term's own SumInfo would.  With L the common denominator of the
-    coefficients c_i and S = 2 (working bits + STREAM_GUARD), the integers
-    c_i L T_i 2^(S - scale_i) are summed per power (a, p) of (1-q) and
-    (1+q), exactly.  With q = n/d, (1-q)^a (1+q)^p = (d-n)^a (n+d)^w d^(-a-w)
-    (1+q)^f, w = floor(p), f = p - w, so the groups of one f form one exact
-    rational, rounded once to working precision (from_rational); only a
-    fractional f (R at non-integer t) is a factor mp.power(1+q, f).
+    Each term reads its _Series from memo, keyed on its exponents as the
+    term holds them (validated by the kernel on a miss), and _combine sums
+    the terms per power (a, p) of (1-q) and (1+q).  With q = n/d, (1-q)^a
+    (1+q)^p = (d-n)^a (n+d)^w d^(-a-w) (1+q)^f, w = floor(p), f = p - w, so
+    the groups of one f form one exact rational, rounded once (_rounded);
+    only a fractional f (R at non-integer t) is a factor mp.power(1+q, f).
     """
     if not isinstance(reduction, Reduction):
         raise DomainError(f"evaluate_reduction: reduction must be a Reduction, got {reduction!r}")
     qp = _as_q(q)
     prec = _as_prec(prec, "evaluate_reduction")
     q2 = qp.squared()
-    den = math.lcm(*(coeff.denominator for coeff, _ in reduction.terms))
-    groups = defaultdict(int)  # (a, p) -> sum of c_i L T_i 2^(S - scale_i)
-    with mp.workdps(prec.working_dps):
-        scale = 2 * (mp.prec + STREAM_GUARD)
+
+    def terms():  # the parts of _combine
         for coeff, kind in reduction.terms:
             p = 0
             if isinstance(kind, DoubleQZeta):
@@ -1255,10 +1260,11 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
                 total, p = series.totals[0], kind.one_plus_q_pow
             else:
                 raise DomainError(f"evaluate_reduction: unknown term kind {kind!r}")
-            if abs(total) > series.limit:  # _summed raises if this term misses its goal
-                _summed(series, prec, total)
-            weight = coeff.numerator * (den // coeff.denominator)
-            groups[kind.one_minus_q_pow, p] += weight * total << scale - series.scale
+            yield coeff, (kind.one_minus_q_pow, p), series, total
+
+    den = math.lcm(*(coeff.denominator for coeff, _ in reduction.terms))
+    with mp.workdps(prec.working_dps):
+        groups, scale = _combine(terms(), den, prec)
         n, d = qp.ratio.numerator, qp.ratio.denominator
         bases = (d - n, n + d, d)
         parts = defaultdict(dict)  # f -> {powers (a, w, -a-w) of bases: group}
@@ -1270,27 +1276,21 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
             lows = [min(e) for e in zip(*part)]
             num = sum(g * math.prod(b ** (e - lo) for b, e, lo in zip(bases, powers, lows))
                       for powers, g in part.items())
-            low = den
-            for b, lo in zip(bases, lows):
-                if lo < 0:
-                    low *= b ** -lo
-                else:
-                    num *= b ** lo
-            term = mp.ldexp(mp.make_mpf(from_rational(num, low, mp.prec, round_nearest)), -scale)
+            num *= math.prod(b ** lo for b, lo in zip(bases, lows) if lo > 0)
+            low = den * math.prod(b ** -lo for b, lo in zip(bases, lows) if lo < 0)
+            term = _rounded(num, low, scale)
             value += term * mp.power(1 + qp.to_mpf(), _xm(f)) if f else term
         return value
 
 
 def memo_stats() -> dict:
-    """Hits, misses and size of exact.memo, the package's one memo (the q
-    parses, the classical SumInfos, one _Series record per sign-free
+    """Hits, misses and size of exact.memo, the package's one memo (q parses,
+    classical_zeta's SumInfos, the _Series of the classical doubles and
     q-series, and the expansions, reductions, closed forms and Bernoulli
-    numbers), and for the q-term tables (_tables) their number, the terms
-    stored, the budget, and their hits and misses.  A call that a kernel
-    rejects inside memo (a q that _qparam refuses, or _budget raising from
-    _zeta_sum, _double_sum or a q-kernel's _Series builder) counts one
-    miss, for the one entry it looked up, and stores nothing.  Each checks
-    _budget before it sums, so a rejected call sums nothing."""
+    numbers), and for _tables (q-term tables and half-series words) their
+    number, terms stored, budget, hits and misses.  A call rejected inside
+    memo (a q that _qparam refuses, or _budget, checked before anything is
+    summed) counts one miss, for the entry it looked up, and stores nothing."""
     info = memo.cache_info()
     return {"memo": {"hits": info.hits, "misses": info.misses, "size": info.currsize},
             "tables": _tables.stats()}

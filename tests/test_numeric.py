@@ -13,7 +13,7 @@ import pytest
 from mpmath import mp, mpf
 
 from tornheim import numeric
-from tornheim.closedform import double_euler_closed
+from tornheim.closedform import double_euler_closed, tornheim_closed
 from tornheim.errors import DivergenceError, DomainError, PrecisionError
 from tornheim.exact import MEMO_SIZE, SignedIndex, bernoulli
 from tornheim.numeric import (
@@ -1055,9 +1055,10 @@ def _mpmath_value(expr):
 
 @pytest.mark.parametrize("digits", [12, 30, 60, 120, 250])
 def test_classical_bounds_cover_the_truth(digits):
-    """Each classical SumInfo in memo: |value - oracle| <= tail_bound <= goal,
-    with mpmath.zeta, and for the doubles their odd-weight closed form, as the
-    oracle; the public calls return the same value."""
+    """Each classical SumInfo from memo (a double's through its _Series):
+    |value - oracle| <= tail_bound <= goal, with mpmath.zeta, and for the
+    doubles their odd-weight closed form, as the oracle; the public calls
+    return the same value."""
     prec = PrecisionConfig(digits=digits)
     for s in (3, 5, 11):
         with mp.workdps(digits + 40):
@@ -1071,7 +1072,7 @@ def test_classical_bounds_cover_the_truth(digits):
     for a1, a2 in ((2, 1), (3, 2), (2, 3), (4, 3), (6, 5)):
         for g1 in (1, -1):
             for g2 in (1, -1):
-                info = numeric.memo(numeric._double_sum, a1, g1, a2, g2, prec)
+                info = numeric.memo(numeric._double_sum, a1, g1, a2, g2, prec).info(prec)
                 got = classical_double_euler(SignedIndex(a1, g1), SignedIndex(a2, g2), prec)
                 assert got == info.value
                 with mp.workdps(digits + 40):
@@ -1125,7 +1126,7 @@ def test_double_sum_bound_covers_its_rounding_at_few_bits(monkeypatch):
     monkeypatch.setattr(numeric, "STREAM_GUARD", -100)
     prec = PrecisionConfig(digits=30, tail_goal=1e-9)
     for a1, g1, a2, g2 in ((3, 1, 2, 1), (2, -1, 1, -1), (3, -1, 2, 1), (1, -1, 3, 1)):
-        info = numeric._double_sum(a1, g1, a2, g2, prec)  # not through memo
+        info = numeric._double_sum(a1, g1, a2, g2, prec).info(prec)  # not through memo
         word = [0] * (a1 - 1) + [g1] + [0] * (a2 - 1) + [g1 * g2]
         n, size = info.terms, len(word)
         tails = _half_series_exact(list(reversed(word)), n)
@@ -1199,10 +1200,10 @@ CLASSICAL_GRID_DOUBLES_SHA256 = "bbec225b4980a6fed52ee7eec429419574904789c18ad62
 
 
 def test_double_sum_on_the_classical_grid_is_pinned():
-    """Every SumInfo of _double_sum (value, tail_bound, terms) over the
-    doubles of the odd-weight grid r, s, t <= 5 at 30, 60 and 120 digits,
-    hashed: the words shared through _tables leave every bit as it was when
-    each double built its own."""
+    """Every SumInfo of a _double_sum _Series (value, tail_bound, terms)
+    over the doubles of the odd-weight grid r, s, t <= 5 at 30, 60 and 120
+    digits, hashed: the words shared through _tables leave every bit as it
+    was when each double built its own."""
     doubles = sorted({(a.value, a.sign, b.value, b.sign)
                       for r in range(1, 6) for s in range(1, 6) for t in range(1, 6)
                       if (r + s + t) % 2 == 1 for v in "TSR"
@@ -1211,7 +1212,7 @@ def test_double_sum_on_the_classical_grid_is_pinned():
     for digits in (30, 60, 120):
         prec = PrecisionConfig(digits=digits)
         for key in doubles:
-            info = numeric._double_sum(*key, prec)
+            info = numeric._double_sum(*key, prec).info(prec)
             parts = []
             for x in (info.value, info.tail_bound):
                 sign, man, exp, bc = x._mpf_
@@ -1251,11 +1252,11 @@ def test_half_series_words_are_read_at_their_own_bits(monkeypatch):
     tables = numeric._TableMemo(numeric.TABLE_BUDGET)
     monkeypatch.setattr(numeric, "_tables", tables)
     prec = PrecisionConfig(digits=30, tail_goal=1e-9)
-    wide = numeric._double_sum(3, -1, 2, 1, prec)
+    wide = numeric._double_sum(3, -1, 2, 1, prec).info(prec)
     read, table = [], tables.table
     monkeypatch.setattr(tables, "table", lambda key, n, grow: read.append(key) or table(key, n, grow))
     monkeypatch.setattr(numeric, "STREAM_GUARD", -100)
-    narrow = numeric._double_sum(3, -1, 2, 1, prec)
+    narrow = numeric._double_sum(3, -1, 2, 1, prec).info(prec)
     assert read and {bits for bits, _ in read} == {53}
     assert narrow.tail_bound > wide.tail_bound
 
@@ -1351,6 +1352,31 @@ def test_tornheim_classical_known_value():
     with mp.workdps(50):
         got = tornheim_classical(1, 1, 1, "S", P30)
         assert abs(got - mpmath.zeta(3) / 4) < mpf(10) ** -30
+
+
+@pytest.mark.parametrize("digits", [30, 60, 120])
+def test_tornheim_classical_lies_within_its_terms_bounds(digits):
+    """On the odd-weight grid r, s, t <= 5, T/S/R: |tornheim_classical -
+    oracle| <= sum |c_i| bound_i + 2^(1-prec) |value|, with bound_i the
+    tail_bound of each corollary1_reduce term's _double_sum and prec the
+    working bits; the oracle is the closed form by mpmath.zeta."""
+    prec = PrecisionConfig(digits=digits)
+    for r in range(1, 6):
+        for s in range(1, 6):
+            for t in range(1, 6):
+                if (r + s + t) % 2 == 0:
+                    continue
+                for v in "TSR":
+                    value = tornheim_classical(r, s, t, v, prec)
+                    with mp.workdps(prec.working_dps):
+                        bound = mp.ldexp(abs(value), 1 - mp.prec)
+                        for c, a, b in corollary1_reduce(r, s, t, v):
+                            info = numeric.memo(numeric._double_sum, a.value, a.sign,
+                                                b.value, b.sign, prec).info(prec)
+                            bound += abs(c) * info.tail_bound
+                    with mp.workdps(digits + 40):
+                        oracle = _mpmath_value(tornheim_closed(r, s, t, v).expression)
+                        assert abs(value - oracle) <= bound, (r, s, t, v)
 
 
 def test_q_to_1_continuity_at_212():

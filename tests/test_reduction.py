@@ -158,7 +158,7 @@ def test_malformed_arguments_raise_domain_error_naming_them():
         (q_zeta1, (3, True, 2), "q_zeta1: sign must be +1 or -1, got True"),
         (tornheim_q, (True, 1, 1, 1, 1, 2), "tornheim_q: r: not a rational number: True"),
         (theorem1_reduce, (1, 1, True), "theorem1_reduce: t: not a rational number: True"),
-        (classical_double_euler, (2, True), "SignedIndex: value must be int or Fraction, got bool"),
+        (classical_double_euler, (2, True), "classical_double_euler: second must be an integer, got True"),
         (double_euler_closed, (2, True), "double_euler_closed: t must be an integer, got True"),
         (double_euler_closed, (2, 1, True), "double_euler_closed: sigma must be +1 or -1, got True"),
         (classical_zeta, (True, -1), "classical_zeta: s: not a rational number: True"),
@@ -172,6 +172,7 @@ def test_malformed_arguments_raise_domain_error_naming_them():
         (bernoulli, (2.5,), "bernoulli: n must be an integer >= 0, got 2.5"),
         (evaluate_reduction, (None, 2), "evaluate_reduction: reduction must be a Reduction, got None"),
         (expr_numeric, (None,), "expr_numeric: expr must be a ZetaExpression, got None"),
+        (q_zeta1, (3, 1, [2]), "QParam: q must be a number, got [2]"),
         (q_zeta1, (3, 1, 2, 30), "q_zeta1: prec must be a PrecisionConfig, got 30"),
         (tornheim_classical, (2, 1, 2, "T", 30), "tornheim_classical: prec must be a PrecisionConfig, got 30"),
     ]:
