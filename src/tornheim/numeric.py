@@ -46,14 +46,9 @@ over odd k, so one pass over the unsigned entries, split by parity, gives
 the exact totals of every sign (pair) at once.
 
 The classical double zeta keeps each word of its split at 1/2 as the word's
-terms at 1/2 (_half_values), built one letter at a time.  The heads of
-zeta(a1, a2; g1, g2) start with the letters 1^(a1-1) and its tails with
-g1g2 0^(a2-1); these runs do not depend on the rest of the double, so
-_half_values keeps their terms in _tables too, under (bits, letters), and
-every double at that width reads them there and builds only its other
-letters.  Term k of a word reads terms 0..k of the word before it and
-nothing else, so a word stored with more terms serves a shorter cutoff by
-truncation, exactly.
+terms at 1/2 (_half_values), built one letter at a time; the runs that
+start its heads and tails do not depend on the rest of the double and are
+kept in _tables too, under (bits, letters) (_split_values).
 
 The package has one memo, exact.memo(kernel, *args), a functools.lru_cache
 of exact.MEMO_SIZE entries that sits behind validated input, keyed on the
@@ -61,15 +56,15 @@ kernel and its canonical arguments.  Here it holds the QParam of each q
 and its type (_qparam), the SumInfo of each classical_zeta (_zeta_sum)
 and one _Series record per classical double (_double_sum) and per
 sign-free key of each q-kernel (_q_zeta1_series, _q_zeta2_series,
-_phi_q_series, _tornheim_q_series): its terms, truncation bound, rounding
-allowance and goal, and the exact integer totals of all its signs.  The
-key holds only the exponents (r <= s for tornheim_q, after _orient, then
-t), the QParam and the PrecisionConfig, so T, S and R of one (r, s, t, q,
-precision) are planned and summed once.  The public calls round and
-bound a record per sign (_Series.info); evaluate_reduction and
-tornheim_classical combine the totals of their terms exactly, in one
-step (_combine), and round once.  memo_stats() reports memo and _tables,
-and clear_memos() empties both.
+_phi_q_series, _tornheim_q_series): the exact integer totals of all its
+signs and, settled once as it is built (_series), each sign's SumInfo or
+PrecisionError message.  The key holds only the exponents (r <= s for
+tornheim_q, after _orient, then t), the QParam and the PrecisionConfig,
+so T, S and R of one (r, s, t, q, precision) are summed and bounded once.
+The public calls look their sign's answer up (_Series.info), and
+evaluate_reduction and tornheim_classical read it for each term before
+they combine the totals exactly and round once (_combine).  memo_stats()
+reports memo and _tables, and clear_memos() empties both.
 
 All mpf results are computed at digits + 15 working precision.  Every
 q-kernel and both classical kernels plan their cutoff from the goal up
@@ -105,7 +100,8 @@ from operator import add, floordiv, lshift, mul, neg, rshift, sub
 from typing import NamedTuple
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, mpf_shift, round_nearest, to_fixed
+from mpmath.libmp import (dps_to_prec, from_man_exp, from_rational, mpf_shift, round_nearest,
+                          to_fixed)
 
 from .errors import DivergenceError, DomainError, PrecisionError
 from .exact import SignedIndex, as_integer, as_rational, as_sign, check_convergent, memo
@@ -156,6 +152,10 @@ class PrecisionConfig:
                 raise DomainError(f"PrecisionConfig: {name} must be an integer, got {value!r}")
         if self.digits < 10:
             raise DomainError(f"PrecisionConfig: digits must be >= 10, got {self.digits}")
+        try:
+            dps_to_prec(self.working_dps)  # as mp.workdps converts it
+        except OverflowError:
+            raise DomainError(f"PrecisionConfig: digits {self.digits} is past what mpmath holds")
         if self.max_terms < 100:
             raise DomainError(f"PrecisionConfig: max_terms must be >= 100, got {self.max_terms}")
         if self.tail_goal is not None and not isinstance(self.tail_goal, Real):
@@ -302,9 +302,12 @@ def _kbound(x, qm: mpf) -> mpf:
 
 def _log2(x: mpf) -> float:
     """log2 x for an mpf x > 0, as exp + bc + log2(man 2^-bc) from its
-    mantissa man of bc bits and its exponent exp, so that no x overflows it."""
+    mantissa man of bc bits and its exponent exp; +-inf past the float range."""
     _, man, exp, bc = x._mpf_
-    return exp + bc + math.log2(man / (1 << bc))
+    try:
+        return exp + bc + math.log2(man / (1 << bc))
+    except OverflowError:
+        return math.inf if exp > 0 else -math.inf
 
 
 def _decided(margin: float, scale: float, exact) -> bool:
@@ -317,12 +320,20 @@ def _decided(margin: float, scale: float, exact) -> bool:
 
 
 def _geometric_n(c: mpf, qm: mpf, goal: mpf) -> int:
-    """The least N >= 1 with c q^-N <= goal, found in float log2 (_log2);
-    each N tried is decided by _decided, the mpf comparison at a near tie."""
+    """The least N >= 1 with c q^-N <= goal, stepped to from an estimate in
+    float log2 (_log2), each N decided by _decided (mpf at a near tie).  An
+    estimate past 2^50 terms is taken in mpf at as many more bits as it has,
+    and returned past the float range (N = 1, or one no budget reaches)."""
     lc, lq, lg = _log2(c), _log2(qm), _log2(goal)
+    if abs(estimate := (lc - lg) / lq) < 2 ** 50:
+        n = max(1, math.ceil(estimate))
+    else:
+        with mp.workprec(mp.prec + (abs(mp.mag(c)) + abs(mp.mag(goal))).bit_length()):
+            n = max(1, int(mp.ceil(mp.log(c / goal) / mp.log(qm))))
+        if math.isinf(estimate):
+            return n
     scale = abs(lc) + abs(lg)
     meets = lambda n: _decided(lc - n * lq - lg, scale, lambda: c * qm ** -n <= goal)
-    n = max(1, math.ceil((lc - lg) / lq))
     while n > 1 and meets(n - 1):
         n -= 1
     while not meets(n):
@@ -465,14 +476,10 @@ def _stream_terms(qp: QParam, bits: int, e, x, n: int) -> list[int]:
 
     Memory: an entry is a Python int and its list slot, about bits/8 + 36
     bytes, and _tables keeps at most TABLE_BUDGET entries of all its tables
-    together once a call returns.  Each stored table also keeps its last
-    P_k, one int of G bits, dropped with the table.  At 30 digits the
-    576-case q_sweep grid stores about 12,700 entries in 111 tables
-    (0.7 MB), 3 of them the powers q^-k of tornheim_q.  The 144-case
-    q_limit grid (goal 1e-7) stores about 54,000 in 60 (2.5 MB); 12 of
-    them, about 16,700 entries, are the factors and powers of tornheim_q's
-    Lambert sums, most at q = 101/100.  It grows them in 115 fills, which
-    run the recurrence once per stored entry, 54,017 steps.
+    together once a call returns, each table with its last P_k.  At 30
+    digits the 576-case q_sweep grid stores about 12,700 entries in 111
+    tables (0.7 MB); the 144-case q_limit grid (goal 1e-7) about 54,000 in
+    60 (2.5 MB), grown in 115 fills of 54,017 recurrence steps in all.
     """
     shift = Fraction(x) - Fraction(e)
     if shift not in (0, 1):
@@ -535,64 +542,46 @@ def _bound(what: str, value: mpf, truncation: mpf, rounding: mpf, goal: mpf) -> 
     """truncation + rounding + 2^(1-prec) |value|, the last term for the
     final rounding to working precision prec; PrecisionError above goal."""
     rounding += mp.ldexp(abs(value), 1 - mp.prec)
-    if truncation + rounding > goal:
+    if (bound := truncation + rounding) > goal:
         raise PrecisionError(
             f"{what}: truncation {mp.nstr(truncation, 3)} plus rounding "
             f"{mp.nstr(rounding, 3)} exceeds the goal {mp.nstr(goal, 3)} at "
             f"{mp.dps} working digits"
         )
-    return truncation + rounding
+    return bound
 
 
 class _Series(NamedTuple):
     """One sign-free q_zeta1, q_zeta2, phi_q or tornheim_q series, or one
-    classical double, kept in memo: the terms the call reports, its
-    truncation bound, its rounding allowance before the final rounding to
-    working precision, the goal, the exact integer totals of all its signs
-    (_at) in units of 2^-scale, and limit, a |total| up to which _bound
-    accepts the rounded value (-1: none is sure to pass).  The public calls
-    and _combine read it."""
-    what: str
-    terms: int
-    truncation: mpf
-    rounding: mpf
-    goal: mpf
+    classical double, kept in memo: the exact integer totals of all its
+    signs (_at) in units of 2^-scale, and per sign in that order the
+    SumInfo its public call returns or its PrecisionError's message,
+    settled once by _series.  The public calls and _combine read both."""
     totals: tuple
     scale: int
-    limit: int
+    infos: tuple
 
-    def info(self, prec: PrecisionConfig, *signs: int) -> SumInfo:
-        """The SumInfo of the signs, rounded and bounded by _summed."""
-        return _summed(self, prec, _at(self.totals, *signs))
-
-
-def _summed(series: _Series, prec: PrecisionConfig, total: int) -> SumInfo:
-    """The SumInfo of the exact integer sum total 2^-scale of series: rounded
-    once to working precision and bounded by _bound."""
-    with mp.workdps(prec.working_dps):
-        value = _rounded(total, 1, series.scale)
-        bound = _bound(series.what, value, series.truncation, series.rounding, series.goal)
-        return SumInfo(value, bound, series.terms)
+    def info(self, *signs: int) -> SumInfo:
+        """The settled SumInfo of signs; PrecisionError if it missed its goal."""
+        info = _at(self.infos, *signs)
+        if isinstance(info, str):
+            raise PrecisionError(info)
+        return info
 
 
 def _series(what: str, prec: PrecisionConfig, terms: int, truncation: mpf, rounding: mpf,
             goal: mpf, totals: tuple, scale: int) -> _Series:
-    """The _Series of totals in units of 2^-scale, with its limit.
-
-    With slack = goal - truncation - rounding, exact, and p the working
-    precision, a total of at most slack 2^(p-2+scale) in absolute value
-    rounds to a value v with 2^(1-p) |v| <= (1 + 2^-p) slack/2.  Then
-    rounding + 2^(1-p) |v| <= goal, so _bound's first rounded addition adds
-    at most 2^-p goal, and the exact truncation + rounding it compares is at
-    most goal - (1 - 2^-p) slack/2 + 2^-p goal <= goal once slack >=
-    2^(3-p) goal.  Round to nearest is monotone and goal a p-bit number, so
-    the rounded sum is at most goal too and _bound accepts v.  Below that
-    slack, limit is -1."""
+    """The _Series of totals in units of 2^-scale, each rounded once and settled
+    by _bound: a SumInfo of terms, or the message of its PrecisionError."""
+    infos = []
     with mp.workdps(prec.working_dps):
-        slack = mp.fsub(mp.fsub(goal, truncation, exact=True), rounding, exact=True)
-        sure = slack >= mp.ldexp(goal, 3 - mp.prec)
-        limit = int(mp.ldexp(slack, mp.prec - 2 + scale)) if sure else -1
-    return _Series(what, terms, truncation, rounding, goal, totals, scale, limit)
+        for total in totals:
+            value = _rounded(total, 1, scale)
+            try:
+                infos.append(SumInfo(value, _bound(what, value, truncation, rounding, goal), terms))
+            except PrecisionError as exc:
+                infos.append(str(exc))
+    return _Series(totals, scale, tuple(infos))
 
 
 def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) -> SumInfo:
@@ -606,7 +595,7 @@ def q_zeta1_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) 
     s = _exponent(s, "q_zeta1: s")
     qp = _as_q(q)
     prec = _as_prec(prec, "q_zeta1")
-    return memo(_q_zeta1_series, s, qp, prec).info(prec, sign)
+    return memo(_q_zeta1_series, s, qp, prec).info(sign)
 
 
 def _q_zeta1_series(s, qp: QParam, prec: PrecisionConfig) -> _Series:
@@ -657,7 +646,7 @@ def q_zeta2_info(
     s1, s2 = _exponent(s1, "q_zeta2: s1"), _exponent(s2, "q_zeta2: s2")
     qp = _as_q(q)
     prec = _as_prec(prec, "q_zeta2")
-    return memo(_q_zeta2_series, s1, s2, qp, prec).info(prec, sign1, sign2)
+    return memo(_q_zeta2_series, s1, s2, qp, prec).info(sign1, sign2)
 
 
 def _q_zeta2_series(s1, s2, qp: QParam, prec: PrecisionConfig) -> _Series:
@@ -708,8 +697,11 @@ def _linear_geometric_tail(k: mpf, x: mpf, n: int) -> mpf:
 def _linear_cutoff(k: mpf, x: mpf, n: int, goal: mpf) -> int:
     """Grow n by an eighth at a time until _linear_geometric_tail(k, x, n) <=
     goal, each n decided in float log2 by _decided (the mpf tail at a near
-    tie); (n+1) - n x is taken as 1 + n (1-x)."""
+    tie); (n+1) - n x is taken as 1 + n (1-x).  A k or n past the float
+    range returns n, then _geometric_n's estimate in mpf."""
     fixed = (_log2(k), -2 * _log2(1 - x), -_log2(goal))
+    if math.isinf(fixed[0]) or n.bit_length() > 1024:
+        return n
     lx, gap = _log2(x), float(1 - x)
     while True:
         parts = (*fixed, (n + 1) * lx, math.log2(1 + n * gap))
@@ -730,7 +722,7 @@ def phi_q_info(s, sign: int = 1, q=None, prec: PrecisionConfig | None = None) ->
     s = _exponent(s, "phi_q: s")
     qp = _as_q(q)
     prec = _as_prec(prec, "phi_q")
-    return memo(_phi_q_series, s, qp, prec).info(prec, sign)
+    return memo(_phi_q_series, s, qp, prec).info(sign)
 
 
 def _phi_q_series(s, qp: QParam, prec: PrecisionConfig) -> _Series:
@@ -829,7 +821,7 @@ def tornheim_q_info(
     qp = _as_q(q)
     prec = _as_prec(prec, "tornheim_q")
     r, s, sigma, tau = _orient(r, s, sigma, tau)
-    return memo(_tornheim_q_series, r, s, t, qp, prec).info(prec, sigma, tau)
+    return memo(_tornheim_q_series, r, s, t, qp, prec).info(sigma, tau)
 
 
 def _tornheim_q_series(r, s, t, qp: QParam, prec: PrecisionConfig) -> _Series:
@@ -859,7 +851,8 @@ def _tornheim_q_series(r, s, t, qp: QParam, prec: PrecisionConfig) -> _Series:
             truncation += drop * root ** (-3 * (js + 1))
         js = min(js, n - 1)
         kappa, spread = (kr + 1) * (ks + 1), n - 1 + 1 / (qm - 1)
-        bits = mp.prec + _step_bits(4 * (c + 1) * kappa * spread * (gamma_1 + gamma_t))
+        step = _ceil_bits(4 * (c + 1) * kappa * spread * (gamma_1 + gamma_t))
+        bits = mp.prec - (-step // STREAM_GUARD) * STREAM_GUARD
         e = mp.ldexp(1, -bits)
         rounding = ((c + 2 * e) * _lambert_rounding(kappa, spread, gamma_1 + gamma_t, n, t, bits)
                     + 2 * e * mass)
@@ -870,11 +863,6 @@ def _tornheim_q_series(r, s, t, qp: QParam, prec: PrecisionConfig) -> _Series:
 def _ceil_bits(x: mpf) -> int:
     """Bit length of ceil(x) for x > 0."""
     return int(mp.ceil(x)).bit_length()
-
-
-def _step_bits(x: mpf) -> int:
-    """_ceil_bits(x) rounded up to whole STREAM_GUARD steps."""
-    return -(-_ceil_bits(x) // STREAM_GUARD) * STREAM_GUARD
 
 
 def _lambert_weights(t, bits: int):
@@ -1089,7 +1077,7 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
     if not isinstance(s1.value, int) or not isinstance(s2.value, int):
         raise DomainError("classical_double_euler: indices must be integers")
     check_convergent("classical_double_euler:", s1.value, s1.sign, s2.value, ("s1", "s2"))
-    return memo(_double_sum, s1.value, s1.sign, s2.value, s2.sign, prec).info(prec).value
+    return memo(_double_sum, s1.value, s1.sign, s2.value, s2.sign, prec).info().value
 
 
 def _letter(t: list[int], c: int, start: int, n: int) -> list[int]:
@@ -1131,10 +1119,8 @@ def _half_values(letters, n: int, bits: int, shared: int = 0) -> list[int]:
     terms serves n by truncation, and its values are exactly those of a
     word built at n.
 
-    Memory: _split_values shares only the runs 1^j and g 0^j, at most 3
-    words per width and run length.  The 567-case classical_check grid
-    (30, 60 and 120 digits, up to weight 15) keeps 22 words per width, 66
-    tables of 16,896 terms in all (about 1.2 MB).
+    Memory: the 567-case classical_check grid (30, 60 and 120 digits) keeps
+    22 words per width, 66 tables of 16,896 terms in all (about 1.2 MB).
     """
     letters = list(letters)
     t = [1 << bits] + [0] * n
@@ -1198,34 +1184,33 @@ def _double_sum(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> _S
 # combinations of series: classical Tornheim values and reductions
 # ----------------------------------------------------------------------
 
-def _combine(parts, den: int, prec: PrecisionConfig) -> tuple[defaultdict, int]:
+def _combine(parts, den: int) -> tuple[defaultdict, int]:
     """Per group, the exact int sum of c_i L T_i 2^(S - scale_i) over parts
-    (c_i, group, series, T_i), T_i a total of series (_at), L = den a common
-    denominator of the c_i, S = 2 (working bits + STREAM_GUARD); and S.  A
-    term whose rounded value _bound could reject (|T_i| above its limit)
-    goes through _summed, which raises as its own SumInfo would."""
+    (c_i, group, series, signs_i), T_i = _at(series.totals, *signs_i), L =
+    den a common denominator of the c_i, S = 2 (working bits +
+    STREAM_GUARD); and S.  A term that missed its goal raises first, as
+    its public call does (_Series.info)."""
     groups = defaultdict(int)
     scale = 2 * (mp.prec + STREAM_GUARD)
-    for c, group, series, total in parts:
-        if abs(total) > series.limit:  # _summed raises if this term misses its goal
-            _summed(series, prec, total)
-        groups[group] += c.numerator * (den // c.denominator) * total << scale - series.scale
+    for c, group, series, signs in parts:
+        series.info(*signs)
+        groups[group] += (c.numerator * (den // c.denominator) * _at(series.totals, *signs)
+                          << scale - series.scale)
     return groups, scale
 
 
 def tornheim_classical(r: int, s: int, t: int, variant: str = "T",
                        prec: PrecisionConfig | None = None) -> mpf:
     """Numeric value of the classical series T/S/R(r,s,t) via its depth-2
-    reduction (the production route; the raw double sum converges too slowly).
-    corollary1_reduce checks that each term converges, so its _double_sum
-    _Series is read from memo directly; _combine sums them, rounded once."""
+    reduction (the raw double sum converges too slowly): corollary1_reduce
+    checks that each term converges, and _combine reads its _double_sum."""
     prec = _as_prec(prec, "tornheim_classical")
     terms = corollary1_reduce(r, s, t, variant)
     den = math.lcm(*(coeff.denominator for coeff, _, _ in terms))
     with mp.workdps(prec.working_dps):
-        doubles = (memo(_double_sum, a.value, a.sign, b.value, b.sign, prec) for _, a, b in terms)
-        parts = ((c, 0, series, series.totals[0]) for (c, _, _), series in zip(terms, doubles))
-        groups, scale = _combine(parts, den, prec)
+        parts = ((c, 0, memo(_double_sum, a.value, a.sign, b.value, b.sign, prec), ())
+                 for c, a, b in terms)
+        groups, scale = _combine(parts, den)
         return _rounded(groups[0], den, scale)
 
 
@@ -1250,21 +1235,19 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
             p = 0
             if isinstance(kind, DoubleQZeta):
                 a, b = kind.outer, kind.inner
-                series = memo(_q_zeta2_series, a.value, b.value, qp, prec)
-                total = _at(series.totals, a.sign, b.sign)
+                series, signs = memo(_q_zeta2_series, a.value, b.value, qp, prec), (a.sign, b.sign)
             elif isinstance(kind, PhiTerm):
-                series = memo(_phi_q_series, kind.index.value, qp, prec)
-                total = _at(series.totals, kind.index.sign)
+                series, signs = memo(_phi_q_series, kind.index.value, qp, prec), (kind.index.sign,)
             elif isinstance(kind, QSquaredZeta):
-                series = memo(_q_zeta1_series, kind.index, q2, prec)
-                total, p = series.totals[0], kind.one_plus_q_pow
+                series, signs = memo(_q_zeta1_series, kind.index, q2, prec), (1,)
+                p = kind.one_plus_q_pow
             else:
                 raise DomainError(f"evaluate_reduction: unknown term kind {kind!r}")
-            yield coeff, (kind.one_minus_q_pow, p), series, total
+            yield coeff, (kind.one_minus_q_pow, p), series, signs
 
     den = math.lcm(*(coeff.denominator for coeff, _ in reduction.terms))
     with mp.workdps(prec.working_dps):
-        groups, scale = _combine(terms(), den, prec)
+        groups, scale = _combine(terms(), den)
         n, d = qp.ratio.numerator, qp.ratio.denominator
         bases = (d - n, n + d, d)
         parts = defaultdict(dict)  # f -> {powers (a, w, -a-w) of bases: group}
@@ -1285,8 +1268,8 @@ def evaluate_reduction(reduction, q, prec: PrecisionConfig | None = None) -> mpf
 
 def memo_stats() -> dict:
     """Hits, misses and size of exact.memo, the package's one memo (q parses,
-    classical_zeta's SumInfos, the _Series of the classical doubles and
-    q-series, and the expansions, reductions, closed forms and Bernoulli
+    classical_zeta's SumInfos, the settled _Series of the classical doubles
+    and q-series, and the expansions, reductions, closed forms and Bernoulli
     numbers), and for _tables (q-term tables and half-series words) their
     number, terms stored, budget, hits and misses.  A call rejected inside
     memo (a q that _qparam refuses, or _budget, checked before anything is

@@ -249,6 +249,8 @@ def verify_lemma1(r: int, s: int, u: int, v: int, q: Fraction | int | str) -> bo
     q = Fraction(as_rational(q, "verify_lemma1: q"))  # a Fraction, so that (q^n - 1)/(q - 1) stays exact
     if q == 1:
         raise DomainError("verify_lemma1: q must differ from 1")
+    if q == -1:
+        raise DomainError("verify_lemma1: q must differ from -1, where [2] = 0")
     qu, qv, quv = ((q ** n - 1) / (q - 1) for n in (u, v, u + v))
     lhs = 1 / (qu ** r * qv ** s)
     rhs = Fraction(0)

@@ -10,7 +10,7 @@ from itertools import takewhile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tornheim.cli import main
@@ -243,8 +243,8 @@ def test_verify_refusal_names_every_unread_flag(capsys):
 
 
 _NUMBER_TOKENS = st.sampled_from(
-    ["abc", "x", "", "-", "1/0", "0/0", "nan", "inf", "1e400", "0", "1", "-2",
-     "1/2", "3/2", "2", "5", "0x10"]
+    ["abc", "x", "", "-", "1/0", "0/0", "nan", "inf", "1e400", "0", "1", "-1", "-2",
+     "1/2", "3/2", "2", "5", "0x10", str(10 ** 400)]
 )
 _EXPRESSION_TOKENS = st.sampled_from(
     MALFORMED_EXPRESSIONS
@@ -259,6 +259,8 @@ _ARGV = st.one_of(
                   _NUMBER_TOKENS, st.just("--tolerance"), _NUMBER_TOKENS),
         st.tuples(st.just(["verify", "expr", "R", "1", "1", "1", "--expression"]),
                   _EXPRESSION_TOKENS),
+        st.tuples(st.just(["verify", "lemma1", "--q"]), _NUMBER_TOKENS),
+        st.tuples(st.just(["eval", "T", "1", "1", "2", "--q", "2", "--digits"]), _NUMBER_TOKENS),
     ).map(lambda parts: [*parts[0], *parts[1:]]),
     # any family with any of the verify flags, read or not, and stray arguments
     st.tuples(
@@ -272,6 +274,9 @@ _ARGV = st.one_of(
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_ARGV)
+@example(["verify", "lemma1", "--q", "-1"])  # [2] = 0 at q = -1
+@example(["eval", "qzeta", str(10 ** 400), "--q", "2"])  # a log2 past the float range
+@example(["eval", "T", "1", "1", "2", "--q", "2", "--digits", str(10 ** 400)])
 def test_fuzzed_argv_never_tracebacks(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

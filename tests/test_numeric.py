@@ -4,7 +4,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import floordiv, lshift, mul, neg, rshift
 
 import mpmath
@@ -82,6 +82,36 @@ def test_precision_config_rejects_a_field_of_the_wrong_type():
         with pytest.raises(DomainError) as info:
             PrecisionConfig(**fields)
         assert str(info.value) == f"PrecisionConfig: {message}"
+
+
+def test_precision_config_refuses_digits_mpmath_cannot_hold():
+    # mp.workdps would overflow converting 10**400 + 15 digits to bits
+    with pytest.raises(DomainError, match="PrecisionConfig: digits 1000+ is past what mpmath holds"):
+        PrecisionConfig(digits=10 ** 400)
+
+
+def test_an_exponent_past_the_float_range_exceeds_max_terms():
+    # the cutoff planners' float log2 of q^(10**400) overflows; the cutoff
+    # is then estimated in mpf and refused by the budget, as for 10**20
+    big = 10 ** 400
+    for call, args, name in [(q_zeta1, (big, 1, 2), "q_zeta1"),
+                             (q_zeta2, (3, 1, big, 1, 2), "q_zeta2"),
+                             (phi_q, (big, 1, 2), "phi_q"),
+                             (tornheim_q, (big, 1, 2, 1, 1, 2), "tornheim_q"),
+                             (tornheim_q, (1, 1, big, 1, 1, 2), "tornheim_q")]:
+        with pytest.raises(PrecisionError, match=f"^{name}: tail goal needs [0-9]{{398,}} terms, "
+                                                 "exceeding max_terms=2000000$"):
+            call(*args)
+
+
+def test_a_cutoff_past_2_to_the_50_is_the_least_one():
+    # the float estimate cannot count single terms there; 10**30 stepped
+    # one term at a time from it would not end
+    with mp.workdps(45):
+        c, goal = mp.ldexp(1, 10 ** 30), mpf(10) ** -35
+        n = numeric._geometric_n(c, mpf(2), goal)
+        assert c * mpf(2) ** -n <= goal < c * mpf(2) ** -(n - 1)
+        assert n == 10 ** 30 + 117
 
 
 def test_equal_precision_configs_hash_equal_and_share_memo_entries():
@@ -666,15 +696,31 @@ def test_each_q_sum_runs_once_per_sign_free_key(monkeypatch):
     numeric.clear_memos()  # the entries above are keyed on the counting wrappers
 
 
-Q_GRID_SERIES_SHA256 = "d87ae2f5865c4985cf301958819fe10b29896f362675fec783d732f2edb295f7"
+def _settled(series):
+    """Each sign's SumInfo of series, in _at order, as (value, tail_bound,
+    terms) with the mpfs as their exact tuples, or its PrecisionError
+    message."""
+    answers = []
+    for signs in product((1, -1), repeat=len(series.totals).bit_length() - 1):
+        try:
+            info = series.info(*signs)
+        except PrecisionError as exc:
+            answers.append(str(exc))
+        else:
+            answers.append((info.value._mpf_, info.tail_bound._mpf_, info.terms))
+    return answers
+
+
+Q_GRID_SERIES_SHA256 = "04e3b9def523dc02fe442b0324126e18d81211c246a50b67c1ee4afceabaf542"
 
 
 def test_q_series_totals_on_the_bench_grids_are_pinned(monkeypatch):
-    """Every _Series (terms, totals, scale, limit) that the criterion-4 grid
-    at 30 digits and the q -> 1 grid (q = 6/5, 11/10, 101/100 at digits 10,
-    goal 1e-7) read, both sides of every case, hashed: a faster table fill
-    or Lambert sum must leave every bit as it is.  The q parses that numeric
-    looks up in the same memo are not recorded."""
+    """Every _Series (totals, scale and each sign's settled answer) that the
+    criterion-4 grid at 30 digits and the q -> 1 grid (q = 6/5, 11/10,
+    101/100 at digits 10, goal 1e-7) read, both sides of every case,
+    hashed: a faster table fill or Lambert sum must leave every bit as it
+    is.  The q parses that numeric looks up in the same memo are not
+    recorded."""
     records = {}
     memo = numeric.memo
     def recording(kernel, *args):
@@ -698,9 +744,30 @@ def test_q_series_totals_on_the_bench_grids_are_pinned(monkeypatch):
     digest = hashlib.sha256()
     for key in sorted(records, key=repr):
         series = records[key]
-        digest.update(repr((key, series.terms, series.totals, series.scale, series.limit)).encode())
+        digest.update(repr((key, series.totals, series.scale, _settled(series))).encode())
     assert len(records) == 372 + 126
     assert digest.hexdigest() == Q_GRID_SERIES_SHA256
+
+
+def test_each_sign_is_settled_once_when_its_series_is_built(monkeypatch):
+    """The first public call builds the _Series and rounds each of its
+    signs once; a second call returns the identical SumInfo and rounds
+    nothing."""
+    rounded, rounding = [], numeric._rounded
+    monkeypatch.setattr(numeric, "_rounded", lambda *args: rounded.append(args) or rounding(*args))
+    numeric.clear_memos()
+    calls = [(lambda: q_zeta1_info(3, -1, 2, P30), 2),
+             (lambda: q_zeta2_info(3, 1, 2, -1, 2, P30), 4),
+             (lambda: phi_q_info(2, -1, 2, P30), 2),
+             (lambda: tornheim_q_info(1, 2, 1, 1, -1, 2, P30), 4),
+             (lambda: numeric.memo(numeric._double_sum, 3, -1, 2, 1, P30).info(), 1)]
+    for call, signs in calls:
+        del rounded[:]
+        first = call()
+        assert len(rounded) == signs
+        assert call() is first
+        assert len(rounded) == signs
+    numeric.clear_memos()
 
 
 def test_lambert_weights_are_the_binomial_series_within_their_count():
@@ -1072,7 +1139,7 @@ def test_classical_bounds_cover_the_truth(digits):
     for a1, a2 in ((2, 1), (3, 2), (2, 3), (4, 3), (6, 5)):
         for g1 in (1, -1):
             for g2 in (1, -1):
-                info = numeric.memo(numeric._double_sum, a1, g1, a2, g2, prec).info(prec)
+                info = numeric.memo(numeric._double_sum, a1, g1, a2, g2, prec).info()
                 got = classical_double_euler(SignedIndex(a1, g1), SignedIndex(a2, g2), prec)
                 assert got == info.value
                 with mp.workdps(digits + 40):
@@ -1126,7 +1193,7 @@ def test_double_sum_bound_covers_its_rounding_at_few_bits(monkeypatch):
     monkeypatch.setattr(numeric, "STREAM_GUARD", -100)
     prec = PrecisionConfig(digits=30, tail_goal=1e-9)
     for a1, g1, a2, g2 in ((3, 1, 2, 1), (2, -1, 1, -1), (3, -1, 2, 1), (1, -1, 3, 1)):
-        info = numeric._double_sum(a1, g1, a2, g2, prec).info(prec)  # not through memo
+        info = numeric._double_sum(a1, g1, a2, g2, prec).info()  # not through memo
         word = [0] * (a1 - 1) + [g1] + [0] * (a2 - 1) + [g1 * g2]
         n, size = info.terms, len(word)
         tails = _half_series_exact(list(reversed(word)), n)
@@ -1212,7 +1279,7 @@ def test_double_sum_on_the_classical_grid_is_pinned():
     for digits in (30, 60, 120):
         prec = PrecisionConfig(digits=digits)
         for key in doubles:
-            info = numeric._double_sum(*key, prec).info(prec)
+            info = numeric._double_sum(*key, prec).info()
             parts = []
             for x in (info.value, info.tail_bound):
                 sign, man, exp, bc = x._mpf_
@@ -1252,11 +1319,11 @@ def test_half_series_words_are_read_at_their_own_bits(monkeypatch):
     tables = numeric._TableMemo(numeric.TABLE_BUDGET)
     monkeypatch.setattr(numeric, "_tables", tables)
     prec = PrecisionConfig(digits=30, tail_goal=1e-9)
-    wide = numeric._double_sum(3, -1, 2, 1, prec).info(prec)
+    wide = numeric._double_sum(3, -1, 2, 1, prec).info()
     read, table = [], tables.table
     monkeypatch.setattr(tables, "table", lambda key, n, grow: read.append(key) or table(key, n, grow))
     monkeypatch.setattr(numeric, "STREAM_GUARD", -100)
-    narrow = numeric._double_sum(3, -1, 2, 1, prec).info(prec)
+    narrow = numeric._double_sum(3, -1, 2, 1, prec).info()
     assert read and {bits for bits, _ in read} == {53}
     assert narrow.tail_bound > wide.tail_bound
 
@@ -1372,7 +1439,7 @@ def test_tornheim_classical_lies_within_its_terms_bounds(digits):
                         bound = mp.ldexp(abs(value), 1 - mp.prec)
                         for c, a, b in corollary1_reduce(r, s, t, v):
                             info = numeric.memo(numeric._double_sum, a.value, a.sign,
-                                                b.value, b.sign, prec).info(prec)
+                                                b.value, b.sign, prec).info()
                             bound += abs(c) * info.tail_bound
                     with mp.workdps(digits + 40):
                         oracle = _mpmath_value(tornheim_closed(r, s, t, v).expression)
@@ -1448,29 +1515,6 @@ def test_evaluate_reduction_raises_when_a_term_misses_its_goal(prec):
             break
     else:
         pytest.fail("no term of T[5,5,5] misses its goal")
-
-
-def test_series_limit_is_a_total_that_bound_accepts():
-    # _Series.limit lets evaluate_reduction skip _bound: every total within
-    # it must pass, and it must not be far below the real threshold
-    prec = PrecisionConfig(digits=12)
-    with mp.workdps(prec.working_dps):
-        goal, p = mpf(10) ** -17, mp.prec
-        for used in (0, mpf(1) / 2, 1 - mp.ldexp(1, 4 - p), 1 - mp.ldexp(1, 2 - p), 1):
-            truncation, rounding = goal * used * 3 / 4, goal * used / 4
-            for scale in (p + 32, 2 * (p + 32)):
-                series = numeric._series("q_zeta2", prec, 10, truncation, rounding, goal,
-                                         (0,), scale)
-                assert (series.truncation, series.rounding, series.goal, series.scale,
-                        series.terms) == (truncation, rounding, goal, scale, 10)
-                if series.limit < 0:
-                    assert used > 1 - mp.ldexp(1, 3 - p), used
-                    continue
-                for total in (series.limit, -series.limit):
-                    assert numeric._summed(series, prec, total).terms == 10
-                assert series.info(prec, 1).value == 0
-                with pytest.raises(PrecisionError):
-                    numeric._summed(series, prec, 3 * series.limit + 3)
 
 
 @pytest.mark.parametrize("digits", [12, 30])

@@ -143,6 +143,7 @@ def test_malformed_arguments_raise_domain_error_naming_them():
         (verify_lemma1, (1.5, 1, 1, 1, 2), "verify_lemma1: r must be an integer >= 1, got 1.5"),
         (verify_lemma1, (1, 1, "x", 1, 2), "verify_lemma1: u must be an integer >= 1, got 'x'"),
         (verify_lemma1, (1, 1, 1, 1, "x"), "verify_lemma1: q: not a rational number: 'x'"),
+        (verify_lemma1, (1, 1, 1, 1, -1), "verify_lemma1: q must differ from -1, where [2] = 0"),
         (theorem1_reduce, (True, 1, 1), "theorem1_reduce: r must be an integer >= 1, got True"),
         (corollary1_reduce, (True, 1, 1), "corollary1_reduce: r must be an integer >= 1, got True"),
         (q_int, ("x", 2), "q_int: n must be an integer >= 0, got 'x'"),
