@@ -296,6 +296,8 @@ KNOWN_VALUES: dict[tuple[str, int, int, int], ZetaExpression] = {
 # ----------------------------------------------------------------------
 
 def result_to_json(result: EvaluationResult) -> dict:
+    if not isinstance(result, EvaluationResult):
+        raise DomainError(f"result_to_json: result must be an EvaluationResult, got {result!r}")
     return {
         "expression": expression_to_json(result.expression),
         "provenance": [

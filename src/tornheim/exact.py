@@ -19,11 +19,11 @@ serialization and rendering is deterministic in that order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Mapping
 
 from .errors import DivergenceError, DomainError
 
@@ -181,18 +181,26 @@ def check_convergent(where: str, a, g1: int, b, names: tuple[str, str]) -> None:
 class ZetaMonomial:
     """pi^a * log2^b * prod zeta(k_i) with every k_i odd and >= 3.
 
-    odd_zeta_factors is kept sorted, so equal monomials compare equal.
+    The exponents are ints >= 0 and the factors an iterable of odd ints
+    >= 3 (bools refused), else DomainError naming the argument.
+    odd_zeta_factors is kept as a sorted tuple, so equal monomials compare
+    equal.  The product of two monomials skips the checks its valid factors
+    already passed.
     """
     pi_exponent: int = 0
     log2_exponent: int = 0
     odd_zeta_factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.pi_exponent < 0 or self.log2_exponent < 0:
-            raise DomainError("ZetaMonomial: exponents must be >= 0")
-        factors = tuple(sorted(self.odd_zeta_factors))
+        as_integer(self.pi_exponent, "ZetaMonomial: pi_exponent", 0)
+        as_integer(self.log2_exponent, "ZetaMonomial: log2_exponent", 0)
+        try:
+            factors = tuple(sorted(self.odd_zeta_factors))
+        except TypeError:
+            raise DomainError("ZetaMonomial: odd_zeta_factors must be an iterable of ints, "
+                              f"got {self.odd_zeta_factors!r}") from None
         for k in factors:
-            if k < 3 or k % 2 == 0:
+            if as_integer(k, "ZetaMonomial: odd_zeta_factors entry", 3) % 2 == 0:
                 raise DomainError(f"ZetaMonomial: zeta factors must be odd >= 3, got {k}")
         object.__setattr__(self, "odd_zeta_factors", factors)
 
@@ -205,11 +213,14 @@ class ZetaMonomial:
         return (self.weight, self.pi_exponent, self.log2_exponent, self.odd_zeta_factors)
 
     def __mul__(self, other: "ZetaMonomial") -> "ZetaMonomial":
-        return ZetaMonomial(
-            self.pi_exponent + other.pi_exponent,
-            self.log2_exponent + other.log2_exponent,
-            self.odd_zeta_factors + other.odd_zeta_factors,
-        )
+        if not isinstance(other, ZetaMonomial):
+            return NotImplemented
+        mono = object.__new__(ZetaMonomial)
+        object.__setattr__(mono, "pi_exponent", self.pi_exponent + other.pi_exponent)
+        object.__setattr__(mono, "log2_exponent", self.log2_exponent + other.log2_exponent)
+        object.__setattr__(mono, "odd_zeta_factors",
+                           tuple(sorted(self.odd_zeta_factors + other.odd_zeta_factors)))
+        return mono
 
     def render(self) -> str:
         parts: list[str] = []
@@ -225,27 +236,38 @@ class ZetaMonomial:
         return "*".join(parts) if parts else "1"
 
 
+_UNIT = ZetaMonomial()  # the monomial 1
+
+
 class ZetaExpression:
     """Sparse Q-linear combination of ZetaMonomial, always canonical.
 
-    Construction converts each coefficient to a Fraction once (one that is
-    already a Fraction is kept as is) and drops the zeros, so two
-    expressions are equal iff their term maps are equal; a Mapping holds
-    each monomial once, so there is nothing to merge.  The ring
-    operations build their results through _trusted, which skips that
-    work: its callers pass an already merged dict whose coefficients are
-    all nonzero Fractions, and hand that dict over to the new expression.
-    Expressions are immutable, so results may be shared (as
+    Construction takes a Mapping from ZetaMonomial to rational coefficients
+    (as_rational's numbers), else DomainError; it converts each coefficient
+    to a Fraction once (one that is already a Fraction is kept as is) and
+    drops the zeros, so two expressions are equal iff their term maps are
+    equal; a Mapping holds each monomial once, so there is nothing to
+    merge.  The ring operations build their results through _trusted, which
+    skips that work: its callers pass an already merged dict whose
+    coefficients are all nonzero Fractions, and hand that dict over to the
+    new expression.  Expressions are immutable, so results may be shared (as
     closedform.double_euler_closed shares its results through memo).
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[ZetaMonomial, Fraction | int] | None = None) -> None:
+        if terms is None:
+            terms = {}
+        elif type(terms) is not dict and not isinstance(terms, Mapping):
+            raise DomainError(f"ZetaExpression: terms must be a Mapping, got {terms!r}")
         canonical: dict[ZetaMonomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
+        for mono, coeff in terms.items():
+            if not isinstance(mono, ZetaMonomial):
+                raise DomainError(f"ZetaExpression: terms keys must be ZetaMonomial, got {mono!r}")
             if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
+                coeff = Fraction(coeff if type(coeff) is int
+                                 else as_rational(coeff, "ZetaExpression: terms coefficient"))
             if coeff:
                 canonical[mono] = coeff
         object.__setattr__(self, "_terms", canonical)
@@ -338,7 +360,7 @@ class ZetaExpression:
         for i, (mono, coeff) in enumerate(self.terms()):
             neg = coeff < 0
             mag = -coeff if neg else coeff
-            if mono == ZetaMonomial():
+            if mono == _UNIT:
                 body = str(mag)
             else:
                 if mag == 1:
@@ -354,8 +376,16 @@ class ZetaExpression:
         return "".join(chunks)
 
 
+def _check_expression(value, what: str) -> None:
+    """DomainError led by what, the function and argument, unless value is a
+    ZetaExpression."""
+    if not isinstance(value, ZetaExpression):
+        raise DomainError(f"{what} must be a ZetaExpression, got {value!r}")
+
+
 def canonicalize(a: ZetaExpression) -> ZetaExpression:
     """Re-normalize an expression.  Idempotent by construction."""
+    _check_expression(a, "canonicalize: a")
     return ZetaExpression(dict(a.terms()))
 
 
@@ -368,6 +398,7 @@ def expression_to_json(expr: ZetaExpression) -> list[dict]:
 
     Each term is {"coeff": "p/q", "pi": int, "log2": int, "zeta": [k, ...]}.
     """
+    _check_expression(expr, "expression_to_json: expr")
     out = []
     for mono, coeff in expr.terms():
         out.append(
@@ -382,9 +413,11 @@ def expression_to_json(expr: ZetaExpression) -> list[dict]:
 
 
 def expression_from_json(items: list[Mapping]) -> ZetaExpression:
-    """Inverse of expression_to_json.  Anything but a list of term objects
-    with a "coeff" and integer exponents raises DomainError.  Terms of one
-    monomial are summed, and a zero coefficient or sum is dropped."""
+    """Inverse of expression_to_json.  Anything but a list of term objects,
+    each with a "coeff" and JSON integers (not bools) for "pi", "log2" and
+    the "zeta" list, raises DomainError naming the term (and ZetaMonomial's
+    field for a bad exponent).  Terms of one monomial are summed, and a
+    zero coefficient or sum is dropped."""
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise DomainError(f"expression JSON must be a list of term objects, got {items!r}")
     terms: dict[ZetaMonomial, Fraction] = {}
@@ -392,11 +425,10 @@ def expression_from_json(items: list[Mapping]) -> ZetaExpression:
         if "coeff" not in item:
             raise DomainError(f"expression term {item!r} has no \"coeff\"")
         try:
-            mono = ZetaMonomial(
-                pi_exponent=int(item.get("pi", 0)),
-                log2_exponent=int(item.get("log2", 0)),
-                odd_zeta_factors=tuple(int(k) for k in item.get("zeta", ())),
-            )
+            zeta = item.get("zeta", ())
+            if not isinstance(zeta, (list, tuple)):
+                raise DomainError(f'"zeta" must be a list of integers, got {zeta!r}')
+            mono = ZetaMonomial(item.get("pi", 0), item.get("log2", 0), zeta)
             coeff = Fraction(item["coeff"])
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(f"bad expression term {item!r}: {exc}") from exc
@@ -415,15 +447,17 @@ def expr_numeric(expr: ZetaExpression, prec=None):
     """Evaluate an expression to an mpf at the configured precision.
 
     pi and log 2 come from mpmath constants; odd zeta values from the
-    package's own classical_zeta (Borwein's alternating series, not
-    mpmath.zeta, which is reserved as an independent oracle in the tests).
+    package's own Borwein alternating series (not mpmath.zeta, which is
+    reserved as an independent oracle in the tests).  Every factor of a
+    ZetaMonomial is an odd int >= 3, so each zeta(k) is read straight from
+    memo under classical_zeta's key (numeric._zeta_sum, k, 1, prec), with
+    its PrecisionError, and skips classical_zeta's checks.
     """
     from mpmath import mp, mpf
 
-    from .numeric import _as_prec, _xm, classical_zeta
+    from .numeric import _as_prec, _xm, _zeta_sum
 
-    if not isinstance(expr, ZetaExpression):
-        raise DomainError(f"expr_numeric: expr must be a ZetaExpression, got {expr!r}")
+    _check_expression(expr, "expr_numeric: expr")
     prec = _as_prec(prec, "expr_numeric")
     with mp.workdps(prec.working_dps):
         total = mpf(0)
@@ -434,6 +468,6 @@ def expr_numeric(expr: ZetaExpression, prec=None):
             if mono.log2_exponent:
                 val *= mp.log(2) ** mono.log2_exponent
             for k in mono.odd_zeta_factors:
-                val *= classical_zeta(k, prec=prec)
+                val *= memo(_zeta_sum, k, 1, prec).value
             total += val
         return total

@@ -48,7 +48,8 @@ the exact totals of every sign (pair) at once.
 The classical double zeta keeps each word of its split at 1/2 as the word's
 terms at 1/2 (_half_values), built one letter at a time; the runs that
 start its heads and tails do not depend on the rest of the double and are
-kept in _tables too, under (bits, letters) (_split_values).
+kept in _tables too, as their running sums, under (bits, letters)
+(_split_values).
 
 The package has one memo, exact.memo(kernel, *args), a functools.lru_cache
 of exact.MEMO_SIZE entries that sits behind validated input, keyed on the
@@ -1083,20 +1084,25 @@ def classical_double_euler(first, second, prec: PrecisionConfig | None = None) -
 def _letter(t: list[int], c: int, start: int, n: int) -> list[int]:
     """Terms start+1..n at 1/2 of the word c w, from the terms t[0..n] of w
     (_half_values): letter 0 floors t_k/k, and letter c != 0 floors
-    S_k/(2c)^(k+1) and then its quotient by k+1, where S_k is the exact sum
-    of t_i (2c)^i = +-t_i << e i (2|c| = 2^e) over i <= k.  Term k reads
+    E_k = S_k/(2c)^(k+1) and then its quotient by k+1, where S_k is the exact
+    sum of t_i (2c)^i over i <= k.  For c in {1, 2}, 2c = 2^e and E_k =
+    floor((E_(k-1) + t_k)/2^e) from E_(-1) = 0, as floor(floor(x)/m) =
+    floor(x/m) for an int m > 0 and S_k/2^(e(k+1)) = (S_(k-1)/2^(e k) +
+    t_k)/2^e; c = -1 floors the exact S_k = sum +-t_i << i.  Term k reads
     t_0..t_k only, so the terms of a longer t are the same."""
+    ks = range(start + 1, n + 1)
     if c == 0:
-        return list(map(floordiv, t[start + 1:n + 1], range(start + 1, n + 1)))
-    e = abs(c)  # 2|c| = 2^e for c in {1, -1, 2}
-    u = list(map(lshift, t[:n], range(0, e * n, e)))
+        return list(map(floordiv, islice(t, start + 1, n + 1), ks))
     if c == -1:
+        u = list(map(lshift, t, range(n)))  # t_0..t_(n-1)
         u[1::2] = map(neg, u[1::2])
-    u = list(accumulate(u))[start:]  # S_start..S_(n-1)
-    if c == -1:
+        u = list(islice(accumulate(u), start, None))  # S_start..S_(n-1)
         u[start % 2::2] = map(neg, u[start % 2::2])  # (2c)^(k+1) < 0 for even k
-    return list(map(floordiv, map(rshift, u, range(e * (start + 1), e * (n + 1), e)),
-                    range(start + 1, n + 1)))
+        return list(map(floordiv, map(rshift, u, ks), ks))
+    e, eta, head = abs(c), 0, islice(t, n)
+    for tk in islice(head, start):  # E_(start-1)
+        eta = (eta + tk) >> e
+    return [(eta := (eta + tk) >> e) // k for k, tk in zip(ks, head)]
 
 
 def _half_values(letters, n: int, bits: int, shared: int = 0) -> list[int]:
@@ -1112,27 +1118,49 @@ def _half_values(letters, n: int, bits: int, shared: int = 0) -> list[int]:
     |2c|^-(k-i+1) + 1 <= E + 1, and t'_(k+1) within E + 2 (letter 0: E/k + 1):
     a word of j letters is within 2^-n + 2j (n+1) 2^-bits.
 
-    The terms of the words of the first shared letters are kept in _tables
-    under (bits, letters so far); a stored word is grown from the word
-    before it, which the loop holds at n terms.  Term k of a word reads
-    terms 0..k of the word before it only, so a stored word of more than n
-    terms serves n by truncation, and its values are exactly those of a
-    word built at n.
+    The words of the first shared letters are kept in _tables under (bits,
+    letters so far) as their running sums t_1, t_1 + t_2, .., so a stored
+    word's value at n is its entry n.  A stored word is grown from the terms
+    of the word before it, taken by one difference pass of that word's sums
+    only when a grow needs them, and the table's state, its last sum, is
+    where a grow from start resumes, so a word grown in pieces equals one
+    filled at once.  The last shared word goes back to terms the same way
+    for the letters after it.  Term k reads terms 0..k of the word before it
+    only, so a stored word of more than n entries serves n by truncation,
+    and its values are exactly those of a word built at n.
 
     Memory: the 567-case classical_check grid (30, 60 and 120 digits) keeps
-    22 words per width, 66 tables of 16,896 terms in all (about 1.2 MB).
+    22 words per width, 66 tables of 16,896 sums in all (about 1.2 MB).
     """
     letters = list(letters)
-    t = [1 << bits] + [0] * n
+    t = [1 << bits] + [0] * n  # terms 0..n of the empty word
     values = [t[0]]
+    sums = None  # running sums 1..n of the last shared word, when t is None
+
+    def grow(start: int, n: int, last: int | None) -> tuple[list[int], int]:
+        # sums start+1..n of letter c (of the loop below) applied to t
+        nonlocal t
+        if t is None:
+            t = _terms(sums)
+        more = _letter(t, c, start, n)
+        more[0] += last or 0
+        more = list(accumulate(more))
+        return more, more[-1]
+
     for j, c in enumerate(letters[:shared], 1):
-        grow = lambda start, n, state: (_letter(t, c, start, n), state)
-        t = [0, *_tables.table((bits, tuple(letters[:j])), n, grow)]
-        values.append(sum(t))
+        sums, t = _tables.table((bits, tuple(letters[:j])), n, grow), None
+        values.append(sums[-1])
+    if t is None:
+        t = _terms(sums)
     for c in letters[shared:]:
         t = [0, *_letter(t, c, 0, n)]
         values.append(sum(t))
     return values
+
+
+def _terms(sums: list[int]) -> list[int]:
+    """The terms t_0 = 0, t_1, .., t_n of a word from its running sums 1..n."""
+    return [0, sums[0], *map(sub, islice(sums, 1, None), sums)]
 
 
 def _split_values(word: list[int], a1: int, n: int, bits: int):
@@ -1161,7 +1189,7 @@ def _double_sum(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> _S
     6 L (L+1) (N+1) 2^-B at B = prec + STREAM_GUARD bits, the one total of
     a _Series at scale 2B.
     The heads and tails come from _split_values; the runs it reads from
-    _tables are term for term those a fresh build gives, so the value and
+    _tables are sum for sum those a fresh build gives, so the value and
     bound do not depend on what is stored.
     """
     word = [0] * (a1 - 1) + [g1] + [0] * (a2 - 1) + [g1 * g2]

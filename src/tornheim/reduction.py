@@ -70,10 +70,8 @@ VARIANT_SIGNS = {"T": (1, 1), "S": (-1, -1), "R": (1, -1)}
 # ----------------------------------------------------------------------
 
 def _binom(z: int, k: int) -> int:
-    """Generalized binomial C(z, k) = z(z-1)...(z-k+1)/k! for k >= 0; for
-    z < 0 it is (-1)^k C(k-z-1, k)."""
-    if k < 0:
-        raise DomainError(f"binomial: k must be >= 0, got {k}")
+    """Generalized binomial C(z, k) = z(z-1)...(z-k+1)/k! for an int k >= 0;
+    for z < 0 it is (-1)^k C(k-z-1, k)."""
     return comb(z, k) if z >= 0 else (-1) ** k * comb(k - z - 1, k)
 
 
@@ -81,8 +79,17 @@ def trinomial(z: int, a: int, b: int) -> Fraction:
     """Trinomial coefficient C(z; a, b) = C(z, a) C(z-a, b).
 
     Can be zero when b exceeds z - a; zero-coefficient terms are kept by the
-    expansions so that term counts depend only on the index ranges.
+    expansions so that term counts depend only on the index ranges.  Each
+    argument must be an int (not a bool), a and b >= 0, else DomainError
+    naming it.
     """
+    z = as_integer(z, "trinomial: z")
+    a, b = as_integer(a, "trinomial: a", 0), as_integer(b, "trinomial: b", 0)
+    return _trinomial(z, a, b)
+
+
+def _trinomial(z: int, a: int, b: int) -> Fraction:
+    """trinomial of checked ints, as lemma1_expand builds them."""
     return Fraction(_binom(z, a) * _binom(z - a, b))
 
 
@@ -206,7 +213,7 @@ def _lemma1(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
         for b in range(r - a):
             terms.append(
                 PartialFractionTerm(
-                    coefficient=trinomial(a + s - 1, a, b),
+                    coefficient=_trinomial(a + s - 1, a, b),
                     q_power_u=s - 1 - b,
                     q_power_v=a,
                     denom_u_pow=r - a - b,
@@ -219,7 +226,7 @@ def _lemma1(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
         for b in range(s - a):
             terms.append(
                 PartialFractionTerm(
-                    coefficient=trinomial(a + r - 1, a, b),
+                    coefficient=_trinomial(a + r - 1, a, b),
                     q_power_u=a,
                     q_power_v=r - 1 - b,
                     denom_u_pow=0,
@@ -231,7 +238,7 @@ def _lemma1(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
     for j in range(1, min(r, s) + 1):
         terms.append(
             PartialFractionTerm(
-                coefficient=-trinomial(r + s - j - 1, r - j, s - j),
+                coefficient=-_trinomial(r + s - j - 1, r - j, s - j),
                 q_power_u=s - j,
                 q_power_v=r - j,
                 denom_u_pow=0,
@@ -440,6 +447,8 @@ def _kind_to_json(kind: QTermKind) -> dict:
 
 
 def reduction_to_json(red: Reduction) -> dict:
+    if not isinstance(red, Reduction):
+        raise DomainError(f"reduction_to_json: red must be a Reduction, got {red!r}")
     return {
         "variant": red.variant,
         "r": red.r,

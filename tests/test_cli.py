@@ -631,6 +631,19 @@ def test_verify_expr_infinite_coefficient_exits_2_without_traceback(coeff):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("term, field", [
+    ('{"coeff": "-5/8", "zeta": [3.7]}', "odd_zeta_factors entry"),
+    ('{"coeff": "-5/8", "zeta": [3], "pi": 0.5}', "pi_exponent"),
+    ('{"coeff": "-5/8", "zeta": [3], "log2": true}', "log2_exponent"),
+    ('{"coeff": "-5/8", "zeta": ["3"]}', "odd_zeta_factors entry"),
+])
+def test_verify_expr_refuses_an_exponent_that_is_no_json_integer(capsys, term, field):
+    # each was truncated or coerced to -(5/8)*zeta(3), R[1,1,1], and passed
+    rc, out, err = run(capsys, "verify", "expr", "R", "1", "1", "1", "--expression", f"[{term}]")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: bad expression term") and f"{field} must be an integer" in err
+
+
 def test_package_imports_without_numpy():
     # numpy is a test dependency only: a fresh interpreter that imports the
     # package and its CLI loads no numpy module

@@ -222,6 +222,12 @@ def test_tornheim_closed_takes_every_pair_from_double_euler_closed(monkeypatch):
     ]
 
 
+def test_result_to_json_refuses_what_is_not_a_result():
+    for bad in (None, "x", tornheim_closed(1, 1, 1, "R").expression):
+        with pytest.raises(DomainError, match="result_to_json: result must be an EvaluationResult"):
+            closedform.result_to_json(bad)  # was AttributeError
+
+
 # ----------------------------------------------------------------------
 # numeric cross-checks (the full sweep is in the acceptance module)
 # ----------------------------------------------------------------------

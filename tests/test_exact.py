@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from tornheim.errors import DivergenceError, DomainError
+from tornheim.errors import DivergenceError, DomainError, PrecisionError
 from tornheim.exact import (
     SignedIndex,
     ZetaExpression,
@@ -149,6 +149,56 @@ def test_monomial_rejects_even_zeta_factor():
         ZetaMonomial(odd_zeta_factors=(4,))
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    ({"pi_exponent": 2.5}, "pi_exponent"),  # was pi^2.5, evaluated by expr_numeric
+    ({"pi_exponent": True}, "pi_exponent"),  # was pi^1
+    ({"pi_exponent": None}, "pi_exponent"),  # was TypeError
+    ({"log2_exponent": F(1)}, "log2_exponent"),
+    ({"log2_exponent": "1"}, "log2_exponent"),
+    ({"odd_zeta_factors": (3.0,)}, "odd_zeta_factors"),  # was rendered zeta(3.0)
+    ({"odd_zeta_factors": (True,)}, "odd_zeta_factors"),
+    ({"odd_zeta_factors": None}, "odd_zeta_factors"),
+    ({"odd_zeta_factors": 3}, "odd_zeta_factors"),
+    ({"odd_zeta_factors": "3"}, "odd_zeta_factors"),
+])
+def test_monomial_refuses_what_is_not_an_integer(kwargs, named):
+    with pytest.raises(DomainError, match=f"ZetaMonomial: {named}"):
+        ZetaMonomial(**kwargs)
+
+
+def test_monomial_product_skips_the_checks_and_equals_a_checked_build():
+    a = ZetaMonomial(1, 2, (5, 3))
+    b = ZetaMonomial(2, 0, (3, 7))
+    product = a * b
+    assert product == ZetaMonomial(3, 2, (3, 3, 5, 7))
+    assert product.odd_zeta_factors == (3, 3, 5, 7)
+    assert hash(product) == hash(ZetaMonomial(3, 2, (7, 5, 3, 3)))
+    with pytest.raises(TypeError):
+        a * 2
+
+
+@pytest.mark.parametrize("terms, named", [
+    ("x", "terms must be a Mapping"),
+    ([(ZetaMonomial(), 1)], "terms must be a Mapping"),
+    (0, "terms must be a Mapping"),
+    ({"x": 1}, "keys must be ZetaMonomial"),  # was accepted, and failed in render
+    ({(3,): 1}, "keys must be ZetaMonomial"),
+    ({ZetaMonomial(): None}, "coefficient"),
+    ({ZetaMonomial(): float("nan")}, "coefficient"),
+    ({ZetaMonomial(): True}, "coefficient"),
+    ({ZetaMonomial(): "x"}, "coefficient"),
+])
+def test_expression_refuses_malformed_terms(terms, named):
+    with pytest.raises(DomainError, match=f"ZetaExpression: .*{named}"):
+        ZetaExpression(terms)
+
+
+def test_expression_takes_rational_coefficients():
+    m3 = ZetaMonomial(odd_zeta_factors=(3,))
+    assert ZetaExpression({m3: "1/2"}) == ZetaExpression({m3: F(1, 2)}) == ZetaExpression({m3: 0.5})
+    assert ZetaExpression(None).is_zero() and ZetaExpression({}).is_zero()
+
+
 def test_monomial_weight_and_order():
     m1 = ZetaMonomial(pi_exponent=2, odd_zeta_factors=(3,))  # weight 5
     m2 = ZetaMonomial(odd_zeta_factors=(5,))  # weight 5
@@ -235,6 +285,27 @@ def test_expression_from_json_merges_converts_and_drops_zeros():
         assert canonicalize(expr) == expr
         assert canonicalize(canonicalize(expr)) == canonicalize(expr)
         assert expression_from_json(expression_to_json(expr)) == expr
+
+
+@pytest.mark.parametrize("term, field", [
+    ({"coeff": "-5/8", "zeta": [3.7]}, "odd_zeta_factors entry"),  # was zeta(3)
+    ({"coeff": "-5/8", "zeta": [3], "pi": 0.5}, "pi_exponent"),  # was pi^0
+    ({"coeff": "-5/8", "zeta": [3], "log2": True}, "log2_exponent"),  # was log2^1
+    ({"coeff": "-5/8", "zeta": ["3"]}, "odd_zeta_factors entry"),  # was zeta(3)
+    ({"coeff": "-5/8", "zeta": "3"}, '"zeta"'),
+    ({"coeff": "-5/8", "zeta": [3], "pi": -2}, "pi_exponent"),
+])
+def test_expression_from_json_takes_only_json_integers(term, field):
+    with pytest.raises(DomainError, match="bad expression term") as info:
+        expression_from_json([term])
+    assert f"{field} must be" in str(info.value)
+
+
+@pytest.mark.parametrize("call", [expression_to_json, canonicalize])
+def test_expression_readers_refuse_what_is_not_an_expression(call):
+    for bad in (None, "x", {ZetaMonomial(): 1}):
+        with pytest.raises(DomainError, match=f"{call.__name__}: .* must be a ZetaExpression"):
+            call(bad)
 
 
 def test_expression_from_json_rejects_infinite_coefficients():
@@ -339,3 +410,22 @@ def test_expr_numeric_is_linear():
 
 def test_expr_numeric_zero():
     assert expr_numeric(ZetaExpression.zero()) == 0
+
+
+def test_expr_numeric_reads_each_zeta_factor_under_classical_zetas_key():
+    # one entry per zeta(k) at one precision, shared with classical_zeta,
+    # and the factor's PrecisionError still reaches the caller
+    from tornheim.numeric import PrecisionConfig, classical_zeta, clear_memos, memo_stats
+
+    prec = PrecisionConfig(digits=20)
+    e = ZetaExpression({ZetaMonomial(1, 0, (3, 5)): F(1), ZetaMonomial(0, 0, (3, 3, 3)): F(2)})
+    clear_memos()
+    value = expr_numeric(e, prec)
+    assert memo_stats()["memo"]["size"] == 2
+    assert classical_zeta(5, 1, prec) * classical_zeta(3, 1, prec) > 0
+    assert memo_stats()["memo"] == {"hits": 5, "misses": 2, "size": 2}
+    with mp.workdps(40):
+        oracle = mp.pi * mpmath.zeta(3) * mpmath.zeta(5) + 2 * mpmath.zeta(3) ** 3
+        assert abs(value - oracle) < mpf(10) ** -20
+    with pytest.raises(PrecisionError, match="max_terms"):
+        expr_numeric(e, PrecisionConfig(digits=200, max_terms=100))

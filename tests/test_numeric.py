@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate, product
@@ -1210,8 +1211,13 @@ def test_double_sum_bound_covers_its_rounding_at_few_bits(monkeypatch):
 def _half_values_letter_by_letter(letters, n, bits):
     """_half_values with no word read from _tables: each letter applied in
     turn to the terms at 1/2 of the word before it, from the constant 1."""
+    return [sum(t) for t in _words_letter_by_letter(letters, n, bits)]
+
+
+def _words_letter_by_letter(letters, n, bits):
+    """The terms 0..n at 1/2 of each word of _half_values_letter_by_letter."""
     t = [1 << bits] + [0] * n
-    values = [t[0]]
+    words = [t]
     for c in letters:
         if c == 0:
             t = [0, *map(floordiv, t[1:], range(1, n + 1))]
@@ -1224,8 +1230,8 @@ def _half_values_letter_by_letter(letters, n, bits):
             if c == -1:
                 u[::2] = map(neg, u[::2])
             t = [0, *map(floordiv, map(rshift, u, range(e, e * (n + 1), e)), range(1, n + 1))]
-        values.append(sum(t))
-    return values
+        words.append(t)
+    return words
 
 
 def _double_sum_width(size, prec):
@@ -1310,6 +1316,44 @@ def test_shared_half_series_words_are_tables(monkeypatch):
     numeric.clear_memos()
     assert numeric.memo_stats()["tables"] == {
         "tables": 0, "terms": 0, "budget": numeric.TABLE_BUDGET, "hits": 0, "misses": 0}
+
+
+def test_letters_floor_their_exact_quotients_from_any_start():
+    """_letter against exact rationals: term k+1 of letter c != 0 is
+    floor(floor(S_k/(2c)^(k+1))/(k+1)), S_k = sum_(i<=k) t_i (2c)^i, and of
+    letter 0 floor(t_k/k), from every start, on terms of both signs."""
+    rng = random.Random(31)
+    n, bits = 40, 30
+    t = [1 << bits] + [rng.randrange(-(1 << bits), 1 << bits) >> rng.randrange(bits) for _ in range(n)]
+    for c in (0, 1, 2, -1):
+        if c:
+            exact = [0] + [math.floor(math.floor(F(sum(t[i] * (2 * c) ** i for i in range(k + 1)),
+                                                  (2 * c) ** (k + 1))) / (k + 1))
+                           for k in range(n)]
+        else:
+            exact = [0] + [t[k] // k for k in range(1, n + 1)]
+        for start in range(n):
+            assert numeric._letter(t, c, start, n) == exact[start + 1:], (c, start)
+
+
+def test_shared_words_are_stored_as_running_sums_and_grow_in_pieces(monkeypatch):
+    """Each shared word is kept as the running sums of its terms, the same
+    whether its table was filled at once or grown from a shorter call, and a
+    longer table serves a shorter n bit for bit."""
+    tables = numeric._TableMemo(numeric.TABLE_BUDGET)
+    monkeypatch.setattr(numeric, "_tables", tables)
+    bits, word = 90, [1, 1, 1, 2, 1, 0]  # the heads of zeta(4, 2; -1, -1)
+    for n in (30, 50, 80, 50):
+        got = numeric._half_values(word, n, bits, 3)
+        assert got == _half_values_letter_by_letter(word, n, bits), n
+    terms = _words_letter_by_letter(word, 80, bits)
+    for j in range(1, 4):
+        assert tables.lists[bits, tuple(word[:j])] == list(accumulate(terms[j][1:])), j
+        assert tables.lists[bits, tuple(word[:j])].state == sum(terms[j]), j
+    grown = dict(tables.lists)
+    tables.clear()
+    numeric._half_values(word, 80, bits, 3)
+    assert tables.lists == grown
 
 
 def test_half_series_words_are_read_at_their_own_bits(monkeypatch):

@@ -68,6 +68,26 @@ def test_trinomial_rejects_negative_lower():
         trinomial(3, -1, 0)
 
 
+@pytest.mark.parametrize("args, named", [
+    ((None, 1, 1), "z"),  # was TypeError
+    ((2.5, 1, 1), "z"),  # was TypeError
+    ((3, F(1), 1), "a"),
+    ((3, 1, None), "b"),
+    ((True, 1, 1), "z"),  # was C(1; 1, 1)
+    ((3, -1, 0), "a"),
+    ((3, 0, -1), "b"),
+])
+def test_trinomial_names_a_malformed_argument(args, named):
+    with pytest.raises(DomainError, match=f"^trinomial: {named} must be an integer"):
+        trinomial(*args)
+
+
+def test_reduction_to_json_refuses_what_is_not_a_reduction():
+    for bad in (None, "x", corollary1_reduce(1, 1, 1, "T")):
+        with pytest.raises(DomainError, match="reduction_to_json: red must be a Reduction"):
+            reduction.reduction_to_json(bad)  # was AttributeError
+
+
 # ---------------------------------------------------------------- lemma 1
 
 def test_lemma1_term_counts():
