@@ -49,7 +49,11 @@ The classical double zeta keeps each word of its split at 1/2 as the word's
 terms at 1/2 (_half_values), built one letter at a time; the runs that
 start its heads and tails do not depend on the rest of the double and are
 kept in _tables too, as their running sums, under (bits, letters)
-(_split_values).
+(_split_values).  The tails' words after their run, g1 0^(a1-1), are a
+prefix of the same family for every a1: one table per (bits, g1g2
+0^(a2-1) g1) holds each family word's value, the deepest word's terms and
+a short window of terms, so each distinct tails word is built once per
+width (_family_values).
 
 The package has one memo, exact.memo(kernel, *args), a functools.lru_cache
 of exact.MEMO_SIZE entries that sits behind validated input, keyed on the
@@ -98,6 +102,7 @@ from functools import cached_property
 from itertools import accumulate, islice, repeat, takewhile
 from numbers import Integral, Real
 from operator import add, floordiv, lshift, mul, neg, rshift, sub
+from sys import getsizeof
 from typing import NamedTuple
 
 from mpmath import mp, mpf
@@ -129,9 +134,10 @@ __all__ = [
     "clear_memos",
 ]
 
-TABLE_BUDGET = 1 << 17  # terms kept by all growable tables together (_tables)
+TABLE_BUDGET = 1 << 17  # ints kept by all growable tables together (_tables)
 STREAM_GUARD = 32  # bits the q-term table keeps past working precision
 MAX_EXPONENT_DENOMINATOR = 8  # q-side exponents are rationals m/d, d <= this
+FAMILY_WINDOW = 8  # terms of its first word a tails family keeps below its cutoff
 PLAN_TIE = 1e-9  # relative log2 margin within which the cutoff planners compare mpfs
 
 
@@ -385,20 +391,36 @@ class _Table(list):
     from (None before the first grow)."""
     state = None
 
+    def parts(self) -> tuple:
+        """The lists this table holds: itself, and a tuple state's lists
+        (the frontier and window of a tails family, _family_values)."""
+        return (self, *(self.state if isinstance(self.state, tuple) else ()))
+
+    def size(self) -> int:
+        """The ints held, which the budget counts."""
+        return sum(map(len, self.parts()))
+
+    def bytes(self) -> int:
+        """sys.getsizeof of the lists held and of every int in them."""
+        return sum(getsizeof(x) + sum(map(getsizeof, x)) for x in self.parts())
+
 
 class _TableMemo:
-    """Growable tables of terms, bounded by one budget of stored terms.
+    """Growable tables of ints, bounded by one budget of stored ints.
 
     table(key, n, grow) returns entries 1..n of the table for key.  A table
     shorter than n is extended by grow(start, n, state), which returns the
     list of entries start+1..n and the state to resume from, given the state
     the last grow of the table returned (None for a new table); the state is
     kept with the table and dropped with it, and nothing stored is
-    recomputed.  Tables are kept in order of last use, and once a call has
-    grown one the least recently used are dropped until at most budget terms
-    are stored.  A table longer than the whole budget is returned but not
-    kept, and the others stay.  Hits (key stored) and misses are counted.
-    lists maps each key to the stored entries, least recently used first.
+    recomputed.  table is take(key), which removes the stored table of key
+    (a new empty one if none) and counts a hit or a miss, and put(key,
+    table), which keeps it as the most recently used; a tails family, which
+    changes in more than its length, calls the two itself.  Once a put has
+    kept a table, the least recently used are dropped until at most budget
+    ints are stored (_Table.size).  A table larger than the whole budget is
+    returned but not kept, and the others stay.  lists maps each key to the
+    stored table, least recently used first.
     """
 
     def __init__(self, budget: int) -> None:
@@ -409,27 +431,35 @@ class _TableMemo:
         self.lists: OrderedDict = OrderedDict()
         self.stored = self.hits = self.misses = 0
 
-    def table(self, key: tuple, n: int, grow) -> list:
+    def take(self, key: tuple) -> _Table:
         entries = self.lists.pop(key, None)
         if entries is None:
             self.misses += 1
-            entries = _Table()
-        else:
-            self.hits += 1
-            self.stored -= len(entries)
+            return _Table()
+        self.hits += 1
+        self.stored -= entries.size()
+        return entries
+
+    def put(self, key: tuple, entries: _Table) -> None:
+        size = entries.size()
+        if size <= self.budget:
+            self.lists[key] = entries
+            self.stored += size
+            while self.stored > self.budget:
+                self.stored -= self.lists.popitem(last=False)[1].size()
+
+    def table(self, key: tuple, n: int, grow) -> list:
+        entries = self.take(key)
         if len(entries) < n:
             more, entries.state = grow(len(entries), n, entries.state)
             entries.extend(more)
-        if len(entries) <= self.budget:
-            self.lists[key] = entries
-            self.stored += len(entries)
-            while self.stored > self.budget:
-                self.stored -= len(self.lists.popitem(last=False)[1])
+        self.put(key, entries)
         return entries[:n]
 
     def stats(self) -> dict:
         return {"tables": len(self.lists), "terms": self.stored, "budget": self.budget,
-                "hits": self.hits, "misses": self.misses}
+                "hits": self.hits, "misses": self.misses,
+                "bytes": sum(entries.bytes() for entries in self.lists.values())}
 
 
 _tables = _TableMemo(TABLE_BUDGET)
@@ -1105,7 +1135,7 @@ def _letter(t: list[int], c: int, start: int, n: int) -> list[int]:
     return [(eta := (eta + tk) >> e) // k for k, tk in zip(ks, head)]
 
 
-def _half_values(letters, n: int, bits: int, shared: int = 0) -> list[int]:
+def _half_values(letters, n: int, bits: int, shared: int = 0, family: bool = False) -> list[int]:
     """I(0 -> 1/2; word), as an int V with value V 2^-bits, for each word built
     by applying letters one at a time to the constant 1, the empty word first.
 
@@ -1127,22 +1157,30 @@ def _half_values(letters, n: int, bits: int, shared: int = 0) -> list[int]:
     filled at once.  The last shared word goes back to terms the same way
     for the letters after it.  Term k reads terms 0..k of the word before it
     only, so a stored word of more than n entries serves n by truncation,
-    and its values are exactly those of a word built at n.
+    and its values are exactly those of a word built at n.  With family,
+    the letters after the shared ones are one letter c and then zeros only,
+    and their words are read from the family of the shared letters and c
+    (_family_values); else they are built one letter at a time.
 
     Memory: the 567-case classical_check grid (30, 60 and 120 digits) keeps
-    22 words per width, 66 tables of 16,896 sums in all (about 1.2 MB).
+    22 words per width, 66 tables of 16,896 sums in all (1.4 MB by
+    memo_stats()'s bytes), and 20 tails families per width of 240 words,
+    60 tables of 16,620 ints (0.9 MB).
     """
     letters = list(letters)
     t = [1 << bits] + [0] * n  # terms 0..n of the empty word
     values = [t[0]]
     sums = None  # running sums 1..n of the last shared word, when t is None
 
-    def grow(start: int, n: int, last: int | None) -> tuple[list[int], int]:
-        # sums start+1..n of letter c (of the loop below) applied to t
+    def terms() -> list[int]:  # terms 0..n of the last word built
         nonlocal t
         if t is None:
             t = _terms(sums)
-        more = _letter(t, c, start, n)
+        return t
+
+    def grow(start: int, n: int, last: int | None) -> tuple[list[int], int]:
+        # sums start+1..n of letter c (of the loop below) applied to t
+        more = _letter(terms(), c, start, n)
         more[0] += last or 0
         more = list(accumulate(more))
         return more, more[-1]
@@ -1150,10 +1188,11 @@ def _half_values(letters, n: int, bits: int, shared: int = 0) -> list[int]:
     for j, c in enumerate(letters[:shared], 1):
         sums, t = _tables.table((bits, tuple(letters[:j])), n, grow), None
         values.append(sums[-1])
-    if t is None:
-        t = _terms(sums)
+    if family:
+        return values + _family_values(bits, tuple(letters[:shared + 1]), len(letters) - shared,
+                                       n, terms)
     for c in letters[shared:]:
-        t = [0, *_letter(t, c, 0, n)]
+        t = [0, *_letter(terms(), c, 0, n)]
         values.append(sum(t))
     return values
 
@@ -1163,15 +1202,70 @@ def _terms(sums: list[int]) -> list[int]:
     return [0, sums[0], *map(sub, islice(sums, 1, None), sums)]
 
 
+def _family_values(bits: int, letters: tuple, count: int, n: int, run) -> list[int]:
+    """The values at n of the words letters 0^i, i < count, as _half_values
+    gives them, where letters = w c and run() gives the terms 0..n of w.
+
+    The words of one (bits, letters) are a family, one table of _tables
+    under (bits, letters, "0^i").  Entry i is the value of letters 0^i at
+    the family's cutoff N, the sum of its terms 1..N.  The state is the
+    frontier, the terms 0..N of the deepest word, and the window, the terms
+    b_k of letters itself for the last FAMILY_WINDOW k <= N.  Letter 0 floors
+    t_k/k, and floor(floor(x)/k) = floor(x/k), so term k of letters 0^i is
+    floor(b_k/k^i), whatever n or N.  Hence:
+
+    * a deeper word costs one letter-0 pass over the frontier and one sum;
+    * a cutoff n with N - FAMILY_WINDOW <= n <= N reads entry i less its
+      terms k = n+1..N, floor(b_k/k^i) from the window;
+    * a larger n grows the family in k: letter c gives b_(N+1)..b_n (_letter
+      from N), every entry adds its terms, and frontier and window take theirs;
+    * a smaller n rebuilds the family at n.
+
+    Each value is the one of the word built at n, bit for bit.  The doubles
+    of one family differ in a1 alone, and _double_sum's n = bitlen(ceil(6
+    (L+1)/goal)), L = a1 + a2, grows by one when L+1 doubles: on the
+    classical grid their n lie within 3 of each other, so once grown to the
+    largest a family serves every one of them from its window.
+    """
+    c, key = letters[-1], (bits, letters, "0^i")
+    family = _tables.take(key)
+    frontier, window = family.state or ((), ())
+    if len(frontier) - 1 - n > len(window):  # n lies below the window
+        family = _Table()
+    if not family:
+        frontier = [0, *_letter(run(), c, 0, n)]
+        family.append(sum(frontier))
+        window = frontier[-FAMILY_WINDOW:]
+    top = len(frontier) - 1
+    if n > top:
+        more = _letter(run(), c, top, n)
+        for k, b in enumerate(more, top + 1):
+            family[:] = [v + b // k ** i for i, v in enumerate(family)]
+            frontier.append(b // k ** (len(family) - 1))
+        window = (window + more)[-FAMILY_WINDOW:]
+        top = n
+    while len(family) < count:
+        frontier = [0, *_letter(frontier, 0, 0, top)]
+        family.append(sum(frontier))
+    family.state = frontier, window
+    _tables.put(key, family)
+    values = family[:count]
+    for k, b in zip(range(n + 1, top + 1), window[n - top:]):
+        values = [v - b // k ** i for i, v in enumerate(values)]
+    return values
+
+
 def _split_values(word: list[int], a1: int, n: int, bits: int):
     """The heads I(0 -> 1/2; w_j'..w_1') and the tails I(0 -> 1/2; w_L..w_j)
     of _double_sum, j = 0..L, for w = 0^(a1-1) g1 0^(a2-1) g1g2.  The first
     letters applied are 1^(a1-1) for the heads and g1g2 0^(a2-1) for the
     tails: these runs do not depend on the rest of the word, so every double
-    at bits bits reads them from _tables (_half_values) and builds only the
-    letters after them."""
+    at bits bits reads them from _tables (_half_values).  The heads build
+    the letters after their run.  The tails' letters after it are g1
+    0^(a1-1), and the family of g1g2 0^(a2-1) g1 (_family_values) holds
+    their words for the doubles of every a1 at once."""
     heads = _half_values([1 if c == 0 else 1 - c for c in word], n, bits, a1 - 1)
-    tails = _half_values(reversed(word), n, bits, len(word) - a1)
+    tails = _half_values(reversed(word), n, bits, len(word) - a1, family=True)
     return heads, tails
 
 
@@ -1188,9 +1282,10 @@ def _double_sum(a1: int, g1: int, a2: int, g2: int, prec: PrecisionConfig) -> _S
     delta^2) (L+1) <= 3 (L+1) delta: truncation 3 (L+1) 2^-N and rounding
     6 L (L+1) (N+1) 2^-B at B = prec + STREAM_GUARD bits, the one total of
     a _Series at scale 2B.
-    The heads and tails come from _split_values; the runs it reads from
-    _tables are sum for sum those a fresh build gives, so the value and
-    bound do not depend on what is stored.
+    The heads and tails come from _split_values; the runs and the tails
+    families it reads from _tables are sum for sum those a fresh build at n
+    gives, so the value and bound do not depend on what is stored, nor on
+    the order in which the doubles were asked for.
     """
     word = [0] * (a1 - 1) + [g1] + [0] * (a2 - 1) + [g1 * g2]
     size = len(word)
@@ -1298,10 +1393,13 @@ def memo_stats() -> dict:
     """Hits, misses and size of exact.memo, the package's one memo (q parses,
     classical_zeta's SumInfos, the settled _Series of the classical doubles
     and q-series, and the expansions, reductions, closed forms and Bernoulli
-    numbers), and for _tables (q-term tables and half-series words) their
-    number, terms stored, budget, hits and misses.  A call rejected inside
-    memo (a q that _qparam refuses, or _budget, checked before anything is
-    summed) counts one miss, for the entry it looked up, and stores nothing."""
+    numbers), and for _tables (q-term tables, half-series words and tails
+    families) their number, ints stored (the budget's count: entries, and a
+    family's frontier and window), budget, hits, misses and bytes
+    (sys.getsizeof of the stored lists and of every int in them).  A call
+    rejected inside memo (a q that _qparam refuses, or _budget, checked
+    before anything is summed) counts one miss, for the entry it looked up,
+    and stores nothing."""
     info = memo.cache_info()
     return {"memo": {"hits": info.hits, "misses": info.misses, "size": info.currsize},
             "tables": _tables.stats()}

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
+from math import comb, lcm, prod
 from operator import mul
 
 from .errors import DomainError
@@ -251,24 +251,41 @@ def _lemma1(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
 
 
 def verify_lemma1(r: int, s: int, u: int, v: int, q: Fraction | int | str) -> bool:
-    """Exact rational check of the partial-fraction identity at one point."""
+    """Exact check of the partial-fraction identity at one point, in integers.
+
+    With q = P/Q, Q > 0, [n] = N_n / Q^(n-1), where N_n = (P^n - Q^n)/(P - Q)
+    is an integer, and 1 - q = (Q - P)/Q.  So each side is a sum of
+    rationals c times products of powers of the six integers N_u, N_v,
+    N_(u+v), P, Q and Q - P.  Both sides are put over one common
+    denominator, the product of each integer's lowest power and the lcm of
+    the c, and their numerators are compared: no gcd per term.
+    """
     r, s, u, v = (as_integer(x, f"verify_lemma1: {name}", 1) for x, name in zip((r, s, u, v), "rsuv"))
-    q = Fraction(as_rational(q, "verify_lemma1: q"))  # a Fraction, so that (q^n - 1)/(q - 1) stays exact
+    q = Fraction(as_rational(q, "verify_lemma1: q"))
     if q == 1:
         raise DomainError("verify_lemma1: q must differ from 1")
     if q == -1:
         raise DomainError("verify_lemma1: q must differ from -1, where [2] = 0")
-    qu, qv, quv = ((q ** n - 1) / (q - 1) for n in (u, v, u + v))
-    lhs = 1 / (qu ** r * qv ** s)
-    rhs = Fraction(0)
+    p, d = q.numerator, q.denominator
+    bases = [(p ** n - d ** n) // (p - d) for n in (u, v, u + v)] + [p, d, d - p]
+    lhs = [(Fraction(1), (-r, -s, 0, 0, (u - 1) * r + (v - 1) * s, 0))]
+    rhs = []
     for term in lemma1_expand(r, s):
         if term.coefficient == 0:
             continue
-        val = term.coefficient * (1 - q) ** term.one_minus_q_pow
-        val *= q ** (term.q_power_u * u + term.q_power_v * v)
-        val /= qu ** term.denom_u_pow * qv ** term.denom_v_pow * quv ** term.denom_uv_pow
-        rhs += val
-    return lhs == rhs
+        du, dv, duv = term.denom_u_pow, term.denom_v_pow, term.denom_uv_pow
+        e, b = term.q_power_u * u + term.q_power_v * v, term.one_minus_q_pow
+        shift = (u - 1) * du + (v - 1) * dv + (u + v - 1) * duv - e - b  # the power of Q
+        rhs.append((term.coefficient, (-du, -dv, -duv, e, shift, b)))
+    lows = [min(x) for x in zip(*(x for _, x in lhs + rhs))]
+    den = lcm(*(c.denominator for c, _ in lhs + rhs))
+
+    def numerator(side) -> int:
+        return sum(c.numerator * (den // c.denominator)
+                   * prod(base ** (x - low) for base, x, low in zip(bases, xs, lows))
+                   for c, xs in side)
+
+    return numerator(lhs) == numerator(rhs)
 
 
 # ----------------------------------------------------------------------

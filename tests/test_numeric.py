@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import accumulate, product
 from operator import floordiv, lshift, mul, neg, rshift
@@ -377,8 +378,9 @@ def test_tables_evict_least_recently_used_within_budget(monkeypatch):
     numeric._stream_terms(qp, bits, 1, 2, 10)  # the first is now the most recently used
     numeric._stream_terms(qp, bits, 3, 4, 120)
     assert list(numeric._tables.lists) == [keys[0], keys[2]]
-    assert numeric.memo_stats()["tables"] == {
-        "tables": 2, "terms": 240, "budget": 300, "hits": 1, "misses": 3}
+    stats = numeric.memo_stats()["tables"]
+    assert stats.pop("bytes") > 0
+    assert stats == {"tables": 2, "terms": 240, "budget": 300, "hits": 1, "misses": 3}
     # longer than the whole budget: returned in full, not kept, the others stay
     long = numeric._stream_terms(qp, bits, 1, 2, 400)
     assert list(numeric._tables.lists) == [keys[2]]
@@ -1295,27 +1297,149 @@ def test_double_sum_on_the_classical_grid_is_pinned():
     assert digest.hexdigest() == CLASSICAL_GRID_DOUBLES_SHA256
 
 
+def _classical_grid_doubles() -> list:
+    """The (a1, g1, a2, g2) of the doubles of the odd-weight grid r, s, t <= 5."""
+    return sorted({(a.value, a.sign, b.value, b.sign)
+                   for r in range(1, 6) for s in range(1, 6) for t in range(1, 6)
+                   if (r + s + t) % 2 == 1 for v in "TSR"
+                   for _, a, b in corollary1_reduce(r, s, t, v)})
+
+
+def _classical_grid_digest(infos: dict) -> str:
+    """SHA-256 over the SumInfo (value, tail_bound, terms) of each double
+    of _classical_grid_doubles() at 30, 60 and 120 digits, in that order."""
+    digest = hashlib.sha256()
+    for digits in (30, 60, 120):
+        for key in _classical_grid_doubles():
+            info = infos[key, digits]
+            parts = []
+            for x in (info.value, info.tail_bound):
+                sign, man, exp, bc = x._mpf_
+                parts.append(f"{sign} {int(man)} {exp} {bc}")
+            digest.update(f"{key} {digits}: {' | '.join(parts)} | {info.terms}\n".encode())
+    return digest.hexdigest()
+
+
+def _classical_grid_infos(order) -> dict:
+    """The SumInfo of each (double, digits) of order, built in that order
+    (not through memo)."""
+    return {(key, digits): numeric._double_sum(*key, PrecisionConfig(digits=digits)).info()
+            for key, digits in order}
+
+
+def test_tails_families_give_the_pinned_grid_in_any_order(monkeypatch):
+    """The 116 doubles at 30, 60 and 120 digits, from clear_memos(), with
+    a1 ascending, a1 descending and in a seeded shuffle, and under a table
+    budget small enough to evict families mid-grid: each run hashes to
+    CLASSICAL_GRID_DOUBLES_SHA256, whatever each family held when a double
+    read it."""
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
+    grid = [(key, digits) for digits in (30, 60, 120) for key in _classical_grid_doubles()]
+    shuffled = list(grid)
+    random.Random(32).shuffle(shuffled)
+    orders = [sorted(grid, key=lambda case: case[0][0]),
+              sorted(grid, key=lambda case: -case[0][0]), shuffled]
+    for order in orders:
+        numeric.clear_memos()
+        assert _classical_grid_digest(_classical_grid_infos(order)) == CLASSICAL_GRID_DOUBLES_SHA256
+    full = numeric.memo_stats()["tables"]
+    small = numeric._TableMemo(2000)
+    monkeypatch.setattr(numeric, "_tables", small)
+    missed, take = [], small.take
+
+    def counted_take(key):
+        if key not in small.lists:
+            missed.append(key)
+        return take(key)
+
+    monkeypatch.setattr(small, "take", counted_take)
+    assert _classical_grid_digest(_classical_grid_infos(shuffled)) == CLASSICAL_GRID_DOUBLES_SHA256
+    families = [key for key in missed if key[-1] == "0^i"]
+    assert len(families) > len(set(families))  # some family was dropped and built again
+    assert small.stored <= 2000 and small.misses > full["misses"]
+
+
+def test_tails_family_reads_grows_and_rebuilds_across_cutoffs(monkeypatch):
+    """One tails family asked at cutoffs that jump past its window both
+    ways: a cutoff n within FAMILY_WINDOW below its N is read from the
+    window, a larger one grows the family in k, a smaller one rebuilds it
+    at n.  Every heads and tails list equals the words built letter by
+    letter at that n."""
+    tables = numeric._TableMemo(numeric.TABLE_BUDGET)
+    monkeypatch.setattr(numeric, "_tables", tables)
+    bits, window = 100, numeric.FAMILY_WINDOW
+    key = (bits, (-1, 0, 1), "0^i")  # the tails of zeta(a1, 2; +1, -1)
+    # (n, a1, the family's N after the call)
+    calls = [(60, 2, 60), (200, 3, 200), (60, 4, 60), (63, 2, 63), (63 - window, 5, 63),
+             (62 - window, 5, 62 - window), (300, 2, 300), (62 - window, 2, 62 - window),
+             (300, 6, 300)]
+    for n, a1, top in calls:
+        word = [0] * (a1 - 1) + [1, 0, -1]
+        heads = [1 if c == 0 else 1 - c for c in word]
+        got = numeric._split_values(word, a1, n, bits)
+        assert got == (_half_values_letter_by_letter(heads, n, bits),
+                       _half_values_letter_by_letter(reversed(word), n, bits)), (n, a1)
+        frontier, kept = tables.lists[key].state
+        assert len(frontier) - 1 == top and len(tables.lists[key]) >= a1, (n, a1)
+        terms = _words_letter_by_letter([-1, 0, 1], top, bits)[-1]
+        assert kept == terms[-window:], (n, a1)
+
+
 def test_shared_half_series_words_are_tables(monkeypatch):
     """The leading runs of the heads (1^(a1-1)) and tails (g1g2 0^(a2-1)) are
-    tables of _tables, one per (bits, word), counted by memo_stats() and
-    emptied by clear_memos()."""
+    tables of _tables, one per (bits, word), and the tails' words after
+    them one family per (bits, g1g2 0^(a2-1) g1), its frontier and window
+    counted with it: all reported by memo_stats() and emptied by
+    clear_memos()."""
     monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
     prec = PrecisionConfig(digits=12)
     numeric.clear_memos()
     classical_double_euler(SignedIndex(3, 1), SignedIndex(2, -1), prec)
     n, bits = _double_sum_width(5, prec)
-    words = {(1,), (1, 1), (-1,), (-1, 0)}
-    assert set(numeric._tables.lists) == {(bits, w) for w in words}
-    assert numeric.memo_stats()["tables"] == {
-        "tables": 4, "terms": 4 * n, "budget": numeric.TABLE_BUDGET, "hits": 0, "misses": 4}
+    words, families = {(1,), (1, 1), (-1,), (-1, 0)}, {(-1, 0, 1)}
+
+    def keys():
+        return {(bits, w) for w in words} | {(bits, w, "0^i") for w in families}
+
+    assert set(numeric._tables.lists) == keys()
+    stats = numeric.memo_stats()["tables"]
+    assert stats.pop("bytes") > 0
+    # the family: the a1 = 3 words, the frontier (terms 0..n of -1 0 1 0 0)
+    # and the window
+    family = 3 + (n + 1) + numeric.FAMILY_WINDOW
+    assert stats == {"tables": 5, "terms": 4 * n + family, "budget": numeric.TABLE_BUDGET,
+                     "hits": 0, "misses": 5}
     # zeta(3, 3; -1, -1): the heads' run is read again, and the tails' run
     # 1 0 0 starts with the heads' word 1
     classical_double_euler(SignedIndex(3, -1), SignedIndex(3, -1), prec)
     words |= {(1, 0), (1, 0, 0)}
-    assert set(numeric._tables.lists) == {(bits, w) for w in words}
+    families |= {(1, 0, 0, -1)}
+    assert set(numeric._tables.lists) == keys()
     numeric.clear_memos()
     assert numeric.memo_stats()["tables"] == {
-        "tables": 0, "terms": 0, "budget": numeric.TABLE_BUDGET, "hits": 0, "misses": 0}
+        "tables": 0, "terms": 0, "budget": numeric.TABLE_BUDGET, "hits": 0, "misses": 0,
+        "bytes": 0}
+
+
+def test_table_bytes_count_every_stored_int_and_grow_with_precision(monkeypatch):
+    """memo_stats()["tables"]["bytes"] is sys.getsizeof over each stored
+    list and every int in it, frontiers and windows included; "terms"
+    counts those ints, within the budget.  The classical grid's doubles
+    keep more bytes at 120 digits than at 30."""
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
+    held = {}
+    for digits in (30, 120):
+        numeric.clear_memos()
+        prec = PrecisionConfig(digits=digits)
+        for a1, g1, a2, g2 in _classical_grid_doubles():
+            classical_double_euler(SignedIndex(a1, g1), SignedIndex(a2, g2), prec)
+        stats = numeric.memo_stats()["tables"]
+        lists = [x for key, table in numeric._tables.lists.items()
+                 for x in ((table, *table.state) if key[-1] == "0^i" else (table,))]
+        assert stats["terms"] == sum(map(len, lists)) <= numeric.TABLE_BUDGET
+        assert stats["bytes"] == sum(sys.getsizeof(x) + sum(map(sys.getsizeof, x)) for x in lists)
+        held[digits] = stats["bytes"]
+    assert held[120] > held[30] > 0
 
 
 def test_letters_floor_their_exact_quotients_from_any_start():
@@ -1364,11 +1488,12 @@ def test_half_series_words_are_read_at_their_own_bits(monkeypatch):
     monkeypatch.setattr(numeric, "_tables", tables)
     prec = PrecisionConfig(digits=30, tail_goal=1e-9)
     wide = numeric._double_sum(3, -1, 2, 1, prec).info()
-    read, table = [], tables.table
-    monkeypatch.setattr(tables, "table", lambda key, n, grow: read.append(key) or table(key, n, grow))
+    read, take = [], tables.take
+    monkeypatch.setattr(tables, "take", lambda key: read.append(key) or take(key))
     monkeypatch.setattr(numeric, "STREAM_GUARD", -100)
     narrow = numeric._double_sum(3, -1, 2, 1, prec).info()
-    assert read and {bits for bits, _ in read} == {53}
+    assert read and {key[0] for key in read} == {53}
+    assert any(key[-1] == "0^i" for key in read)  # the tails family
     assert narrow.tail_bound > wide.tail_bound
 
 
