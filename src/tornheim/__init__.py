@@ -29,7 +29,6 @@ from .exact import (
     ZetaExpression,
     ZetaMonomial,
     bernoulli,
-    canonicalize,
     expr_numeric,
     expression_from_json,
     expression_to_json,
@@ -82,7 +81,6 @@ __all__ = [
     "ZetaExpression",
     "ZetaMonomial",
     "bernoulli",
-    "canonicalize",
     "expr_numeric",
     "expression_from_json",
     "expression_to_json",

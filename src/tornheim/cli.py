@@ -38,7 +38,8 @@ from .closedform import (
     tornheim_closed,
 )
 from .errors import DomainError, PrecisionError, TornheimError
-from .exact import SignedIndex, as_rational, expr_numeric, expression_from_json, expression_to_json
+from .exact import (SignedIndex, as_rational, expr_numeric, expression_from_json,
+                    expression_to_json, render_sum)
 from .numeric import (
     PrecisionConfig,
     _xm,
@@ -222,9 +223,7 @@ def cmd_reduce(args) -> int:
                 ],
             })
         else:
-            body = " + ".join(
-                (f"{c}*" if c != 1 else "") + f"zeta[{o},{i}]" for c, o, i in terms
-            )
+            body = render_sum((c, f"zeta[{o},{i}]") for c, o, i in terms)
             print(f"{args.variant}[{r},{s},{t}] = {body}")
         return 0
     red = theorem1_reduce(r, s, t, args.variant)

@@ -41,12 +41,12 @@ from .errors import DomainError
 from .exact import (
     ZetaExpression,
     ZetaMonomial,
+    _zeta_monomial,
     as_integer,
     as_sign,
     check_convergent,
     expression_to_json,
     memo,
-    zeta_const,
 )
 from .reduction import VARIANTS, corollary1_reduce
 
@@ -94,8 +94,7 @@ def _zeta_term(k: int, sign: int) -> tuple[ZetaMonomial, Fraction] | None:
         return ZetaMonomial(), ALT_ZETA_AT_ZERO if sign == -1 else Fraction(-1, 2)
     if k == 1 and sign == 1:
         return None  # sentinel: the formula's zeta(1) reads as 0
-    (term,) = zeta_const(k, sign).terms()
-    return term
+    return _zeta_monomial(k, sign)
 
 
 def _validate_double(s: int, t: int, sigma: int, tau: int) -> tuple[int, int, int, int]:
@@ -209,9 +208,13 @@ def tornheim_closed(r: int, s: int, t: int, variant: str = "T") -> EvaluationRes
 def closed_form_table(max_weight: int) -> list[tuple[str, int, int, int, ZetaExpression]]:
     """All closed forms for positive indices with odd weight <= max_weight.
 
-    max_weight is capped at 15 as a cost guard.
+    max_weight runs from 3, the least such weight, and is capped at 15 as a
+    cost guard.
     """
-    if as_integer(max_weight, "closed_form_table: max_weight") > MAX_TABLE_WEIGHT:
+    max_weight = as_integer(max_weight, "closed_form_table: max_weight")
+    if max_weight < 3:
+        raise DomainError(f"closed_form_table: max_weight must be >= 3, got {max_weight}")
+    if max_weight > MAX_TABLE_WEIGHT:
         raise DomainError(
             f"closed_form_table: weight bound {max_weight} exceeds {MAX_TABLE_WEIGHT}"
         )

@@ -8,10 +8,13 @@ exact Fraction coefficients, plus the classical constants needed to build
 them:
 
     bernoulli(n)         Bernoulli numbers, B_1 = -1/2 convention
+    _zeta_monomial(k, s) zeta(k; s) as one (monomial, coefficient), read by
+                         the two below and by closedform's identity
     zeta_even_as_pi(k)   zeta(k) for even k as a rational multiple of pi^k
     zeta_const(k, sign)  zeta(k; sign) as a ring element
 
-It also holds memo(kernel, *args), the package's one memo.
+It also holds memo(kernel, *args), the package's one memo, and
+render_sum(terms), its one printer of signed sums.
 
 Monomials order by (total weight, pi exponent, log2 exponent, odd factors),
 where weight counts pi and log 2 once per power and each zeta(k) as k.  All
@@ -19,7 +22,7 @@ serialization and rendering is deterministic in that order.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -68,37 +71,37 @@ def _bernoulli(n: int) -> Fraction:
     return -sum(comb(n + 1, k) * memo(_bernoulli, k) for k in range(n)) / (n + 1)
 
 
-def zeta_even_as_pi(k: int) -> "ZetaExpression":
-    """zeta(k) for even k >= 2, as an exact rational multiple of pi^k.
+def _zeta_monomial(k: int, sign: int) -> tuple["ZetaMonomial", Fraction]:
+    """zeta(k; sign) for checked k >= 1 and sign, zeta(1) excepted, as its one
+    monomial and its nonzero coefficient: zeta(1; -1) = -log 2,
+    zeta(2m) = (-1)^(m+1) B_{2m} (2 pi)^{2m} / (2 (2m)!), and
+    zeta(k; -1) = (2^(1-k) - 1) zeta(k) for k >= 2."""
+    if k == 1:
+        return ZetaMonomial(log2_exponent=1), Fraction(-1)
+    if k % 2:
+        mono, coeff = ZetaMonomial(odd_zeta_factors=(k,)), Fraction(1)
+    else:
+        mono = ZetaMonomial(pi_exponent=k)
+        coeff = (-1) ** (k // 2 + 1) * bernoulli(k) * Fraction(2) ** (k - 1) / factorial(k)
+    return mono, coeff if sign == 1 else coeff * (Fraction(2) ** (1 - k) - 1)
 
-    zeta(2m) = (-1)^(m+1) B_{2m} (2 pi)^{2m} / (2 (2m)!).
-    """
+
+def zeta_even_as_pi(k: int) -> "ZetaExpression":
+    """zeta(k) for even k >= 2, as an exact rational multiple of pi^k."""
     if as_integer(k, "zeta_even_as_pi: k", 2) % 2 != 0:
         raise DomainError(f"zeta_even_as_pi: k must be even and >= 2, got {k}")
-    m = k // 2
-    coeff = (-1) ** (m + 1) * bernoulli(k) * Fraction(2) ** (k - 1) / factorial(k)
-    return ZetaExpression({ZetaMonomial(pi_exponent=k): coeff})
+    return ZetaExpression(dict([_zeta_monomial(k, 1)]))
 
 
 def zeta_const(k: int, sign: int = 1) -> "ZetaExpression":
     """zeta(k; sign) = sum_{n>=1} sign^n / n^k as a ring element.
 
-    sign=+1 requires k >= 2 (k = 1 diverges).  sign=-1 allows k >= 1:
-    zeta(1; -1) = -log 2 and zeta(k; -1) = (2^(1-k) - 1) zeta(k) for k >= 2.
+    sign=+1 requires k >= 2 (k = 1 diverges).  sign=-1 allows k >= 1.
     """
     sign, k = as_sign(sign, "zeta_const: sign"), as_integer(k, "zeta_const: k", 1)
-    if k == 1:
-        if sign == 1:
-            raise DivergenceError("zeta_const: zeta(1) diverges")
-        return ZetaExpression({ZetaMonomial(log2_exponent=1): Fraction(-1)})
-    plain = (
-        zeta_even_as_pi(k)
-        if k % 2 == 0
-        else ZetaExpression({ZetaMonomial(odd_zeta_factors=(k,)): Fraction(1)})
-    )
-    if sign == 1:
-        return plain
-    return plain * (Fraction(2) ** (1 - k) - 1)
+    if k == 1 and sign == 1:
+        raise DivergenceError("zeta_const: zeta(1) diverges")
+    return ZetaExpression(dict([_zeta_monomial(k, sign)]))
 
 
 # ----------------------------------------------------------------------
@@ -236,9 +239,6 @@ class ZetaMonomial:
         return "*".join(parts) if parts else "1"
 
 
-_UNIT = ZetaMonomial()  # the monomial 1
-
-
 class ZetaExpression:
     """Sparse Q-linear combination of ZetaMonomial, always canonical.
 
@@ -354,26 +354,29 @@ class ZetaExpression:
 
     def render(self) -> str:
         """Deterministic human-readable form, e.g. '-(5/8)*zeta(3)'."""
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for i, (mono, coeff) in enumerate(self.terms()):
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            if mono == _UNIT:
-                body = str(mag)
-            else:
-                if mag == 1:
-                    body = mono.render()
-                elif mag.denominator == 1:
-                    body = f"{mag}*{mono.render()}"
-                else:
-                    body = f"({mag})*{mono.render()}"
-            if i == 0:
-                chunks.append(f"-{body}" if neg else body)
-            else:
-                chunks.append(f" - {body}" if neg else f" + {body}")
-        return "".join(chunks)
+        return render_sum((coeff, mono.render()) for mono, coeff in self.terms())
+
+
+def render_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """The signed sum of (rational coefficient, rendered factor) pairs, in
+    their order: '-' before a negative first term and ' + ' / ' - ' between
+    terms; each magnitude is left out when it is 1, written n* when it is an
+    integer (0* too) and (p/q)* otherwise, except before the factor '1',
+    where it stands alone.  '0' for no terms."""
+    chunks: list[str] = []
+    for coeff, factor in terms:
+        mag = abs(coeff)
+        if factor == "1":
+            body = str(mag)
+        elif mag == 1:
+            body = factor
+        else:
+            body = f"{mag}*{factor}" if mag.denominator == 1 else f"({mag})*{factor}"
+        if chunks:
+            chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
+        else:
+            chunks.append(f"-{body}" if coeff < 0 else body)
+    return "".join(chunks) or "0"
 
 
 def _check_expression(value, what: str) -> None:
@@ -381,12 +384,6 @@ def _check_expression(value, what: str) -> None:
     ZetaExpression."""
     if not isinstance(value, ZetaExpression):
         raise DomainError(f"{what} must be a ZetaExpression, got {value!r}")
-
-
-def canonicalize(a: ZetaExpression) -> ZetaExpression:
-    """Re-normalize an expression.  Idempotent by construction."""
-    _check_expression(a, "canonicalize: a")
-    return ZetaExpression(dict(a.terms()))
 
 
 # ----------------------------------------------------------------------

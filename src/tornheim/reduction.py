@@ -41,7 +41,7 @@ from math import comb, lcm, prod
 from operator import mul
 
 from .errors import DomainError
-from .exact import SignedIndex, as_integer, as_rational, check_convergent, memo
+from .exact import SignedIndex, as_integer, as_rational, check_convergent, memo, render_sum
 
 __all__ = [
     "DoubleQZeta",
@@ -157,22 +157,7 @@ class Reduction:
         return f"{self.variant}[{self.r},{self.s},{self.t}]"
 
     def render(self) -> str:
-        if not self.terms:
-            return f"{self.lhs_label()} = 0"
-        chunks = []
-        for i, (coeff, kind) in enumerate(self.terms):
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            body = kind.render() if mag == 1 else f"{_coeff_str(mag)}*{kind.render()}"
-            if i == 0:
-                chunks.append(f"-{body}" if neg else body)
-            else:
-                chunks.append(f" - {body}" if neg else f" + {body}")
-        return f"{self.lhs_label()} = " + "".join(chunks)
-
-
-def _coeff_str(c: Fraction) -> str:
-    return str(c) if c.denominator == 1 else f"({c})"
+        return f"{self.lhs_label()} = " + render_sum((c, kind.render()) for c, kind in self.terms)
 
 
 # ----------------------------------------------------------------------
@@ -209,32 +194,11 @@ def lemma1_expand(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
 
 def _lemma1(r: int, s: int) -> tuple[PartialFractionTerm, ...]:
     terms: list[PartialFractionTerm] = []
-    for a in range(r):
-        for b in range(r - a):
-            terms.append(
-                PartialFractionTerm(
-                    coefficient=_trinomial(a + s - 1, a, b),
-                    q_power_u=s - 1 - b,
-                    q_power_v=a,
-                    denom_u_pow=r - a - b,
-                    denom_v_pow=0,
-                    denom_uv_pow=s + a,
-                    one_minus_q_pow=b,
-                )
-            )
-    for a in range(s):
-        for b in range(s - a):
-            terms.append(
-                PartialFractionTerm(
-                    coefficient=_trinomial(a + r - 1, a, b),
-                    q_power_u=a,
-                    q_power_v=r - 1 - b,
-                    denom_u_pow=0,
-                    denom_v_pow=s - a - b,
-                    denom_uv_pow=r + a,
-                    one_minus_q_pow=b,
-                )
-            )
+    for x, y, order in ((r, s, 1), (s, r, -1)):  # family A, then its mirror B
+        for a in range(x):
+            for b in range(x - a):
+                (pu, pv), (du, dv) = (y - 1 - b, a)[::order], (x - a - b, 0)[::order]
+                terms.append(PartialFractionTerm(_trinomial(a + y - 1, a, b), pu, pv, du, dv, y + a, b))
     for j in range(1, min(r, s) + 1):
         terms.append(
             PartialFractionTerm(

@@ -565,6 +565,13 @@ def test_table_weight_guard(capsys):
     assert "15" in err
 
 
+@pytest.mark.parametrize("weight", ["2", "0", "-3"])
+def test_table_refuses_weights_below_three(capsys, weight):
+    rc, out, err = run(capsys, "table", "--weight", weight)
+    assert (rc, out) == (2, "")
+    assert err == f"error: closed_form_table: max_weight must be >= 3, got {weight}\n"
+
+
 # ----------------------------------------------------------------------
 # wiring
 # ----------------------------------------------------------------------

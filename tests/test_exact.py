@@ -17,15 +17,23 @@ from tornheim.exact import (
     ZetaExpression,
     ZetaMonomial,
     bernoulli,
-    canonicalize,
     expr_numeric,
     expression_from_json,
     expression_to_json,
+    render_sum,
     zeta_const,
     zeta_even_as_pi,
 )
+from tornheim.cli import main
+from tornheim.reduction import theorem1_reduce
 
 F = Fraction
+
+
+def _rebuilt(expr):
+    """expr through the validating constructor: the canonical form to compare
+    with, as construction canonicalizes."""
+    return ZetaExpression(dict(expr.terms()))
 
 
 # ---------------------------------------------------------------- constants
@@ -257,8 +265,8 @@ def test_constructor_converts_each_coefficient_to_a_fraction():
     assert ZetaExpression({m3: half}).terms()[0][1] is half  # kept, not rebuilt
     assert ZetaExpression({m3: 0, m5: 0.0}).is_zero()
     for expr in (e, ZetaExpression({m3: "2/6"})):
-        assert canonicalize(expr) == expr
-        assert canonicalize(canonicalize(expr)) == canonicalize(expr)
+        assert _rebuilt(expr) == expr
+        assert _rebuilt(_rebuilt(expr)) == _rebuilt(expr)
 
 
 def test_expression_from_json_merges_converts_and_drops_zeros():
@@ -282,8 +290,8 @@ def test_expression_from_json_merges_converts_and_drops_zeros():
     assert expression_from_json([{"coeff": "1/3", **z53}, {"coeff": "-2/6", **z53}]).is_zero()
     assert expression_from_json([{"coeff": 0, **z3}]).is_zero()
     for expr in (e, back):
-        assert canonicalize(expr) == expr
-        assert canonicalize(canonicalize(expr)) == canonicalize(expr)
+        assert _rebuilt(expr) == expr
+        assert _rebuilt(_rebuilt(expr)) == _rebuilt(expr)
         assert expression_from_json(expression_to_json(expr)) == expr
 
 
@@ -301,7 +309,7 @@ def test_expression_from_json_takes_only_json_integers(term, field):
     assert f"{field} must be" in str(info.value)
 
 
-@pytest.mark.parametrize("call", [expression_to_json, canonicalize])
+@pytest.mark.parametrize("call", [expression_to_json])
 def test_expression_readers_refuse_what_is_not_an_expression(call):
     for bad in (None, "x", {ZetaMonomial(): 1}):
         with pytest.raises(DomainError, match=f"{call.__name__}: .* must be a ZetaExpression"):
@@ -315,11 +323,12 @@ def test_expression_from_json_rejects_infinite_coefficients():
 
 
 def test_canonicalize_idempotent():
+    """Construction canonicalizes: rebuilding an expression changes nothing."""
     rng = random.Random(7)
     for _ in range(50):
         e = _random_expr(rng)
-        assert canonicalize(e) == e
-        assert canonicalize(canonicalize(e)) == canonicalize(e)
+        assert _rebuilt(e) == e
+        assert _rebuilt(_rebuilt(e)) == _rebuilt(e)
 
 
 _MONOMIALS = st.builds(
@@ -337,14 +346,14 @@ _EXPRESSIONS = st.dictionaries(_MONOMIALS, _COEFFS, max_size=5).map(ZetaExpressi
 def test_ring_operations_return_canonical_expressions(a, b, c):
     """Ring results skip re-canonicalization; each must already be canonical."""
     for result in (a + b, a - b, -a, a * b, a * c, c * a):
-        assert result == canonicalize(result)
+        assert result == _rebuilt(result)
         assert all(type(coeff) is Fraction and coeff != 0 for _, coeff in result.terms())
     assert (a * 0).is_zero() and (a - a).is_zero()
 
 
 # ---------------------------------------------------------------- rendering
 
-def test_render_golden():
+def test_render_golden(capsys):
     e = ZetaExpression(
         {
             ZetaMonomial(odd_zeta_factors=(3,)): F(-5, 8),
@@ -358,6 +367,26 @@ def test_render_golden():
     assert ZetaExpression.constant(F(3, 4)).render() == "3/4"
     sq = zeta_const(3) * zeta_const(3)
     assert sq.render() == "zeta(3)^2"
+    # a negative first term, a bare fractional constant, a coefficient of -1
+    # and an integer one
+    e = ZetaExpression({ZetaMonomial(): F(-3, 4), ZetaMonomial(odd_zeta_factors=(3,)): -1,
+                        ZetaMonomial(odd_zeta_factors=(5,)): 2})
+    assert e.render() == "-3/4 - zeta(3) + 2*zeta(5)"
+    assert render_sum([(F(-1), "1"), (F(0), "x"), (F(2, 3), "y")]) == "-1 + 0*x + (2/3)*y"
+    # Reduction.render and the CLI's classical line print through render_sum
+    # too: a zero coefficient as 0*, and integer coefficients above 1 as n*
+    assert theorem1_reduce(3, 4, 2, "S").render() == (
+        "S[3,4,2] = zq[6-,3] + 3*(1-q)*zq[6-,2] + 3*(1-q)^2*zq[6-,1] + 4*zq[7-,2]"
+        " + 12*(1-q)*zq[7-,1] + 10*zq[8-,1] + zq[5-,4] + 2*(1-q)*zq[5-,3]"
+        " + (1-q)^2*zq[5-,2] + 0*(1-q)^3*zq[5-,1] + 3*zq[6-,3] + 6*(1-q)*zq[6-,2]"
+        " + 3*(1-q)^2*zq[6-,1] + 6*zq[7-,2] + 12*(1-q)*zq[7-,1] + 10*zq[8-,1]"
+        " - 10*(1-q)*phi[8-] - 12*(1-q)^2*phi[7-] - 3*(1-q)^3*phi[6-]"
+    )
+    assert main(["reduce", "R", "4", "2", "3", "--classical"]) == 0
+    assert capsys.readouterr().out == (
+        "R[4,2,3] = zeta[5-,4-] + 2*zeta[6-,3-] + 3*zeta[7-,2-] + 4*zeta[8-,1-]"
+        " + zeta[7,2-] + 4*zeta[8,1-]\n"
+    )
 
 
 # ---------------------------------------------------------------- JSON

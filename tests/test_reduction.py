@@ -31,6 +31,7 @@ from tornheim.numeric import (
 )
 from tornheim.reduction import (
     DoubleQZeta,
+    PartialFractionTerm,
     PhiTerm,
     QSquaredZeta,
     Reduction,
@@ -208,6 +209,57 @@ def test_lemma1_dropping_a_term_breaks_identity(monkeypatch):
     nonzero = tuple(t for t in lemma1_expand(2, 2) if t.coefficient != 0)
     monkeypatch.setattr(reduction, "lemma1_expand", lambda r, s: nonzero[:-1])
     assert not verify_lemma1(2, 2, 2, 3, 2)
+
+
+def _lemma1_three_families(r, s):
+    """Lemma 1's three families written out one by one: the reference for
+    lemma1_expand, which builds B as the mirror of A."""
+    terms = []
+    for a in range(r):
+        for b in range(r - a):
+            terms.append(PartialFractionTerm(
+                coefficient=trinomial(a + s - 1, a, b),
+                q_power_u=s - 1 - b, q_power_v=a,
+                denom_u_pow=r - a - b, denom_v_pow=0, denom_uv_pow=s + a,
+                one_minus_q_pow=b,
+            ))
+    for a in range(s):
+        for b in range(s - a):
+            terms.append(PartialFractionTerm(
+                coefficient=trinomial(a + r - 1, a, b),
+                q_power_u=a, q_power_v=r - 1 - b,
+                denom_u_pow=0, denom_v_pow=s - a - b, denom_uv_pow=r + a,
+                one_minus_q_pow=b,
+            ))
+    for j in range(1, min(r, s) + 1):
+        terms.append(PartialFractionTerm(
+            coefficient=-trinomial(r + s - j - 1, r - j, s - j),
+            q_power_u=s - j, q_power_v=r - j,
+            denom_u_pow=0, denom_v_pow=0, denom_uv_pow=r + s - j,
+            one_minus_q_pow=j,
+        ))
+    return tuple(terms)
+
+
+def test_lemma1_matches_the_three_families_term_for_term():
+    for r, s in product(range(1, 9), repeat=2):
+        assert lemma1_expand(r, s) == _lemma1_three_families(r, s), (r, s)
+
+
+@pytest.mark.parametrize("q", [F(-3, 5), F(1, 3), 0, F(-7, 2)])
+def test_lemma1_holds_below_one_and_a_dropped_term_shows(q, monkeypatch):
+    # q < 1, 0 and negative q: criterion 3 and `verify lemma1` use q > 1 only
+    points = list(product(range(1, 5), range(1, 5), range(1, 6), range(1, 6)))
+    assert all(verify_lemma1(r, s, u, v, q) for r, s, u, v in points)
+    # drop, in turn, each term that is nonzero at (u, v) = (2, 3); at q = 0
+    # that is each nonzero coefficient of q^0
+    terms = lemma1_expand(3, 2)
+    dropped = [i for i, t in enumerate(terms)
+               if t.coefficient and F(q) ** (2 * t.q_power_u + 3 * t.q_power_v)]
+    assert dropped
+    for i in dropped:
+        monkeypatch.setattr(reduction, "lemma1_expand", lambda r, s: terms[:i] + terms[i + 1:])
+        assert not verify_lemma1(3, 2, 2, 3, q), i
 
 
 # ---------------------------------------------------------------- theorem 1
