@@ -34,9 +34,11 @@ exact, q^(e k)/[k]^x = R_k^x q^(-(x-e) k), R_k = q^k/[k], comes from floors,
 an integer d-th root for x = m/d and integer powers, under a guard counted
 from q and x.  It fills the q-term table (_stream_terms) of each
 (q, bits B, e, x): fixed-point Python ints F_k within 3/4 of
-2^B q^(e k)/[k]^x, extended when a call needs more terms.  All tables are
-kept together in _tables, one memo that stores at most TABLE_BUDGET terms
-and drops the least recently used tables first.  q_zeta1, phi_q and
+2^B q^(e k)/[k]^x, extended when a call needs more terms.  All tables
+(q-term tables, tornheim_q's Lambert column tables, and the classical
+side's half-series words and tails families below) are kept together in
+_tables, one memo that stores at most TABLE_BUDGET ints and drops the
+least recently used tables first.  q_zeta1, phi_q and
 q_zeta2 are exact integer sums over q-term entries (sum sign^k F_k,
 sum (k-1) sign^k F_k, sum_m sign^m F_m times a running prefix), converted
 to mpf once, so their rounding is a count of 3/4-units at B = working
@@ -83,10 +85,14 @@ tornheim_q expands its coupling weight q^((t-1)m)/[m]^t, m = u + v, as
 (q-1)^t sum_j binom(t+j-1, j) q^(-(j+1)m), which splits the double sum into
 (q-1)^t sum_j beta_j A_j B_j, where A_j = sum_u sigma^u q^(ru)/[u]^r
 q^(-(j+1)u) and B_j is the same in (s, tau).  The factors and the powers
-q^-k are q-term table entries, each A_j and B_j is one exact integer dot
-product over them, the weights beta_j come from a floored integer
-recurrence, and the sum is rounded once.  Every cut A_j and the last j are
-planned from the goal.
+q^-k are q-term table entries, and the parts of A_j over even and odd u
+are exact integer dot products over them.  A_j, cut after U_j =
+ceil(n/(j+1)) - 1 terms, depends on q, the width, r and the cutoff n
+alone, so its parts are kept in _tables too, one column table per
+(q, bits, r) that every t and both slots read, moved to another n by the
+terms between the two cuts (_lambert_columns).  The weights beta_j come
+from a floored integer recurrence, and the sum is rounded once.  Every cut
+A_j and the last j are planned from the goal.
 
 The classical Tornheim series converge too slowly to sum directly;
 reduction.verify_theorem1 checks Theorem 1 exactly on finite triangles, and
@@ -309,8 +315,12 @@ def _kbound(x, qm: mpf) -> mpf:
 
 def _log2(x: mpf) -> float:
     """log2 x for an mpf x > 0, as exp + bc + log2(man 2^-bc) from its
-    mantissa man of bc bits and its exponent exp; +-inf past the float range."""
+    mantissa man of bc bits and its exponent exp; +-inf past the float range.
+    For 1/2 <= x < 2 it is log1p(x - 1)/log 2, as x - 1 is exact in mpf: the
+    sum above cancels to 0, or to a few bits, as x -> 1 (a q just above 1)."""
     _, man, exp, bc = x._mpf_
+    if exp + bc in (0, 1):
+        return math.log1p(float(x - 1)) / math.log(2)
     try:
         return exp + bc + math.log2(man / (1 << bc))
     except OverflowError:
@@ -388,7 +398,7 @@ def _fixed_pows(w: list[int], m: int, g: int) -> list[int]:
 
 class _Table(list):
     """The stored entries of one table, and state, what its grow resumes
-    from (None before the first grow)."""
+    from (None before the first grow; a Lambert column table's cut)."""
     state = None
 
     def parts(self) -> tuple:
@@ -415,8 +425,9 @@ class _TableMemo:
     kept with the table and dropped with it, and nothing stored is
     recomputed.  table is take(key), which removes the stored table of key
     (a new empty one if none) and counts a hit or a miss, and put(key,
-    table), which keeps it as the most recently used; a tails family, which
-    changes in more than its length, calls the two itself.  Once a put has
+    table), which keeps it as the most recently used; a tails family or a
+    Lambert column table, which changes in more than its length, calls the
+    two itself.  Once a put has
     kept a table, the least recently used are dropped until at most budget
     ints are stored (_Table.size).  A table larger than the whole budget is
     returned but not kept, and the others stay.  lists maps each key to the
@@ -506,11 +517,13 @@ def _stream_terms(qp: QParam, bits: int, e, x, n: int) -> list[int]:
     both signs from one pass.  Returns a fresh list.
 
     Memory: an entry is a Python int and its list slot, about bits/8 + 36
-    bytes, and _tables keeps at most TABLE_BUDGET entries of all its tables
+    bytes, and _tables keeps at most TABLE_BUDGET ints of all its tables
     together once a call returns, each table with its last P_k.  At 30
     digits the 576-case q_sweep grid stores about 12,700 entries in 111
-    tables (0.7 MB); the 144-case q_limit grid (goal 1e-7) about 54,000 in
-    60 (2.5 MB), grown in 115 fills of 54,017 recurrence steps in all.
+    q-term tables (0.7 MB) and 1,700 in 12 Lambert column tables (0.14 MB);
+    the 144-case q_limit grid (goal 1e-7) about 54,000 in 60 q-term tables
+    (2.5 MB), grown in about 110 fills of 54,017 recurrence steps in all,
+    and 11,800 in 8 column tables (0.8 MB), by memo_stats()["tables"].
     """
     shift = Fraction(x) - Fraction(e)
     if shift not in (0, 1):
@@ -839,6 +852,12 @@ def tornheim_q_info(
     within (c + 2E) R + 2E M of c times the cut sum before its one rounding
     to prec.
 
+    The parts of each A_j over even and odd u do not depend on t, the
+    weights or the other slot, so they are read from one column table per
+    (q, bits, r) in _tables (_lambert_columns), which both slots and the
+    series of every t at that width share; a series whose columns are
+    stored forms only its weights and the four totals (_lambert_sum).
+
     terms, and the max_terms budget, count the triangle u + v <= W whose
     tail k sum_{m>W} m q^-m, k = K(r) K(s) K(t), meets the goal.  tail_bound
     is truncation plus rounding; if that exceeds the goal, PrecisionError is
@@ -916,50 +935,86 @@ def _lambert_weights(t, bits: int):
         j += 1
 
 
-def _lambert_sum(a: list[int], b: list[int], x: list[int], t, bits: int,
-                 js: int) -> tuple[int, int, int, int]:
-    """sum_{j<js} B_j A_j B'_j, exact, at 5 bits bits, for the four
-    (sigma, tau) (_at): B_j from _lambert_weights, A_j = sum_u sigma^u a_u
-    x_((j+1)u) and B'_j the same over b in tau, all lists indexed from 1.
-    A_j = E_j + sigma O_j, where E_j sums the even u, read from
-    x[2j+1::2(j+1)], and O_j the odd u, from x[j::2(j+1)]: k = (j+1)u for
-    u <= ceil((len(x) + 1)/(j+1)) - 1, where the dot products stop when a
-    and b are at least as long as x.  E_j +- O_j and E'_j +- O'_j are
-    collected per j, and the four totals are dot products of the lists
-    B_j (E_j +- O_j) and E'_j +- O'_j; b is a shares its split, and then
-    the (+, -) and (-, +) totals are equal.
+def _lambert_sum(r, s, t, qp: QParam, n: int, js: int,
+                 bits: int) -> tuple[int, int, int, int]:
+    """S' = sum_{j<js} B_j A_j B'_j, exact at 5 bits bits, for the four
+    (sigma, tau) (_at): B_j from _lambert_weights, A_j = E_j + sigma O_j
+    and B'_j = E'_j + tau O'_j cut after U_j = ceil(n/(j+1)) - 1 terms, read
+    from the column tables of r and, unless s = r, of s (_lambert_columns).
+    The four totals are dot products of the lists B_j (E_j +- O_j) and
+    E'_j +- O'_j; for s = r the (+, -) and (-, +) totals are equal.
 
-    From j = len(x) // 2 on, 2j + 1 is past the end of x, so E_j = 0 and
-    the cut is U_j = 1: A_j = sigma a_1 x_(j+1).  That whole tail is
-    sigma tau a_1 b_1 sum_j B_j x_(j+1)^2, one dot product, which enters
-    the four totals with signs (+, -, -, +).  The weights stop at the
-    first zero one, as every later one is zero too."""
+    From j = (n - 1) // 2 on, 2 (j+1) > n - 1, so E_j = 0 and the cut is
+    U_j = 1: A_j = sigma a_1 x_(j+1), x_k = q^-k.  That whole tail is
+    sigma tau a_1 b_1 sum_j B_j x_(j+1)^2, one dot product over the q-term
+    table of the powers, which enters the four totals with signs
+    (+, -, -, +).  The weights stop at the first zero one, as every later
+    one is zero too."""
     weights = list(islice(takewhile(bool, _lambert_weights(t, bits)), js))
-    head = weights[:len(x) // 2]
-    a_even, a_odd = a[1::2], a[::2]
-    b_even, b_odd = (a_even, a_odd) if b is a else (b[1::2], b[::2])
-    a_pos, a_neg, b_pos, b_neg = [], [], [], []  # E_j +- O_j and E'_j +- O'_j
-    for j in range(len(head)):
-        x_even, x_odd = x[2 * j + 1::2 * j + 2], x[j::2 * j + 2]
-        e, o = sum(map(mul, a_even, x_even)), sum(map(mul, a_odd, x_odd))
-        a_pos.append(e + o)
-        a_neg.append(e - o)
-        if b is not a:
-            e, o = sum(map(mul, b_even, x_even)), sum(map(mul, b_odd, x_odd))
-            b_pos.append(e + o)
-            b_neg.append(e - o)
-    if b is a:
-        b_pos, b_neg = a_pos, a_neg
-    a_pos = list(map(mul, head, a_pos))
-    a_neg = list(map(mul, head, a_neg))
+    head = min(len(weights), (n - 1) // 2)
+    a = _lambert_columns(qp, bits, r, n - 1, head)
+    b = a if s == r else _lambert_columns(qp, bits, s, n - 1, head)
+    a_pos = list(map(mul, weights, a[0:2 * head:2]))  # B_j (E_j + O_j)
+    a_neg = list(map(mul, weights, a[1:2 * head:2]))  # B_j (E_j - O_j)
+    b_pos, b_neg = b[0:2 * head:2], b[1:2 * head:2]
     pos_neg = sum(map(mul, a_pos, b_neg))
     neg_pos = pos_neg if b is a else sum(map(mul, a_neg, b_pos))
-    tail_x = x[len(head):len(weights)]
-    tail = sum(map(mul, weights[len(head):], map(mul, tail_x, tail_x)))
+    tail = 0
+    if len(weights) > head:
+        x = _stream_terms(qp, bits, -1, 0, len(weights))[head:]
+        tail = sum(map(mul, weights[head:], map(mul, x, x)))
     if tail:
-        tail *= a[0] * b[0]
+        a_1 = _stream_terms(qp, bits, r, r, 1)[0]
+        tail *= a_1 * (a_1 if s == r else _stream_terms(qp, bits, s, s, 1)[0])
     return (sum(map(mul, a_pos, b_pos)) + tail, pos_neg - tail, neg_pos - tail,
             sum(map(mul, a_neg, b_neg)) + tail)
+
+
+def _lambert_columns(qp: QParam, bits: int, r, cut: int, head: int) -> _Table:
+    """E_j + O_j and E_j - O_j, interleaved, for j from 0 to at least
+    head - 1: the parts over even and odd u of A_j = sum_u sigma^u a_u
+    x_((j+1)u), a_u = q^(ru)/[u]^r and x_k = q^-k, each cut at (j+1) u <=
+    cut, as exact integer dot products of bits-bit q-term table entries
+    (_stream_terms), at 2 bits bits.  The caller must not change it.
+
+    A column depends on q, bits, r and the cut alone, not on t, the weights
+    or the other slot, so every tornheim_q series at one (q, bits) reads one
+    table of _tables per exponent, under (q, bits, r, "E+-O"), whose state
+    is the cut it holds.  A read at another cut adds, or takes off, the terms
+    a_u x_k for the k between the two cuts: for each such k, its divisor
+    pairs (j+1) u = k, j below the stored columns (a term of even u enters
+    both columns of j, one of odd u the second with a minus).  That costs
+    about sqrt(k) steps per k, so when the steps would outnumber the cut,
+    what building anew costs, the table is built anew.  Columns past the
+    stored ones are built directly.  Either way each column is an exact sum
+    of the same products, equal to one built at once; a q-term table that
+    was dropped comes back entry for entry (_stream_terms)."""
+    key = (qp, bits, r, "E+-O")
+    table = _tables.take(key)
+    stored = table.state
+    if stored is not None and abs(cut - stored) * math.isqrt(max(cut, stored)) > cut:
+        table, stored = _Table(), None
+    if stored != cut or len(table) < 2 * head:
+        top = max(cut, stored or 0)
+        a, x = _stream_terms(qp, bits, r, r, top), _stream_terms(qp, bits, -1, 0, top)
+        if stored is not None:
+            sign, columns = (1 if cut > stored else -1), len(table) // 2
+            for k in range(min(cut, stored) + 1, top + 1):
+                for d in range(1, math.isqrt(k) + 1):
+                    if k % d == 0:
+                        for j, u in {(d - 1, k // d), (k // d - 1, d)}:
+                            if j < columns:
+                                term = sign * a[u - 1] * x[k - 1]
+                                table[2 * j] += term
+                                table[2 * j + 1] += -term if u % 2 else term
+        a_even, a_odd = a[1::2], a[::2]
+        for j in range(len(table) // 2, head):
+            e = sum(map(mul, a_even, x[2 * j + 1:cut:2 * j + 2]))
+            o = sum(map(mul, a_odd, x[j:cut:2 * j + 2]))
+            table += (e + o, e - o)
+    table.state = cut
+    _tables.put(key, table)
+    return table
 
 
 def _lambert_rounding(kappa: mpf, spread: mpf, gammas: mpf, n: int, t, bits: int) -> mpf:
@@ -997,17 +1052,12 @@ def _lambert_rounding(kappa: mpf, spread: mpf, gammas: mpf, n: int, t, bits: int
 
 def _tornheim_q_lambert(r, s, t, qp: QParam, n: int, js: int,
                         bits: int) -> tuple[int, int, int, int]:
-    """C S' for the four (sigma, tau) (_at), exact at 6 bits bits:
-    S' = _lambert_sum over js weights and the bits-bit q-term tables of
-    a_u = q^(ru)/[u]^r, b_v = q^(sv)/[v]^s and the powers q^-k (e = -1,
-    x = 0), n - 1 entries each, so A_j is cut after U_j = ceil(n/(j+1)) - 1
-    terms (tornheim_q_info), and C is c = (q-1)^t by _fixed_rational_power.
-    r = s reads one table for a and b."""
-    x = _stream_terms(qp, bits, -1, 0, n - 1)
-    a = _stream_terms(qp, bits, r, r, n - 1)
-    b = a if s == r else _stream_terms(qp, bits, s, s, n - 1)
+    """C S' for the four (sigma, tau) (_at), exact at 6 bits bits: S' =
+    _lambert_sum over js weights, each A_j and B_j cut after U_j =
+    ceil(n/(j+1)) - 1 terms (tornheim_q_info), and C is c = (q-1)^t by
+    _fixed_rational_power."""
     c = _fixed_rational_power(Fraction(qp.value) - 1, Fraction(t), bits)
-    return tuple(c * total for total in _lambert_sum(a, b, x, t, bits, js))
+    return tuple(c * total for total in _lambert_sum(r, s, t, qp, n, js, bits))
 
 
 def _fixed_rational_power(v: Fraction, y: Fraction, bits: int) -> int:
@@ -1393,9 +1443,10 @@ def memo_stats() -> dict:
     """Hits, misses and size of exact.memo, the package's one memo (q parses,
     classical_zeta's SumInfos, the settled _Series of the classical doubles
     and q-series, and the expansions, reductions, closed forms and Bernoulli
-    numbers), and for _tables (q-term tables, half-series words and tails
-    families) their number, ints stored (the budget's count: entries, and a
-    family's frontier and window), budget, hits, misses and bytes
+    numbers), and for _tables (q-term tables, Lambert column tables,
+    half-series words and tails families) their number, ints stored (the
+    budget's count: entries, and a family's frontier and window), budget,
+    hits, misses and bytes
     (sys.getsizeof of the stored lists and of every int in them).  A call
     rejected inside memo (a q that _qparam refuses, or _budget, checked
     before anything is summed) counts one miss, for the entry it looked up,

@@ -117,8 +117,9 @@ def test_criterion_4_q_reduction_numeric_sweep():
     assert dt < 120.0
     tables = numeric.memo_stats()["tables"]
     # 96 tables of the reduction terms, 12 of tornheim_q's a and b factors at
-    # the same width, and one table of the powers q^-k per q
-    assert tables["misses"] == 111
+    # the same width, one table of the powers q^-k per q, and 12 Lambert
+    # column tables, one per (q, r), that every t and both slots read
+    assert tables["misses"] == 123
     assert tables["terms"] <= tables["budget"]
     # the memo holds one sign-free entry per key, plan and integer totals of
     # all its signs together: 120 tornheim_q series (r <= s, t, q), as

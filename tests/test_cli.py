@@ -3,8 +3,10 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from itertools import takewhile
 from pathlib import Path
@@ -302,6 +304,26 @@ def test_eval_classical_precision_budget_exit_code(capsys):
     assert out == ""
     assert err.startswith("error: classical_double_euler:") and "max_terms=100" in err
     assert "Traceback" not in err
+
+
+NEAR_ONE_QS = ("100000000000000001/100000000000000000", "1000000000000001/1000000000000000",
+               "1.0000000000000002", "1000000000001/1000000000000")
+
+
+@pytest.mark.parametrize("argv", [
+    *(("eval", "T", "1", "1", "2", "--q", q) for q in NEAR_ONE_QS),
+    *(("eval", "qzeta", "2", "--q", q) for q in NEAR_ONE_QS[:3]),
+    ("eval", "zeta2", "2", "1", "--q", NEAR_ONE_QS[0]),
+    ("verify", "theorem1", "--max", "2", "--q", NEAR_ONE_QS[0]),
+])
+def test_a_q_just_above_one_exits_4_with_the_budget_message(capsys, argv):
+    # these tracebacked with a ZeroDivisionError, or ran for minutes
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (4, "")
+    assert re.fullmatch(r"error: \w+: tail goal needs \d+ terms, exceeding max_terms=2000000\n",
+                        err), err
+    assert time.perf_counter() - start < 2
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from itertools import accumulate, product
 from operator import floordiv, lshift, mul, neg, rshift
@@ -104,6 +105,32 @@ def test_an_exponent_past_the_float_range_exceeds_max_terms():
         with pytest.raises(PrecisionError, match=f"^{name}: tail goal needs [0-9]{{398,}} terms, "
                                                  "exceeding max_terms=2000000$"):
             call(*args)
+
+
+@pytest.mark.parametrize("q", [F(10 ** 17 + 1, 10 ** 17), F(10 ** 15 + 1, 10 ** 15),
+                               1.0000000000000002, F(10 ** 12 + 1, 10 ** 12)])
+def test_a_q_just_above_one_exceeds_max_terms_at_once(q):
+    # log2 q as exp + bc + log2(man 2^-bc) cancels to 0, or to a few bits, as
+    # q -> 1: the planners divided by zero, or stepped one term at a time
+    # from a far estimate.  _log2 reads it from q - 1, so each kernel plans
+    # the least cutoff at once and the budget refuses it.
+    with mp.workdps(40):
+        qm = mpf(F(q).numerator) / F(q).denominator
+        assert abs(numeric._log2(qm) / mp.log(qm, 2) - 1) < 1e-15
+        assert abs(numeric._log2(1 / qm) / mp.log(1 / qm, 2) - 1) < 1e-15
+        goal = mpf(10) ** -35
+        n = numeric._geometric_n(mpf(7), qm, goal)
+        assert 7 * qm ** -n <= goal < 7 * qm ** -(n - 1)
+    for call, args, name in [(q_zeta1, (2, 1, q), "q_zeta1"),
+                             (q_zeta2, (2, 1, 1, 1, q), "q_zeta2"),
+                             (phi_q, (2, -1, q), "phi_q"),
+                             (tornheim_q, (1, 1, 2, 1, 1, q), "tornheim_q"),
+                             (tornheim_q, (2, 1, F(1, 2), -1, -1, q), "tornheim_q")]:
+        start = time.perf_counter()
+        with pytest.raises(PrecisionError, match=f"^{name}: tail goal needs [0-9]+ terms, "
+                                                 "exceeding max_terms=2000000$"):
+            call(*args, P30)
+        assert time.perf_counter() - start < 2, (name, q)
 
 
 def test_a_cutoff_past_2_to_the_50_is_the_least_one():
@@ -597,10 +624,7 @@ def test_lambert_sum_meets_its_rounding_count():
         q = rng.choice((F(11, 10), F(3, 2), 2, 3))
         n, bits = rng.randint(8, 60), rng.choice((24, 40, 64))
         qp = QParam(q)
-        x = numeric._stream_terms(qp, bits, -1, 0, n - 1)
-        a = numeric._stream_terms(qp, bits, r, r, n - 1)
-        b = a if s == r else numeric._stream_terms(qp, bits, s, s, n - 1)
-        sums = numeric._lambert_sum(a, b, x, t, bits, n - 1)
+        sums = numeric._lambert_sum(r, s, t, qp, n, n - 1, bits)
         kernels = numeric._tornheim_q_lambert(r, s, t, qp, n, n - 1, bits)
         with mp.workdps(60):
             qm, tm = (mpf(F(v).numerator) / F(v).denominator for v in (q, t))
@@ -715,14 +739,20 @@ def _settled(series):
 
 
 Q_GRID_SERIES_SHA256 = "04e3b9def523dc02fe442b0324126e18d81211c246a50b67c1ee4afceabaf542"
+Q_GRID = [(q, v, r, s, t, prec)
+          for qs, indices, prec in (
+              (("3/2", "2", "3"), range(1, 5), P30),
+              (("6/5", "11/10", "101/100"), range(1, 3),
+               PrecisionConfig(digits=10, tail_goal=1e-7, max_terms=10 ** 9)))
+          for q in qs for v in "TSR" for r in indices for s in indices
+          for t in (0, 1, 2, F(1, 2))]
 
 
-def test_q_series_totals_on_the_bench_grids_are_pinned(monkeypatch):
-    """Every _Series (totals, scale and each sign's settled answer) that the
-    criterion-4 grid at 30 digits and the q -> 1 grid (q = 6/5, 11/10,
-    101/100 at digits 10, goal 1e-7) read, both sides of every case,
-    hashed: a faster table fill or Lambert sum must leave every bit as it
-    is.  The q parses that numeric looks up in the same memo are not
+def _q_grid_digest(monkeypatch, cases) -> str:
+    """SHA-256 over every _Series (totals, scale and each sign's settled
+    answer) that the cases (q, variant, r, s, t, prec), run from
+    clear_memos() in that order, read, both sides of every case, in key
+    order.  The q parses that numeric looks up in the same memo are not
     recorded."""
     records = {}
     memo = numeric.memo
@@ -733,23 +763,100 @@ def test_q_series_totals_on_the_bench_grids_are_pinned(monkeypatch):
         return series
     numeric.clear_memos()
     monkeypatch.setattr(numeric, "memo", recording)
-    grids = [(("3/2", "2", "3"), range(1, 5), P30),
-             (("6/5", "11/10", "101/100"), range(1, 3),
-              PrecisionConfig(digits=10, tail_goal=1e-7, max_terms=10 ** 9))]
-    for qs, indices, prec in grids:
-        for q in qs:
-            for v in "TSR":
-                for r in indices:
-                    for s in indices:
-                        for t in (0, 1, 2, F(1, 2)):
-                            tornheim_q_info(r, s, t, *VARIANT_SIGNS[v], q, prec)
-                            evaluate_reduction(theorem1_reduce(r, s, t, v), q, prec)
+    for q, v, r, s, t, prec in cases:
+        tornheim_q_info(r, s, t, *VARIANT_SIGNS[v], q, prec)
+        evaluate_reduction(theorem1_reduce(r, s, t, v), q, prec)
+    monkeypatch.setattr(numeric, "memo", memo)
     digest = hashlib.sha256()
     for key in sorted(records, key=repr):
         series = records[key]
         digest.update(repr((key, series.totals, series.scale, _settled(series))).encode())
     assert len(records) == 372 + 126
-    assert digest.hexdigest() == Q_GRID_SERIES_SHA256
+    return digest.hexdigest()
+
+
+def test_q_series_totals_on_the_bench_grids_are_pinned(monkeypatch):
+    """The criterion-4 grid at 30 digits and the q -> 1 grid (q = 6/5,
+    11/10, 101/100 at digits 10, goal 1e-7), hashed by _q_grid_digest: a
+    faster table fill or Lambert sum must leave every bit as it is."""
+    assert _q_grid_digest(monkeypatch, Q_GRID) == Q_GRID_SERIES_SHA256
+
+
+def test_lambert_column_tables_give_the_pinned_grid_in_any_order(monkeypatch):
+    """Both bench q grids from clear_memos() with t ascending, t descending
+    and in a seeded shuffle of the cases, and under a table budget small
+    enough to drop column tables and q-term tables mid-grid: each run
+    hashes to Q_GRID_SERIES_SHA256, whatever cut and columns each column
+    table held when a series read it."""
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
+    shuffled = list(Q_GRID)
+    random.Random(34).shuffle(shuffled)
+    orders = [sorted(Q_GRID, key=lambda case: case[4]),
+              sorted(Q_GRID, key=lambda case: -case[4]), shuffled]
+    for order in orders:
+        assert _q_grid_digest(monkeypatch, order) == Q_GRID_SERIES_SHA256
+    full = numeric.memo_stats()["tables"]
+    small = numeric._TableMemo(4000)  # one q = 101/100 column table, not two
+    monkeypatch.setattr(numeric, "_tables", small)
+    missed, take = [], small.take
+
+    def counted_take(key):
+        if key not in small.lists:
+            missed.append(key)
+        return take(key)
+
+    monkeypatch.setattr(small, "take", counted_take)
+    assert _q_grid_digest(monkeypatch, shuffled) == Q_GRID_SERIES_SHA256
+    columns = [key for key in missed if key[-1] == "E+-O"]
+    entries = [key for key in missed if key[-1] != "E+-O"]
+    # some column table and some q-term table were dropped and built again
+    assert len(columns) > len(set(columns)) and len(entries) > len(set(entries))
+    assert small.stored <= 4000 and small.misses > full["misses"]
+
+
+def _columns_reference(a: list, x: list, cut: int, head: int) -> list:
+    """E_j + O_j and E_j - O_j, interleaved, for j < head, straight from
+    their definition: the a_u x_(j+1)u over even and over odd u with
+    (j+1) u <= cut, for a_u = a[u-1] and x_k = x[k-1]."""
+    columns = []
+    for j in range(head):
+        parts = [sum(a[u - 1] * x[(j + 1) * u - 1] for u in range(start, cut // (j + 1) + 1, 2))
+                 for start in (2, 1)]
+        columns += [parts[0] + parts[1], parts[0] - parts[1]]
+    return columns
+
+
+def test_lambert_columns_read_across_cuts(monkeypatch):
+    """One (q, bits, r) column table read at cut n - 1, then below and
+    above it (n - 3 and n + 5), and with a head longer than the stored one
+    below and above the stored cut.  Each read keeps the one stored table
+    (the divisor pairs of the k between the cuts are added or taken off,
+    and the columns past it are built), and its columns equal their
+    definition over fresh q-term lists.  The Lambert totals at each cut
+    equal those a series gets from empty tables."""
+    qp, bits, n, t = QParam(F(11, 10)), 64, 240, F(1, 2)
+    reads = [(n, 40), (n - 3, 40), (n + 5, 40), (n - 3, 90), (n + 5, 110), (n, 119)]
+    top = max(m for m, _ in reads)
+    monkeypatch.setattr(numeric, "_tables", numeric._TableMemo(numeric.TABLE_BUDGET))
+    fresh = {r: numeric._stream_terms(qp, bits, r, r, top) for r in (2, F(1, 2))}
+    powers = numeric._stream_terms(qp, bits, -1, 0, top)
+    totals = {}
+    for m, _ in reads:
+        numeric.clear_memos()
+        totals[m] = numeric._lambert_sum(2, F(1, 2), t, qp, m, m - 1, bits)
+    for r, s in ((2, F(1, 2)), (F(1, 2), F(1, 2))):
+        numeric.clear_memos()
+        stored = None
+        for m, head in reads:
+            table = numeric._lambert_columns(qp, bits, r, m - 1, head)
+            assert stored is None or table is stored, (r, m, head)  # not built anew
+            stored = table
+            assert table.state == m - 1
+            assert table[:2 * head] == _columns_reference(fresh[r], powers, m - 1, head), (r, m)
+            if s != r:
+                assert numeric._lambert_sum(r, s, t, qp, m, m - 1, bits) == totals[m], m
+                # the sum read columns up to (m - 1) // 2: the table holds them now
+                assert len(table) >= 2 * ((m - 1) // 2)
 
 
 def test_each_sign_is_settled_once_when_its_series_is_built(monkeypatch):
@@ -861,11 +968,12 @@ def test_memos_are_bounded_count_hits_and_skip_rejected_input():
     before = numeric.memo_stats()["tables"]
     q_zeta1_info(F(5, 2), 1, "13/7", prec)  # a miss
     q_zeta1_info(F(5, 2), -1, "13/7", prec)  # its memo entry holds both signs: no read
-    # tornheim_q at r = s reads one table for its a and b lists, and its
-    # powers q^-k are one more: two misses, and no read for b
+    # tornheim_q at r = s reads one column table for A_j and B_j, a miss,
+    # built from the table of a_u and that of the powers q^-k, two more
+    # misses; its tail then reads the powers and a_1 from them, two hits
     tornheim_q_info(3, 3, 1, 1, -1, "13/7", prec)
     after = numeric.memo_stats()["tables"]
-    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (0, 3)
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (2, 4)
     before = numeric.memo_stats()
     with pytest.raises(DivergenceError):
         classical_zeta(1, 1, prec)
